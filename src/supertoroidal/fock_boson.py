@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .combination import Combination
+
 NEG_INF = float("-inf")
 
 
@@ -33,27 +35,10 @@ def _remove_one(modes, item):
     return tuple(out)
 
 
-class BosonState:
+class BosonState(Combination):
     """Finitely supported map (phi multiset, phi* multiset) -> rational."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if not c:
-                    continue
-                acc = clean.get(key)
-                total = c if acc is None else acc + c
-                if total:
-                    clean[key] = total
-                elif acc is not None:
-                    del clean[key]
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def vacuum(cls, coeff=1) -> "BosonState":
@@ -68,54 +53,10 @@ class BosonState:
                 raise ValueError(f"flavors are 1-based, got {flavor}")
         return cls({(tuple(sorted(phi)), tuple(sorted(phi_star))): Fraction(coeff)})
 
-    @classmethod
-    def zero(cls) -> "BosonState":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            t = c if acc is None else acc + c
-            if t:
-                out[k] = t
-            elif acc is not None:
-                del out[k]
-        s = BosonState.zero()
-        s.terms = out
-        return s
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        if type(scalar) is not Fraction:
-            scalar = Fraction(scalar)
-        if not scalar:
-            return BosonState.zero()
-        s = BosonState.zero()
-        s.terms = {k: scalar * c for k, c in self.terms.items()}
-        return s
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        return isinstance(other, BosonState) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self):
-        if not self.terms:
-            return "BosonState<0>"
-        bits = [f"{c} * phi{list(p)} phi*{list(ps)} |0>" for (p, ps), c in self.sorted_terms()]
-        return "BosonState<" + " + ".join(bits) + ">"
+    @staticmethod
+    def _format_term(key, c) -> str:
+        p, ps = key
+        return f"{c} * phi{list(p)} phi*{list(ps)} |0>"
 
 
 def _check_flavor(j: int, num_flavors):

@@ -34,7 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import LatticeVector, basis_support, bilinear, cocycle, pair_with_basis
+from .combination import Combination
+from .lattice import LatticeVector, basis_support, bilinear, cocycle, pair_with_basis, parity
 
 NEG_INF = float("-inf")
 
@@ -53,32 +54,10 @@ def _remove_one(mono, factor):
     return tuple(out)
 
 
-def _key_sort(item):
-    (gamma, mono), _ = item
-    return (gamma.e, gamma.delta, gamma.d, mono)
-
-
-class LatticeFockState:
+class LatticeFockState(Combination):
     """Finitely supported map (gamma, monomial) -> nonzero rational."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if not c:
-                    continue
-                acc = clean.get(key)
-                total = c if acc is None else acc + c
-                if total:
-                    clean[key] = total
-                elif acc is not None:
-                    del clean[key]
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def basis(cls, gamma: LatticeVector, mono=(), coeff=1) -> "LatticeFockState":
@@ -88,64 +67,20 @@ class LatticeFockState:
     def vacuum(cls, config) -> "LatticeFockState":
         return cls.basis(config.zero())
 
-    @classmethod
-    def zero(cls) -> "LatticeFockState":
-        return cls()
+    @staticmethod
+    def _sort_key(item):
+        (gamma, mono), _ = item
+        return (gamma.e, gamma.delta, gamma.d, mono)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            t = c if acc is None else acc + c
-            if t:
-                out[k] = t
-            elif acc is not None:
-                del out[k]
-        s = LatticeFockState.zero()
-        s.terms = out
-        return s
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        if type(scalar) is not Fraction:
-            scalar = Fraction(scalar)
-        if not scalar:
-            return LatticeFockState.zero()
-        s = LatticeFockState.zero()
-        s.terms = {k: scalar * c for k, c in self.terms.items()}
-        return s
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        return isinstance(other, LatticeFockState) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=_key_sort)
+    @staticmethod
+    def _format_term(key, c) -> str:
+        g, u = key
+        return f"{c} * e^{g!r} (x) {u or 1}"
 
     def parity(self):
         """Common parity of all keys, or None for a mixed state."""
-        seen = {sum(g.e) % 2 for (g, _) in self.terms}
+        seen = {parity(g) for (g, _) in self.terms}
         return seen.pop() if len(seen) == 1 else None
-
-    def max_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(monomial_degree(u) for (_, u) in self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "LatticeFockState<0>"
-        bits = [f"{c} * e^{g!r} (x) {u or 1}" for (g, u), c in self.sorted_terms()]
-        return "LatticeFockState<" + " + ".join(bits) + ">"
 
 
 def heisenberg_apply(a: LatticeVector, m: int, s: LatticeFockState) -> LatticeFockState:
@@ -414,7 +349,7 @@ def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int, s: Latti
     term the factor acting first is the one with the larger mode, so the
     sum is clipped by the effective bounds of a and b on s.
     """
-    if parity_of(a) != 1 or parity_of(b) != 1:
+    if parity(a) != 1 or parity(b) != 1:
         raise ValueError("normal ordered pair sum is for odd vectors")
     ba = effective_mode_bound(a, s)
     bb = effective_mode_bound(b, s)
@@ -439,6 +374,3 @@ def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int, s: Latti
             total = total - vertex_mode_apply(b, i2, vertex_mode_apply(a, i1, s))
     return total
 
-
-def parity_of(a: LatticeVector) -> int:
-    return bilinear(a, a) % 2

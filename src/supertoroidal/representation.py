@@ -34,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import LatticeConfig, LatticeVector, bilinear
+from .combination import Combination
+from .lattice import LatticeConfig, LatticeVector, bilinear, parity
 from .fock_lattice import (
     NEG_INF,
     LatticeFockState,
@@ -49,27 +50,10 @@ from .fock_lattice import (
 from .fock_boson import BosonState, depth, phi_apply, phi_star_apply
 
 
-class TensorState:
+class TensorState(Combination):
     """Finitely supported map (lattice key, boson key) -> rational."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if not c:
-                    continue
-                acc = clean.get(key)
-                t = c if acc is None else acc + c
-                if t:
-                    clean[key] = t
-                elif acc is not None:
-                    del clean[key]
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def vacuum(cls, config: LatticeConfig) -> "TensorState":
@@ -91,55 +75,18 @@ class TensorState:
                 out[(lk, bk)] = cl * cb
         return cls(out)
 
-    @classmethod
-    def zero(cls) -> "TensorState":
-        return cls()
+    @staticmethod
+    def _sort_key(item):
+        ((g, u), (p, ps)), _ = item
+        return (g.e, g.delta, g.d, u, p, ps)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            t = c if acc is None else acc + c
-            if t:
-                out[k] = t
-            elif acc is not None:
-                del out[k]
-        s = TensorState.zero()
-        s.terms = out
-        return s
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        if type(scalar) is not Fraction:
-            scalar = Fraction(scalar)
-        if not scalar:
-            return TensorState.zero()
-        s = TensorState.zero()
-        s.terms = {k: scalar * c for k, c in self.terms.items()}
-        return s
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        return isinstance(other, TensorState) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self):
-        def keyfn(item):
-            ((g, u), (p, ps)), _ = item
-            return (g.e, g.delta, g.d, u, p, ps)
-
-        return sorted(self.terms.items(), key=keyfn)
+    @staticmethod
+    def _format_term(key, c) -> str:
+        (g, u), (p, ps) = key
+        return f"{c} * e^{g!r}(x){u or 1}(x)phi{list(p)}phi*{list(ps)}"
 
     def parity(self):
-        seen = {sum(lk[0].e) % 2 for (lk, _) in self.terms}
+        seen = {parity(g) for ((g, _), _) in self.terms}
         return seen.pop() if len(seen) == 1 else None
 
     def doubled_degree(self) -> int:
@@ -155,14 +102,6 @@ class TensorState:
         for ((g, _), _) in self.terms:
             return len(g.e), len(g.delta) + 1
         return None
-
-    def __repr__(self):
-        if not self.terms:
-            return "TensorState<0>"
-        bits = []
-        for ((g, u), (p, ps)), c in self.sorted_terms():
-            bits.append(f"{c} * e^{g!r}(x){u or 1}(x)phi{list(p)}phi*{list(ps)}")
-        return "TensorState<" + " + ".join(bits) + ">"
 
 
 def _map_lattice(fn, ts: TensorState) -> TensorState:
@@ -199,20 +138,6 @@ def _map_boson(fn, ts: TensorState) -> TensorState:
             elif acc is not None:
                 del out[key]
     return TensorState(out)
-
-
-def _lattice_part(ts: TensorState) -> LatticeFockState:
-    out = {}
-    for (lk, _), c in ts.terms.items():
-        out[lk] = out.get(lk, 0) + c
-    return LatticeFockState(out)
-
-
-def _boson_part(ts: TensorState) -> BosonState:
-    out = {}
-    for (_, bk), c in ts.terms.items():
-        out[bk] = out.get(bk, 0) + c
-    return BosonState(out)
 
 
 def _lattice_bound(a: LatticeVector, ts: TensorState):

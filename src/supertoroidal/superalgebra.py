@@ -31,86 +31,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .combination import Combination
 from .lattice import LatticeConfig, cocycle
 
 
-class GLElement:
+class GLElement(Combination):
     """Rational linear combination of basis symbols T_ij."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if not c:
-                    continue
-                acc = clean.get(key)
-                t = c if acc is None else acc + c
-                if t:
-                    clean[key] = t
-                elif acc is not None:
-                    del clean[key]
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def symbol(cls, i: int, j: int, coeff=1) -> "GLElement":
         return cls({(i, j): Fraction(coeff)})
 
-    @classmethod
-    def zero(cls) -> "GLElement":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            t = c if acc is None else acc + c
-            if t:
-                out[k] = t
-            elif acc is not None:
-                del out[k]
-        s = GLElement.zero()
-        s.terms = out
-        return s
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        if type(scalar) is not Fraction:
-            scalar = Fraction(scalar)
-        if not scalar:
-            return GLElement.zero()
-        s = GLElement.zero()
-        s.terms = {k: scalar * c for k, c in self.terms.items()}
-        return s
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        return isinstance(other, GLElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self):
-        if not self.terms:
-            return "GLElement<0>"
-        bits = [f"{c}*T[{i},{j}]" for (i, j), c in self.sorted_terms()]
-        return "GLElement<" + " + ".join(bits) + ">"
+    @staticmethod
+    def _format_term(key, c) -> str:
+        return f"{c}*T[{key[0]},{key[1]}]"
 
 
-class ToroidalElement:
+class ToroidalElement(Combination):
     """Combination of T_ij (x) t^mbar and central t^mbar K_i, reduced.
 
     Keys are ("T", i, j, mbar) or ("K", direction, mbar) with mbar a
@@ -118,25 +57,13 @@ class ToroidalElement:
     reduction, so equal elements of the quotient compare equal.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if not c:
-                    continue
-                for rkey, rc in _reduce_key(key, c):
-                    acc = clean.get(rkey)
-                    t = rc if acc is None else acc + rc
-                    if t:
-                        clean[rkey] = t
-                    elif acc is not None:
-                        del clean[rkey]
-        self.terms = clean
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        super().__init__(
+            reduced for key, c in items for reduced in _reduce_key(key, Fraction(c))
+        )
 
     @classmethod
     def t(cls, i: int, j: int, mbar, coeff=1) -> "ToroidalElement":
@@ -146,59 +73,11 @@ class ToroidalElement:
     def k(cls, direction: int, mbar, coeff=1) -> "ToroidalElement":
         return cls({("K", direction, tuple(int(x) for x in mbar)): Fraction(coeff)})
 
-    @classmethod
-    def zero(cls) -> "ToroidalElement":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            t = c if acc is None else acc + c
-            if t:
-                out[k] = t
-            elif acc is not None:
-                del out[k]
-        s = ToroidalElement.zero()
-        s.terms = out
-        return s
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        if type(scalar) is not Fraction:
-            scalar = Fraction(scalar)
-        if not scalar:
-            return ToroidalElement.zero()
-        s = ToroidalElement.zero()
-        s.terms = {k: scalar * c for k, c in self.terms.items()}
-        return s
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        return isinstance(other, ToroidalElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self):
-        if not self.terms:
-            return "ToroidalElement<0>"
-        bits = []
-        for key, c in self.sorted_terms():
-            if key[0] == "T":
-                bits.append(f"{c}*T[{key[1]},{key[2]}]t^{list(key[3])}")
-            else:
-                bits.append(f"{c}*t^{list(key[2])}K{key[1]}")
-        return "ToroidalElement<" + " + ".join(bits) + ">"
+    @staticmethod
+    def _format_term(key, c) -> str:
+        if key[0] == "T":
+            return f"{c}*T[{key[1]},{key[2]}]t^{list(key[3])}"
+        return f"{c}*t^{list(key[2])}K{key[1]}"
 
 
 def _reduce_key(key, coeff):

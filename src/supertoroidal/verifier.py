@@ -936,31 +936,26 @@ def _family_table():
     fams = {}
     fams["cocycle"] = {
         "clauses": _COCYCLE_CLAUSES,
-        "covers": (),
         "generate": _gen_cocycle,
         "evaluate": _wrap(_eval_cocycle),
     }
     fams["jacobi"] = {
         "clauses": ("super-jacobi",),
-        "covers": (),
         "generate": _gen_jacobi,
         "evaluate": _wrap(_eval_jacobi),
     }
     fams["form"] = {
         "clauses": _FORM_CLAUSES,
-        "covers": (),
         "generate": _gen_form,
         "evaluate": _wrap(_eval_form),
     }
     fams["rtables"] = {
         "clauses": _R_CLAUSES,
-        "covers": tuple(f"T{k}" for k in range(1, 11)),
         "generate": lambda cfg, clause: _gen_table(cfg, clause, "R"),
         "evaluate": _eval_table,
     }
     fams["sttables"] = {
         "clauses": _ST_CLAUSES,
-        "covers": (),
         "generate": lambda cfg, clause: _gen_table(cfg, clause, "ST"),
         "evaluate": _eval_table,
     }
@@ -978,7 +973,6 @@ def _family_table():
 
     fams["prop33"] = {
         "clauses": prop33_clauses,
-        "covers": (),
         "generate": gen_prop33,
         "evaluate": eval_prop33,
     }
@@ -1003,25 +997,21 @@ def _family_table():
 
     fams["thm46"] = {
         "clauses": thm46_clauses,
-        "covers": (),
         "generate": gen_thm46,
         "evaluate": eval_thm46,
     }
     fams["lemma49"] = {
         "clauses": ("lemma4.9", "lemma2.8"),
-        "covers": (),
         "generate": _gen_lemma,
         "evaluate": _wrap(_eval_lemma),
     }
     fams["corollary19"] = {
         "clauses": ("1.9(1)", "1.9(2)", "1.9(3)"),
-        "covers": (),
         "generate": _gen_cor19,
         "evaluate": _wrap(_eval_cor19),
     }
     fams["identity110"] = {
         "clauses": ("1.10(1)", "1.10(2)", "1.10(3)"),
-        "covers": (),
         "generate": _gen_id110,
         "evaluate": _wrap(_eval_id110),
     }

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -42,6 +43,11 @@ def test_run_all_families_small():
             assert cell["hits"] > 0, (fam, clause)
     assert any(a["clause"] == "R2" for a in rep["adjudications"])
     assert any(a["clause"] == "ST3" for a in rep["adjudications"])
+    # the report body is pinned byte for byte
+    text = verifier.report_text(rep, include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f55ae0386e0c04143efe2d3c34c6347a619888a996c17430321b0c17411c1464"
+    )
 
 
 def test_reports_are_deterministic():
