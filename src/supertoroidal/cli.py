@@ -56,7 +56,7 @@ def _cmd_check(args) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    report = verifier.run(cfg, families=families, jobs=args.jobs)
+    report = verifier.run(cfg, families=families)
     for fam in families:
         fr = report["families"][fam]
         for clause, cell in fr["clauses"].items():
@@ -138,7 +138,6 @@ def main(argv=None) -> int:
     p.add_argument("--box", type=int, default=2)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", help="write the JSON report here")
     p.set_defaults(func=_cmd_check)
 

@@ -53,9 +53,10 @@ class Combination:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other):
+    def _merged(self, items):
+        """self plus the (key, coeff) items, nonzero coefficients only."""
         out = dict(self.terms)
-        for k, c in other.terms.items():
+        for k, c in items:
             acc = out.get(k)
             t = c if acc is None else acc + c
             if t:
@@ -64,8 +65,11 @@ class Combination:
                 del out[k]
         return self._from_clean(out)
 
+    def __add__(self, other):
+        return self._merged(other.terms.items())
+
     def __sub__(self, other):
-        return self + (-1) * other
+        return self._merged((k, -c) for k, c in other.terms.items())
 
     def __rmul__(self, scalar):
         if type(scalar) is not Fraction:

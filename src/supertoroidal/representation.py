@@ -104,62 +104,47 @@ class TensorState(Combination):
         return None
 
 
-def _map_lattice(fn, ts: TensorState) -> TensorState:
+def _map_half(fn, ts: TensorState, lattice: bool) -> TensorState:
+    """Apply fn to the lattice (or boson) half of ts, the other half fixed."""
+    cls = LatticeFockState if lattice else BosonState
     groups = {}
     for (lk, bk), c in ts.terms.items():
-        groups.setdefault(bk, {})[lk] = c
+        if lattice:
+            groups.setdefault(bk, {})[lk] = c
+        else:
+            groups.setdefault(lk, {})[bk] = c
     out = {}
-    for bk, lat_terms in groups.items():
-        res = fn(LatticeFockState(lat_terms))
-        for lk, c in res.terms.items():
-            key = (lk, bk)
+    for fixed, half in groups.items():
+        for k, c in fn(cls._from_clean(half)).terms.items():
+            key = (k, fixed) if lattice else (fixed, k)
             acc = out.get(key)
             t = c if acc is None else acc + c
             if t:
                 out[key] = t
             elif acc is not None:
                 del out[key]
-    return TensorState(out)
+    return TensorState._from_clean(out)
 
 
-def _map_boson(fn, ts: TensorState) -> TensorState:
-    groups = {}
-    for (lk, bk), c in ts.terms.items():
-        groups.setdefault(lk, {})[bk] = c
-    out = {}
-    for lk, bos_terms in groups.items():
-        res = fn(BosonState(bos_terms))
-        for bk, c in res.terms.items():
-            key = (lk, bk)
-            acc = out.get(key)
-            t = c if acc is None else acc + c
-            if t:
-                out[key] = t
-            elif acc is not None:
-                del out[key]
-    return TensorState(out)
+_ONE = Fraction(1)
+
+
+def _lattice_keys(ts: TensorState) -> LatticeFockState:
+    """The lattice keys of ts as a state; the bound functions read only keys."""
+    return LatticeFockState._from_clean(dict.fromkeys((lk for lk, _ in ts.terms), _ONE))
 
 
 def _lattice_bound(a: LatticeVector, ts: TensorState):
     """Effective doubled vanishing bound of a over the lattice keys."""
-    if ts.is_zero():
-        return NEG_INF
-    lat = LatticeFockState({lk: Fraction(1) for (lk, _) in ts.terms})
-    return effective_mode_bound(a, lat)
+    return effective_mode_bound(a, _lattice_keys(ts))
 
 
 def _current_bound(a: LatticeVector, ts: TensorState):
-    if ts.is_zero():
-        return NEG_INF
-    lat = LatticeFockState({lk: Fraction(1) for (lk, _) in ts.terms})
-    return current_upper_bound(a, lat)
+    return current_upper_bound(a, _lattice_keys(ts))
 
 
 def _boson_depth(ts: TensorState):
-    if ts.is_zero():
-        return NEG_INF
-    bos = BosonState({bk: Fraction(1) for (_, bk) in ts.terms})
-    return depth(bos)
+    return depth(BosonState._from_clean(dict.fromkeys((bk for _, bk in ts.terms), _ONE)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +157,7 @@ class VertexMode:
     index: int  # doubled
 
     def apply(self, ts: TensorState) -> TensorState:
-        return _map_lattice(lambda s: vertex_mode_apply(self.alpha, self.index, s), ts)
+        return _map_half(lambda s: vertex_mode_apply(self.alpha, self.index, s), ts, lattice=True)
 
     def parity(self, M=None) -> int:
         return bilinear(self.alpha, self.alpha) % 2
@@ -184,7 +169,7 @@ class Current:
     mode: int
 
     def apply(self, ts: TensorState) -> TensorState:
-        return _map_lattice(lambda s: heisenberg_apply(self.alpha, self.mode, s), ts)
+        return _map_half(lambda s: heisenberg_apply(self.alpha, self.mode, s), ts, lattice=True)
 
     def parity(self, M=None) -> int:
         return 0
@@ -196,7 +181,7 @@ class PhiMode:
     r: int  # mode r - 1/2
 
     def apply(self, ts: TensorState) -> TensorState:
-        return _map_boson(lambda s: phi_apply(self.flavor, self.r, s), ts)
+        return _map_half(lambda s: phi_apply(self.flavor, self.r, s), ts, lattice=False)
 
     def parity(self, M=None) -> int:
         return 0
@@ -208,7 +193,7 @@ class PhiStarMode:
     r: int
 
     def apply(self, ts: TensorState) -> TensorState:
-        return _map_boson(lambda s: phi_star_apply(self.flavor, self.r, s), ts)
+        return _map_half(lambda s: phi_star_apply(self.flavor, self.r, s), ts, lattice=False)
 
     def parity(self, M=None) -> int:
         return 0
@@ -381,7 +366,8 @@ class NormalPairSum:
     n: int
 
     def apply(self, ts: TensorState) -> TensorState:
-        return _map_lattice(lambda s: normal_ordered_pair_sum(self.a, self.b, self.n, s), ts)
+        return _map_half(lambda s: normal_ordered_pair_sum(self.a, self.b, self.n, s), ts,
+                         lattice=True)
 
     def parity(self, M=None) -> int:
         return 0
@@ -400,7 +386,7 @@ class VertexProductSum:
             return ts
         M, q = ts.lattice_shape()
         dm = LatticeConfig(M, q).delta_sum(self.mu)
-        return _map_lattice(lambda s: vertex_product_sum(self.a, dm, self.index, s), ts)
+        return _map_half(lambda s: vertex_product_sum(self.a, dm, self.index, s), ts, lattice=True)
 
     def parity(self, M=None) -> int:
         return bilinear(self.a, self.a) % 2

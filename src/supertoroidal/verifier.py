@@ -21,6 +21,14 @@ Families and their clauses:
     corollary19  1.9(1)-(3)
     identity110  1.10(1)-(3)
 
+One table, _CLAUSES, holds every check: family -> clause ->
+(generate, evaluate).  generate(cfg) yields (pattern, payload) pairs
+whose payloads are plain JSON, so a check can be replayed from its
+record alone; evaluate(cfg, payload) returns (ok, lhs, rhs) as library
+objects.  FAMILIES gives each family the uniform interface
+generate(cfg, clause) and evaluate(cfg, clause, payload) ->
+(ok, adjudicated, note, lhs, rhs), which serializes both sides by type.
+
 Comparisons are exact; there is no tolerance anywhere.  A failing check
 records the first counterexample with enough payload to re-run it in
 isolation (see replay_counterexample).  Printed-table rows known to
@@ -33,9 +41,9 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from . import serialize as ser
@@ -202,360 +210,274 @@ def _exp_pair(rng, q, box, pattern):
 _EXP_PATTERNS = ("opposite", "generic", "zero", "right-zero")
 
 
+def _cycle(cfg, patterns, *labels):
+    """(pattern, rng) per sample, taking the patterns in turn.
+
+    Every pattern is hit and there are at least two samples; each stream
+    is derived from the labels, the pattern and the sample index.
+    """
+    for k in range(max(cfg.samples, len(patterns), 2)):
+        pattern = patterns[k % len(patterns)]
+        yield pattern, derive_rng(cfg.seed, *labels, pattern, k)
+
+
+def _state_obj(rng, cfg, q=None):
+    """A random state of this config drawn from rng, as a payload object."""
+    state = _random_state(rng, cfg.M, cfg.N, q or cfg.q, cfg.max_degree, cfg.exponent_box)
+    return ser.tensor_state_to_obj(state)
+
+
+def _vector_objs(rng, cfg, names, **kw):
+    """One random vector per name, as payload objects."""
+    return {n: ser.vector_to_obj(_random_vector(rng, cfg.M, cfg.q, cfg.exponent_box, **kw))
+            for n in names}
+
+
+def _vectors(payload, names):
+    return [ser.vector_from_obj(payload[n]) for n in names]
+
+
+def _tuples(cfg, labels, space, names, limit):
+    """Every tuple over space when there are at most limit, else samples."""
+    if len(space) ** len(names) <= limit:
+        for values in product(space, repeat=len(names)):
+            yield "exhaustive", dict(zip(names, values))
+    else:
+        rng = derive_rng(cfg.seed, *labels)
+        for _ in range(cfg.samples):
+            yield "sampled", {n: rng.choice(space) for n in names}
+
+
 # ---------------------------------------------------------------------------
 # cocycle family
 
 
-_COCYCLE_CLAUSES = (
-    "cocycle-identity",
-    "sign-law",
-    "bimultiplicative",
-    "basis-table",
-    "bilinear-form",
-    "parity",
-)
+def _box_space(cfg):
+    """The coordinate box of e-vectors, as payload objects."""
+    zq = (0,) * (cfg.q - 1)
+    box = range(-cfg.exponent_box, cfg.exponent_box + 1)
+    return [ser.vector_to_obj(LatticeVector(e, zq, zq)) for e in product(box, repeat=cfg.M)]
 
 
-def _box_vectors(M, box):
-    return list(product(range(-box, box + 1), repeat=M))
+def _eval_cocycle_identity(cfg, payload):
+    a, b, c = _vectors(payload, "abc")
+    lhs = cocycle(a, b) * cocycle(a + b, c)
+    rhs = cocycle(b, c) * cocycle(a, b + c)
+    return lhs == rhs, lhs, rhs
 
 
-def _gen_cocycle(cfg, clause):
-    box, M, q = cfg.exponent_box, cfg.M, cfg.q
-    zq = (0,) * (q - 1)
+def _eval_sign_law(cfg, payload):
+    a, b = _vectors(payload, "ab")
+    lhs = cocycle(a, b) * cocycle(b, a)
+    rhs = (-1) ** (bilinear(a, b) + parity(a) * parity(b))
+    return lhs == rhs, lhs, rhs
 
-    def vec(e):
-        return LatticeVector(tuple(e), zq, zq)
 
-    if clause == "cocycle-identity":
-        space = _box_vectors(M, box)
-        if len(space) ** 3 <= 1_000_000:
-            for a in space:
-                for b in space:
-                    for c in space:
-                        yield "exhaustive", {"a": ser.vector_to_obj(vec(a)),
-                                             "b": ser.vector_to_obj(vec(b)),
-                                             "c": ser.vector_to_obj(vec(c))}
-        else:
-            rng = derive_rng(cfg.seed, "cocycle", clause)
-            for _ in range(cfg.samples):
-                a, b, c = (rng.choice(space) for _ in range(3))
-                yield "sampled", {"a": ser.vector_to_obj(vec(a)),
-                                  "b": ser.vector_to_obj(vec(b)),
-                                  "c": ser.vector_to_obj(vec(c))}
-    elif clause == "sign-law":
-        space = _box_vectors(M, box)
-        if len(space) ** 2 <= 1_000_000:
-            for a in space:
-                for b in space:
-                    yield "exhaustive", {"a": ser.vector_to_obj(vec(a)),
-                                         "b": ser.vector_to_obj(vec(b))}
-        else:
-            rng = derive_rng(cfg.seed, "cocycle", clause)
-            for _ in range(cfg.samples):
-                yield "sampled", {"a": ser.vector_to_obj(vec(rng.choice(space))),
-                                  "b": ser.vector_to_obj(vec(rng.choice(space)))}
-    elif clause == "bimultiplicative":
-        for k in range(max(cfg.samples, 2)):
-            slot = ("left", "right")[k % 2]
-            rng = derive_rng(cfg.seed, "cocycle", clause, slot, k)
-            x = _random_vector(rng, M, q, box, q_only=True)
-            y = _random_vector(rng, M, q, box, q_only=True)
-            z = _random_vector(rng, M, q, box, q_only=(slot == "left"))
-            yield slot, {"x": ser.vector_to_obj(x), "y": ser.vector_to_obj(y),
-                         "z": ser.vector_to_obj(z), "slot": slot}
-    elif clause == "basis-table":
-        rng = derive_rng(cfg.seed, "cocycle", clause)
+def _gen_bimultiplicative(cfg):
+    for slot, rng in _cycle(cfg, ("left", "right"), "cocycle", "bimultiplicative"):
+        yield slot, {**_vector_objs(rng, cfg, "xy", q_only=True),
+                     **_vector_objs(rng, cfg, "z", q_only=(slot == "left")), "slot": slot}
+
+
+def _eval_bimultiplicative(cfg, payload):
+    x, y, z = _vectors(payload, "xyz")
+    if payload["slot"] == "left":
+        lhs, rhs = cocycle(x + y, z), cocycle(x, z) * cocycle(y, z)
+    else:
+        lhs, rhs = cocycle(x, y + z), cocycle(x, y) * cocycle(x, z)
+    return lhs == rhs, lhs, rhs
+
+
+def _gen_basis_table(cfg):
+    M, q = cfg.M, cfg.q
+    rng = derive_rng(cfg.seed, "cocycle", "basis-table")
+    for i in range(1, M + 1):
+        for j in range(1, M + 1):
+            yield "ee", {"case": "ee", "i": i, "j": j, "expected": 1 if i <= j else -1}
+    alpha = ser.vector_to_obj(_random_vector(rng, M, q, cfg.exponent_box, q_only=True))
+    yield "zero", {"case": "zero-left", "alpha": alpha, "expected": 1}
+    yield "zero", {"case": "zero-right", "alpha": alpha, "expected": 1}
+    for j in range(1, q):
         for i in range(1, M + 1):
-            for j in range(1, M + 1):
-                yield "ee", {"case": "ee", "i": i, "j": j,
-                             "expected": 1 if i <= j else -1}
-        alpha = _random_vector(rng, M, q, box, q_only=True)
-        yield "zero", {"case": "zero-left", "alpha": ser.vector_to_obj(alpha), "expected": 1}
-        yield "zero", {"case": "zero-right", "alpha": ser.vector_to_obj(alpha), "expected": 1}
-        for j in range(1, q):
-            for i in range(1, M + 1):
-                yield "delta", {"case": "e-delta", "i": i, "j": j, "expected": 1}
-                yield "delta", {"case": "delta-e", "i": i, "j": j, "expected": 1}
-            for l in range(1, q):
-                yield "delta", {"case": "delta-delta", "i": j, "j": l, "expected": 1}
-            beta = _random_vector(rng, M, q, box, q_only=True)
-            yield "dgen", {"case": "x-d", "alpha": ser.vector_to_obj(beta), "j": j,
-                           "expected": 1}
-    elif clause == "bilinear-form":
-        for k in range(max(cfg.samples, 2)):
-            slot = ("linear", "symmetric")[k % 2]
-            rng = derive_rng(cfg.seed, "cocycle", clause, slot, k)
-            a = _random_vector(rng, M, q, box)
-            b = _random_vector(rng, M, q, box)
-            c = _random_vector(rng, M, q, box)
-            yield slot, {"a": ser.vector_to_obj(a), "b": ser.vector_to_obj(b),
-                         "c": ser.vector_to_obj(c), "m": rng.randint(-3, 3),
-                         "n": rng.randint(-3, 3), "slot": slot}
-    elif clause == "parity":
-        for k in range(max(cfg.samples, 2)):
-            slot = ("additive", "norm")[k % 2]
-            rng = derive_rng(cfg.seed, "cocycle", clause, slot, k)
-            a = _random_vector(rng, M, q, box)
-            b = _random_vector(rng, M, q, box)
-            yield slot, {"a": ser.vector_to_obj(a), "b": ser.vector_to_obj(b), "slot": slot}
+            yield "delta", {"case": "e-delta", "i": i, "j": j, "expected": 1}
+            yield "delta", {"case": "delta-e", "i": i, "j": j, "expected": 1}
+        for l in range(1, q):
+            yield "delta", {"case": "delta-delta", "i": j, "j": l, "expected": 1}
+        beta = _random_vector(rng, M, q, cfg.exponent_box, q_only=True)
+        yield "dgen", {"case": "x-d", "alpha": ser.vector_to_obj(beta), "j": j, "expected": 1}
 
 
-def _eval_cocycle(cfg, clause, payload):
-    if clause == "cocycle-identity":
-        a = ser.vector_from_obj(payload["a"])
-        b = ser.vector_from_obj(payload["b"])
-        c = ser.vector_from_obj(payload["c"])
-        lhs = cocycle(a, b) * cocycle(a + b, c)
-        rhs = cocycle(b, c) * cocycle(a, b + c)
-        return lhs == rhs, lhs, rhs
-    if clause == "sign-law":
-        a = ser.vector_from_obj(payload["a"])
-        b = ser.vector_from_obj(payload["b"])
-        lhs = cocycle(a, b) * cocycle(b, a)
-        rhs = (-1) ** (bilinear(a, b) + parity(a) * parity(b))
-        return lhs == rhs, lhs, rhs
-    if clause == "bimultiplicative":
-        x = ser.vector_from_obj(payload["x"])
-        y = ser.vector_from_obj(payload["y"])
-        z = ser.vector_from_obj(payload["z"])
-        if payload["slot"] == "left":
-            lhs, rhs = cocycle(x + y, z), cocycle(x, z) * cocycle(y, z)
-        else:
-            lhs, rhs = cocycle(x, y + z), cocycle(x, y) * cocycle(x, z)
-        return lhs == rhs, lhs, rhs
-    if clause == "basis-table":
-        lat = LatticeConfig(cfg.M, cfg.q)
-        case = payload["case"]
-        if case == "ee":
-            lhs = cocycle(lat.e(payload["i"]), lat.e(payload["j"]))
-        elif case == "zero-left":
-            lhs = cocycle(lat.zero(), ser.vector_from_obj(payload["alpha"]))
-        elif case == "zero-right":
-            lhs = cocycle(ser.vector_from_obj(payload["alpha"]), lat.zero())
-        elif case == "e-delta":
-            lhs = cocycle(lat.e(payload["i"]), lat.delta(payload["j"]))
-        elif case == "delta-e":
-            lhs = cocycle(lat.delta(payload["j"]), lat.e(payload["i"]))
-        elif case == "delta-delta":
-            lhs = cocycle(lat.delta(payload["i"]), lat.delta(payload["j"]))
-        elif case == "x-d":
-            lhs = cocycle(ser.vector_from_obj(payload["alpha"]), lat.dgen(payload["j"]))
-        else:
-            raise ValueError(f"unknown basis-table case {case!r}")
-        rhs = payload["expected"]
-        return lhs == rhs, lhs, rhs
-    if clause == "bilinear-form":
-        a = ser.vector_from_obj(payload["a"])
-        b = ser.vector_from_obj(payload["b"])
-        c = ser.vector_from_obj(payload["c"])
-        if payload["slot"] == "linear":
-            m, n = payload["m"], payload["n"]
-            lhs = bilinear(m * a + n * b, c)
-            rhs = m * bilinear(a, c) + n * bilinear(b, c)
-        else:
-            lhs, rhs = bilinear(a, b), bilinear(b, a)
-        return lhs == rhs, lhs, rhs
-    if clause == "parity":
-        a = ser.vector_from_obj(payload["a"])
-        b = ser.vector_from_obj(payload["b"])
-        if payload["slot"] == "additive":
-            lhs = parity(a + b)
-            rhs = (parity(a) + parity(b)) % 2
-        else:
-            lhs, rhs = parity(a), bilinear(a, a) % 2
-        return lhs == rhs, lhs, rhs
-    raise ValueError(f"unknown cocycle clause {clause!r}")
+# the two cocycle arguments of each basis-table case
+_BASIS_CASES = {
+    "ee": lambda lat, p: (lat.e(p["i"]), lat.e(p["j"])),
+    "zero-left": lambda lat, p: (lat.zero(), ser.vector_from_obj(p["alpha"])),
+    "zero-right": lambda lat, p: (ser.vector_from_obj(p["alpha"]), lat.zero()),
+    "e-delta": lambda lat, p: (lat.e(p["i"]), lat.delta(p["j"])),
+    "delta-e": lambda lat, p: (lat.delta(p["j"]), lat.e(p["i"])),
+    "delta-delta": lambda lat, p: (lat.delta(p["i"]), lat.delta(p["j"])),
+    "x-d": lambda lat, p: (ser.vector_from_obj(p["alpha"]), lat.dgen(p["j"])),
+}
+
+
+def _eval_basis_table(cfg, payload):
+    lhs = cocycle(*_BASIS_CASES[payload["case"]](LatticeConfig(cfg.M, cfg.q), payload))
+    rhs = payload["expected"]
+    return lhs == rhs, lhs, rhs
+
+
+def _gen_bilinear_form(cfg):
+    for slot, rng in _cycle(cfg, ("linear", "symmetric"), "cocycle", "bilinear-form"):
+        yield slot, {**_vector_objs(rng, cfg, "abc"), "m": rng.randint(-3, 3),
+                     "n": rng.randint(-3, 3), "slot": slot}
+
+
+def _eval_bilinear_form(cfg, payload):
+    a, b, c = _vectors(payload, "abc")
+    if payload["slot"] == "linear":
+        m, n = payload["m"], payload["n"]
+        lhs = bilinear(m * a + n * b, c)
+        rhs = m * bilinear(a, c) + n * bilinear(b, c)
+    else:
+        lhs, rhs = bilinear(a, b), bilinear(b, a)
+    return lhs == rhs, lhs, rhs
+
+
+def _gen_parity(cfg):
+    for slot, rng in _cycle(cfg, ("additive", "norm"), "cocycle", "parity"):
+        yield slot, {**_vector_objs(rng, cfg, "ab"), "slot": slot}
+
+
+def _eval_parity(cfg, payload):
+    a, b = _vectors(payload, "ab")
+    if payload["slot"] == "additive":
+        lhs, rhs = parity(a + b), (parity(a) + parity(b)) % 2
+    else:
+        lhs, rhs = parity(a), bilinear(a, a) % 2
+    return lhs == rhs, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
 # jacobi and form families
 
 
-def _gen_jacobi(cfg, clause):
-    alg = Superalgebra(cfg.M, cfg.N)
-    syms = list(alg.symbols())
-    if len(syms) ** 3 <= 5000:
-        for x in syms:
-            for y in syms:
-                for z in syms:
-                    yield "exhaustive", {"x": list(x), "y": list(y), "z": list(z)}
-    else:
-        rng = derive_rng(cfg.seed, "jacobi", clause)
-        for _ in range(cfg.samples):
-            x, y, z = (rng.choice(syms) for _ in range(3))
-            yield "sampled", {"x": list(x), "y": list(y), "z": list(z)}
+def _symbols(cfg):
+    return [list(x) for x in Superalgebra(cfg.M, cfg.N).symbols()]
 
 
-def _eval_jacobi(cfg, clause, payload):
-    alg = Superalgebra(cfg.M, cfg.N)
-    x, y, z = (tuple(payload[k]) for k in ("x", "y", "z"))
+def _symbol_args(cfg, payload, names):
+    return [Superalgebra(cfg.M, cfg.N)] + [tuple(payload[n]) for n in names]
+
+
+def _eval_jacobi(cfg, payload):
+    alg, x, y, z = _symbol_args(cfg, payload, "xyz")
     sign = (-1) ** (alg.parity_symbol(x) * alg.parity_symbol(y))
     lhs = alg.bracket_el(alg.bracket(x, y), GLElement.symbol(*z))
     rhs = alg.bracket_el(GLElement.symbol(*x), alg.bracket(y, z)) - sign * alg.bracket_el(
         GLElement.symbol(*y), alg.bracket(x, z)
     )
-    return lhs == rhs, ser.gl_element_to_obj(lhs), ser.gl_element_to_obj(rhs)
+    return lhs == rhs, lhs, rhs
 
 
-_FORM_CLAUSES = ("supersymmetric", "even", "invariant")
-
-
-def _gen_form(cfg, clause):
+def _gen_form_pairs(cfg, mixed_only):
+    """Every ordered pair of basis symbols, or only those of mixed parity."""
     alg = Superalgebra(cfg.M, cfg.N)
-    syms = list(alg.symbols())
-    if clause in ("supersymmetric", "even"):
-        for x in syms:
-            for y in syms:
-                if clause == "even" and alg.parity_symbol(x) == alg.parity_symbol(y):
-                    continue
-                yield "exhaustive", {"x": list(x), "y": list(y)}
-    else:
-        rng = derive_rng(cfg.seed, "form", clause)
-        for _ in range(cfg.samples):
-            x, y, z = (rng.choice(syms) for _ in range(3))
-            yield "sampled", {"x": list(x), "y": list(y), "z": list(z)}
+    for x, y in product(_symbols(cfg), repeat=2):
+        if not mixed_only or alg.parity_symbol(x) != alg.parity_symbol(y):
+            yield "exhaustive", {"x": x, "y": y}
 
 
-def _eval_form(cfg, clause, payload):
-    alg = Superalgebra(cfg.M, cfg.N)
-    x = tuple(payload["x"])
-    y = tuple(payload["y"])
-    if clause == "supersymmetric":
-        sign = (-1) ** (alg.parity_symbol(x) * alg.parity_symbol(y))
-        lhs, rhs = alg.form(x, y), sign * alg.form(y, x)
-    elif clause == "even":
-        lhs, rhs = alg.form(x, y), Fraction(0)
-    else:
-        z = tuple(payload["z"])
-        lhs = alg.form_el(alg.bracket(x, y), GLElement.symbol(*z))
-        rhs = alg.form_el(GLElement.symbol(*x), alg.bracket(y, z))
-    return lhs == rhs, ser.frac_to_str(lhs), ser.frac_to_str(rhs)
+def _eval_supersymmetric(cfg, payload):
+    alg, x, y = _symbol_args(cfg, payload, "xy")
+    sign = (-1) ** (alg.parity_symbol(x) * alg.parity_symbol(y))
+    lhs, rhs = alg.form(x, y), sign * alg.form(y, x)
+    return lhs == rhs, lhs, rhs
+
+
+def _eval_even(cfg, payload):
+    alg, x, y = _symbol_args(cfg, payload, "xy")
+    lhs, rhs = alg.form(x, y), Fraction(0)
+    return lhs == rhs, lhs, rhs
+
+
+def _eval_invariant(cfg, payload):
+    alg, x, y, z = _symbol_args(cfg, payload, "xyz")
+    lhs = alg.form_el(alg.bracket(x, y), GLElement.symbol(*z))
+    rhs = alg.form_el(GLElement.symbol(*x), alg.bracket(y, z))
+    return lhs == rhs, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
-# printed tables vs generic bracket
-
-
-def _table_rows(kind):
-    rows = tables.R_ROWS if kind == "R" else tables.ST_ROWS
-    index = {}
-    for row in rows:
-        index.setdefault(row.clause, []).append(row)
-    return rows, index
+# printed table rows: against the generic bracket, and as operator identities
 
 
 _ROW_BY_ID = {r.row: r for r in tables.R_ROWS + tables.ST_ROWS}
 
 
-def _feasible_combos(by_clause, clause, M, N):
-    """Row/pattern pairs satisfiable at this algebra size."""
-    probe = random.Random(0)
-    out = []
-    for row in by_clause[clause]:
-        for pid, cons in row.patterns:
-            if tables.solve_pattern(row.vars, cons, M, N, probe) is not None:
-                out.append((row, pid, cons))
-    return out
+def _gen_rows(cfg, clause, kind, label):
+    """Each feasible (row, index pattern, exponent pattern) cell in turn.
 
-
-def _gen_table(cfg, clause, kind):
-    if kind == "ST" and cfg.q < 2:
-        raise ValueError("the toroidal table family needs q >= 2")
+    Cross indexing the two pattern kinds hits every joint cell; cycling
+    both by one counter would alias and, for example, never pair a
+    double-delta row with exponents that keep its central term alive.
+    "hom" cells also carry a random state to act on.
+    """
     qeff = 1 if kind == "R" else cfg.q
-    _, by_clause = _table_rows(kind)
-    # cross index patterns with exponent patterns so that every joint
-    # cell is hit; cycling both by the same counter would alias and, for
-    # example, never pair a double-delta row with exponents that keep
-    # its central term alive
+    probe = random.Random(0)
     cells = [
         (row, pid, cons, ep)
-        for row, pid, cons in _feasible_combos(by_clause, clause, cfg.M, cfg.N)
+        for row in (tables.R_ROWS if kind == "R" else tables.ST_ROWS)
+        if row.clause == clause
+        for pid, cons in row.patterns
+        if tables.solve_pattern(row.vars, cons, cfg.M, cfg.N, probe) is not None
         for ep in _EXP_PATTERNS
     ]
-    total = max(cfg.samples, len(cells))
-    for k in range(total):
+    for k in range(max(cfg.samples, len(cells))):
         row, pid, cons, ep = cells[k % len(cells)]
-        rng = derive_rng(cfg.seed, "table", clause, row.row, pid, ep, k)
+        rng = derive_rng(cfg.seed, label, clause, row.row, pid, ep, k)
         idx = tables.solve_pattern(row.vars, cons, cfg.M, cfg.N, rng)
         me, ne = _exp_pair(rng, qeff, cfg.exponent_box, ep)
-        yield f"{row.row}|{pid}|{ep}", {
-            "row": row.row,
-            "indices": idx,
-            "me": list(me),
-            "ne": list(ne),
-        }
+        payload = {"row": row.row, "indices": idx, "me": list(me), "ne": list(ne)}
+        if label == "hom":
+            payload["state"] = _state_obj(rng, cfg, qeff)
+        yield f"{row.row}|{pid}|{ep}", payload
 
 
-def _eval_table(cfg, clause, payload):
-    alg = Superalgebra(cfg.M, cfg.N)
+def _row_indices(payload):
+    return {k: int(v) for k, v in payload["indices"].items()}
+
+
+def _build_row(cfg, payload):
+    """The bracket arguments x, y of a row payload and the printed [x, y]."""
     row = _ROW_BY_ID[payload["row"]]
-    idx = {k: int(v) for k, v in payload["indices"].items()}
-    me = tuple(payload["me"])
-    ne = tuple(payload["ne"])
-    x, y, printed = row.build(alg, idx, me, ne)
-    generic = alg.bracket_toroidal(x, y)
-    ok = printed == generic
-    adjudicated = False
-    note = None
-    if not ok:
-        adj = tables.ADJUDICATIONS.get(row.row)
-        if adj is not None and adj["predicate"](idx):
-            adjudicated = True
-            note = adj["note"]
-    return ok, adjudicated, note, ser.toroidal_to_obj(printed), ser.toroidal_to_obj(generic)
+    return row.build(Superalgebra(cfg.M, cfg.N), _row_indices(payload),
+                     tuple(payload["me"]), tuple(payload["ne"]))
+
+
+def _eval_table(cfg, payload):
+    x, y, printed = _build_row(cfg, payload)
+    generic = Superalgebra(cfg.M, cfg.N).bracket_toroidal(x, y)
+    return printed == generic, printed, generic
+
+
+def _eval_hom(cfg, payload):
+    x, y, _ = _build_row(cfg, payload)
+    lat = LatticeConfig(cfg.M, len(payload["me"]))
+    state = ser.tensor_state_from_obj(payload["state"], lat)
+    lhs = super_commutator(rho(x, lat), rho(y, lat), state)
+    rhs = apply(rho(Superalgebra(cfg.M, cfg.N).bracket_toroidal(x, y), lat), state)
+    return lhs == rhs, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
-# representation families
-
-
-def _gen_hom(cfg, clause, kind, qeff):
-    _, by_clause = _table_rows(kind)
-    cells = [
-        (row, pid, cons, ep)
-        for row, pid, cons in _feasible_combos(by_clause, clause, cfg.M, cfg.N)
-        for ep in _EXP_PATTERNS
-    ]
-    total = max(cfg.samples, len(cells))
-    for k in range(total):
-        row, pid, cons, ep = cells[k % len(cells)]
-        rng = derive_rng(cfg.seed, "hom", clause, row.row, pid, ep, k)
-        idx = tables.solve_pattern(row.vars, cons, cfg.M, cfg.N, rng)
-        me, ne = _exp_pair(rng, qeff, cfg.exponent_box, ep)
-        state = _random_state(rng, cfg.M, cfg.N, qeff, cfg.max_degree, cfg.exponent_box)
-        yield f"{row.row}|{pid}|{ep}", {
-            "row": row.row,
-            "indices": idx,
-            "me": list(me),
-            "ne": list(ne),
-            "state": ser.tensor_state_to_obj(state),
-        }
-
-
-def _eval_hom(cfg, clause, payload):
-    alg = Superalgebra(cfg.M, cfg.N)
-    row = _ROW_BY_ID[payload["row"]]
-    idx = {k: int(v) for k, v in payload["indices"].items()}
-    me = tuple(payload["me"])
-    ne = tuple(payload["ne"])
-    lat = LatticeConfig(cfg.M, len(me))
-    x, y, _ = row.build(alg, idx, me, ne)
-    state = ser.tensor_state_from_obj(payload["state"], lat)
-    lhs = super_commutator(rho(x, lat), rho(y, lat), state)
-    rhs = apply(rho(alg.bracket_toroidal(x, y), lat), state)
-    return lhs == rhs, ser.tensor_state_to_obj(lhs), ser.tensor_state_to_obj(rhs)
+# boson relations 3.1
 
 
 _BOSON_PATTERNS = ("diag-contract", "diag-free", "offdiag")
 
 
 def _gen_boson31(cfg, clause):
-    rel = clause  # "3.1(1)" etc
-    for k in range(max(cfg.samples, len(_BOSON_PATTERNS))):
-        pid = _BOSON_PATTERNS[k % 3]
-        rng = derive_rng(cfg.seed, "boson", rel, pid, k)
-        box = max(cfg.exponent_box, 1)
+    box = max(cfg.exponent_box, 1)
+    for pid, rng in _cycle(cfg, _BOSON_PATTERNS, "boson", clause):
         r = rng.randint(-box, box + 1)
         if pid == "diag-contract":
             i = j = rng.randint(1, cfg.N)
@@ -572,185 +494,165 @@ def _gen_boson31(cfg, clause):
                     "state": ser.boson_state_to_obj(state)}
 
 
-def _eval_boson31(cfg, clause, payload):
-    i, j, r, s_idx = payload["i"], payload["j"], payload["r"], payload["s"]
+def _eval_boson31(payload, first, second, contracts):
+    """[first^i_r, second^j_s] on a boson state; only phi against phi* contracts."""
+    i, j, r, s_idx = (payload[k] for k in "ijrs")
     t = ser.boson_state_from_obj(payload["state"])
-    if clause == "3.1(1)":
-        lhs = phi_apply(i, r, phi_apply(j, s_idx, t)) - phi_apply(j, s_idx, phi_apply(i, r, t))
-        rhs = BosonState.zero()
-    elif clause == "3.1(2)":
-        lhs = phi_star_apply(i, r, phi_star_apply(j, s_idx, t)) - phi_star_apply(
-            j, s_idx, phi_star_apply(i, r, t)
-        )
-        rhs = BosonState.zero()
-    else:
-        lhs = phi_apply(i, r, phi_star_apply(j, s_idx, t)) - phi_star_apply(
-            j, s_idx, phi_apply(i, r, t)
-        )
-        rhs = (-1 if (r + s_idx - 1 == 0 and i == j) else 0) * t
-    return lhs == rhs, ser.boson_state_to_obj(lhs), ser.boson_state_to_obj(rhs)
+    lhs = first(i, r, second(j, s_idx, t)) - second(j, s_idx, first(i, r, t))
+    rhs = (-1 if (contracts and r + s_idx - 1 == 0 and i == j) else 0) * t
+    return lhs == rhs, lhs, rhs
 
 
-# --- thm46 extras
+# ---------------------------------------------------------------------------
+# thm46 beyond the table rows
 
 
-def _gen_thm46_extra(cfg, clause):
-    if cfg.q < 2:
-        raise ValueError("the toroidal representation family needs q >= 2")
-    q, box = cfg.q, cfg.exponent_box
-    if clause == "Kq-identity":
-        for k in range(max(cfg.samples, 1)):
-            rng = derive_rng(cfg.seed, "thm46", clause, k)
-            state = _random_state(rng, cfg.M, cfg.N, q, cfg.max_degree, box)
-            yield "identity", {"state": ser.tensor_state_to_obj(state)}
-    elif clause == "central-witness":
-        lat = LatticeConfig(cfg.M, q)
-        per = max(1, cfg.samples // q)
-        for direction in range(1, q + 1):
-            for k in range(per):
-                rng = derive_rng(cfg.seed, "thm46", clause, direction, k)
-                if direction == q:
-                    # X_{m_q}(delta_mu) moves the vacuum iff m_q <= 0 and
-                    # the creation levels below -m_q are populated, which
-                    # needs delta_mu != 0 whenever m_q < 0
-                    mbar = [rng.randint(-box, box) for _ in range(q - 1)]
-                    mbar.append(-rng.randint(0, 1) if any(mbar) else 0)
-                    state = TensorState.vacuum(lat)
-                else:
-                    mbar = [0] * q
-                    state = TensorState.basis(rng.randint(1, 2) * lat.dgen(direction))
-                yield f"K{direction}", {
-                    "direction": direction,
-                    "mbar": mbar,
-                    "state": ser.tensor_state_to_obj(state),
-                }
-    elif clause == "central-consistency":
-        variants = ("remark-form", "antisymmetry")
-        for k in range(max(cfg.samples, 2)):
-            variant = variants[k % 2]
-            rng = derive_rng(cfg.seed, "thm46", clause, variant, k)
-            mbar = [rng.randint(-box, box) for _ in range(q)]
-            nbar = [rng.randint(-box, box) for _ in range(q)]
-            state = _random_state(rng, cfg.M, cfg.N, q, cfg.max_degree, box)
-            yield variant, {"variant": variant, "mbar": mbar, "nbar": nbar,
-                            "state": ser.tensor_state_to_obj(state)}
-    elif clause == "4.4-product":
-        # roots alpha_ij need two e-directions
-        pats = ("alpha-root", "alpha-ei") if cfg.M >= 2 else ("alpha-ei",)
-        for k in range(max(cfg.samples, 2)):
-            pid = pats[k % len(pats)]
-            rng = derive_rng(cfg.seed, "thm46", clause, pid, k)
-            lat = LatticeConfig(cfg.M, q)
-            if pid == "alpha-root":
-                i = rng.randint(1, cfg.M)
-                j = rng.choice([v for v in range(1, cfg.M + 1) if v != i])
-                alpha = lat.root(i, j)
-                idx = 2 * rng.randint(-2, 2)
-            else:
-                alpha = lat.e(rng.randint(1, cfg.M))
-                idx = 2 * rng.randint(-2, 2) - 1
-            mu = [rng.randint(-box, box) for _ in range(q - 1)]
-            state = _random_state(rng, cfg.M, cfg.N, q, cfg.max_degree, box)
-            yield pid, {"alpha": ser.vector_to_obj(alpha), "mu": mu, "index": idx,
-                        "state": ser.tensor_state_to_obj(state)}
-    else:
-        raise ValueError(f"unknown thm46 clause {clause!r}")
+def _gen_kq_identity(cfg):
+    for k in range(max(cfg.samples, 1)):
+        rng = derive_rng(cfg.seed, "thm46", "Kq-identity", k)
+        yield "identity", {"state": _state_obj(rng, cfg)}
 
 
-def _eval_thm46_extra(cfg, clause, payload):
+def _eval_kq_identity(cfg, payload):
     state = ser.tensor_state_from_obj(payload["state"])
-    M, q = cfg.M, cfg.q
-    lat = LatticeConfig(M, q)
-    if clause == "Kq-identity":
-        img = apply(rho(ToroidalElement.k(q, (0,) * q), lat), state)
-        return img == state, ser.tensor_state_to_obj(img), ser.tensor_state_to_obj(state)
-    if clause == "central-witness":
-        x = ToroidalElement.k(payload["direction"], tuple(payload["mbar"]))
-        img = apply(rho(x, lat), state)
-        return (not img.is_zero()), ser.tensor_state_to_obj(img), "nonzero"
-    if clause == "central-consistency":
-        mbar = tuple(payload["mbar"])
-        nbar = tuple(payload["nbar"])
-        lhs = apply(rho(d_cocycle(mbar, nbar), lat), state)
-        if payload["variant"] == "antisymmetry":
-            rhs = -1 * apply(rho(d_cocycle(nbar, mbar), lat), state)
-        else:
-            total = tuple(a + b for a, b in zip(mbar, nbar))
-            mu_total = total[:-1]
-            s_mode = total[-1]
-            dm = lat.delta_sum(mbar[:-1])
-            remark = OpSum((
-                (Fraction(1), DiagCurrent(dm, s_mode, mu_total)),
-                (Fraction(mbar[-1]), VertexMode(lat.delta_sum(mu_total), 2 * s_mode)),
-            ))
-            rhs = apply(remark, state)
-        return lhs == rhs, ser.tensor_state_to_obj(lhs), ser.tensor_state_to_obj(rhs)
-    if clause == "4.4-product":
-        alpha = ser.vector_from_obj(payload["alpha"], lat)
-        mu = tuple(payload["mu"])
-        idx = payload["index"]
-        lhs = apply(VertexProductSum(alpha, mu, idx), state)
-        rhs = apply(VertexMode(alpha + lat.delta_sum(mu), idx), state)
-        return lhs == rhs, ser.tensor_state_to_obj(lhs), ser.tensor_state_to_obj(rhs)
-    raise ValueError(f"unknown thm46 clause {clause!r}")
+    img = apply(rho(ToroidalElement.k(cfg.q, (0,) * cfg.q), LatticeConfig(cfg.M, cfg.q)), state)
+    return img == state, img, state
 
 
-# --- lemma and mode identity families
-
-
-def _gen_lemma(cfg, clause):
-    box = cfg.exponent_box
-    if clause == "lemma4.9":
-        pats = ("mq=0", "mq!=0")
-        for k in range(max(cfg.samples, 2)):
-            pid = pats[k % 2]
-            rng = derive_rng(cfg.seed, "lemma49", clause, pid, k)
-            mu = [rng.randint(-box, box) for _ in range(cfg.q - 1)]
-            mq = 0 if pid == "mq=0" else rng.choice([v for v in range(-box, box + 1) if v])
-            state = _random_state(rng, cfg.M, cfg.N, cfg.q, cfg.max_degree, box)
-            yield pid, {"mu": mu, "mq": mq, "state": ser.tensor_state_to_obj(state)}
-    elif clause == "lemma2.8":
-        pats = ("yy-commute", "yy-contract")
-        for k in range(max(cfg.samples, 2)):
-            pid = pats[k % 2]
-            rng = derive_rng(cfg.seed, "lemma49", clause, pid, k)
-            lat = LatticeConfig(cfg.M, cfg.q)
-            sgn = rng.choice((1, -1))
-            x1 = VertexMode(sgn * lat.e(rng.randint(1, cfg.M)), 2 * rng.randint(-2, 2) - 1)
-            x2 = VertexMode(rng.choice((1, -1)) * lat.e(rng.randint(1, cfg.M)),
-                            2 * rng.randint(-2, 2) - 1)
-            f1 = rng.randint(1, cfg.N)
-            r1 = rng.randint(-2, 2)
-            if pid == "yy-contract":
-                y1 = PhiMode(f1, r1)
-                y2 = PhiStarMode(f1, 1 - r1)
+def _gen_central_witness(cfg):
+    q, box = cfg.q, cfg.exponent_box
+    lat = LatticeConfig(cfg.M, q)
+    per = max(1, cfg.samples // q)
+    for direction in range(1, q + 1):
+        for k in range(per):
+            rng = derive_rng(cfg.seed, "thm46", "central-witness", direction, k)
+            if direction == q:
+                # X_{m_q}(delta_mu) moves the vacuum iff m_q <= 0 and
+                # the creation levels below -m_q are populated, which
+                # needs delta_mu != 0 whenever m_q < 0
+                mbar = [rng.randint(-box, box) for _ in range(q - 1)]
+                mbar.append(-rng.randint(0, 1) if any(mbar) else 0)
+                state = TensorState.vacuum(lat)
             else:
-                y1 = PhiMode(f1, r1)
-                y2 = PhiMode(rng.randint(1, cfg.N), rng.randint(-2, 2))
-            state = _random_state(rng, cfg.M, cfg.N, cfg.q, cfg.max_degree, box)
-            yield pid, {
-                "x1": ser.operator_to_obj(x1), "y1": ser.operator_to_obj(y1),
-                "x2": ser.operator_to_obj(x2), "y2": ser.operator_to_obj(y2),
+                mbar = [0] * q
+                state = TensorState.basis(rng.randint(1, 2) * lat.dgen(direction))
+            yield f"K{direction}", {
+                "direction": direction,
+                "mbar": mbar,
                 "state": ser.tensor_state_to_obj(state),
             }
-    else:
-        raise ValueError(f"unknown lemma clause {clause!r}")
 
 
-def _eval_lemma(cfg, clause, payload):
+def _eval_central_witness(cfg, payload):
     state = ser.tensor_state_from_obj(payload["state"])
-    if clause == "lemma4.9":
-        lat = LatticeConfig(cfg.M, cfg.q)
-        mu = tuple(payload["mu"])
-        mq = payload["mq"]
-        dm = lat.delta_sum(mu)
-        lhs = apply(DiagCurrent(dm, mq, mu), state) + mq * apply(VertexMode(dm, 2 * mq), state)
-        rhs = TensorState.zero()
-        return lhs == rhs, ser.tensor_state_to_obj(lhs), ser.tensor_state_to_obj(rhs)
-    x1 = ser.operator_from_obj(payload["x1"])
-    y1 = ser.operator_from_obj(payload["y1"])
-    x2 = ser.operator_from_obj(payload["x2"])
-    y2 = ser.operator_from_obj(payload["y2"])
+    x = ToroidalElement.k(payload["direction"], tuple(payload["mbar"]))
+    img = apply(rho(x, LatticeConfig(cfg.M, cfg.q)), state)
+    return (not img.is_zero()), img, "nonzero"
+
+
+def _gen_central_consistency(cfg):
+    box = cfg.exponent_box
+    variants = ("remark-form", "antisymmetry")
+    for variant, rng in _cycle(cfg, variants, "thm46", "central-consistency"):
+        mbar = [rng.randint(-box, box) for _ in range(cfg.q)]
+        nbar = [rng.randint(-box, box) for _ in range(cfg.q)]
+        yield variant, {"variant": variant, "mbar": mbar, "nbar": nbar,
+                        "state": _state_obj(rng, cfg)}
+
+
+def _eval_central_consistency(cfg, payload):
+    state = ser.tensor_state_from_obj(payload["state"])
+    lat = LatticeConfig(cfg.M, cfg.q)
+    mbar = tuple(payload["mbar"])
+    nbar = tuple(payload["nbar"])
+    lhs = apply(rho(d_cocycle(mbar, nbar), lat), state)
+    if payload["variant"] == "antisymmetry":
+        rhs = -1 * apply(rho(d_cocycle(nbar, mbar), lat), state)
+    else:
+        total = tuple(a + b for a, b in zip(mbar, nbar))
+        mu_total = total[:-1]
+        s_mode = total[-1]
+        dm = lat.delta_sum(mbar[:-1])
+        remark = OpSum((
+            (Fraction(1), DiagCurrent(dm, s_mode, mu_total)),
+            (Fraction(mbar[-1]), VertexMode(lat.delta_sum(mu_total), 2 * s_mode)),
+        ))
+        rhs = apply(remark, state)
+    return lhs == rhs, lhs, rhs
+
+
+def _gen_product44(cfg):
+    lat = LatticeConfig(cfg.M, cfg.q)
+    # roots alpha_ij need two e-directions
+    pats = ("alpha-root", "alpha-ei") if cfg.M >= 2 else ("alpha-ei",)
+    for pid, rng in _cycle(cfg, pats, "thm46", "4.4-product"):
+        if pid == "alpha-root":
+            i = rng.randint(1, cfg.M)
+            j = rng.choice([v for v in range(1, cfg.M + 1) if v != i])
+            alpha = lat.root(i, j)
+            idx = 2 * rng.randint(-2, 2)
+        else:
+            alpha = lat.e(rng.randint(1, cfg.M))
+            idx = 2 * rng.randint(-2, 2) - 1
+        mu = [rng.randint(-cfg.exponent_box, cfg.exponent_box) for _ in range(cfg.q - 1)]
+        yield pid, {"alpha": ser.vector_to_obj(alpha), "mu": mu, "index": idx,
+                    "state": _state_obj(rng, cfg)}
+
+
+def _eval_product44(cfg, payload):
+    state = ser.tensor_state_from_obj(payload["state"])
+    lat = LatticeConfig(cfg.M, cfg.q)
+    alpha = ser.vector_from_obj(payload["alpha"], lat)
+    mu, idx = tuple(payload["mu"]), payload["index"]
+    lhs = apply(VertexProductSum(alpha, mu, idx), state)
+    rhs = apply(VertexMode(alpha + lat.delta_sum(mu), idx), state)
+    return lhs == rhs, lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# lemmas 4.9 and 2.8
+
+
+def _gen_lemma49(cfg):
+    box = cfg.exponent_box
+    nonzero = [v for v in range(-max(box, 1), max(box, 1) + 1) if v]
+    for pid, rng in _cycle(cfg, ("mq=0", "mq!=0"), "lemma49", "lemma4.9"):
+        mu = [rng.randint(-box, box) for _ in range(cfg.q - 1)]
+        mq = 0 if pid == "mq=0" else rng.choice(nonzero)
+        yield pid, {"mu": mu, "mq": mq, "state": _state_obj(rng, cfg)}
+
+
+def _eval_lemma49(cfg, payload):
+    state = ser.tensor_state_from_obj(payload["state"])
+    mu, mq = tuple(payload["mu"]), payload["mq"]
+    dm = LatticeConfig(cfg.M, cfg.q).delta_sum(mu)
+    lhs = apply(DiagCurrent(dm, mq, mu), state) + mq * apply(VertexMode(dm, 2 * mq), state)
+    rhs = TensorState.zero()
+    return lhs == rhs, lhs, rhs
+
+
+def _gen_lemma28(cfg):
+    lat = LatticeConfig(cfg.M, cfg.q)
+    for pid, rng in _cycle(cfg, ("yy-commute", "yy-contract"), "lemma49", "lemma2.8"):
+        sgn = rng.choice((1, -1))
+        x1 = VertexMode(sgn * lat.e(rng.randint(1, cfg.M)), 2 * rng.randint(-2, 2) - 1)
+        x2 = VertexMode(rng.choice((1, -1)) * lat.e(rng.randint(1, cfg.M)),
+                        2 * rng.randint(-2, 2) - 1)
+        f1 = rng.randint(1, cfg.N)
+        r1 = rng.randint(-2, 2)
+        y1 = PhiMode(f1, r1)
+        if pid == "yy-contract":
+            y2 = PhiStarMode(f1, 1 - r1)
+        else:
+            y2 = PhiMode(rng.randint(1, cfg.N), rng.randint(-2, 2))
+        ops = {"x1": x1, "y1": y1, "x2": x2, "y2": y2}
+        yield pid, {**{k: ser.operator_to_obj(op) for k, op in ops.items()},
+                    "state": _state_obj(rng, cfg)}
+
+
+def _eval_lemma28(cfg, payload):
+    state = ser.tensor_state_from_obj(payload["state"])
+    x1, y1, x2, y2 = (ser.operator_from_obj(payload[k]) for k in ("x1", "y1", "x2", "y2"))
     lhs = super_commutator(OpProduct((x1, y1)), OpProduct((x2, y2)), state)
     # [X1,X2] Y1 Y2 - X2 X1 [Y1,Y2], with the odd pair anticommuting
     yy = y1.apply(y2.apply(state)) - y2.apply(y1.apply(state))
@@ -758,277 +660,286 @@ def _eval_lemma(cfg, clause, payload):
     first = y1.apply(first)
     first = x2.apply(x1.apply(first)) + x1.apply(x2.apply(first))
     rhs = first - x2.apply(x1.apply(yy))
-    return lhs == rhs, ser.tensor_state_to_obj(lhs), ser.tensor_state_to_obj(rhs)
+    return lhs == rhs, lhs, rhs
 
 
-def _gen_cor19(cfg, clause):
-    box = cfg.exponent_box
+# ---------------------------------------------------------------------------
+# mode identities 1.9 and 1.10
+
+
+def _needs_roots(cfg, clause):
+    if cfg.M < 2:
+        raise ValueError(f"the root-pair identity {clause} needs M >= 2")
+
+
+def _gen_cor19_roots(cfg):
+    _needs_roots(cfg, "1.9(1)")
     M = cfg.M
-    if M < 2 and clause == "1.9(1)":
-        raise ValueError("the root-pair identity 1.9(1) needs M >= 2")
-    if clause == "1.9(1)":
-        pats = ("i=k", "i!=k", "i=j")
-        for k in range(max(cfg.samples, len(pats))):
-            pid = pats[k % len(pats)]
-            rng = derive_rng(cfg.seed, "cor19", clause, pid, k)
-            j = rng.randint(1, M)
-            kk = rng.choice([v for v in range(1, M + 1) if v != j])
-            if pid == "i=k":
-                i = kk
-            elif pid == "i=j":
-                i = j
-            else:
-                choices = [v for v in range(1, M + 1) if v != kk]
-                i = rng.choice(choices)
-            state = _random_state(rng, cfg.M, cfg.N, cfg.q, cfg.max_degree, box)
-            yield pid, {"i": i, "j": j, "k": kk, "m": rng.randint(-2, 2),
-                        "n": rng.randint(-2, 2), "state": ser.tensor_state_to_obj(state)}
-    elif clause == "1.9(2)":
-        pats = ("i=j,m+n=0", "i=j,m+n!=0", "i!=j")
-        for k in range(max(cfg.samples, len(pats))):
-            pid = pats[k % len(pats)]
-            rng = derive_rng(cfg.seed, "cor19", clause, pid, k)
-            i = rng.randint(1, M)
-            if pid == "i!=j" and M > 1:
-                j = rng.choice([v for v in range(1, M + 1) if v != i])
-            else:
-                j = i
-            m = rng.randint(-2, 2)
-            n = -m if pid.endswith("m+n=0") or pid == "i!=j" else m + rng.choice((1, -1, 2))
-            state = _random_state(rng, cfg.M, cfg.N, cfg.q, cfg.max_degree, box)
-            yield pid, {"i": i, "j": j, "m": m, "n": n,
-                        "state": ser.tensor_state_to_obj(state)}
-    elif clause == "1.9(3)":
-        pats = ("norm2", "norm1", "norm0")
-        for k in range(max(cfg.samples, len(pats))):
-            pid = pats[k % len(pats)]
-            rng = derive_rng(cfg.seed, "cor19", clause, pid, k)
-            lat = LatticeConfig(cfg.M, cfg.q)
-            alpha = rng.choice((1, -1)) * lat.e(rng.randint(1, M))
-            if pid == "norm2":
-                i = rng.randint(1, M)
-                j = rng.choice([v for v in range(1, M + 1) if v != i]) if M > 1 else i
-                beta = lat.root(i, j) if i != j else lat.zero()
-                idx = 2 * rng.randint(-2, 2)
-            elif pid == "norm1":
-                beta = rng.choice((1, -1)) * lat.e(rng.randint(1, M))
-                idx = 2 * rng.randint(-2, 2) - 1
-            else:
-                beta = lat.zero()
-                idx = 2 * rng.randint(-2, 2)
-            state = _random_state(rng, cfg.M, cfg.N, cfg.q, cfg.max_degree, box)
-            yield pid, {"alpha": ser.vector_to_obj(alpha), "beta": ser.vector_to_obj(beta),
-                        "m": rng.randint(-2, 2), "index": idx,
-                        "state": ser.tensor_state_to_obj(state)}
-    else:
-        raise ValueError(f"unknown corollary clause {clause!r}")
+    for pid, rng in _cycle(cfg, ("i=k", "i!=k", "i=j"), "cor19", "1.9(1)"):
+        j = rng.randint(1, M)
+        kk = rng.choice([v for v in range(1, M + 1) if v != j])
+        if pid == "i=k":
+            i = kk
+        elif pid == "i=j":
+            i = j
+        else:
+            i = rng.choice([v for v in range(1, M + 1) if v != kk])
+        state = _state_obj(rng, cfg)
+        yield pid, {"i": i, "j": j, "k": kk, "m": rng.randint(-2, 2),
+                    "n": rng.randint(-2, 2), "state": state}
 
 
-def _eval_cor19(cfg, clause, payload):
+def _eval_cor19_roots(cfg, payload):
     state = ser.tensor_state_from_obj(payload["state"])
     lat = LatticeConfig(cfg.M, cfg.q)
-    if clause == "1.9(1)":
-        i, j, kk = payload["i"], payload["j"], payload["k"]
-        m, n = payload["m"], payload["n"]
-        op1 = VertexMode(lat.e(i), 2 * m - 1)
-        op2 = VertexMode(lat.root(j, kk), 2 * n)
-        lhs = super_commutator(op1, op2, state)
-        w = cocycle(lat.e(i), lat.root(j, kk)) if i == kk else 0
-        rhs = w * apply(VertexMode(lat.e(j), 2 * (m + n) - 1), state)
-        return lhs == rhs, ser.tensor_state_to_obj(lhs), ser.tensor_state_to_obj(rhs)
-    if clause == "1.9(2)":
-        i, j, m, n = payload["i"], payload["j"], payload["m"], payload["n"]
-        op1 = VertexMode(lat.e(i), 2 * m - 1)
-        op2 = VertexMode(-lat.e(j), 2 * n + 1)
-        lhs = super_commutator(op1, op2, state)
-        w = cocycle(lat.e(i), -lat.e(j)) if (i == j and m + n == 0) else 0
-        rhs = w * state
-        return lhs == rhs, ser.tensor_state_to_obj(lhs), ser.tensor_state_to_obj(rhs)
+    i, j, kk, m, n = (payload[k] for k in "ijkmn")
+    op1 = VertexMode(lat.e(i), 2 * m - 1)
+    op2 = VertexMode(lat.root(j, kk), 2 * n)
+    lhs = super_commutator(op1, op2, state)
+    w = cocycle(lat.e(i), lat.root(j, kk)) if i == kk else 0
+    rhs = w * apply(VertexMode(lat.e(j), 2 * (m + n) - 1), state)
+    return lhs == rhs, lhs, rhs
+
+
+def _gen_cor19_odd(cfg):
+    M = cfg.M
+    for pid, rng in _cycle(cfg, ("i=j,m+n=0", "i=j,m+n!=0", "i!=j"), "cor19", "1.9(2)"):
+        i = rng.randint(1, M)
+        if pid == "i!=j" and M > 1:
+            j = rng.choice([v for v in range(1, M + 1) if v != i])
+        else:
+            j = i
+        m = rng.randint(-2, 2)
+        n = -m if pid.endswith("m+n=0") or pid == "i!=j" else m + rng.choice((1, -1, 2))
+        yield pid, {"i": i, "j": j, "m": m, "n": n, "state": _state_obj(rng, cfg)}
+
+
+def _eval_cor19_odd(cfg, payload):
+    state = ser.tensor_state_from_obj(payload["state"])
+    lat = LatticeConfig(cfg.M, cfg.q)
+    i, j, m, n = (payload[k] for k in "ijmn")
+    op1 = VertexMode(lat.e(i), 2 * m - 1)
+    op2 = VertexMode(-lat.e(j), 2 * n + 1)
+    lhs = super_commutator(op1, op2, state)
+    w = cocycle(lat.e(i), -lat.e(j)) if (i == j and m + n == 0) else 0
+    rhs = w * state
+    return lhs == rhs, lhs, rhs
+
+
+def _gen_cor19_current(cfg):
+    M = cfg.M
+    lat = LatticeConfig(M, cfg.q)
+    for pid, rng in _cycle(cfg, ("norm2", "norm1", "norm0"), "cor19", "1.9(3)"):
+        alpha = rng.choice((1, -1)) * lat.e(rng.randint(1, M))
+        if pid == "norm2":
+            i = rng.randint(1, M)
+            j = rng.choice([v for v in range(1, M + 1) if v != i]) if M > 1 else i
+            beta = lat.root(i, j) if i != j else lat.zero()
+            idx = 2 * rng.randint(-2, 2)
+        elif pid == "norm1":
+            beta = rng.choice((1, -1)) * lat.e(rng.randint(1, M))
+            idx = 2 * rng.randint(-2, 2) - 1
+        else:
+            beta = lat.zero()
+            idx = 2 * rng.randint(-2, 2)
+        state = _state_obj(rng, cfg)
+        yield pid, {"alpha": ser.vector_to_obj(alpha), "beta": ser.vector_to_obj(beta),
+                    "m": rng.randint(-2, 2), "index": idx, "state": state}
+
+
+def _eval_cor19_current(cfg, payload):
+    state = ser.tensor_state_from_obj(payload["state"])
+    lat = LatticeConfig(cfg.M, cfg.q)
     alpha = ser.vector_from_obj(payload["alpha"], lat)
     beta = ser.vector_from_obj(payload["beta"], lat)
     m, idx = payload["m"], payload["index"]
     lhs = super_commutator(Current(alpha, m), VertexMode(beta, idx), state)
     rhs = bilinear(alpha, beta) * apply(VertexMode(beta, idx + 2 * m), state)
-    return lhs == rhs, ser.tensor_state_to_obj(lhs), ser.tensor_state_to_obj(rhs)
+    return lhs == rhs, lhs, rhs
 
 
-def _gen_id110(cfg, clause):
-    box = cfg.exponent_box
+def _gen_id110_roots(cfg):
+    _needs_roots(cfg, "1.10(1)")
     M = cfg.M
-    if M < 2 and clause in ("1.10(1)", "1.10(2)"):
-        raise ValueError(f"the root-pair identity {clause} needs M >= 2")
-    if clause == "1.10(1)":
-        pats = ("m+n=0", "m+n!=0", "m=n=0")
-        for k in range(max(cfg.samples, len(pats))):
-            pid = pats[k % len(pats)]
-            rng = derive_rng(cfg.seed, "id110", clause, pid, k)
-            i = rng.randint(1, M)
-            j = rng.choice([v for v in range(1, M + 1) if v != i])
-            if pid == "m=n=0":
-                m = n = 0
-            else:
-                m = rng.choice([v for v in range(-2, 3) if v])
-                n = -m if pid == "m+n=0" else m + rng.choice((1, -1))
-            state = _random_state(rng, cfg.M, cfg.N, cfg.q, cfg.max_degree, box)
-            yield pid, {"i": i, "j": j, "m": m, "n": n,
-                        "state": ser.tensor_state_to_obj(state)}
-    elif clause == "1.10(2)":
-        pats = ("form1", "form2")
-        for k in range(max(cfg.samples, 2)):
-            pid = pats[k % 2]
-            rng = derive_rng(cfg.seed, "id110", clause, pid, k)
-            i = rng.randint(1, M)
-            j = rng.choice([v for v in range(1, M + 1) if v != i])
-            state = _random_state(rng, cfg.M, cfg.N, cfg.q, cfg.max_degree, box)
-            yield pid, {"i": i, "j": j, "n": rng.randint(-2, 2), "form": pid,
-                        "state": ser.tensor_state_to_obj(state)}
-    elif clause == "1.10(3)":
-        pats = ("n<0", "n=0", "n>0")
-        for k in range(max(cfg.samples, 3)):
-            pid = pats[k % 3]
-            rng = derive_rng(cfg.seed, "id110", clause, pid, k)
-            i = rng.randint(1, M)
-            n = 0 if pid == "n=0" else rng.randint(1, 2) * (1 if pid == "n>0" else -1)
-            state = _random_state(rng, cfg.M, cfg.N, cfg.q, cfg.max_degree, box)
-            yield pid, {"i": i, "n": n, "state": ser.tensor_state_to_obj(state)}
-    else:
-        raise ValueError(f"unknown identity clause {clause!r}")
+    for pid, rng in _cycle(cfg, ("m+n=0", "m+n!=0", "m=n=0"), "id110", "1.10(1)"):
+        i = rng.randint(1, M)
+        j = rng.choice([v for v in range(1, M + 1) if v != i])
+        if pid == "m=n=0":
+            m = n = 0
+        else:
+            m = rng.choice([v for v in range(-2, 3) if v])
+            n = -m if pid == "m+n=0" else m + rng.choice((1, -1))
+        yield pid, {"i": i, "j": j, "m": m, "n": n, "state": _state_obj(rng, cfg)}
 
 
-def _eval_id110(cfg, clause, payload):
+def _eval_id110_roots(cfg, payload):
+    state = ser.tensor_state_from_obj(payload["state"])
+    i, j, m, n = (payload[k] for k in "ijmn")
+    alpha = LatticeConfig(cfg.M, cfg.q).root(i, j)
+    lhs = super_commutator(VertexMode(alpha, 2 * m), VertexMode(-alpha, 2 * n), state)
+    f = cocycle(alpha, -alpha)
+    rhs = f * apply(Current(alpha, m + n), state)
+    if m + n == 0 and m:
+        rhs = rhs + (f * m) * state
+    return lhs == rhs, lhs, rhs
+
+
+def _gen_id110_pairs(cfg):
+    _needs_roots(cfg, "1.10(2)")
+    M = cfg.M
+    for pid, rng in _cycle(cfg, ("form1", "form2"), "id110", "1.10(2)"):
+        i = rng.randint(1, M)
+        j = rng.choice([v for v in range(1, M + 1) if v != i])
+        state = _state_obj(rng, cfg)
+        yield pid, {"i": i, "j": j, "n": rng.randint(-2, 2), "form": pid, "state": state}
+
+
+def _eval_id110_pairs(cfg, payload):
     state = ser.tensor_state_from_obj(payload["state"])
     lat = LatticeConfig(cfg.M, cfg.q)
-    if clause == "1.10(1)":
-        i, j, m, n = payload["i"], payload["j"], payload["m"], payload["n"]
-        alpha = lat.root(i, j)
-        lhs = super_commutator(VertexMode(alpha, 2 * m), VertexMode(-alpha, 2 * n), state)
-        f = cocycle(alpha, -alpha)
-        rhs = f * apply(Current(alpha, m + n), state)
-        if m + n == 0 and m:
-            rhs = rhs + (f * m) * state
-        return lhs == rhs, ser.tensor_state_to_obj(lhs), ser.tensor_state_to_obj(rhs)
-    if clause == "1.10(2)":
-        i, j, n = payload["i"], payload["j"], payload["n"]
-        ei, ej = lat.e(i), lat.e(j)
-        if payload["form"] == "form1":
-            lhs = apply(NormalPairSum(ei, -ej, n), state)
-            rhs = cocycle(ei, -ej) * apply(VertexMode(lat.root(i, j), 2 * n), state)
-        else:
-            lhs = apply(NormalPairSum(-ej, ei, n), state)
-            rhs = cocycle(-ej, ei) * apply(VertexMode(lat.root(i, j), 2 * n), state)
-        return lhs == rhs, ser.tensor_state_to_obj(lhs), ser.tensor_state_to_obj(rhs)
-    i, n = payload["i"], payload["n"]
-    ei = lat.e(i)
-    lhs = apply(NormalPairSum(ei, -ei, n), state)
-    rhs = apply(Current(ei, n), state)
-    return lhs == rhs, ser.tensor_state_to_obj(lhs), ser.tensor_state_to_obj(rhs)
+    i, j, n = payload["i"], payload["j"], payload["n"]
+    a, b = lat.e(i), -lat.e(j)
+    if payload["form"] == "form2":
+        a, b = b, a
+    lhs = apply(NormalPairSum(a, b, n), state)
+    rhs = cocycle(a, b) * apply(VertexMode(lat.root(i, j), 2 * n), state)
+    return lhs == rhs, lhs, rhs
+
+
+def _gen_id110_current(cfg):
+    for pid, rng in _cycle(cfg, ("n<0", "n=0", "n>0"), "id110", "1.10(3)"):
+        i = rng.randint(1, cfg.M)
+        n = 0 if pid == "n=0" else rng.randint(1, 2) * (1 if pid == "n>0" else -1)
+        yield pid, {"i": i, "n": n, "state": _state_obj(rng, cfg)}
+
+
+def _eval_id110_current(cfg, payload):
+    state = ser.tensor_state_from_obj(payload["state"])
+    ei = LatticeConfig(cfg.M, cfg.q).e(payload["i"])
+    lhs = apply(NormalPairSum(ei, -ei, payload["n"]), state)
+    rhs = apply(Current(ei, payload["n"]), state)
+    return lhs == rhs, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
-# family registry
+# the clause table
 
 
-_R_CLAUSES = tables.R_CLAUSES
-_ST_CLAUSES = tables.ST_CLAUSES
+def _rows(clauses, kind, label, evaluate):
+    return {c: (partial(_gen_rows, clause=c, kind=kind, label=label), evaluate)
+            for c in clauses}
 
 
-def _family_table():
-    fams = {}
-    fams["cocycle"] = {
-        "clauses": _COCYCLE_CLAUSES,
-        "generate": _gen_cocycle,
-        "evaluate": _wrap(_eval_cocycle),
+# family -> clause -> (generate(cfg), evaluate(cfg, payload)), in report order
+_CLAUSES = {
+    "cocycle": {
+        "cocycle-identity": (
+            lambda cfg: _tuples(cfg, ("cocycle", "cocycle-identity"), _box_space(cfg), "abc",
+                                1_000_000),
+            _eval_cocycle_identity,
+        ),
+        "sign-law": (
+            lambda cfg: _tuples(cfg, ("cocycle", "sign-law"), _box_space(cfg), "ab", 1_000_000),
+            _eval_sign_law,
+        ),
+        "bimultiplicative": (_gen_bimultiplicative, _eval_bimultiplicative),
+        "basis-table": (_gen_basis_table, _eval_basis_table),
+        "bilinear-form": (_gen_bilinear_form, _eval_bilinear_form),
+        "parity": (_gen_parity, _eval_parity),
+    },
+    "jacobi": {
+        "super-jacobi": (
+            lambda cfg: _tuples(cfg, ("jacobi", "super-jacobi"), _symbols(cfg), "xyz", 5000),
+            _eval_jacobi,
+        ),
+    },
+    "form": {
+        "supersymmetric": (partial(_gen_form_pairs, mixed_only=False), _eval_supersymmetric),
+        "even": (partial(_gen_form_pairs, mixed_only=True), _eval_even),
+        "invariant": (
+            lambda cfg: _tuples(cfg, ("form", "invariant"), _symbols(cfg), "xyz", 0),
+            _eval_invariant,
+        ),
+    },
+    "rtables": _rows(tables.R_CLAUSES, "R", "table", _eval_table),
+    "sttables": _rows(tables.ST_CLAUSES, "ST", "table", _eval_table),
+    "prop33": {
+        "3.1(1)": (partial(_gen_boson31, clause="3.1(1)"),
+                   lambda cfg, p: _eval_boson31(p, phi_apply, phi_apply, False)),
+        "3.1(2)": (partial(_gen_boson31, clause="3.1(2)"),
+                   lambda cfg, p: _eval_boson31(p, phi_star_apply, phi_star_apply, False)),
+        "3.1(3)": (partial(_gen_boson31, clause="3.1(3)"),
+                   lambda cfg, p: _eval_boson31(p, phi_apply, phi_star_apply, True)),
+        **_rows(tables.R_CLAUSES, "R", "hom", _eval_hom),
+    },
+    "thm46": {
+        **_rows(tables.ST_CLAUSES, "ST", "hom", _eval_hom),
+        "Kq-identity": (_gen_kq_identity, _eval_kq_identity),
+        "central-witness": (_gen_central_witness, _eval_central_witness),
+        "central-consistency": (_gen_central_consistency, _eval_central_consistency),
+        "4.4-product": (_gen_product44, _eval_product44),
+    },
+    "lemma49": {
+        "lemma4.9": (_gen_lemma49, _eval_lemma49),
+        "lemma2.8": (_gen_lemma28, _eval_lemma28),
+    },
+    "corollary19": {
+        "1.9(1)": (_gen_cor19_roots, _eval_cor19_roots),
+        "1.9(2)": (_gen_cor19_odd, _eval_cor19_odd),
+        "1.9(3)": (_gen_cor19_current, _eval_cor19_current),
+    },
+    "identity110": {
+        "1.10(1)": (_gen_id110_roots, _eval_id110_roots),
+        "1.10(2)": (_gen_id110_pairs, _eval_id110_pairs),
+        "1.10(3)": (_gen_id110_current, _eval_id110_current),
+    },
+}
+
+# the codec of each kind of check side, by name on serialize; any other
+# side (an int, the float of a negative power of -1, "nonzero") is kept
+_CODECS = {
+    TensorState: "tensor_state_to_obj",
+    BosonState: "boson_state_to_obj",
+    GLElement: "gl_element_to_obj",
+    ToroidalElement: "toroidal_to_obj",
+    Fraction: "frac_to_str",
+}
+
+
+def _serialize(side):
+    codec = _CODECS.get(type(side))
+    return side if codec is None else getattr(ser, codec)(side)
+
+
+def _generate(family, cfg, clause):
+    if family in ("sttables", "thm46") and cfg.q < 2:
+        raise ValueError(f"the {family} family needs q >= 2")
+    return _CLAUSES[family][clause][0](cfg)
+
+
+def _evaluate(family, cfg, clause, payload):
+    """(ok, adjudicated, note, lhs, rhs) with both sides serialized.
+
+    Only the printed-table families adjudicate: a failing row with a
+    known print typo at these indices is reported with its note.
+    """
+    ok, lhs, rhs = _CLAUSES[family][clause][1](cfg, payload)
+    adjudicated, note = False, None
+    if not ok and family in ("rtables", "sttables"):
+        adj = tables.ADJUDICATIONS.get(payload["row"])
+        if adj is not None and adj["predicate"](_row_indices(payload)):
+            adjudicated, note = True, adj["note"]
+    return ok, adjudicated, note, _serialize(lhs), _serialize(rhs)
+
+
+FAMILIES = {
+    family: {
+        "clauses": tuple(clauses),
+        "generate": partial(_generate, family),
+        "evaluate": partial(_evaluate, family),
     }
-    fams["jacobi"] = {
-        "clauses": ("super-jacobi",),
-        "generate": _gen_jacobi,
-        "evaluate": _wrap(_eval_jacobi),
-    }
-    fams["form"] = {
-        "clauses": _FORM_CLAUSES,
-        "generate": _gen_form,
-        "evaluate": _wrap(_eval_form),
-    }
-    fams["rtables"] = {
-        "clauses": _R_CLAUSES,
-        "generate": lambda cfg, clause: _gen_table(cfg, clause, "R"),
-        "evaluate": _eval_table,
-    }
-    fams["sttables"] = {
-        "clauses": _ST_CLAUSES,
-        "generate": lambda cfg, clause: _gen_table(cfg, clause, "ST"),
-        "evaluate": _eval_table,
-    }
-    prop33_clauses = ("3.1(1)", "3.1(2)", "3.1(3)") + _R_CLAUSES
-
-    def gen_prop33(cfg, clause):
-        if clause.startswith("3.1"):
-            return _gen_boson31(cfg, clause)
-        return _gen_hom(cfg, clause, "R", 1)
-
-    def eval_prop33(cfg, clause, payload):
-        if clause.startswith("3.1"):
-            return _wrap(_eval_boson31)(cfg, clause, payload)
-        return _wrap(_eval_hom)(cfg, clause, payload)
-
-    fams["prop33"] = {
-        "clauses": prop33_clauses,
-        "generate": gen_prop33,
-        "evaluate": eval_prop33,
-    }
-    thm46_clauses = _ST_CLAUSES + (
-        "Kq-identity",
-        "central-witness",
-        "central-consistency",
-        "4.4-product",
-    )
-
-    def gen_thm46(cfg, clause):
-        if clause in _ST_CLAUSES:
-            if cfg.q < 2:
-                raise ValueError("the toroidal representation family needs q >= 2")
-            return _gen_hom(cfg, clause, "ST", cfg.q)
-        return _gen_thm46_extra(cfg, clause)
-
-    def eval_thm46(cfg, clause, payload):
-        if clause in _ST_CLAUSES:
-            return _wrap(_eval_hom)(cfg, clause, payload)
-        return _wrap(_eval_thm46_extra)(cfg, clause, payload)
-
-    fams["thm46"] = {
-        "clauses": thm46_clauses,
-        "generate": gen_thm46,
-        "evaluate": eval_thm46,
-    }
-    fams["lemma49"] = {
-        "clauses": ("lemma4.9", "lemma2.8"),
-        "generate": _gen_lemma,
-        "evaluate": _wrap(_eval_lemma),
-    }
-    fams["corollary19"] = {
-        "clauses": ("1.9(1)", "1.9(2)", "1.9(3)"),
-        "generate": _gen_cor19,
-        "evaluate": _wrap(_eval_cor19),
-    }
-    fams["identity110"] = {
-        "clauses": ("1.10(1)", "1.10(2)", "1.10(3)"),
-        "generate": _gen_id110,
-        "evaluate": _wrap(_eval_id110),
-    }
-    return fams
-
-
-def _wrap(fn):
-    """Adapt a 3-tuple evaluator to the uniform 5-tuple outcome."""
-
-    def wrapped(cfg, clause, payload):
-        ok, lhs, rhs = fn(cfg, clause, payload)
-        return ok, False, None, lhs, rhs
-
-    return wrapped
-
-
-FAMILIES = _family_table()
+    for family, clauses in _CLAUSES.items()
+}
 
 
 def evaluate_check(cfg: CheckConfig, family: str, clause: str, payload):
@@ -1072,14 +983,7 @@ def _run_clause(cfg: CheckConfig, family: str, clause: str) -> dict:
                 }
                 if "row" in payload:
                     # spell out the bracket arguments the row encodes
-                    alg = Superalgebra(cfg.M, cfg.N)
-                    row = _ROW_BY_ID[payload["row"]]
-                    x, y, _ = row.build(
-                        alg,
-                        {k: int(v) for k, v in payload["indices"].items()},
-                        tuple(payload["me"]),
-                        tuple(payload["ne"]),
-                    )
+                    x, y, _ = _build_row(cfg, payload)
                     counterexample["x"] = ser.toroidal_to_obj(x)
                     counterexample["y"] = ser.toroidal_to_obj(y)
     hits = passed + failed + adjudicated
@@ -1097,7 +1001,7 @@ def _run_clause(cfg: CheckConfig, family: str, clause: str) -> dict:
     }
 
 
-def run(cfg: CheckConfig, families=None, jobs: int = 1) -> dict:
+def run(cfg: CheckConfig, families=None) -> dict:
     """Run the requested families and assemble the report."""
     if families is None:
         families = FAMILY_ORDER
@@ -1105,11 +1009,7 @@ def run(cfg: CheckConfig, families=None, jobs: int = 1) -> dict:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}; known: {', '.join(FAMILY_ORDER)}")
     tasks = [(fam, clause) for fam in families for clause in FAMILIES[fam]["clauses"]]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: _run_clause(cfg, *t), tasks))
-    else:
-        results = [_run_clause(cfg, *t) for t in tasks]
+    results = [_run_clause(cfg, *t) for t in tasks]
 
     report = {"config": cfg.to_obj(), "families": {}, "coverage": {},
               "adjudications": [], "all_pass": True}
