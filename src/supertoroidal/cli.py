@@ -57,8 +57,7 @@ def _cmd_check(args) -> int:
         seed=args.seed,
     )
     report = verifier.run(cfg, families=families)
-    for fam in families:
-        fr = report["families"][fam]
+    for fam, fr in report["families"].items():
         for clause, cell in fr["clauses"].items():
             status = "ok" if cell["ok"] else "FAIL"
             adj = f" adjudicated={cell['adjudicated']}" if cell["adjudicated"] else ""

@@ -13,6 +13,28 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def accumulate(out: dict, items) -> dict:
+    """Add the (key, coeff) items into out in place and return it.
+
+    A key whose sum cancels is deleted and a zero item is not stored, so
+    out stays a map to nonzero coefficients.  Only a dict the caller owns
+    may be passed: never the terms of a state another caller can see.
+    """
+    get = out.get
+    for key, c in items:
+        prev = get(key)
+        if prev is None:
+            if c:
+                out[key] = c
+        else:
+            c += prev
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
+
+
 class Combination:
     """Finitely supported map key -> nonzero Fraction."""
 
@@ -23,21 +45,10 @@ class Combination:
     _sort_key = None
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if not c:
-                    continue
-                acc = clean.get(key)
-                total = c if acc is None else acc + c
-                if total:
-                    clean[key] = total
-                elif acc is not None:
-                    del clean[key]
-        self.terms = clean
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self.terms = accumulate(
+            {}, ((key, c if type(c) is Fraction else Fraction(c)) for key, c in items)
+        )
 
     @classmethod
     def _from_clean(cls, terms: dict):
@@ -47,29 +58,24 @@ class Combination:
         return s
 
     @classmethod
+    def _sum(cls, items):
+        """The sum of (key, Fraction) items; the coefficients are not converted."""
+        return cls._from_clean(accumulate({}, items))
+
+    @classmethod
     def zero(cls):
         return cls()
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _merged(self, items):
-        """self plus the (key, coeff) items, nonzero coefficients only."""
-        out = dict(self.terms)
-        for k, c in items:
-            acc = out.get(k)
-            t = c if acc is None else acc + c
-            if t:
-                out[k] = t
-            elif acc is not None:
-                del out[k]
-        return self._from_clean(out)
-
     def __add__(self, other):
-        return self._merged(other.terms.items())
+        return self._from_clean(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        return self._merged((k, -c) for k, c in other.terms.items())
+        return self._from_clean(
+            accumulate(dict(self.terms), ((k, -c) for k, c in other.terms.items()))
+        )
 
     def __rmul__(self, scalar):
         if type(scalar) is not Fraction:

@@ -21,18 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .combination import Combination
-
-NEG_INF = float("-inf")
-
-
-def _insert(modes, item):
-    return tuple(sorted(modes + (item,)))
-
-
-def _remove_one(modes, item):
-    out = list(modes)
-    out.remove(item)
-    return tuple(out)
+from .fock_lattice import NEG_INF, monomial_insert, monomial_remove
 
 
 class BosonState(Combination):
@@ -65,45 +54,40 @@ def _check_flavor(j: int, num_flavors):
         raise ValueError(f"flavor {j} out of range 1..{hi}")
 
 
+def _mode_apply(j: int, r: int, s: BosonState, num_flavors, star: bool) -> BosonState:
+    """phi^j_{r-1/2}, or phi^{j*}_{r-1/2} when star, on s.
+
+    r <= 0 inserts the creator into the mode's own multiset.  r >= 1
+    removes one matching creator from the other multiset, weighted by the
+    number of copies, -1 each for phi and +1 for phi*, and kills the
+    vacuum.  Each key has its own image key, so nothing merges.
+    """
+    _check_flavor(j, num_flavors)
+    k = 2 * r - 1
+    target, sign = (j, -k), (1 if star else -1)
+    out = {}
+    for key, c in s.terms.items():
+        own, other = key[::-1] if star else key
+        if r <= 0:
+            own = monomial_insert(own, (j, k))
+        else:
+            mult = other.count(target)
+            if not mult:
+                continue
+            other, c = monomial_remove(other, target), c * (sign * mult)
+        out[(other, own) if star else (own, other)] = c
+    return BosonState._from_clean(out)
+
+
 def phi_apply(j: int, r: int, s: BosonState, num_flavors=None) -> BosonState:
     """Apply phi^j_{r-1/2}.  r <= 0 creates; r >= 1 contracts against
     matching phi* creators with a -1 each and kills the vacuum."""
-    _check_flavor(j, num_flavors)
-    k = 2 * r - 1
-    out = {}
-    if r <= 0:
-        for (phi, phis), c in s.terms.items():
-            out[(_insert(phi, (j, k)), phis)] = c
-    else:
-        target = (j, -k)
-        for (phi, phis), c in s.terms.items():
-            mult = phis.count(target)
-            if mult:
-                key = (phi, _remove_one(phis, target))
-                inc = c * (-mult)
-                acc = out.get(key)
-                out[key] = inc if acc is None else acc + inc
-    return BosonState(out)
+    return _mode_apply(j, r, s, num_flavors, star=False)
 
 
 def phi_star_apply(j: int, r: int, s: BosonState, num_flavors=None) -> BosonState:
     """Apply phi^{j*}_{r-1/2}; the contraction against phi creators is +1."""
-    _check_flavor(j, num_flavors)
-    k = 2 * r - 1
-    out = {}
-    if r <= 0:
-        for (phi, phis), c in s.terms.items():
-            out[(phi, _insert(phis, (j, k)))] = c
-    else:
-        target = (j, -k)
-        for (phi, phis), c in s.terms.items():
-            mult = phi.count(target)
-            if mult:
-                key = (_remove_one(phi, target), phis)
-                inc = c * mult
-                acc = out.get(key)
-                out[key] = inc if acc is None else acc + inc
-    return BosonState(out)
+    return _mode_apply(j, r, s, num_flavors, star=True)
 
 
 def depth(s: BosonState):

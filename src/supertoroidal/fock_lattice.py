@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from .combination import Combination
+from .combination import Combination, accumulate
 from .lattice import LatticeVector, basis_support, bilinear, cocycle, pair_with_basis, parity
 
 NEG_INF = float("-inf")
@@ -48,7 +49,7 @@ def monomial_insert(mono, factor):
     return tuple(sorted(mono + (factor,)))
 
 
-def _remove_one(mono, factor):
+def monomial_remove(mono, factor):
     out = list(mono)
     out.remove(factor)
     return tuple(out)
@@ -89,48 +90,40 @@ def heisenberg_apply(a: LatticeVector, m: int, s: LatticeFockState) -> LatticeFo
     m < 0 multiplies by a(m), m = 0 scales each key by (a, gamma), m > 0
     acts as the derivation contracting one matching factor at a time.
     """
-    out = {}
+    terms = s.terms.items()
     if m < 0:
         supp = basis_support(a)
-        for (gamma, mono), c in s.terms.items():
-            for b, w in supp:
-                key = (gamma, monomial_insert(mono, (b, -m)))
-                inc = c * w
-                acc = out.get(key)
-                out[key] = inc if acc is None else acc + inc
+        items = (((gamma, monomial_insert(mono, (b, -m))), c * w)
+                 for (gamma, mono), c in terms for b, w in supp)
     elif m == 0:
-        for (gamma, mono), c in s.terms.items():
-            w = bilinear(a, gamma)
-            if w:
-                key = (gamma, mono)
-                out[key] = out.get(key, 0) + c * w
+        items = ((key, c * bilinear(a, key[0])) for key, c in terms)
     else:
-        for (gamma, mono), c in s.terms.items():
-            seen = set()
-            for f in mono:
-                if f in seen:
-                    continue
-                seen.add(f)
-                b, n = f
-                if n != m:
-                    continue
-                w = pair_with_basis(a, b)
-                if not w:
-                    continue
-                mult = mono.count(f)
-                key = (gamma, _remove_one(mono, f))
-                inc = c * (mult * m * w)
-                acc = out.get(key)
-                out[key] = inc if acc is None else acc + inc
-    return LatticeFockState(out)
+        items = (((gamma, monomial_remove(mono, f)), c * (w * m))
+                 for (gamma, mono), c in terms
+                 for f, w in _contractions(a, mono) if f[1] == m)
+    return LatticeFockState._sum(items)
+
+
+def _contractions(a: LatticeVector, mono):
+    """(f, mult * (a, b)) for each distinct factor f = b(-n) of mono that a pairs with.
+
+    a(n) acts as a derivation: it removes one of the mult copies of f with
+    the weight mult * n * (a, b).
+    """
+    seen = set()
+    for f in mono:
+        if f not in seen:
+            seen.add(f)
+            w = pair_with_basis(a, f[0])
+            if w:
+                yield f, mono.count(f) * w
 
 
 def group_multiply(a: LatticeVector, s: LatticeFockState) -> LatticeFockState:
     """Twisted group algebra action e^a: (gamma, u) -> F(a, gamma) (a+gamma, u)."""
-    out = {}
-    for (gamma, mono), c in s.terms.items():
-        out[(a + gamma, mono)] = c * cocycle(a, gamma)
-    return LatticeFockState(out)
+    return LatticeFockState._from_clean(
+        {(a + gamma, mono): c * cocycle(a, gamma) for (gamma, mono), c in s.terms.items()}
+    )
 
 
 @lru_cache(maxsize=None)
@@ -165,23 +158,11 @@ def _creation_level(a: LatticeVector, c: int):
         weight = Fraction(1)
         terms = {(): Fraction(1)}
         for part, mult in partition:
-            fact = 1
-            for k in range(1, mult + 1):
-                fact *= k
-            weight /= Fraction(part) ** mult * fact
+            weight /= Fraction(part) ** mult * factorial(mult)
             for _ in range(mult):
-                nxt = {}
-                for mono, cf in terms.items():
-                    for b, w in supp:
-                        key = monomial_insert(mono, (b, part))
-                        nxt[key] = nxt.get(key, 0) + cf * w
-                terms = nxt
-        for mono, cf in terms.items():
-            val = total.get(mono, 0) + weight * cf
-            if val:
-                total[mono] = val
-            elif mono in total:
-                del total[mono]
+                terms = accumulate({}, ((monomial_insert(mono, (b, part)), cf * w)
+                                        for mono, cf in terms.items() for b, w in supp))
+        accumulate(total, ((mono, weight * cf) for mono, cf in terms.items()))
     return tuple(sorted(total.items()))
 
 
@@ -192,42 +173,20 @@ def _exp_annihilation(a: LatticeVector, mono):
     Level d collects the z^{-d} coefficient.  The series terminates since
     every T_+ application strictly lowers the degree.
     """
-    levels = {0: {mono: Fraction(1)}}
-    current = {0: {mono: Fraction(1)}}
+    total = {}  # (level d, monomial) -> coefficient
+    step = {(0, mono): Fraction(1)}  # T_+^j / j! applied to mono
     j = 0
-    while current:
+    while step:
+        accumulate(total, step.items())
         j += 1
-        nxt = {}
-        for d, monos in current.items():
-            for mo, c in monos.items():
-                seen = set()
-                for f in mo:
-                    if f in seen:
-                        continue
-                    seen.add(f)
-                    b, n = f
-                    w = pair_with_basis(a, b)
-                    if not w:
-                        continue
-                    # -(1/n) a(n) contracts mult copies, each worth n*(a,b)
-                    key = _remove_one(mo, f)
-                    lvl = nxt.setdefault(d + n, {})
-                    lvl[key] = lvl.get(key, 0) - c * (mo.count(f) * w)
-        current = {}
-        for d, monos in nxt.items():
-            for mo, c in monos.items():
-                c = c / j
-                if c:
-                    current.setdefault(d, {})[mo] = c
-        for d, monos in current.items():
-            tgt = levels.setdefault(d, {})
-            for mo, c in monos.items():
-                t = tgt.get(mo, 0) + c
-                if t:
-                    tgt[mo] = t
-                elif mo in tgt:
-                    del tgt[mo]
-    return {d: tuple(monos.items()) for d, monos in levels.items() if monos}
+        # -(1/n) a(n) removes one factor b(-n) with weight -mult (a, b); then / j
+        step = accumulate({}, (((d + f[1], monomial_remove(mo, f)), c * -w / j)
+                               for (d, mo), c in step.items()
+                               for f, w in _contractions(a, mo)))
+    levels = {}
+    for (d, mo), c in total.items():
+        levels.setdefault(d, []).append((mo, c))
+    return {d: tuple(monos) for d, monos in levels.items()}
 
 
 def _mode_depth(a: LatticeVector, idx: int) -> int:
@@ -264,12 +223,9 @@ def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> Lattic
             created = _creation_level(a, c_level)
             for mo, cf in monos:
                 base = coeff * sign * cf
-                for extra, w in created:
-                    key = (new_gamma, tuple(sorted(mo + extra)))
-                    inc = base * w
-                    acc = out.get(key)
-                    out[key] = inc if acc is None else acc + inc
-    return LatticeFockState(out)
+                accumulate(out, (((new_gamma, tuple(sorted(mo + extra))), base * w)
+                                 for extra, w in created))
+    return LatticeFockState._from_clean(out)
 
 
 def vanishing_bound(a: LatticeVector, s: LatticeFockState):
@@ -329,16 +285,14 @@ def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int, s: Lattice
         raise ValueError("product sum requires (dm, dm) = (a, dm) = 0")
     hi = vanishing_bound(dm, s)
     lo = idx - effective_mode_bound(a, s)
-    total = LatticeFockState.zero()
+    out = {}
     if hi == NEG_INF or lo == float("inf"):
-        return total
-    k = lo if lo % 2 == 0 else lo + 1
-    while k <= hi:
+        return LatticeFockState.zero()
+    for k in range(lo + lo % 2, hi + 1, 2):
         inner = vertex_mode_apply(dm, k, s)
         if not inner.is_zero():
-            total = total + vertex_mode_apply(a, idx - k, inner)
-        k += 2
-    return total
+            accumulate(out, vertex_mode_apply(a, idx - k, inner).terms.items())
+    return LatticeFockState._from_clean(out)
 
 
 def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int, s: LatticeFockState) -> LatticeFockState:
@@ -353,9 +307,9 @@ def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int, s: Latti
         raise ValueError("normal ordered pair sum is for odd vectors")
     ba = effective_mode_bound(a, s)
     bb = effective_mode_bound(b, s)
-    total = LatticeFockState.zero()
+    out = {}
     if ba == NEG_INF or bb == NEG_INF:
-        return total
+        return LatticeFockState.zero()
     # doubled indices: first factor 2k+1, second 2(n-k)-1; the written
     # order is kept iff 2k+1 <= 2(n-k)-1, i.e. k <= (n-1)//2
     split = (n - 1) // 2
@@ -367,10 +321,11 @@ def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int, s: Latti
         if k <= split:
             if i2 > bb:
                 continue
-            total = total + vertex_mode_apply(a, i1, vertex_mode_apply(b, i2, s))
+            accumulate(out, vertex_mode_apply(a, i1, vertex_mode_apply(b, i2, s)).terms.items())
         else:
             if i1 > ba:
                 continue
-            total = total - vertex_mode_apply(b, i2, vertex_mode_apply(a, i1, s))
-    return total
+            swapped = vertex_mode_apply(b, i2, vertex_mode_apply(a, i1, s))
+            accumulate(out, ((key, -c) for key, c in swapped.terms.items()))
+    return LatticeFockState._from_clean(out)
 

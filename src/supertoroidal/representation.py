@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combination import Combination
+from .combination import Combination, accumulate
 from .lattice import LatticeConfig, LatticeVector, bilinear, parity
 from .fock_lattice import (
     NEG_INF,
@@ -69,11 +69,8 @@ class TensorState(Combination):
 
     @classmethod
     def product(cls, lat: LatticeFockState, bos: BosonState) -> "TensorState":
-        out = {}
-        for lk, cl in lat.terms.items():
-            for bk, cb in bos.terms.items():
-                out[(lk, bk)] = cl * cb
-        return cls(out)
+        return cls._from_clean({(lk, bk): cl * cb for lk, cl in lat.terms.items()
+                                for bk, cb in bos.terms.items()})
 
     @staticmethod
     def _sort_key(item):
@@ -115,14 +112,9 @@ def _map_half(fn, ts: TensorState, lattice: bool) -> TensorState:
             groups.setdefault(lk, {})[bk] = c
     out = {}
     for fixed, half in groups.items():
+        # groups differ in the fixed half, so no two images share a key
         for k, c in fn(cls._from_clean(half)).terms.items():
-            key = (k, fixed) if lattice else (fixed, k)
-            acc = out.get(key)
-            t = c if acc is None else acc + c
-            if t:
-                out[key] = t
-            elif acc is not None:
-                del out[key]
+            out[(k, fixed) if lattice else (fixed, k)] = c
     return TensorState._from_clean(out)
 
 
@@ -220,15 +212,8 @@ class DiagCurrent:
         dm = LatticeConfig(M, q).delta_sum(self.mu)
         if dm.is_zero():
             return Current(self.alpha, self.mode).apply(ts)
-        lb = _lattice_bound(dm, ts)
-        k_lo = self.mode - lb // 2
         k_hi = max(_current_bound(self.alpha, ts), 0)
-        out = TensorState.zero()
-        for k in range(k_lo, k_hi + 1):
-            inner = VertexMode(dm, 2 * (self.mode - k)).apply(ts)
-            if not inner.is_zero():
-                out = out + Current(self.alpha, k).apply(inner)
-        return out
+        return _window(dm, self.mode, k_hi, lambda k, t: Current(self.alpha, k).apply(t), ts)
 
     def parity(self, M=None) -> int:
         return 0
@@ -270,13 +255,8 @@ class SOp:
             k_hi = (_lattice_bound(-cfg.e(self.j), ts) + 1) // 2 + (bd - 1) // 2
         else:
             k_hi = (bd + 1) // 2 + (bd - 1) // 2
-        k_lo = self.n - _lattice_bound(dm, ts) // 2
-        out = TensorState.zero()
-        for k in range(k_lo, k_hi + 1):
-            inner = VertexMode(dm, 2 * (self.n - k)).apply(ts)
-            if not inner.is_zero():
-                out = out + _s_plain(fam, self.i, self.j, M, cfg, k, inner)
-        return out
+        return _window(dm, self.n, k_hi,
+                       lambda k, t: _s_plain(fam, self.i, self.j, M, cfg, k, t), ts)
 
     def parity(self, M: int) -> int:
         return 1 if (self.i <= M) != (self.j <= M) else 0
@@ -292,36 +272,43 @@ def _s_plain(fam: str, i: int, j: int, M: int, cfg: LatticeConfig, m: int, ts: T
     if ts.is_zero():
         return ts
     bd = _boson_depth(ts)
-    out = TensorState.zero()
-    if fam in ("upper", "lower"):
-        vec = cfg.e(i) if fam == "upper" else -cfg.e(j)
-        flavor = (j if fam == "upper" else i) - M
-        lb = _lattice_bound(vec, ts)
-        r_lo = m - (bd - 1) // 2
-        r_hi = (lb + 1) // 2
-        for r in range(r_lo, r_hi + 1):
-            if fam == "upper":
-                t = PhiStarMode(flavor, m - r + 1).apply(ts)
-            else:
-                t = PhiMode(flavor, m - r + 1).apply(ts)
-            if not t.is_zero():
-                out = out + VertexMode(vec, 2 * r - 1).apply(t)
-        return out
     a, b = i - M, j - M
-    r_lo = m - (bd - 1) // 2
-    r_hi = (bd + 1) // 2
-    for r in range(r_lo, r_hi + 1):
+    if fam == "boson":
+        r_hi = (bd + 1) // 2
+    else:
+        vec = cfg.e(i) if fam == "upper" else -cfg.e(j)
+        r_hi = (_lattice_bound(vec, ts) + 1) // 2
+    out = {}
+    for r in range(m - (bd - 1) // 2, r_hi + 1):
         s_idx = m - r + 1
-        # normal ordering: phi first iff r <= s, i.e. annihilators right
-        if r <= s_idx:
-            t = PhiStarMode(b, s_idx).apply(ts)
-            if not t.is_zero():
-                out = out + PhiMode(a, r).apply(t)
+        if fam == "upper":
+            first, second = PhiStarMode(b, s_idx), VertexMode(vec, 2 * r - 1)
+        elif fam == "lower":
+            first, second = PhiMode(a, s_idx), VertexMode(vec, 2 * r - 1)
+        elif r <= s_idx:  # normal ordering: phi first iff r <= s, annihilators right
+            first, second = PhiStarMode(b, s_idx), PhiMode(a, r)
         else:
-            t = PhiMode(a, r).apply(ts)
-            if not t.is_zero():
-                out = out + PhiStarMode(b, s_idx).apply(t)
-    return out
+            first, second = PhiMode(a, r), PhiStarMode(b, s_idx)
+        t = first.apply(ts)
+        if not t.is_zero():
+            accumulate(out, second.apply(t).terms.items())
+    return TensorState._from_clean(out)
+
+
+def _window(dm: LatticeVector, n: int, k_hi: int, plain, ts: TensorState) -> TensorState:
+    """sum_k plain(k, X_{2(n-k)}(dm) ts) for a nonzero dm, k up to k_hi.
+
+    X_{2(n-k)}(dm) kills ts once 2(n-k) passes the effective bound of dm,
+    which fixes the lowest k.  The caller reads k_hi off ts; it holds on
+    X(dm) ts too, since X(dm) only creates factors the e-block cannot
+    contract.
+    """
+    out = {}
+    for k in range(n - _lattice_bound(dm, ts) // 2, k_hi + 1):
+        inner = VertexMode(dm, 2 * (n - k)).apply(ts)
+        if not inner.is_zero():
+            accumulate(out, plain(k, inner).terms.items())
+    return TensorState._from_clean(out)
 
 
 @dataclass(frozen=True)
@@ -416,10 +403,10 @@ class OpSum:
     terms: tuple  # of (Fraction, operator)
 
     def apply(self, ts: TensorState) -> TensorState:
-        out = TensorState.zero()
+        out = {}
         for c, op in self.terms:
-            out = out + c * op.apply(ts)
-        return out
+            accumulate(out, ((k, c * v) for k, v in op.apply(ts).terms.items()))
+        return TensorState._from_clean(out)
 
     def parity(self, M=None):
         seen = set()

@@ -140,7 +140,7 @@ def _random_state(rng, M, N, q, max_degree, box) -> TensorState:
     lat = LatticeConfig(M, q)
     par = rng.randint(0, 1) if box > 0 else 0  # box 0 pins gamma to 0
     while True:
-        terms = {}
+        terms = []
         for _ in range(rng.randint(1, 2)):
             budget = max_degree
             gamma = _random_vector(rng, M, q, box, gamma_parity=par)
@@ -162,7 +162,7 @@ def _random_state(rng, M, N, q, max_degree, box) -> TensorState:
                 (gamma, tuple(sorted(mono))),
                 (tuple(sorted(phi)), tuple(sorted(phis))),
             )
-            terms[key] = terms.get(key, Fraction(0)) + _random_coeff(rng)
+            terms.append((key, _random_coeff(rng)))
         state = TensorState(terms)
         if not state.is_zero():
             return state
@@ -176,7 +176,7 @@ def gen_state(cfg: CheckConfig, seed_offset) -> TensorState:
 
 def _random_boson_state(rng, N, max_degree) -> BosonState:
     while True:
-        terms = {}
+        terms = []
         for _ in range(rng.randint(1, 2)):
             budget = max_degree
             phi, phis = [], []
@@ -186,7 +186,7 @@ def _random_boson_state(rng, N, max_degree) -> BosonState:
                 (phi if rng.random() < 0.5 else phis).append(mode)
                 budget -= mag
             key = (tuple(sorted(phi)), tuple(sorted(phis)))
-            terms[key] = terms.get(key, Fraction(0)) + _random_coeff(rng)
+            terms.append((key, _random_coeff(rng)))
         s = BosonState(terms)
         if not s.is_zero():
             return s
@@ -370,11 +370,7 @@ def _symbol_args(cfg, payload, names):
 
 def _eval_jacobi(cfg, payload):
     alg, x, y, z = _symbol_args(cfg, payload, "xyz")
-    sign = (-1) ** (alg.parity_symbol(x) * alg.parity_symbol(y))
-    lhs = alg.bracket_el(alg.bracket(x, y), GLElement.symbol(*z))
-    rhs = alg.bracket_el(GLElement.symbol(*x), alg.bracket(y, z)) - sign * alg.bracket_el(
-        GLElement.symbol(*y), alg.bracket(x, z)
-    )
+    lhs, rhs = alg.jacobi_sides(x, y, z)
     return lhs == rhs, lhs, rhs
 
 
@@ -1003,8 +999,8 @@ def _run_clause(cfg: CheckConfig, family: str, clause: str) -> dict:
 
 def run(cfg: CheckConfig, families=None) -> dict:
     """Run the requested families and assemble the report."""
-    if families is None:
-        families = FAMILY_ORDER
+    # a family named twice runs once, where it is first named
+    families = list(dict.fromkeys(FAMILY_ORDER if families is None else families))
     for fam in families:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}; known: {', '.join(FAMILY_ORDER)}")

@@ -12,6 +12,7 @@ from supertoroidal import (
     TensorState,
     ToroidalElement,
 )
+from supertoroidal.combination import accumulate
 
 LAT = LatticeConfig(2, 2)
 G1 = LAT.e(1)
@@ -74,6 +75,30 @@ def test_combination_base(cls, k1, k2, text):
             assert cls({(1, 2): 1}) != other({(1, 2): 1})
     assert cls({(1, 2): 1}) == cls({(1, 2): 1})
 
+
+
+@pytest.mark.parametrize("cls, k1, k2, text", CASES, ids=[c.__name__ for c in CLASSES])
+def test_accumulate_in_place(cls, k1, k2, text):
+    half, three = Fraction(1, 2), Fraction(3)
+    out = {k1: half}
+    # a zero item is not stored, a key that cancels is deleted
+    assert accumulate(out, [(k2, Fraction(0)), (k1, -half)]) is out
+    assert out == {}
+    accumulate(out, [(k2, three), (k1, half), (k2, Fraction(0))])
+    assert out == {k2: three, k1: half}
+
+    s = cls._sum([(k1, half), (k2, three), (k2, -three), (k1, half), (k2, Fraction(0))])
+    assert type(s) is cls and s.terms == {k1: Fraction(1)}
+    assert cls._sum(iter(())).is_zero()
+
+    # neither operand of + or - is written into
+    x, y = cls({k1: half, k2: -3}), cls({k1: -half})
+    xt, yt = dict(x.terms), dict(y.terms)
+    assert (x + y).terms == {k2: -three}
+    assert (x - y).terms == {k1: Fraction(1), k2: -three}
+    assert (y - x).terms == {k1: Fraction(-1), k2: three}
+    assert (x - x).is_zero() and (x + y) is not x
+    assert x.terms == xt and y.terms == yt
 
 def test_sorted_terms_order():
     d1 = LAT.dgen(1)

@@ -1,14 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from supertoroidal import serialize as ser
 from supertoroidal.lattice import LatticeConfig
 from supertoroidal.superalgebra import Superalgebra, ToroidalElement, d_cocycle
 from supertoroidal.representation import (
     CentralImage,
     Current,
     DiagCurrent,
+    NormalPairSum,
     OpProduct,
     OpSum,
     PhiMode,
@@ -16,6 +19,7 @@ from supertoroidal.representation import (
     SOp,
     TensorState,
     VertexMode,
+    VertexProductSum,
     apply,
     rho,
     s_mode_apply,
@@ -282,3 +286,33 @@ def test_operator_shape_validation():
         CentralImage((0, 0), 3)
     with pytest.raises(ValueError):
         SOp(1, M + 1, (1, 2), 0).apply(VAC)  # mu length vs q
+
+
+def test_every_operator_kind_leaves_its_input_alone():
+    # one operator of each serialized kind on one multi-term state; the
+    # images are pinned, and no operator may write into the input's terms
+    s = random_tensor(random.Random(61), max_deg=4, nterms=6)
+    before = dict(s.terms)
+    ops = [
+        VertexMode(LAT.root(1, 2) + LAT.delta_sum((1,)), 0),
+        Current(LAT.e(1), -1),
+        PhiMode(1, 1),
+        PhiStarMode(2, 0),
+        DiagCurrent(LAT.e(2), 0, (1,)),
+        SOp(1, M + 1, (1,), 0),
+        CentralImage((1, 1), 1),
+        NormalPairSum(LAT.e(1), -LAT.e(2), 0),
+        VertexProductSum(LAT.root(1, 3), (1,), 0),
+        OpProduct((PhiMode(1, 0), VertexMode(LAT.e(2), 1))),
+        OpSum(((Fraction(1, 2), Current(LAT.e(3), 0)), (Fraction(-3), PhiStarMode(1, 1)),
+               (Fraction(2), PhiMode(2, 1)))),
+    ]
+    assert len({ser.operator_to_obj(op)["kind"] for op in ops}) == 11
+    images = []
+    for op in ops:
+        img = op.apply(s)
+        assert s.terms == before, op
+        assert not img.is_zero(), op
+        images.append(ser.tensor_state_to_obj(img))
+    digest = hashlib.sha256(ser.dumps(images).encode()).hexdigest()
+    assert digest == "f94f1bf8659973fb145ca3090d5e4edf3d7bf0c15f11a4f4ea1ff225ab6686cf"

@@ -156,6 +156,23 @@ def test_coverage_map_counts():
         assert rep["coverage"][f"T{k}"] > 0
 
 
+
+def test_repeated_family_runs_once():
+    cfg = CheckConfig(M=2, N=1, q=2, max_degree=3, exponent_box=1, samples=2, seed=3)
+    once = verifier.strip_timings(run(cfg, families=("form",)))
+    assert verifier.strip_timings(run(cfg, families=("form", "form"))) == once
+    assert verifier.strip_timings(run(cfg, families=("jacobi", "form", "jacobi"))) == (
+        verifier.strip_timings(run(cfg, families=("jacobi", "form")))
+    )
+    cmd = [
+        sys.executable, "-m", "supertoroidal.cli", "check", "--family", "form",
+        "--family", "form,form", "--M", "2", "--N", "1", "--samples", "2",
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("form/")]
+    assert len(lines) == len(set(lines)) == len(verifier.FAMILIES["form"]["clauses"])
+
 def test_degenerate_ranks_run_clean():
     # gl(1|1) and one-sided floors exercise the feasibility filtering
     cfg = CheckConfig(M=1, N=1, q=2, max_degree=3, exponent_box=1, samples=3, seed=9)
