@@ -35,6 +35,13 @@ def accumulate(out: dict, items) -> dict:
     return out
 
 
+def exact(c) -> Fraction:
+    """c as a Fraction; a float is refused, since its binary value is not the rational meant."""
+    if isinstance(c, float):
+        raise TypeError(f"coefficient {c!r} is a float; give a Fraction, an int or 'p/q'")
+    return Fraction(c)
+
+
 class Combination:
     """Finitely supported map key -> nonzero Fraction."""
 
@@ -47,7 +54,7 @@ class Combination:
     def __init__(self, terms=None):
         items = terms.items() if isinstance(terms, dict) else terms or ()
         self.terms = accumulate(
-            {}, ((key, c if type(c) is Fraction else Fraction(c)) for key, c in items)
+            {}, ((key, c if type(c) is Fraction else exact(c)) for key, c in items)
         )
 
     @classmethod
@@ -79,7 +86,7 @@ class Combination:
 
     def __rmul__(self, scalar):
         if type(scalar) is not Fraction:
-            scalar = Fraction(scalar)
+            scalar = exact(scalar)
         if not scalar:
             return self.zero()
         return self._from_clean({k: scalar * c for k, c in self.terms.items()})

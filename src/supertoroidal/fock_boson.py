@@ -18,8 +18,6 @@ carry negative odd doubled indices.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .combination import Combination
 from .fock_lattice import NEG_INF, monomial_insert, monomial_remove
 
@@ -31,21 +29,27 @@ class BosonState(Combination):
 
     @classmethod
     def vacuum(cls, coeff=1) -> "BosonState":
-        return cls({((), ()): Fraction(coeff)})
+        return cls({((), ()): coeff})
 
     @classmethod
     def basis(cls, phi=(), phi_star=(), coeff=1) -> "BosonState":
-        for flavor, k in tuple(phi) + tuple(phi_star):
-            if k >= 0 or k % 2 == 0:
-                raise ValueError(f"creation modes are negative odd doubled ints, got {k}")
-            if flavor < 1:
-                raise ValueError(f"flavors are 1-based, got {flavor}")
-        return cls({(tuple(sorted(phi)), tuple(sorted(phi_star))): Fraction(coeff)})
+        return cls({(creation_modes(phi), creation_modes(phi_star)): coeff})
 
     @staticmethod
     def _format_term(key, c) -> str:
         p, ps = key
         return f"{c} * phi{list(p)} phi*{list(ps)} |0>"
+
+
+def creation_modes(modes) -> tuple:
+    """One multiset of creators, sorted; a doubled mode must be negative odd, a flavor >= 1."""
+    modes = tuple(sorted(modes))
+    for flavor, k in modes:
+        if k >= 0 or k % 2 == 0:
+            raise ValueError(f"creation modes are negative odd doubled ints, got {k}")
+        if flavor < 1:
+            raise ValueError(f"flavors are 1-based, got {flavor}")
+    return modes
 
 
 def _check_flavor(j: int, num_flavors):

@@ -62,7 +62,7 @@ class LatticeFockState(Combination):
 
     @classmethod
     def basis(cls, gamma: LatticeVector, mono=(), coeff=1) -> "LatticeFockState":
-        return cls({(gamma, tuple(sorted(mono))): Fraction(coeff)})
+        return cls({(gamma, tuple(sorted(mono))): coeff})
 
     @classmethod
     def vacuum(cls, config) -> "LatticeFockState":

@@ -47,7 +47,7 @@ from .fock_lattice import (
     vertex_mode_apply,
     vertex_product_sum,
 )
-from .fock_boson import BosonState, depth, phi_apply, phi_star_apply
+from .fock_boson import BosonState, creation_modes, depth, phi_apply, phi_star_apply
 
 
 class TensorState(Combination):
@@ -61,11 +61,8 @@ class TensorState(Combination):
 
     @classmethod
     def basis(cls, gamma, mono=(), phi=(), phi_star=(), coeff=1) -> "TensorState":
-        key = (
-            (gamma, tuple(sorted(mono))),
-            (tuple(sorted(phi)), tuple(sorted(phi_star))),
-        )
-        return cls({key: Fraction(coeff)})
+        key = ((gamma, tuple(sorted(mono))), (creation_modes(phi), creation_modes(phi_star)))
+        return cls({key: coeff})
 
     @classmethod
     def product(cls, lat: LatticeFockState, bos: BosonState) -> "TensorState":
@@ -143,8 +140,15 @@ def _boson_depth(ts: TensorState):
 # operator descriptors
 
 
+class _Operator:
+    """Shared by the descriptors: an operator is even unless it says otherwise."""
+
+    def parity(self, M=None) -> int:
+        return 0
+
+
 @dataclass(frozen=True)
-class VertexMode:
+class VertexMode(_Operator):
     alpha: LatticeVector
     index: int  # doubled
 
@@ -156,43 +160,34 @@ class VertexMode:
 
 
 @dataclass(frozen=True)
-class Current:
+class Current(_Operator):
     alpha: LatticeVector
     mode: int
 
     def apply(self, ts: TensorState) -> TensorState:
         return _map_half(lambda s: heisenberg_apply(self.alpha, self.mode, s), ts, lattice=True)
 
-    def parity(self, M=None) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
-class PhiMode:
+class PhiMode(_Operator):
     flavor: int
     r: int  # mode r - 1/2
 
     def apply(self, ts: TensorState) -> TensorState:
         return _map_half(lambda s: phi_apply(self.flavor, self.r, s), ts, lattice=False)
 
-    def parity(self, M=None) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
-class PhiStarMode:
+class PhiStarMode(_Operator):
     flavor: int
     r: int
 
     def apply(self, ts: TensorState) -> TensorState:
         return _map_half(lambda s: phi_star_apply(self.flavor, self.r, s), ts, lattice=False)
 
-    def parity(self, M=None) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
-class DiagCurrent:
+class DiagCurrent(_Operator):
     """Dressed current: sum_k alpha(k) X_{2(n-k)}(delta_mu)."""
 
     alpha: LatticeVector
@@ -215,12 +210,9 @@ class DiagCurrent:
         k_hi = max(_current_bound(self.alpha, ts), 0)
         return _window(dm, self.mode, k_hi, lambda k, t: Current(self.alpha, k).apply(t), ts)
 
-    def parity(self, M=None) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
-class SOp:
+class SOp(_Operator):
     """S-family mode: sum_k S_ij(k) X_{2(n-k)}(delta_mu)."""
 
     i: int
@@ -312,7 +304,7 @@ def _window(dm: LatticeVector, n: int, k_hi: int, plain, ts: TensorState) -> Ten
 
 
 @dataclass(frozen=True)
-class CentralImage:
+class CentralImage(_Operator):
     """Image of the central symbol t^mbar K_direction."""
 
     mbar: tuple
@@ -340,12 +332,9 @@ class CentralImage:
             return VertexMode(cfg.delta_sum(mu), 2 * mq)
         return DiagCurrent(cfg.delta(self.direction), mq, mu)
 
-    def parity(self, M=None) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
-class NormalPairSum:
+class NormalPairSum(_Operator):
     """sum_k :X_{k+1/2}(a) X_{n-k-1/2}(b): for odd a, b."""
 
     a: LatticeVector
@@ -356,12 +345,9 @@ class NormalPairSum:
         return _map_half(lambda s: normal_ordered_pair_sum(self.a, self.b, self.n, s), ts,
                          lattice=True)
 
-    def parity(self, M=None) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
-class VertexProductSum:
+class VertexProductSum(_Operator):
     """sum_k X_{idx-k}(a) X_k(delta_mu), the dressed vertex mode."""
 
     a: LatticeVector
@@ -380,7 +366,7 @@ class VertexProductSum:
 
 
 @dataclass(frozen=True)
-class OpProduct:
+class OpProduct(_Operator):
     factors: tuple
 
     def apply(self, ts: TensorState) -> TensorState:
@@ -399,7 +385,7 @@ class OpProduct:
 
 
 @dataclass(frozen=True)
-class OpSum:
+class OpSum(_Operator):
     terms: tuple  # of (Fraction, operator)
 
     def apply(self, ts: TensorState) -> TensorState:

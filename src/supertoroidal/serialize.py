@@ -9,16 +9,21 @@ arrays may be omitted on input when a LatticeConfig is supplied (they
 then mean zero), and an omitted "delta"/"d" without a config is read as
 q = 1.  Output always carries all three arrays so that every emitted
 object is self-describing.
+
+A term is its "coeff" next to the fields of its key; each key half, the
+lattice ("gamma", "monomial") and the boson ("phi", "phi_star") one, has
+one encoder and one decoder.  An operator is its "kind" and its fields.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 from .lattice import LatticeConfig, LatticeVector
 from .fock_lattice import LatticeFockState
-from .fock_boson import BosonState
+from .fock_boson import BosonState, creation_modes
 from .superalgebra import GLElement, ToroidalElement
 from . import representation as rep
 
@@ -29,7 +34,13 @@ def frac_to_str(c) -> str:
 
 
 def frac_from_str(s) -> Fraction:
-    return Fraction(s)
+    """A "p/q" string or an int as a Fraction; a float or a bool is refused."""
+    if type(s) is not str and type(s) is not int:
+        raise ValueError(f"coefficient {s!r} is neither a 'p/q' string nor an int")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {s!r} has a zero denominator") from None
 
 
 def vector_to_obj(v: LatticeVector) -> dict:
@@ -57,44 +68,23 @@ def vector_from_obj(obj, config: LatticeConfig | None = None) -> LatticeVector:
     return LatticeVector(e, delta, d)
 
 
-def _monomial_to_obj(mono) -> list:
+def _lattice_key_to_obj(key, obj) -> dict:
     counts = {}
-    for f in mono:
+    for f in key[1]:
         counts[f] = counts.get(f, 0) + 1
-    return [
-        {"basis": b, "mode": n, "power": p}
-        for (b, n), p in sorted(counts.items())
-    ]
+    obj["gamma"] = vector_to_obj(key[0])
+    obj["monomial"] = [{"basis": b, "mode": n, "power": p} for (b, n), p in sorted(counts.items())]
+    return obj
 
 
-def _monomial_from_obj(obj) -> tuple:
+def _lattice_key_from_obj(item, config) -> tuple:
     factors = []
-    for item in obj:
-        b, n, p = int(item["basis"]), int(item["mode"]), int(item.get("power", 1))
+    for f in item.get("monomial", []):
+        b, n, p = int(f["basis"]), int(f["mode"]), int(f.get("power", 1))
         if n < 1 or p < 1:
-            raise ValueError(f"bad monomial factor {item}")
+            raise ValueError(f"bad monomial factor {f}")
         factors.extend([(b, n)] * p)
-    return tuple(sorted(factors))
-
-
-def lattice_state_to_obj(s: LatticeFockState) -> list:
-    return [
-        {
-            "coeff": frac_to_str(c),
-            "gamma": vector_to_obj(g),
-            "monomial": _monomial_to_obj(u),
-        }
-        for (g, u), c in s.sorted_terms()
-    ]
-
-
-def lattice_state_from_obj(obj, config: LatticeConfig | None = None) -> LatticeFockState:
-    terms = []
-    for item in obj:
-        g = vector_from_obj(item["gamma"], config)
-        u = _monomial_from_obj(item.get("monomial", []))
-        terms.append(((g, u), frac_from_str(item["coeff"])))
-    return LatticeFockState(terms)
+    return vector_from_obj(item["gamma"], config), tuple(sorted(factors))
 
 
 def _modes_to_obj(modes) -> list:
@@ -102,182 +92,147 @@ def _modes_to_obj(modes) -> list:
 
 
 def _modes_from_obj(obj) -> tuple:
-    return tuple(sorted((int(x["flavor"]), int(x["doubled_mode"])) for x in obj))
+    return creation_modes((int(x["flavor"]), int(x["doubled_mode"])) for x in obj)
+
+
+def _boson_key_to_obj(key, obj) -> dict:
+    obj["phi"], obj["phi_star"] = _modes_to_obj(key[0]), _modes_to_obj(key[1])
+    return obj
+
+
+def _boson_key_from_obj(item) -> tuple:
+    return _modes_from_obj(item.get("phi", [])), _modes_from_obj(item.get("phi_star", []))
+
+
+# the integer fields of a toroidal key after its kind; the exponent comes last
+_TOROIDAL_FIELDS = {"T": ("i", "j"), "K": ("direction",)}
+
+
+def _toroidal_key_to_obj(key, obj) -> dict:
+    kind, *ints, exp = key
+    obj.update(zip(_TOROIDAL_FIELDS[kind], ints), kind=kind, exponent=list(exp))
+    return obj
+
+
+def _toroidal_key_from_obj(item) -> tuple:
+    names = _TOROIDAL_FIELDS.get(item["kind"])
+    if names is None:
+        raise ValueError(f"unknown toroidal term kind {item['kind']!r}")
+    exp = tuple(int(x) for x in item["exponent"])
+    return (item["kind"], *(int(item[name]) for name in names), exp)
+
+
+def _terms_to_obj(x, key_to_obj) -> list:
+    """One object per term; key_to_obj(key, obj) returns obj with the key's fields."""
+    return [key_to_obj(key, {"coeff": frac_to_str(c)}) for key, c in x.sorted_terms()]
+
+
+def _terms_from_obj(cls, obj, key_from_obj):
+    return cls([(key_from_obj(item), frac_from_str(item["coeff"])) for item in obj])
+
+
+def lattice_state_to_obj(s: LatticeFockState) -> list:
+    return _terms_to_obj(s, _lattice_key_to_obj)
+
+
+def lattice_state_from_obj(obj, config: LatticeConfig | None = None) -> LatticeFockState:
+    return _terms_from_obj(LatticeFockState, obj, lambda item: _lattice_key_from_obj(item, config))
 
 
 def boson_state_to_obj(s: BosonState) -> list:
-    return [
-        {
-            "coeff": frac_to_str(c),
-            "phi": _modes_to_obj(p),
-            "phi_star": _modes_to_obj(ps),
-        }
-        for (p, ps), c in s.sorted_terms()
-    ]
+    return _terms_to_obj(s, _boson_key_to_obj)
 
 
 def boson_state_from_obj(obj) -> BosonState:
-    terms = []
-    for item in obj:
-        key = (_modes_from_obj(item.get("phi", [])), _modes_from_obj(item.get("phi_star", [])))
-        terms.append((key, frac_from_str(item["coeff"])))
-    return BosonState(terms)
+    return _terms_from_obj(BosonState, obj, _boson_key_from_obj)
 
 
 def tensor_state_to_obj(s: rep.TensorState) -> list:
-    return [
-        {
-            "coeff": frac_to_str(c),
-            "gamma": vector_to_obj(g),
-            "monomial": _monomial_to_obj(u),
-            "phi": _modes_to_obj(p),
-            "phi_star": _modes_to_obj(ps),
-        }
-        for ((g, u), (p, ps)), c in s.sorted_terms()
-    ]
+    return _terms_to_obj(
+        s, lambda key, obj: _boson_key_to_obj(key[1], _lattice_key_to_obj(key[0], obj)))
 
 
 def tensor_state_from_obj(obj, config: LatticeConfig | None = None) -> rep.TensorState:
-    terms = []
-    for item in obj:
-        g = vector_from_obj(item["gamma"], config)
-        u = _monomial_from_obj(item.get("monomial", []))
-        p = _modes_from_obj(item.get("phi", []))
-        ps = _modes_from_obj(item.get("phi_star", []))
-        terms.append((((g, u), (p, ps)), frac_from_str(item["coeff"])))
-    return rep.TensorState(terms)
+    return _terms_from_obj(
+        rep.TensorState, obj,
+        lambda item: (_lattice_key_from_obj(item, config), _boson_key_from_obj(item)),
+    )
 
 
 def gl_element_to_obj(x: GLElement) -> list:
-    return [
-        {"coeff": frac_to_str(c), "i": i, "j": j} for (i, j), c in x.sorted_terms()
-    ]
+    return _terms_to_obj(x, lambda key, obj: {**obj, "i": key[0], "j": key[1]})
 
 
 def gl_element_from_obj(obj) -> GLElement:
-    return GLElement([(((int(t["i"]), int(t["j"]))), frac_from_str(t["coeff"])) for t in obj])
+    return _terms_from_obj(GLElement, obj, lambda item: (int(item["i"]), int(item["j"])))
 
 
 def toroidal_to_obj(x: ToroidalElement) -> list:
-    out = []
-    for key, c in x.sorted_terms():
-        if key[0] == "T":
-            out.append(
-                {
-                    "coeff": frac_to_str(c),
-                    "kind": "T",
-                    "i": key[1],
-                    "j": key[2],
-                    "exponent": list(key[3]),
-                }
-            )
-        else:
-            out.append(
-                {
-                    "coeff": frac_to_str(c),
-                    "kind": "K",
-                    "direction": key[1],
-                    "exponent": list(key[2]),
-                }
-            )
-    return out
+    return _terms_to_obj(x, _toroidal_key_to_obj)
 
 
 def toroidal_from_obj(obj) -> ToroidalElement:
-    terms = []
-    for t in obj:
-        exp = tuple(int(x) for x in t["exponent"])
-        if t["kind"] == "T":
-            terms.append((("T", int(t["i"]), int(t["j"]), exp), frac_from_str(t["coeff"])))
-        elif t["kind"] == "K":
-            terms.append((("K", int(t["direction"]), exp), frac_from_str(t["coeff"])))
-        else:
-            raise ValueError(f"unknown toroidal term kind {t['kind']!r}")
-    return ToroidalElement(terms)
+    return _terms_from_obj(ToroidalElement, obj, _toroidal_key_from_obj)
+
+
+_OPERATOR_KINDS = {
+    "vertex": rep.VertexMode,
+    "current": rep.Current,
+    "phi": rep.PhiMode,
+    "phi_star": rep.PhiStarMode,
+    "diag_current": rep.DiagCurrent,
+    "s_op": rep.SOp,
+    "central": rep.CentralImage,
+    "normal_pair_sum": rep.NormalPairSum,
+    "vertex_product_sum": rep.VertexProductSum,
+    "product": rep.OpProduct,
+    "sum": rep.OpSum,
+}
+_KIND_OF = {cls: kind for kind, cls in _OPERATOR_KINDS.items()}
+# operator fields by their encoding; any other field is an int
+_VECTOR_FIELDS = ("alpha", "a", "b")
+_INT_LIST_FIELDS = ("mu", "mbar")
 
 
 def operator_to_obj(op) -> dict:
-    if isinstance(op, rep.VertexMode):
-        return {"kind": "vertex", "alpha": vector_to_obj(op.alpha), "index": op.index}
-    if isinstance(op, rep.Current):
-        return {"kind": "current", "alpha": vector_to_obj(op.alpha), "mode": op.mode}
-    if isinstance(op, rep.PhiMode):
-        return {"kind": "phi", "flavor": op.flavor, "r": op.r}
-    if isinstance(op, rep.PhiStarMode):
-        return {"kind": "phi_star", "flavor": op.flavor, "r": op.r}
-    if isinstance(op, rep.DiagCurrent):
-        return {
-            "kind": "diag_current",
-            "alpha": vector_to_obj(op.alpha),
-            "mode": op.mode,
-            "mu": list(op.mu),
-        }
-    if isinstance(op, rep.SOp):
-        return {"kind": "s_op", "i": op.i, "j": op.j, "mu": list(op.mu), "n": op.n}
-    if isinstance(op, rep.CentralImage):
-        return {"kind": "central", "mbar": list(op.mbar), "direction": op.direction}
-    if isinstance(op, rep.NormalPairSum):
-        return {
-            "kind": "normal_pair_sum",
-            "a": vector_to_obj(op.a),
-            "b": vector_to_obj(op.b),
-            "n": op.n,
-        }
-    if isinstance(op, rep.VertexProductSum):
-        return {
-            "kind": "vertex_product_sum",
-            "a": vector_to_obj(op.a),
-            "mu": list(op.mu),
-            "index": op.index,
-        }
-    if isinstance(op, rep.OpProduct):
-        return {"kind": "product", "factors": [operator_to_obj(f) for f in op.factors]}
-    if isinstance(op, rep.OpSum):
-        return {
-            "kind": "sum",
-            "terms": [
-                {"coeff": frac_to_str(c), "op": operator_to_obj(o)} for c, o in op.terms
-            ],
-        }
-    raise TypeError(f"not a serialisable operator: {op!r}")
+    kind = _KIND_OF.get(type(op))
+    if kind is None:
+        raise TypeError(f"not a serialisable operator: {op!r}")
+    obj = {"kind": kind}
+    for field in fields(op):
+        name, value = field.name, getattr(op, field.name)
+        if name in _VECTOR_FIELDS:
+            value = vector_to_obj(value)
+        elif name in _INT_LIST_FIELDS:
+            value = list(value)
+        elif name == "factors":
+            value = [operator_to_obj(f) for f in value]
+        elif name == "terms":
+            value = [{"coeff": frac_to_str(c), "op": operator_to_obj(o)} for c, o in value]
+        obj[name] = value
+    return obj
 
 
 def operator_from_obj(obj, config: LatticeConfig | None = None):
-    kind = obj["kind"]
-    if kind == "vertex":
-        return rep.VertexMode(vector_from_obj(obj["alpha"], config), int(obj["index"]))
-    if kind == "current":
-        return rep.Current(vector_from_obj(obj["alpha"], config), int(obj["mode"]))
-    if kind == "phi":
-        return rep.PhiMode(int(obj["flavor"]), int(obj["r"]))
-    if kind == "phi_star":
-        return rep.PhiStarMode(int(obj["flavor"]), int(obj["r"]))
-    if kind == "diag_current":
-        return rep.DiagCurrent(
-            vector_from_obj(obj["alpha"], config), int(obj["mode"]), tuple(obj.get("mu", ()))
-        )
-    if kind == "s_op":
-        return rep.SOp(int(obj["i"]), int(obj["j"]), tuple(obj.get("mu", ())), int(obj["n"]))
-    if kind == "central":
-        return rep.CentralImage(tuple(obj["mbar"]), int(obj["direction"]))
-    if kind == "normal_pair_sum":
-        return rep.NormalPairSum(
-            vector_from_obj(obj["a"], config), vector_from_obj(obj["b"], config), int(obj["n"])
-        )
-    if kind == "vertex_product_sum":
-        return rep.VertexProductSum(
-            vector_from_obj(obj["a"], config), tuple(obj["mu"]), int(obj["index"])
-        )
-    if kind == "product":
-        return rep.OpProduct(tuple(operator_from_obj(f, config) for f in obj["factors"]))
-    if kind == "sum":
-        return rep.OpSum(
-            tuple(
-                (frac_from_str(t["coeff"]), operator_from_obj(t["op"], config))
-                for t in obj["terms"]
-            )
-        )
-    raise ValueError(f"unknown operator kind {kind!r}")
+    cls = _OPERATOR_KINDS.get(obj["kind"])
+    if cls is None:
+        raise ValueError(f"unknown operator kind {obj['kind']!r}")
+    args = []
+    for field in fields(cls):
+        name = field.name
+        if name in _VECTOR_FIELDS:
+            args.append(vector_from_obj(obj[name], config))
+        elif name in _INT_LIST_FIELDS:
+            # an omitted mu is the empty one of q = 1; CentralImage refuses an empty mbar
+            args.append(tuple(int(x) for x in obj.get(name, ())))
+        elif name == "factors":
+            args.append(tuple(operator_from_obj(f, config) for f in obj["factors"]))
+        elif name == "terms":
+            args.append(tuple((frac_from_str(t["coeff"]), operator_from_obj(t["op"], config))
+                              for t in obj["terms"]))
+        else:
+            args.append(int(obj[name]))
+    return cls(*args)
 
 
 def dumps(obj) -> str:

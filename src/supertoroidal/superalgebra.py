@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .combination import Combination, accumulate
+from .combination import Combination, accumulate, exact
 from .lattice import LatticeConfig, cocycle
 
 
@@ -42,7 +42,7 @@ class GLElement(Combination):
 
     @classmethod
     def symbol(cls, i: int, j: int, coeff=1) -> "GLElement":
-        return cls({(i, j): Fraction(coeff)})
+        return cls({(i, j): coeff})
 
     @staticmethod
     def _format_term(key, c) -> str:
@@ -62,16 +62,16 @@ class ToroidalElement(Combination):
     def __init__(self, terms=None):
         items = terms.items() if isinstance(terms, dict) else terms or ()
         super().__init__(
-            reduced for key, c in items for reduced in _reduce_key(key, Fraction(c))
+            reduced for key, c in items for reduced in _reduce_key(key, exact(c))
         )
 
     @classmethod
     def t(cls, i: int, j: int, mbar, coeff=1) -> "ToroidalElement":
-        return cls({("T", i, j, tuple(int(x) for x in mbar)): Fraction(coeff)})
+        return cls({("T", i, j, tuple(int(x) for x in mbar)): coeff})
 
     @classmethod
     def k(cls, direction: int, mbar, coeff=1) -> "ToroidalElement":
-        return cls({("K", direction, tuple(int(x) for x in mbar)): Fraction(coeff)})
+        return cls({("K", direction, tuple(int(x) for x in mbar)): coeff})
 
     @staticmethod
     def _format_term(key, c) -> str:

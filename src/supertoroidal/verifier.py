@@ -1001,19 +1001,16 @@ def run(cfg: CheckConfig, families=None) -> dict:
     """Run the requested families and assemble the report."""
     # a family named twice runs once, where it is first named
     families = list(dict.fromkeys(FAMILY_ORDER if families is None else families))
+    if not families:
+        raise ValueError(f"no family requested; known: {', '.join(FAMILY_ORDER)}")
     for fam in families:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}; known: {', '.join(FAMILY_ORDER)}")
-    tasks = [(fam, clause) for fam in families for clause in FAMILIES[fam]["clauses"]]
-    results = [_run_clause(cfg, *t) for t in tasks]
 
     report = {"config": cfg.to_obj(), "families": {}, "coverage": {},
               "adjudications": [], "all_pass": True}
-    by_family = {}
-    for (fam, clause), res in zip(tasks, results):
-        by_family.setdefault(fam, []).append(res)
     for fam in families:
-        cells = by_family.get(fam, [])
+        cells = [_run_clause(cfg, fam, clause) for clause in FAMILIES[fam]["clauses"]]
         fam_ok = all(c["ok"] for c in cells)
         report["families"][fam] = {
             "clauses": {c["clause"]: {k: v for k, v in c.items() if k != "clause"}
@@ -1030,7 +1027,7 @@ def run(cfg: CheckConfig, families=None) -> dict:
                         {"family": fam, "clause": c["clause"],
                          "count": c["adjudicated"], "note": note}
                     )
-        if fam == "rtables" and cells:
+        if fam == "rtables":
             # the generic side of each R-row evaluates the finite bracket
             # table clause of the same number
             for c in cells:

@@ -100,6 +100,26 @@ def test_accumulate_in_place(cls, k1, k2, text):
     assert (x - x).is_zero() and (x + y) is not x
     assert x.terms == xt and y.terms == yt
 
+@pytest.mark.parametrize("cls, k1, k2, text", CASES, ids=[c.__name__ for c in CLASSES])
+def test_float_coefficients_rejected(cls, k1, k2, text):
+    # a float has no exact rational meaning; 0.1 would be 3602879701896397/2**55
+    with pytest.raises(TypeError):
+        cls([(k1, 0.1)])
+    with pytest.raises(TypeError):
+        0.5 * cls({k1: 1})
+    assert cls([(k1, "1/10")]).terms == {k1: Fraction(1, 10)}
+
+
+def test_float_coefficients_rejected_by_basis_constructors():
+    for build in (lambda: GLElement.symbol(1, 2, 0.1), lambda: ToroidalElement.t(1, 2, (0, 1), 0.1),
+                  lambda: ToroidalElement.k(2, (1, 1), 0.1), lambda: BosonState.vacuum(0.1),
+                  lambda: LatticeFockState.basis(G1, coeff=0.1),
+                  lambda: TensorState.basis(G1, coeff=0.1)):
+        with pytest.raises(TypeError):
+            build()
+    assert GLElement.symbol(1, 2, Fraction(1, 10)).terms == {(1, 2): Fraction(1, 10)}
+
+
 def test_sorted_terms_order():
     d1 = LAT.dgen(1)
     lat_keys = [(G1, ((0, 1),)), (d1, ()), (G1, ()), (G2, ((0, 2),))]

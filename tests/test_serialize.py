@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -153,3 +154,85 @@ def test_emitted_text_is_canonical():
 def test_fraction_roundtrip_property(num, den):
     f = Fraction(num, den)
     assert ser.frac_from_str(ser.frac_to_str(f)) == f
+
+
+def _every_kind():
+    """One operator of each of the 11 kinds; the product and the sum nest each other."""
+    ops = [
+        VertexMode(CFG.root(1, 2) + CFG.delta(1), -4),
+        Current(CFG.e(1), 2),
+        PhiMode(1, -1),
+        PhiStarMode(2, 3),
+        DiagCurrent(CFG.e(2), 1, (2,)),
+        SOp(1, 4, (0,), -1),
+        CentralImage((1, -2), 2),
+        NormalPairSum(CFG.e(1), -CFG.e(2), 1),
+        VertexProductSum(CFG.e(1) + CFG.dgen(1), (1,), -1),
+    ]
+    inner_sum = OpSum(((Fraction(1, 2), ops[2]), (Fraction(-5, 3), ops[3])))
+    ops.append(OpProduct((ops[0], inner_sum, ops[8])))
+    ops.append(OpSum(((Fraction(2, 3), ops[1]), (Fraction(-1), OpProduct((ops[5], ops[6]))))))
+    return ops
+
+
+def test_operator_encoding_is_pinned():
+    # the canonical text of one operator of each kind is pinned byte for byte
+    ops = _every_kind()
+    objs = [ser.operator_to_obj(op) for op in ops]
+    assert len({obj["kind"] for obj in objs}) == 11
+    text = "".join(ser.dumps(obj) for obj in objs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f0bd39294461ebf55f57547321958716e38c3d36d4702f8462a5fabf33af0c03")
+    for op, obj in zip(ops, objs):
+        assert ser.operator_from_obj(json.loads(ser.dumps(obj))) == op
+
+
+def test_omitted_mu_reads_as_empty():
+    alpha = {"e": [1, 0], "delta": [], "d": []}
+    objs = {
+        "diag_current": ({"kind": "diag_current", "alpha": alpha, "mode": 2},
+                         DiagCurrent(LatticeVector((1, 0), (), ()), 2, ())),
+        "s_op": ({"kind": "s_op", "i": 1, "j": 3, "n": -1}, SOp(1, 3, (), -1)),
+        "vertex_product_sum": ({"kind": "vertex_product_sum", "a": alpha, "index": 1},
+                               VertexProductSum(LatticeVector((1, 0), (), ()), (), 1)),
+    }
+    for kind, (obj, op) in objs.items():
+        assert ser.operator_from_obj(obj) == op, kind
+        assert ser.operator_to_obj(op)["mu"] == []
+
+
+def test_operator_codec_errors():
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        ser.operator_from_obj({"kind": "vertex_mode", "alpha": {"e": [1]}, "index": 0})
+    for not_an_op in (CFG.e(1), "vertex", None):
+        with pytest.raises(TypeError):
+            ser.operator_to_obj(not_an_op)
+
+
+def test_coefficients_stay_exact():
+    with pytest.raises(ValueError, match="zero denominator"):
+        ser.frac_from_str("1/0")
+    for bad in (0.1, 1.0, True, None, [1, 2]):
+        with pytest.raises(ValueError):
+            ser.frac_from_str(bad)
+    assert ser.frac_from_str(3) == Fraction(3)
+    with pytest.raises(ValueError):
+        ser.gl_element_from_obj([{"coeff": 0.1, "i": 1, "j": 2}])
+    with pytest.raises(ValueError):
+        ser.toroidal_from_obj([{"coeff": "1/0", "kind": "T", "i": 1, "j": 2, "exponent": [0]}])
+    assert ser.gl_element_from_obj([{"coeff": "1/10", "i": 1, "j": 2}]).terms == {
+        (1, 2): Fraction(1, 10)}
+
+
+def test_boson_readers_reject_invalid_modes():
+    good = {"coeff": "1/1", "phi": [{"flavor": 1, "doubled_mode": -3}]}
+    assert ser.boson_state_from_obj([good]) == BosonState.basis(((1, -3),))
+    lattice = {"gamma": {"e": [0, 0, 0], "delta": [0], "d": [0]}}
+    for mode in ({"flavor": 0, "doubled_mode": -1}, {"flavor": 1, "doubled_mode": 2},
+                 {"flavor": 1, "doubled_mode": 1}, {"flavor": 2, "doubled_mode": -2}):
+        for field in ("phi", "phi_star"):
+            item = {"coeff": "1/1", field: [mode]}
+            with pytest.raises(ValueError):
+                ser.boson_state_from_obj([item])
+            with pytest.raises(ValueError):
+                ser.tensor_state_from_obj([{**item, **lattice}])

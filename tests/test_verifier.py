@@ -86,6 +86,16 @@ def test_unknown_family_rejected():
         run(SMALL, families=("nonsense",))
 
 
+def test_empty_family_list_rejected():
+    # a run that checks nothing must not report all_pass
+    with pytest.raises(ValueError, match="known: cocycle"):
+        run(SMALL, families=[])
+    cmd = [sys.executable, "-m", "supertoroidal.cli", "check", "--family", ",",
+           "--M", "2", "--N", "1"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode != 0 and "all_pass" not in proc.stdout
+
+
 def test_sttables_requires_q2():
     cfg = CheckConfig(M=3, N=2, q=1, samples=2, seed=1)
     with pytest.raises(ValueError):
