@@ -10,6 +10,10 @@ Subcommands:
 
 JSON arguments (--op, --x, --y) accept either a path to a JSON file or
 inline JSON text.  All files are UTF-8, newline terminated.
+
+Exit codes: 0 success, 1 a verified failure, 2 a usage, input or config
+error (one ``error:`` line on stderr) or a counterexample that did not
+reproduce.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def _cmd_bracket(args) -> int:
         for key in el.terms:
             exp = key[3] if key[0] == "T" else key[2]
             if len(exp) != args.q:
-                raise SystemExit(f"element exponent {list(exp)} does not match q={args.q}")
+                raise ValueError(f"element exponent {list(exp)} does not match q={args.q}")
     out = alg.bracket_toroidal(x, y)
     _write_out(ser.dumps(ser.toroidal_to_obj(out)), args.out)
     return 0
@@ -166,7 +170,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_replay)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+        msg = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: {msg}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

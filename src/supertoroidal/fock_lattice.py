@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .combination import Combination, accumulate
 from .lattice import LatticeVector, basis_support, bilinear, cocycle, pair_with_basis, parity
@@ -127,51 +127,35 @@ def group_multiply(a: LatticeVector, s: LatticeFockState) -> LatticeFockState:
 
 
 @lru_cache(maxsize=None)
-def _partitions(n: int):
-    """Partitions of n as tuples of (part, multiplicity), parts descending."""
-    if n == 0:
-        return ((),)
-
-    def gen(remaining, maxpart):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            for mult in range(remaining // part, 0, -1):
-                for rest in gen(remaining - part * mult, part - 1):
-                    yield ((part, mult),) + rest
-
-    return tuple(gen(n, n))
-
-
-@lru_cache(maxsize=None)
 def _creation_level(a: LatticeVector, c: int):
     """Coefficient of z^c in exp T_-(a, z) applied to 1.
 
-    Returns a tuple of (added-factors monomial, coefficient) pairs; the
-    level-c part is a sum over partitions of c with the usual
-    1 / (n^{m_n} m_n!) weights, each a(-n)^{m_n} expanded over the basis.
+    Returns (D, ((added-factors monomial, numerator), ...)), each
+    coefficient being numerator / D.  Differentiating exp T_- in z gives
+    k P_k = sum_{n=1..k} a(-n) P_{k-n} for the level-k part P_k, so
+    Q_k = k! P_k has integer coefficients and
+    Q_k = sum_n (k-1)!/(k-n)! a(-n) Q_{k-n}.
     """
     supp = basis_support(a)
-    total = {}
-    for partition in _partitions(c):
-        weight = Fraction(1)
-        terms = {(): Fraction(1)}
-        for part, mult in partition:
-            weight /= Fraction(part) ** mult * factorial(mult)
-            for _ in range(mult):
-                terms = accumulate({}, ((monomial_insert(mono, (b, part)), cf * w)
-                                        for mono, cf in terms.items() for b, w in supp))
-        accumulate(total, ((mono, weight * cf) for mono, cf in terms.items()))
-    return tuple(sorted(total.items()))
+    levels = [{(): 1}]  # Q_0, ..., Q_c
+    for k in range(1, c + 1):
+        level = {}
+        for n in range(1, k + 1):
+            f = factorial(k - 1) // factorial(k - n)
+            accumulate(level, ((monomial_insert(mono, (b, n)), f * w * q)
+                               for mono, q in levels[k - n].items() for b, w in supp))
+        levels.append(level)
+    g = gcd(factorial(c), *levels[c].values())
+    return factorial(c) // g, tuple(sorted((mono, q // g) for mono, q in levels[c].items()))
 
 
 @lru_cache(maxsize=200_000)
 def _exp_annihilation(a: LatticeVector, mono):
-    """exp T_+(a, z) applied to a monomial, as {level d: ((mono', coeff), ...)}.
+    """exp T_+(a, z) applied to a monomial, as {level d: (D_d, ((mono', numerator), ...))}.
 
-    Level d collects the z^{-d} coefficient.  The series terminates since
-    every T_+ application strictly lowers the degree.
+    Level d collects the z^{-d} coefficient, each coefficient being
+    numerator / D_d.  The series terminates since every T_+ application
+    strictly lowers the degree.
     """
     total = {}  # (level d, monomial) -> coefficient
     step = {(0, mono): Fraction(1)}  # T_+^j / j! applied to mono
@@ -186,7 +170,10 @@ def _exp_annihilation(a: LatticeVector, mono):
     levels = {}
     for (d, mo), c in total.items():
         levels.setdefault(d, []).append((mo, c))
-    return {d: tuple(monos) for d, monos in levels.items()}
+    for d, monos in levels.items():
+        den = lcm(*(c.denominator for _, c in monos))
+        levels[d] = den, tuple((mo, c.numerator * (den // c.denominator)) for mo, c in monos)
+    return levels
 
 
 def _mode_depth(a: LatticeVector, idx: int) -> int:
@@ -207,24 +194,45 @@ def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> Lattic
     Per key e^gamma (x) u the z-coefficient is assembled from annihilation
     level d (bounded by deg u) and the single creation level
     c = d - (a, gamma) - h that lands on the requested power.
+
+    The sums run on ints: each (key, level) pair contributes over
+    q = (input denominator) * D_ann * D_cre, all are brought over the lcm
+    of the q's, and one Fraction is built per output key.  Output keys
+    are grouped by gamma, so the inner loop hashes only monomials.
     """
     if not a.in_q():
         raise ValueError(f"vertex operators require a in Q, got {a!r}")
     h = _mode_depth(a, idx)
-    out = {}
+    groups = {}  # input gamma -> [(signed numerator, q, annihilated, created), ...]
+    dens = set()
     for (gamma, mono), coeff in s.terms.items():
         shift = bilinear(a, gamma)
-        sign = cocycle(a, gamma)
-        new_gamma = a + gamma
-        for d, monos in _exp_annihilation(a, mono).items():
+        num = cocycle(a, gamma) * coeff.numerator
+        group = groups.setdefault(gamma, [])
+        for d, (d_ann, monos) in _exp_annihilation(a, mono).items():
             c_level = d - shift - h
             if c_level < 0:
                 continue
-            created = _creation_level(a, c_level)
-            for mo, cf in monos:
-                base = coeff * sign * cf
-                accumulate(out, (((new_gamma, tuple(sorted(mo + extra))), base * w)
-                                 for extra, w in created))
+            d_cre, created = _creation_level(a, c_level)
+            q = coeff.denominator * d_ann * d_cre
+            dens.add(q)
+            group.append((num, q, monos, created))
+    den = lcm(*dens)
+    out = {}
+    for gamma, group in groups.items():
+        sums = {}  # monomial -> numerator over den
+        get = sums.get
+        for num, q, monos, created in group:
+            scale = num * (den // q)
+            for mo, n_ann in monos:
+                base = scale * n_ann
+                for extra, n_cre in created:
+                    key = tuple(sorted(mo + extra))
+                    sums[key] = get(key, 0) + base * n_cre
+        new_gamma = a + gamma
+        for mo, n in sums.items():
+            if n:
+                out[(new_gamma, mo)] = Fraction(n, den)
     return LatticeFockState._from_clean(out)
 
 

@@ -169,19 +169,23 @@ class Current(_Operator):
 
 
 @dataclass(frozen=True)
-class PhiMode(_Operator):
+class _BosonMode(_Operator):
     flavor: int
     r: int  # mode r - 1/2
 
+    def __post_init__(self):
+        if self.flavor < 1:
+            raise ValueError(f"flavors are 1-based, got {self.flavor}")
+
+
+@dataclass(frozen=True)
+class PhiMode(_BosonMode):
     def apply(self, ts: TensorState) -> TensorState:
         return _map_half(lambda s: phi_apply(self.flavor, self.r, s), ts, lattice=False)
 
 
 @dataclass(frozen=True)
-class PhiStarMode(_Operator):
-    flavor: int
-    r: int
-
+class PhiStarMode(_BosonMode):
     def apply(self, ts: TensorState) -> TensorState:
         return _map_half(lambda s: phi_star_apply(self.flavor, self.r, s), ts, lattice=False)
 
@@ -219,6 +223,10 @@ class SOp(_Operator):
     j: int
     mu: tuple
     n: int
+
+    def __post_init__(self):
+        if self.i < 1 or self.j < 1:
+            raise ValueError(f"S indices ({self.i},{self.j}) are 1-based")
 
     def family(self, M: int) -> str:
         if self.i <= M < self.j:

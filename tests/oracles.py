@@ -2,15 +2,19 @@
 
 These recompute the library's operations along different routes:
 
+* reference_vertex_mode_apply is the vertex kernel with one Fraction
+  product and sum per (key, annihilation term, creation term), the loop
+  the integer kernel replaced;
 * naive_heisenberg expands the derivation action position by position
   (Leibniz over an exploded factor list) instead of multiplicity
   counting;
 * oracle_vertex_modes builds the whole z-series of Y(a, z) applied to a
   state as a dense convolution of exp-series levels, with the
   annihilation exponential expanded through partitions and the creation
-  exponential through iterated application (the production code does it
-  the other way around), and reads off every requested coefficient with
-  no window logic;
+  exponential through iterated application (the production code iterates
+  the annihilation exponential and builds each creation level from the
+  lower ones by k P_k = sum_n a(-n) P_{k-n}), and reads off every
+  requested coefficient with no window logic;
 * oracle_s_plain / oracle_s_dressed evaluate the S mode sums with crude
   windows widened by a margin, so any clipping bug in the production
   windows shows up as a discrepancy.
@@ -20,9 +24,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from supertoroidal.combination import accumulate
 from supertoroidal.lattice import LatticeConfig, bilinear, basis_support, cocycle, pair_with_basis
 from supertoroidal.fock_lattice import (
     LatticeFockState,
+    _creation_level,
+    _exp_annihilation,
+    _mode_depth,
     heisenberg_apply,
     monomial_degree,
 )
@@ -34,6 +42,26 @@ from supertoroidal.representation import (
     _boson_depth,
     _lattice_bound,
 )
+
+
+def reference_vertex_mode_apply(a, idx, s):
+    """X_idx(a) s summed one Fraction term at a time over the cached levels."""
+    h = _mode_depth(a, idx)
+    out = {}
+    for (gamma, mono), coeff in s.terms.items():
+        shift = bilinear(a, gamma)
+        sign = cocycle(a, gamma)
+        new_gamma = a + gamma
+        for d, (d_ann, monos) in _exp_annihilation(a, mono).items():
+            c_level = d - shift - h
+            if c_level < 0:
+                continue
+            d_cre, created = _creation_level(a, c_level)
+            for mo, n_ann in monos:
+                base = coeff * sign * Fraction(n_ann, d_ann)
+                accumulate(out, (((new_gamma, tuple(sorted(mo + extra))), base * Fraction(n_cre, d_cre))
+                                 for extra, n_cre in created))
+    return LatticeFockState._from_clean(out)
 
 
 def naive_heisenberg(a, m, s):

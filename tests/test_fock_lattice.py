@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from supertoroidal.lattice import LatticeConfig, LatticeVector, bilinear
+from supertoroidal.lattice import LatticeConfig, LatticeVector, basis_support, bilinear
 from supertoroidal.fock_lattice import (
     LatticeFockState,
+    _creation_level,
+    _exp_annihilation,
     current_upper_bound,
     effective_mode_bound,
     group_multiply,
@@ -16,7 +19,13 @@ from supertoroidal.fock_lattice import (
     vertex_product_sum,
 )
 
-from oracles import naive_heisenberg, oracle_vertex_modes
+from oracles import (
+    _ann_level,
+    _creation_series,
+    naive_heisenberg,
+    oracle_vertex_modes,
+    reference_vertex_mode_apply,
+)
 
 CFG = LatticeConfig(3, 2)
 VAC = LatticeFockState.vacuum(CFG)
@@ -217,6 +226,90 @@ def test_vertex_mode_linearity():
         lhs = vertex_mode_apply(a, k, s1 + c * s2)
         rhs = vertex_mode_apply(a, k, s1) + c * vertex_mode_apply(a, k, s2)
         assert lhs == rhs
+
+
+# --- the integer kernel against the Fraction-per-term reference
+
+
+def assert_lowest_terms(s):
+    for c in s.terms.values():
+        assert type(c) is Fraction and c != 0 and gcd(c.numerator, c.denominator) == 1, c
+
+
+def test_cached_levels_against_series_oracles():
+    rng = random.Random(23)
+    zero = CFG.zero()
+    for a in small_q_vectors(CFG):
+        series = _creation_series(a, LatticeFockState.basis(zero), 6)
+        for c in range(7):
+            den, created = _creation_level(a, c)
+            assert gcd(den, *(n for _, n in created)) == 1  # D is the lcm of the denominators
+            expect = series[c].terms if c in series else {}
+            assert {(zero, mo): Fraction(n, den) for mo, n in created} == expect, (a, c)
+        mono = next(iter(random_state(rng, nterms=1, max_deg=4).terms))[1]
+        levels = _exp_annihilation(a, mono)
+        for d in range(sum(n for _, n in mono) + 1):
+            expect = _ann_level(a, d, LatticeFockState.basis(zero, mono)).terms
+            den, monos = levels.get(d, (1, ()))
+            assert gcd(den, *(n for _, n in monos)) == 1
+            assert {(zero, mo): Fraction(n, den) for mo, n in monos} == expect, (a, mono, d)
+
+
+def test_integer_kernel_matches_fraction_reference():
+    # coprime input denominators make the common denominator a real lcm
+    rng = random.Random(29)
+    vectors = small_q_vectors(CFG)
+    parities = set()
+    for trial in range(60):
+        keys = random_state(rng, nterms=rng.randint(1, 4)).terms
+        s = LatticeFockState({key: Fraction(rng.choice((-5, -2, -1, 1, 3, 4)), rng.choice((7, 9, 11, 13)))
+                              for key in keys})
+        a = vectors[trial % len(vectors)]
+        par = bilinear(a, a) % 2
+        for k in range(-6 + par, int(max(vanishing_bound(a, s), -6)) + 1, 2):
+            img = vertex_mode_apply(a, k, s)
+            assert img == reference_vertex_mode_apply(a, k, s), (a, k, s)
+            assert_lowest_terms(img)
+            if not img.is_zero():
+                parities.add(par)
+    assert parities == {0, 1}
+
+
+def test_integer_kernel_cancels_exactly():
+    # images meet only on one gamma and one degree, so t1 and t2 share both;
+    # c in t1 + c t2 cancels the two images on their first shared key
+    rng = random.Random(41)
+    vectors = [v for v in small_q_vectors(CFG) if not v.is_zero()]
+
+    def monomial(supp, deg):
+        out = []
+        while deg:
+            n = rng.randint(1, deg)
+            deg -= n
+            out.append((rng.choice(supp)[0], n))
+        return tuple(sorted(out))
+
+    cancelled = 0
+    for _ in range(60):
+        a = rng.choice(vectors)
+        (gamma, _), = random_state(rng, nterms=1).terms
+        deg = rng.randint(2, 3)
+        t1 = LatticeFockState.basis(gamma, monomial(basis_support(a), deg), Fraction(rng.choice((-2, 1, 3)), 7))
+        t2 = LatticeFockState.basis(gamma, monomial(basis_support(a), deg), Fraction(1, 11))
+        k = int(vanishing_bound(a, t1)) - 2 * rng.randint(0, 2)
+        i1 = reference_vertex_mode_apply(a, k, t1).terms
+        i2 = reference_vertex_mode_apply(a, k, t2).terms
+        shared = sorted(set(i1) & set(i2), key=lambda key: LatticeFockState._sort_key((key, 0)))
+        if t1.terms.keys() == t2.terms.keys() or not shared:
+            continue
+        key = shared[0]
+        s = t1 + (-i1[key] / i2[key]) * t2
+        img = vertex_mode_apply(a, k, s)
+        assert img == reference_vertex_mode_apply(a, k, s), (a, k, s)
+        assert key not in img.terms
+        assert_lowest_terms(img)
+        cancelled += not img.is_zero()
+    assert cancelled >= 5
 
 
 # --- mode sums

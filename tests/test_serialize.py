@@ -204,6 +204,14 @@ def test_omitted_mu_reads_as_empty():
 def test_operator_codec_errors():
     with pytest.raises(ValueError, match="unknown operator kind"):
         ser.operator_from_obj({"kind": "vertex_mode", "alpha": {"e": [1]}, "index": 0})
+    # bad fields are refused when read, not when applied
+    for bad in ({"kind": "phi", "flavor": 0, "r": 0},
+                {"kind": "phi_star", "flavor": -1, "r": 1},
+                {"kind": "s_op", "i": 0, "j": 3, "mu": [0], "n": 0},
+                {"kind": "s_op", "i": 3, "j": 0, "mu": [0], "n": 0},
+                {"kind": "product", "factors": [{"kind": "phi", "flavor": 0, "r": 0}]}):
+        with pytest.raises(ValueError, match="1-based"):
+            ser.operator_from_obj(bad)
     for not_an_op in (CFG.e(1), "vertex", None):
         with pytest.raises(TypeError):
             ser.operator_to_obj(not_an_op)

@@ -8,6 +8,7 @@ import pytest
 
 from supertoroidal import serialize as ser
 from supertoroidal import verifier
+from supertoroidal.cli import main
 from supertoroidal.verifier import CheckConfig, evaluate_check, gen_state, replay_counterexample, run
 
 SMALL = CheckConfig(M=3, N=2, q=2, max_degree=4, exponent_box=1, samples=4, seed=99)
@@ -285,3 +286,28 @@ def test_cli_replay(tmp_path):
     # the recorded check passes, so the "failure" does not reproduce
     assert proc.returncode == 2
     assert "did NOT reproduce" in proc.stderr
+
+
+def test_cli_input_and_config_errors_exit_2(capsys):
+    state = "[]"
+    for argv in (["check", "--family", "corollary19", "--M", "1"],
+                 ["check", "--family", "nosuch"],
+                 ["act", "--op", '{"kind": "phi", "flavor": 0, "r": 0}', "--state", state],
+                 ["act", "--op", '{"kind": "phi", "r": 0}', "--state", state],
+                 ["act", "--op", '{"kind": "phi",', "--state", state],
+                 ["bracket", "--x", "[]", "--y",
+                  '[{"coeff": "1/1", "kind": "K", "direction": 1, "exponent": [0]}]',
+                  "--M", "2", "--N", "1", "--q", "2"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert out == ""
+
+
+def test_cli_verified_failure_exits_1(monkeypatch, capsys):
+    spec = dict(verifier.FAMILIES["lemma49"])
+    spec["generate"] = lambda cfg, clause: iter(())
+    monkeypatch.setitem(verifier.FAMILIES, "lemma49", spec)
+    assert main(["check", "--family", "lemma49", "--M", "2", "--N", "1", "--samples", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "all_pass: False" in out and err == ""
