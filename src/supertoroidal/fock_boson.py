@@ -58,28 +58,34 @@ def _check_flavor(j: int, num_flavors):
         raise ValueError(f"flavor {j} out of range 1..{hi}")
 
 
-def _mode_apply(j: int, r: int, s: BosonState, num_flavors, star: bool) -> BosonState:
-    """phi^j_{r-1/2}, or phi^{j*}_{r-1/2} when star, on s.
+def mode_on_key(j: int, r: int, key, star: bool):
+    """phi^j_{r-1/2}, or phi^{j*}_{r-1/2} when star, on one basis key.
 
-    r <= 0 inserts the creator into the mode's own multiset.  r >= 1
-    removes one matching creator from the other multiset, weighted by the
-    number of copies, -1 each for phi and +1 for phi*, and kills the
-    vacuum.  Each key has its own image key, so nothing merges.
+    Returns (image key, integer weight), or None when the mode kills the
+    key.  r <= 0 inserts the creator into the mode's own multiset with
+    weight 1.  r >= 1 removes one matching creator from the other
+    multiset, weighted by the number of copies, -1 each for phi and +1
+    for phi*.  Distinct keys have distinct images, so nothing merges.
     """
+    own, other = key[::-1] if star else key
+    if r <= 0:
+        own, w = monomial_insert(own, (j, 2 * r - 1)), 1
+    else:
+        target = (j, 1 - 2 * r)
+        mult = other.count(target)
+        if not mult:
+            return None
+        other, w = monomial_remove(other, target), (mult if star else -mult)
+    return ((other, own) if star else (own, other)), w
+
+
+def _mode_apply(j: int, r: int, s: BosonState, num_flavors, star: bool) -> BosonState:
     _check_flavor(j, num_flavors)
-    k = 2 * r - 1
-    target, sign = (j, -k), (1 if star else -1)
     out = {}
     for key, c in s.terms.items():
-        own, other = key[::-1] if star else key
-        if r <= 0:
-            own = monomial_insert(own, (j, k))
-        else:
-            mult = other.count(target)
-            if not mult:
-                continue
-            other, c = monomial_remove(other, target), c * (sign * mult)
-        out[(other, own) if star else (own, other)] = c
+        image = mode_on_key(j, r, key, star)
+        if image is not None:
+            out[image[0]] = c if image[1] == 1 else c * image[1]
     return BosonState._from_clean(out)
 
 

@@ -197,18 +197,21 @@ def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> Lattic
 
     The sums run on ints: each (key, level) pair contributes over
     q = (input denominator) * D_ann * D_cre, all are brought over the lcm
-    of the q's, and one Fraction is built per output key.  Output keys
-    are grouped by gamma, so the inner loop hashes only monomials.
+    of the q's, and one Fraction is built per output key.  For one gamma
+    the creation level depends on d alone, so the annihilated monomials
+    of all keys are summed per (gamma, creation level) first and each
+    distinct one is multiplied by the creation level once.  Output keys
+    are grouped by gamma, so the inner loops hash only monomials.
     """
     if not a.in_q():
         raise ValueError(f"vertex operators require a in Q, got {a!r}")
     h = _mode_depth(a, idx)
-    groups = {}  # input gamma -> [(signed numerator, q, annihilated, created), ...]
+    groups = {}  # input gamma -> {creation level: (created, [(signed numerator, q, annihilated), ...])}
     dens = set()
     for (gamma, mono), coeff in s.terms.items():
         shift = bilinear(a, gamma)
         num = cocycle(a, gamma) * coeff.numerator
-        group = groups.setdefault(gamma, [])
+        group = groups.setdefault(gamma, {})
         for d, (d_ann, monos) in _exp_annihilation(a, mono).items():
             c_level = d - shift - h
             if c_level < 0:
@@ -216,19 +219,29 @@ def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> Lattic
             d_cre, created = _creation_level(a, c_level)
             q = coeff.denominator * d_ann * d_cre
             dens.add(q)
-            group.append((num, q, monos, created))
+            row = (num, q, monos)
+            entry = group.get(c_level)
+            if entry is None:
+                group[c_level] = (created, [row])
+            else:
+                entry[1].append(row)
     den = lcm(*dens)
     out = {}
     for gamma, group in groups.items():
         sums = {}  # monomial -> numerator over den
         get = sums.get
-        for num, q, monos, created in group:
-            scale = num * (den // q)
-            for mo, n_ann in monos:
-                base = scale * n_ann
-                for extra, n_cre in created:
-                    key = tuple(sorted(mo + extra))
-                    sums[key] = get(key, 0) + base * n_cre
+        for created, rows in group.values():
+            annihilated = {}  # annihilated monomial -> numerator over den, before creation
+            ann_get = annihilated.get
+            for num, q, monos in rows:
+                scale = num * (den // q)
+                for mo, n_ann in monos:
+                    annihilated[mo] = ann_get(mo, 0) + scale * n_ann
+            for mo, n in annihilated.items():
+                if n:
+                    for extra, n_cre in created:
+                        key = tuple(sorted(mo + extra))
+                        sums[key] = get(key, 0) + n * n_cre
         new_gamma = a + gamma
         for mo, n in sums.items():
             if n:

@@ -47,7 +47,7 @@ from .fock_lattice import (
     vertex_mode_apply,
     vertex_product_sum,
 )
-from .fock_boson import BosonState, creation_modes, depth, phi_apply, phi_star_apply
+from .fock_boson import BosonState, creation_modes, depth, mode_on_key
 
 
 class TensorState(Combination):
@@ -98,20 +98,16 @@ class TensorState(Combination):
         return None
 
 
-def _map_half(fn, ts: TensorState, lattice: bool) -> TensorState:
-    """Apply fn to the lattice (or boson) half of ts, the other half fixed."""
-    cls = LatticeFockState if lattice else BosonState
+def _map_half(fn, ts: TensorState) -> TensorState:
+    """Apply the lattice operator fn to the lattice half of ts, the boson half fixed."""
     groups = {}
     for (lk, bk), c in ts.terms.items():
-        if lattice:
-            groups.setdefault(bk, {})[lk] = c
-        else:
-            groups.setdefault(lk, {})[bk] = c
+        groups.setdefault(bk, {})[lk] = c
     out = {}
-    for fixed, half in groups.items():
-        # groups differ in the fixed half, so no two images share a key
-        for k, c in fn(cls._from_clean(half)).terms.items():
-            out[(k, fixed) if lattice else (fixed, k)] = c
+    for bk, half in groups.items():
+        # groups differ in the boson half, so no two images share a key
+        for lk, c in fn(LatticeFockState._from_clean(half)).terms.items():
+            out[(lk, bk)] = c
     return TensorState._from_clean(out)
 
 
@@ -153,7 +149,7 @@ class VertexMode(_Operator):
     index: int  # doubled
 
     def apply(self, ts: TensorState) -> TensorState:
-        return _map_half(lambda s: vertex_mode_apply(self.alpha, self.index, s), ts, lattice=True)
+        return _map_half(lambda s: vertex_mode_apply(self.alpha, self.index, s), ts)
 
     def parity(self, M=None) -> int:
         return bilinear(self.alpha, self.alpha) % 2
@@ -165,7 +161,7 @@ class Current(_Operator):
     mode: int
 
     def apply(self, ts: TensorState) -> TensorState:
-        return _map_half(lambda s: heisenberg_apply(self.alpha, self.mode, s), ts, lattice=True)
+        return _map_half(lambda s: heisenberg_apply(self.alpha, self.mode, s), ts)
 
 
 @dataclass(frozen=True)
@@ -177,17 +173,27 @@ class _BosonMode(_Operator):
         if self.flavor < 1:
             raise ValueError(f"flavors are 1-based, got {self.flavor}")
 
+    def _apply(self, ts: TensorState, star: bool) -> TensorState:
+        """Rewrite the boson half of each key in one pass; the lattice half stays."""
+        j, r = self.flavor, self.r
+        out = {}
+        for (lk, bk), c in ts.terms.items():
+            image = mode_on_key(j, r, bk, star)
+            if image is not None:
+                out[(lk, image[0])] = c if image[1] == 1 else c * image[1]
+        return TensorState._from_clean(out)
+
 
 @dataclass(frozen=True)
 class PhiMode(_BosonMode):
     def apply(self, ts: TensorState) -> TensorState:
-        return _map_half(lambda s: phi_apply(self.flavor, self.r, s), ts, lattice=False)
+        return self._apply(ts, star=False)
 
 
 @dataclass(frozen=True)
 class PhiStarMode(_BosonMode):
     def apply(self, ts: TensorState) -> TensorState:
-        return _map_half(lambda s: phi_star_apply(self.flavor, self.r, s), ts, lattice=False)
+        return self._apply(ts, star=True)
 
 
 @dataclass(frozen=True)
@@ -350,8 +356,7 @@ class NormalPairSum(_Operator):
     n: int
 
     def apply(self, ts: TensorState) -> TensorState:
-        return _map_half(lambda s: normal_ordered_pair_sum(self.a, self.b, self.n, s), ts,
-                         lattice=True)
+        return _map_half(lambda s: normal_ordered_pair_sum(self.a, self.b, self.n, s), ts)
 
 
 @dataclass(frozen=True)
@@ -367,7 +372,7 @@ class VertexProductSum(_Operator):
             return ts
         M, q = ts.lattice_shape()
         dm = LatticeConfig(M, q).delta_sum(self.mu)
-        return _map_half(lambda s: vertex_product_sum(self.a, dm, self.index, s), ts, lattice=True)
+        return _map_half(lambda s: vertex_product_sum(self.a, dm, self.index, s), ts)
 
     def parity(self, M=None) -> int:
         return bilinear(self.a, self.a) % 2

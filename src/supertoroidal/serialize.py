@@ -13,6 +13,8 @@ object is self-describing.
 A term is its "coeff" next to the fields of its key; each key half, the
 lattice ("gamma", "monomial") and the boson ("phi", "phi_star") one, has
 one encoder and one decoder.  An operator is its "kind" and its fields.
+A reader refuses a JSON value of the wrong shape (an array where an
+object belongs, null, a string) with ValueError, like any other bad input.
 """
 
 from __future__ import annotations
@@ -43,23 +45,44 @@ def frac_from_str(s) -> Fraction:
         raise ValueError(f"coefficient {s!r} has a zero denominator") from None
 
 
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _ints(seq, what: str) -> tuple:
+    if isinstance(seq, (list, tuple)):
+        try:
+            return tuple(map(int, seq))
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be a JSON array of integers, got {seq!r}")
+
+
+def _wrong_shape(what: str, exc: Exception) -> ValueError:
+    """A TypeError or AttributeError met while reading nested fields, as the input error it is."""
+    return ValueError(f"{what} has a field of the wrong JSON type ({exc})")
+
+
 def vector_to_obj(v: LatticeVector) -> dict:
     return {"e": list(v.e), "delta": list(v.delta), "d": list(v.d)}
 
 
 def vector_from_obj(obj, config: LatticeConfig | None = None) -> LatticeVector:
+    _object(obj, "a lattice vector")
     if config is not None:
-        e = tuple(int(x) for x in obj.get("e", (0,) * config.M))
-        delta = tuple(int(x) for x in obj.get("delta", (0,) * (config.q - 1)))
-        d = tuple(int(x) for x in obj.get("d", (0,) * (config.q - 1)))
+        e = _ints(obj.get("e", (0,) * config.M), "e")
+        delta = _ints(obj.get("delta", (0,) * (config.q - 1)), "delta")
+        d = _ints(obj.get("d", (0,) * (config.q - 1)), "d")
         if len(e) != config.M or len(delta) != config.q - 1 or len(d) != config.q - 1:
             raise ValueError(f"vector {obj} does not fit M={config.M}, q={config.q}")
     else:
         if "e" not in obj:
             raise ValueError("vector object without 'e' needs an explicit config")
-        e = tuple(int(x) for x in obj["e"])
-        delta = tuple(int(x) for x in obj.get("delta", ()))
-        d = tuple(int(x) for x in obj.get("d", ()))
+        e = _ints(obj["e"], "e")
+        delta = _ints(obj.get("delta", ()), "delta")
+        d = _ints(obj.get("d", ()), "d")
         if len(delta) != len(d):
             # one of the blocks was omitted; zero-fill to the longer one
             n = max(len(delta), len(d))
@@ -128,7 +151,14 @@ def _terms_to_obj(x, key_to_obj) -> list:
 
 
 def _terms_from_obj(cls, obj, key_from_obj):
-    return cls([(key_from_obj(item), frac_from_str(item["coeff"])) for item in obj])
+    what = f"a {cls.__name__}"
+    if not isinstance(obj, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON array of terms, got {type(obj).__name__}")
+    try:
+        terms = [(key_from_obj(item), frac_from_str(item["coeff"])) for item in obj]
+    except (TypeError, AttributeError) as exc:
+        raise _wrong_shape(what, exc) from None
+    return cls(terms)
 
 
 def lattice_state_to_obj(s: LatticeFockState) -> list:
@@ -214,24 +244,28 @@ def operator_to_obj(op) -> dict:
 
 
 def operator_from_obj(obj, config: LatticeConfig | None = None):
-    cls = _OPERATOR_KINDS.get(obj["kind"])
+    kind = _object(obj, "an operator")["kind"]
+    cls = _OPERATOR_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ValueError(f"unknown operator kind {obj['kind']!r}")
+        raise ValueError(f"unknown operator kind {kind!r}")
     args = []
-    for field in fields(cls):
-        name = field.name
-        if name in _VECTOR_FIELDS:
-            args.append(vector_from_obj(obj[name], config))
-        elif name in _INT_LIST_FIELDS:
-            # an omitted mu is the empty one of q = 1; CentralImage refuses an empty mbar
-            args.append(tuple(int(x) for x in obj.get(name, ())))
-        elif name == "factors":
-            args.append(tuple(operator_from_obj(f, config) for f in obj["factors"]))
-        elif name == "terms":
-            args.append(tuple((frac_from_str(t["coeff"]), operator_from_obj(t["op"], config))
-                              for t in obj["terms"]))
-        else:
-            args.append(int(obj[name]))
+    try:
+        for field in fields(cls):
+            name = field.name
+            if name in _VECTOR_FIELDS:
+                args.append(vector_from_obj(obj[name], config))
+            elif name in _INT_LIST_FIELDS:
+                # an omitted mu is the empty one of q = 1; CentralImage refuses an empty mbar
+                args.append(_ints(obj.get(name, ()), name))
+            elif name == "factors":
+                args.append(tuple(operator_from_obj(f, config) for f in obj["factors"]))
+            elif name == "terms":
+                args.append(tuple((frac_from_str(t["coeff"]), operator_from_obj(t["op"], config))
+                                  for t in obj["terms"]))
+            else:
+                args.append(int(obj[name]))
+    except (TypeError, AttributeError) as exc:
+        raise _wrong_shape("an operator", exc) from None
     return cls(*args)
 
 

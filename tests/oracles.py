@@ -5,6 +5,9 @@ These recompute the library's operations along different routes:
 * reference_vertex_mode_apply is the vertex kernel with one Fraction
   product and sum per (key, annihilation term, creation term), the loop
   the integer kernel replaced;
+* reference_boson_mode_apply applies a boson mode to a tensor state the
+  grouped way the tensor path replaced: one BosonState per lattice key,
+  through phi_apply / phi_star_apply;
 * naive_heisenberg expands the derivation action position by position
   (Leibniz over an exploded factor list) instead of multiplicity
   counting;
@@ -34,6 +37,7 @@ from supertoroidal.fock_lattice import (
     heisenberg_apply,
     monomial_degree,
 )
+from supertoroidal.fock_boson import BosonState, phi_apply, phi_star_apply
 from supertoroidal.representation import (
     PhiMode,
     PhiStarMode,
@@ -62,6 +66,19 @@ def reference_vertex_mode_apply(a, idx, s):
                 accumulate(out, (((new_gamma, tuple(sorted(mo + extra))), base * Fraction(n_cre, d_cre))
                                  for extra, n_cre in created))
     return LatticeFockState._from_clean(out)
+
+
+def reference_boson_mode_apply(j, r, ts, star=False):
+    """phi^j_{r-1/2} (phi^{j*} when star) on a tensor state, grouped by lattice key."""
+    fn = phi_star_apply if star else phi_apply
+    groups = {}
+    for (lk, bk), c in ts.terms.items():
+        groups.setdefault(lk, {})[bk] = c
+    out = {}
+    for lk, half in groups.items():
+        for bk, c in fn(j, r, BosonState(half)).terms.items():
+            out[(lk, bk)] = c
+    return TensorState(out)
 
 
 def naive_heisenberg(a, m, s):

@@ -4,11 +4,13 @@ from math import gcd
 
 import pytest
 
-from supertoroidal.lattice import LatticeConfig, LatticeVector, basis_support, bilinear
+from supertoroidal.lattice import (LatticeConfig, LatticeVector, basis_support, bilinear,
+                                   pair_with_basis)
 from supertoroidal.fock_lattice import (
     LatticeFockState,
     _creation_level,
     _exp_annihilation,
+    _mode_depth,
     current_upper_bound,
     effective_mode_bound,
     group_multiply,
@@ -310,6 +312,66 @@ def test_integer_kernel_cancels_exactly():
         assert_lowest_terms(img)
         cancelled += not img.is_zero()
     assert cancelled >= 5
+
+
+def test_kernel_sums_colliding_annihilations_per_level():
+    # every key is one shared base times a monomial of degree n in factors a
+    # contracts, all on one gamma: at level n each annihilates to the base,
+    # so one (gamma, creation level) sum collects a row per key
+    rng = random.Random(47)
+    vectors = [v for v in small_q_vectors(CFG) if not v.is_zero()]
+    collided = 0
+    for trial in range(48):
+        a = vectors[trial % len(vectors)]
+        paired = [b for b in range(CFG.rank) if pair_with_basis(a, b)]
+        (gamma, _), = random_state(rng, nterms=1).terms
+        base = tuple((rng.randrange(CFG.rank), rng.randint(1, 2)) for _ in range(rng.randint(0, 2)))
+        n = rng.randint(1, 3)
+        terms = {}
+        for den in (7, 9, 11, 13):
+            mono, deg = list(base), n
+            while deg:
+                m = rng.randint(1, deg)
+                deg -= m
+                mono.append((rng.choice(paired), m))
+            key = (gamma, tuple(sorted(mono)))
+            terms[key] = terms.get(key, 0) + Fraction(rng.choice((-5, -2, -1, 1, 3, 4)), den)
+        s = LatticeFockState(terms)
+        seen = [(d, mo) for (_, mono) in s.terms
+                for d, (_, monos) in _exp_annihilation(a, mono).items() for mo, _ in monos]
+        collided += len(seen) > len(set(seen))
+        par = bilinear(a, a) % 2
+        for k in range(-6 + par, int(max(vanishing_bound(a, s), -6)) + 1, 2):
+            img = vertex_mode_apply(a, k, s)
+            assert img == reference_vertex_mode_apply(a, k, s), (a, k, s)
+            assert_lowest_terms(img)
+    assert collided >= 24
+
+
+def test_kernel_skips_a_level_that_cancels():
+    # c0 e0(-1) + c1 e1(-1) + c2 delta(-1) on one gamma: at level 1 each key
+    # annihilates to the empty monomial, and c2 makes that sum exactly 0
+    a = CFG.root(1, 2) + CFG.delta_sum((-1,))
+    gamma = CFG.e(3)
+    monos = [((b, 1),) for b in range(CFG.rank) if pair_with_basis(a, b)]
+    assert len(monos) == 3
+    weights = []
+    for mono in monos:
+        den, level = _exp_annihilation(a, mono)[1]
+        assert [mo for mo, _ in level] == [()]
+        weights.append(Fraction(level[0][1], den))
+    coeffs = [Fraction(1, 7), Fraction(1, 9)]
+    coeffs.append(-(coeffs[0] * weights[0] + coeffs[1] * weights[1]) / weights[2])
+    assert coeffs[2].denominator == 63
+    assert sum(c * w for c, w in zip(coeffs, weights)) == 0
+    s = LatticeFockState({(gamma, mono): c for mono, c in zip(monos, coeffs)})
+    live = 0
+    for k in range(-8, int(vanishing_bound(a, s)) + 1, 2):
+        img = vertex_mode_apply(a, k, s)
+        assert img == reference_vertex_mode_apply(a, k, s), k
+        assert_lowest_terms(img)
+        live += 1 - bilinear(a, gamma) - _mode_depth(a, k) >= 0 and not img.is_zero()
+    assert live >= 3
 
 
 # --- mode sums

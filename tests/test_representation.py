@@ -26,7 +26,7 @@ from supertoroidal.representation import (
     super_commutator,
 )
 
-from oracles import oracle_s_dressed, oracle_s_plain
+from oracles import oracle_s_dressed, oracle_s_plain, reference_boson_mode_apply
 
 M, N, Q = 3, 2, 2
 LAT = LatticeConfig(M, Q)
@@ -316,3 +316,27 @@ def test_every_operator_kind_leaves_its_input_alone():
         images.append(ser.tensor_state_to_obj(img))
     digest = hashlib.sha256(ser.dumps(images).encode()).hexdigest()
     assert digest == "f94f1bf8659973fb145ca3090d5e4edf3d7bf0c15f11a4f4ea1ff225ab6686cf"
+
+
+def test_boson_modes_match_grouped_reference():
+    # several lattice keys share each boson key; doubled creators give
+    # contractions of multiplicity 2 and 3
+    phi2 = ((1, -1), (1, -1))
+    zero = LAT.zero()
+    assert (PhiStarMode(1, 1).apply(TensorState.basis(zero, phi=phi2))
+            == 2 * TensorState.basis(zero, phi=phi2[:1]))
+    assert (PhiMode(1, 1).apply(TensorState.basis(zero, phi_star=phi2))
+            == -2 * TensorState.basis(zero, phi_star=phi2[:1]))
+    lattice_keys = [(LAT.zero(), ()), (LAT.e(1), ((0, 1),)), (LAT.root(1, 2), ((1, 2), (4, 1))),
+                    (LAT.delta_sum((1,)), ((0, 1), (0, 1)))]
+    boson_keys = [((), ()), (phi2, ()), ((), phi2 + ((1, -1),)), (((1, -1),), ((1, -1), (2, -3))),
+                  (((2, -3), (2, -3)), ((2, -1),)), (((1, -3),), ((1, -3), (1, -3)))]
+    rng = random.Random(59)
+    for _ in range(6):
+        ts = TensorState({(lk, bk): Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 5, 7)))
+                          for lk in lattice_keys for bk in boson_keys if rng.random() < 0.8})
+        for star, cls in ((False, PhiMode), (True, PhiStarMode)):
+            for j in (1, 2):
+                for r in range(-2, 4):  # creators r <= 0, contractions r >= 1
+                    expect = reference_boson_mode_apply(j, r, ts, star)
+                    assert cls(j, r).apply(ts) == expect, (cls, j, r)

@@ -244,3 +244,38 @@ def test_boson_readers_reject_invalid_modes():
                 ser.boson_state_from_obj([item])
             with pytest.raises(ValueError):
                 ser.tensor_state_from_obj([{**item, **lattice}])
+
+
+def test_readers_reject_wrong_json_shapes():
+    readers = (ser.lattice_state_from_obj, ser.boson_state_from_obj, ser.tensor_state_from_obj,
+               ser.gl_element_from_obj, ser.toroidal_from_obj)
+    for reader in readers:
+        for bad in (None, "[]", 3, {"a": 1}, ["x"], [None], [[]]):
+            with pytest.raises(ValueError):
+                reader(bad)
+    gamma = {"e": [0, 0, 0], "delta": [0], "d": [0]}
+    for item in ({"coeff": "1/1", "gamma": []},
+                 {"coeff": "1/1", "gamma": {"e": 3}},
+                 {"coeff": "1/1", "gamma": {"e": [None]}},
+                 {"coeff": "1/1", "gamma": gamma, "monomial": {"basis": 0}},
+                 {"coeff": "1/1", "gamma": gamma, "monomial": [[0, 1]]},
+                 {"coeff": "1/1", "gamma": gamma, "monomial": [{"basis": [], "mode": 1}]},
+                 {"coeff": "1/1", "gamma": gamma, "phi": {"flavor": 1}},
+                 {"coeff": "1/1", "gamma": gamma,
+                  "phi_star": [{"flavor": None, "doubled_mode": -1}]}):
+        with pytest.raises(ValueError):
+            ser.tensor_state_from_obj([item])
+    for item in ({"coeff": "1/1", "kind": ["T"], "i": 1, "j": 2, "exponent": [0]},
+                 {"coeff": "1/1", "kind": "T", "i": 1, "j": 2, "exponent": 0},
+                 {"coeff": "1/1", "kind": "K", "direction": {}, "exponent": [0]}):
+        with pytest.raises(ValueError):
+            ser.toroidal_from_obj([item])
+    for bad in (None, [], "phi", 1, {"kind": []}, {"kind": {"kind": "phi"}},
+                {"kind": "phi", "flavor": None, "r": 0},
+                {"kind": "vertex", "alpha": [1, 0, 0], "index": 0},
+                {"kind": "central", "mbar": 0, "direction": 1},
+                {"kind": "product", "factors": {"kind": "phi"}},
+                {"kind": "product", "factors": [[]]},
+                {"kind": "sum", "terms": [["1/1", {"kind": "phi", "flavor": 1, "r": 0}]]}):
+        with pytest.raises(ValueError):
+            ser.operator_from_obj(bad)

@@ -304,6 +304,18 @@ def test_cli_input_and_config_errors_exit_2(capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["act", "--op", "[]", "--state", "[]"],
+    ["act", "--op", "null", "--state", "[]"],
+    ["act", "--op", '{"kind": "phi", "flavor": 1, "r": 0}', "--state", '{"a": 1}'],
+], ids=["op-list", "op-null", "state-object"])
+def test_cli_wrong_json_shapes_exit_2(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert out == ""
+
+
 def test_cli_verified_failure_exits_1(monkeypatch, capsys):
     spec = dict(verifier.FAMILIES["lemma49"])
     spec["generate"] = lambda cfg, clause: iter(())
