@@ -52,10 +52,9 @@ def creation_modes(modes) -> tuple:
     return modes
 
 
-def _check_flavor(j: int, num_flavors):
-    if j < 1 or (num_flavors is not None and j > num_flavors):
-        hi = num_flavors if num_flavors is not None else "inf"
-        raise ValueError(f"flavor {j} out of range 1..{hi}")
+def _check_flavor(j: int):
+    if j < 1:
+        raise ValueError(f"flavors are 1-based, got {j}")
 
 
 def mode_on_key(j: int, r: int, key, star: bool):
@@ -79,8 +78,8 @@ def mode_on_key(j: int, r: int, key, star: bool):
     return ((other, own) if star else (own, other)), w
 
 
-def _mode_apply(j: int, r: int, s: BosonState, num_flavors, star: bool) -> BosonState:
-    _check_flavor(j, num_flavors)
+def _mode_apply(j: int, r: int, s: BosonState, star: bool) -> BosonState:
+    _check_flavor(j)
     out = {}
     for key, c in s.terms.items():
         image = mode_on_key(j, r, key, star)
@@ -89,15 +88,15 @@ def _mode_apply(j: int, r: int, s: BosonState, num_flavors, star: bool) -> Boson
     return BosonState._from_clean(out)
 
 
-def phi_apply(j: int, r: int, s: BosonState, num_flavors=None) -> BosonState:
+def phi_apply(j: int, r: int, s: BosonState) -> BosonState:
     """Apply phi^j_{r-1/2}.  r <= 0 creates; r >= 1 contracts against
     matching phi* creators with a -1 each and kills the vacuum."""
-    return _mode_apply(j, r, s, num_flavors, star=False)
+    return _mode_apply(j, r, s, star=False)
 
 
-def phi_star_apply(j: int, r: int, s: BosonState, num_flavors=None) -> BosonState:
+def phi_star_apply(j: int, r: int, s: BosonState) -> BosonState:
     """Apply phi^{j*}_{r-1/2}; the contraction against phi creators is +1."""
-    return _mode_apply(j, r, s, num_flavors, star=True)
+    return _mode_apply(j, r, s, star=True)
 
 
 def depth(s: BosonState):

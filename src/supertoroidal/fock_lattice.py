@@ -23,8 +23,9 @@ for even a (integer n) and X(a, z) = Y(a, z) for odd a (n in Z - 1/2).
 Modes are addressed by a doubled integer index: an even vector's mode n
 is stored as 2n and an odd vector's mode n - 1/2 as 2n - 1.
 
-Every mode application is exact and finite: exp T_+ terminates because
-each step lowers the monomial degree, and only the single creation level
+Every mode application is exact and finite: exp T_+ substitutes
+f - (a, b) z^{-n} for each factor f = b(-n), a finite product of
+binomials with integer coefficients, and only the single creation level
 that can reach the requested z-coefficient is expanded from exp T_-.  No
 truncation parameter exists anywhere.
 """
@@ -33,7 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from itertools import groupby
+from math import comb, factorial, gcd, lcm
 
 from .combination import Combination, accumulate
 from .lattice import LatticeVector, basis_support, bilinear, cocycle, pair_with_basis, parity
@@ -98,25 +100,11 @@ def heisenberg_apply(a: LatticeVector, m: int, s: LatticeFockState) -> LatticeFo
     elif m == 0:
         items = ((key, c * bilinear(a, key[0])) for key, c in terms)
     else:
-        items = (((gamma, monomial_remove(mono, f)), c * (w * m))
-                 for (gamma, mono), c in terms
-                 for f, w in _contractions(a, mono) if f[1] == m)
+        # one of the mult copies of a distinct factor f = b(-m) goes, weighted mult m (a, b)
+        items = (((gamma, monomial_remove(mono, f)), c * (mono.count(f) * m * w))
+                 for (gamma, mono), c in terms for f in dict.fromkeys(mono)
+                 if f[1] == m and (w := pair_with_basis(a, f[0])))
     return LatticeFockState._sum(items)
-
-
-def _contractions(a: LatticeVector, mono):
-    """(f, mult * (a, b)) for each distinct factor f = b(-n) of mono that a pairs with.
-
-    a(n) acts as a derivation: it removes one of the mult copies of f with
-    the weight mult * n * (a, b).
-    """
-    seen = set()
-    for f in mono:
-        if f not in seen:
-            seen.add(f)
-            w = pair_with_basis(a, f[0])
-            if w:
-                yield f, mono.count(f) * w
 
 
 def group_multiply(a: LatticeVector, s: LatticeFockState) -> LatticeFockState:
@@ -151,29 +139,25 @@ def _creation_level(a: LatticeVector, c: int):
 
 @lru_cache(maxsize=200_000)
 def _exp_annihilation(a: LatticeVector, mono):
-    """exp T_+(a, z) applied to a monomial, as {level d: (D_d, ((mono', numerator), ...))}.
+    """exp T_+(a, z) applied to a monomial, as {level d: ((mono', int coefficient), ...)}.
 
-    Level d collects the z^{-d} coefficient, each coefficient being
-    numerator / D_d.  The series terminates since every T_+ application
-    strictly lowers the degree.
+    Level d collects the z^{-d} coefficient.  T_+ acts as the derivation
+    b(-n) -> -(a, b) z^{-n}, so exp T_+ is the algebra map substituting
+    f - (a, b_f) z^{-n_f} for each factor f = b_f(-n_f).  A factor of
+    multiplicity m keeps m - k copies with weight C(m, k) (-(a, b_f))^k
+    at level k n_f; every coefficient is a nonzero int.
     """
-    total = {}  # (level d, monomial) -> coefficient
-    step = {(0, mono): Fraction(1)}  # T_+^j / j! applied to mono
-    j = 0
-    while step:
-        accumulate(total, step.items())
-        j += 1
-        # -(1/n) a(n) removes one factor b(-n) with weight -mult (a, b); then / j
-        step = accumulate({}, (((d + f[1], monomial_remove(mo, f)), c * -w / j)
-                               for (d, mo), c in step.items()
-                               for f, w in _contractions(a, mo)))
+    terms = [(0, (), 1)]  # (level, kept factors, coefficient)
+    for f, run in groupby(mono):
+        m = len(tuple(run))
+        w = -pair_with_basis(a, f[0])
+        # mono is sorted and f runs in its order, so the kept factors stay sorted
+        options = [(k * f[1], (f,) * (m - k), comb(m, k) * w ** k) for k in range(m + 1 if w else 1)]
+        terms = [(d + dk, kept + rest, c * ck) for d, kept, c in terms for dk, rest, ck in options]
     levels = {}
-    for (d, mo), c in total.items():
-        levels.setdefault(d, []).append((mo, c))
-    for d, monos in levels.items():
-        den = lcm(*(c.denominator for _, c in monos))
-        levels[d] = den, tuple((mo, c.numerator * (den // c.denominator)) for mo, c in monos)
-    return levels
+    for d, kept, c in terms:
+        levels.setdefault(d, []).append((kept, c))
+    return {d: tuple(monos) for d, monos in levels.items()}
 
 
 def _mode_depth(a: LatticeVector, idx: int) -> int:
@@ -195,9 +179,10 @@ def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> Lattic
     level d (bounded by deg u) and the single creation level
     c = d - (a, gamma) - h that lands on the requested power.
 
-    The sums run on ints: each (key, level) pair contributes over
-    q = (input denominator) * D_ann * D_cre, all are brought over the lcm
-    of the q's, and one Fraction is built per output key.  For one gamma
+    The sums run on ints: the annihilation levels are integral, so each
+    (key, level) pair contributes over q = (input denominator) * D_cre,
+    all are brought over the lcm of the q's, and one Fraction is built
+    per output key.  For one gamma
     the creation level depends on d alone, so the annihilated monomials
     of all keys are summed per (gamma, creation level) first and each
     distinct one is multiplied by the creation level once.  Output keys
@@ -212,12 +197,12 @@ def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> Lattic
         shift = bilinear(a, gamma)
         num = cocycle(a, gamma) * coeff.numerator
         group = groups.setdefault(gamma, {})
-        for d, (d_ann, monos) in _exp_annihilation(a, mono).items():
+        for d, monos in _exp_annihilation(a, mono).items():
             c_level = d - shift - h
             if c_level < 0:
                 continue
             d_cre, created = _creation_level(a, c_level)
-            q = coeff.denominator * d_ann * d_cre
+            q = coeff.denominator * d_cre
             dens.add(q)
             row = (num, q, monos)
             entry = group.get(c_level)

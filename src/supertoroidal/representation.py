@@ -21,7 +21,9 @@ combinations).  Every internal mode sum is clipped to an exactly
 computed finite window: boson annihilators die beyond the state's depth,
 lattice modes die beyond the vanishing bound, and the attached
 X(delta_mu) factors only create material orthogonal to the e-block, so
-the effective bounds of the input state cap every index.
+the effective bounds of the input state cap every index.  The upper and
+lower S modes need no k sum: identity 4.4 folds X(+-e) X(delta_mu) into
+one vertex mode of +-e + delta_mu.
 
 The dictionary rho sends T_ij (x) t^mbar to X-modes (i, j <= M), to the
 dressed diagonal current (i = j <= M), or to an S family mode (an index
@@ -223,7 +225,7 @@ class DiagCurrent(_Operator):
 
 @dataclass(frozen=True)
 class SOp(_Operator):
-    """S-family mode: sum_k S_ij(k) X_{2(n-k)}(delta_mu)."""
+    """S-family mode: sum_k S_ij(k) X_{2(n-k)}(delta_mu), a k sum only for the boson family."""
 
     i: int
     j: int
@@ -252,38 +254,34 @@ class SOp(_Operator):
         fam = self.family(M)
         cfg = LatticeConfig(M, q)
         dm = cfg.delta_sum(self.mu)
+        a, b = self.i - M, self.j - M
+        if fam != "boson":
+            vec = (cfg.e(self.i) if fam == "upper" else -cfg.e(self.j)) + dm
+            return _s_plain(fam, vec, a, b, self.n, ts)
         if dm.is_zero():
-            return _s_plain(fam, self.i, self.j, M, cfg, self.n, ts)
+            return _s_plain(fam, None, a, b, self.n, ts)
         bd = _boson_depth(ts)
-        if fam == "upper":
-            k_hi = (_lattice_bound(cfg.e(self.i), ts) + 1) // 2 + (bd - 1) // 2
-        elif fam == "lower":
-            k_hi = (_lattice_bound(-cfg.e(self.j), ts) + 1) // 2 + (bd - 1) // 2
-        else:
-            k_hi = (bd + 1) // 2 + (bd - 1) // 2
-        return _window(dm, self.n, k_hi,
-                       lambda k, t: _s_plain(fam, self.i, self.j, M, cfg, k, t), ts)
+        return _window(dm, self.n, (bd + 1) // 2 + (bd - 1) // 2,
+                       lambda k, t: _s_plain(fam, None, a, b, k, t), ts)
 
     def parity(self, M: int) -> int:
         return 1 if (self.i <= M) != (self.j <= M) else 0
 
 
-def _s_plain(fam: str, i: int, j: int, M: int, cfg: LatticeConfig, m: int, ts: TensorState) -> TensorState:
-    """Undressed S_ij(m) on a state, with the exact finite r-window.
+def _s_plain(fam: str, vec, a: int, b: int, m: int, ts: TensorState) -> TensorState:
+    """S_ij(m) on a state, with the exact finite r-window; a = i - M, b = j - M.
 
-    upper:  sum_r X_{r-1/2}(e_i) phi*^{j-M}_{m-r+1/2}
-    lower:  sum_r X_{r-1/2}(-e_j) phi^{i-M}_{m-r+1/2}
-    boson:  sum_r :phi^{i-M}_{r-1/2} phi*^{j-M}_{m-r+1/2}:
+    upper:  sum_r X_{r-1/2}(vec) phi*^b_{m-r+1/2},  vec = e_i + delta_mu
+    lower:  sum_r X_{r-1/2}(vec) phi^a_{m-r+1/2},   vec = -e_j + delta_mu
+    boson:  sum_r :phi^a_{r-1/2} phi*^b_{m-r+1/2}:  (vec is None)
+
+    For upper and lower this is already the dressed mode sum_k S_ij(k)
+    X_{2(m-k)}(delta_mu): the boson factor commutes with the lattice, and
+    identity 4.4, sum_k X_{idx-k}(v) X_k(delta_mu) = X_idx(v + delta_mu),
+    folds the k sum into one vertex mode of v + delta_mu.  ts is nonzero.
     """
-    if ts.is_zero():
-        return ts
     bd = _boson_depth(ts)
-    a, b = i - M, j - M
-    if fam == "boson":
-        r_hi = (bd + 1) // 2
-    else:
-        vec = cfg.e(i) if fam == "upper" else -cfg.e(j)
-        r_hi = (_lattice_bound(vec, ts) + 1) // 2
+    r_hi = (bd + 1) // 2 if vec is None else (_lattice_bound(vec, ts) + 1) // 2
     out = {}
     for r in range(m - (bd - 1) // 2, r_hi + 1):
         s_idx = m - r + 1
@@ -304,10 +302,11 @@ def _s_plain(fam: str, i: int, j: int, M: int, cfg: LatticeConfig, m: int, ts: T
 def _window(dm: LatticeVector, n: int, k_hi: int, plain, ts: TensorState) -> TensorState:
     """sum_k plain(k, X_{2(n-k)}(dm) ts) for a nonzero dm, k up to k_hi.
 
-    X_{2(n-k)}(dm) kills ts once 2(n-k) passes the effective bound of dm,
-    which fixes the lowest k.  The caller reads k_hi off ts; it holds on
-    X(dm) ts too, since X(dm) only creates factors the e-block cannot
-    contract.
+    Serves the dressed modes with no vertex factor to fold dm into:
+    DiagCurrent and the boson S family.  X_{2(n-k)}(dm) kills ts once
+    2(n-k) passes the effective bound of dm, which fixes the lowest k.
+    The caller reads k_hi off ts; it holds on X(dm) ts too, since X(dm)
+    only creates factors the e-block and the bosons cannot contract.
     """
     out = {}
     for k in range(n - _lattice_bound(dm, ts) // 2, k_hi + 1):

@@ -51,13 +51,17 @@ def _object(obj, what: str) -> dict:
     return obj
 
 
+def _int(x, what: str) -> int:
+    """x if it is an integer; a float, a bool or a string is refused, not truncated or parsed."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _ints(seq, what: str) -> tuple:
-    if isinstance(seq, (list, tuple)):
-        try:
-            return tuple(map(int, seq))
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be a JSON array of integers, got {seq!r}")
+    if not isinstance(seq, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON array of integers, got {seq!r}")
+    return tuple(_int(x, what) for x in seq)
 
 
 def _wrong_shape(what: str, exc: Exception) -> ValueError:
@@ -103,7 +107,7 @@ def _lattice_key_to_obj(key, obj) -> dict:
 def _lattice_key_from_obj(item, config) -> tuple:
     factors = []
     for f in item.get("monomial", []):
-        b, n, p = int(f["basis"]), int(f["mode"]), int(f.get("power", 1))
+        b, n, p = _int(f["basis"], "basis"), _int(f["mode"], "mode"), _int(f.get("power", 1), "power")
         if n < 1 or p < 1:
             raise ValueError(f"bad monomial factor {f}")
         factors.extend([(b, n)] * p)
@@ -115,7 +119,8 @@ def _modes_to_obj(modes) -> list:
 
 
 def _modes_from_obj(obj) -> tuple:
-    return creation_modes((int(x["flavor"]), int(x["doubled_mode"])) for x in obj)
+    return creation_modes((_int(x["flavor"], "flavor"), _int(x["doubled_mode"], "doubled_mode"))
+                          for x in obj)
 
 
 def _boson_key_to_obj(key, obj) -> dict:
@@ -141,8 +146,8 @@ def _toroidal_key_from_obj(item) -> tuple:
     names = _TOROIDAL_FIELDS.get(item["kind"])
     if names is None:
         raise ValueError(f"unknown toroidal term kind {item['kind']!r}")
-    exp = tuple(int(x) for x in item["exponent"])
-    return (item["kind"], *(int(item[name]) for name in names), exp)
+    exp = _ints(item["exponent"], "exponent")
+    return (item["kind"], *(_int(item[name], name) for name in names), exp)
 
 
 def _terms_to_obj(x, key_to_obj) -> list:
@@ -194,7 +199,7 @@ def gl_element_to_obj(x: GLElement) -> list:
 
 
 def gl_element_from_obj(obj) -> GLElement:
-    return _terms_from_obj(GLElement, obj, lambda item: (int(item["i"]), int(item["j"])))
+    return _terms_from_obj(GLElement, obj, lambda item: (_int(item["i"], "i"), _int(item["j"], "j")))
 
 
 def toroidal_to_obj(x: ToroidalElement) -> list:
@@ -263,7 +268,7 @@ def operator_from_obj(obj, config: LatticeConfig | None = None):
                 args.append(tuple((frac_from_str(t["coeff"]), operator_from_obj(t["op"], config))
                                   for t in obj["terms"]))
             else:
-                args.append(int(obj[name]))
+                args.append(_int(obj[name], name))
     except (TypeError, AttributeError) as exc:
         raise _wrong_shape("an operator", exc) from None
     return cls(*args)

@@ -2,14 +2,18 @@
 toroidal extension.
 
 Basis symbols T_ij, 1 <= i, j <= M+N, are even when both indices land in
-the same block (both <= M or both > M) and odd otherwise.  The bracket
-on basis symbols is the block-by-block table fixed by the cocycle F on
-the rank-M lattice; the missing even-even pattern (i != j, k = l) is
-filled in by antisymmetry.
+the same block (both <= M or both > M) and odd otherwise.  They are the
+matrix units twisted by the cocycle F on the rank-M lattice,
 
-The supertrace form (T_ij, T_kl) vanishes unless j = k and l = i, and
-carries the cocycle sign on the even-even block and a block-dependent
-sign elsewhere.
+    T_ab = s_ab E_ab,   s_ab = F(e_a, e_b) for a, b <= M, 1 otherwise,
+
+the epsilon-twist of Frenkel-Kac (Invent. Math. 62, 1980).  The bracket
+is the standard super bracket of the E_ab,
+
+    [E_ab, E_cd] = delta_bc E_ad - (-1)^{|x||y|} delta_da E_cb,
+
+and the form is the supertrace form str(E_ab E_cd), both rewritten in
+the T basis.
 
 The toroidal algebra attaches a Laurent exponent in Z^q to every symbol
 and adjoins central symbols t^mbar K_i modulo the relation
@@ -30,6 +34,7 @@ equality in the quotient decidable by direct comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .combination import Combination, accumulate, exact
 from .lattice import LatticeConfig, cocycle
@@ -110,6 +115,15 @@ def d_cocycle(mbar, nbar) -> ToroidalElement:
     )
 
 
+@lru_cache(maxsize=None)
+def _twist(M: int, a: int, b: int) -> int:
+    """s_ab, the sign with T_ab = s_ab E_ab: F(e_a, e_b) for a, b <= M, else 1."""
+    if a > M or b > M:
+        return 1
+    cfg = LatticeConfig(M, 1)
+    return cocycle(cfg.e(a), cfg.e(b))
+
+
 class Superalgebra:
     """gl(M|N) with its bracket table, form, and toroidal bracket."""
 
@@ -130,104 +144,34 @@ class Superalgebra:
         i, j = x
         return 0 if (i <= self.M) == (j <= self.M) else 1
 
-    def _root(self, i: int, j: int):
-        return self._lattice.root(i, j)
-
     def f_roots(self, i, j, k, l) -> int:
         """Cocycle on roots: F(alpha_ij, alpha_kl)."""
-        return cocycle(self._root(i, j), self._root(k, l))
+        return cocycle(self._lattice.root(i, j), self._lattice.root(k, l))
 
     def f_basis(self, i, j) -> int:
         """Cocycle on basis vectors: F(e_i, e_j)."""
         return cocycle(self._lattice.e(i), self._lattice.e(j))
 
     def bracket(self, x, y) -> GLElement:
-        """Super bracket of two basis symbols, per the defining tables."""
+        """Super bracket of two basis symbols: the standard one, twisted.
+
+        With T_ab = s_ab E_ab and each sign its own inverse,
+        [T_ab, T_cd] = s_ab s_cd (delta_bc s_ad T_ad - (-1)^{|x||y|} delta_da s_cb T_cb).
+        """
         a, b = x
         c, d = y
-        M = self.M
         for idx in (a, b, c, d):
             if not 1 <= idx <= self.size:
                 raise ValueError(f"index {idx} out of range 1..{self.size}")
-        bx = (a > M, b > M)
-        by = (c > M, d > M)
-
-        if bx == (False, False) and by == (False, False):
-            if a != b and c != d:
-                ip = (
-                    (1 if a == c else 0) + (1 if b == d else 0)
-                    - (1 if a == d else 0) - (1 if b == c else 0)
-                )
-                if ip >= 0:
-                    return GLElement.zero()
-                f = self.f_roots(a, b, c, d)
-                if b == c and d != a:
-                    return GLElement.symbol(a, d, f)
-                if d == a and b != c:
-                    return GLElement.symbol(c, b, f)
-                return GLElement.symbol(a, a, f) - GLElement.symbol(b, b, f)
-            if a == b and c != d:
-                w = (1 if a == c else 0) - (1 if a == d else 0)
-                return GLElement.symbol(c, d, w)
-            if a != b and c == d:
-                w = (1 if c == a else 0) - (1 if c == b else 0)
-                return GLElement.symbol(a, b, -w)
-            return GLElement.zero()
-
-        if bx == (True, True) and by == (True, True):
-            out = GLElement.zero()
-            if b == c:
-                out = out + GLElement.symbol(a, d)
-            if a == d:
-                out = out - GLElement.symbol(c, b)
-            return out
-
-        if bx == (False, False) and by == (True, False):
-            if a != b:
-                return GLElement.symbol(c, b, self.f_basis(b, a)) if a == d else GLElement.zero()
-            return GLElement.symbol(c, d, -1) if a == d else GLElement.zero()
-
-        if bx == (True, False) and by == (False, False):
-            if c != d:
-                return GLElement.symbol(a, d, self.f_basis(c, d)) if c == b else GLElement.zero()
-            return GLElement.symbol(a, b) if c == b else GLElement.zero()
-
-        if bx == (False, False) and by == (False, True):
-            return GLElement.symbol(a, d, self.f_basis(a, b)) if b == c else GLElement.zero()
-
-        if bx == (False, True) and by == (False, False):
-            return GLElement.symbol(c, b, -self.f_basis(c, d)) if d == a else GLElement.zero()
-
-        if bx == (True, True) and by == (True, False):
-            return GLElement.symbol(a, d) if b == c else GLElement.zero()
-
-        if bx == (True, False) and by == (True, True):
-            return GLElement.symbol(c, b, -1) if d == a else GLElement.zero()
-
-        if bx == (True, True) and by == (False, True):
-            return GLElement.symbol(c, b, -1) if d == a else GLElement.zero()
-
-        if bx == (False, True) and by == (True, True):
-            return GLElement.symbol(a, d) if b == c else GLElement.zero()
-
-        if bx == (True, False) and by == (False, True):
-            out = GLElement.zero()
-            if b == c:
-                out = out + GLElement.symbol(a, d)
-            if d == a:
-                out = out + GLElement.symbol(c, b, self.f_basis(c, b))
-            return out
-
-        if bx == (False, True) and by == (True, False):
-            out = GLElement.zero()
-            if d == a:
-                out = out + GLElement.symbol(c, b)
-            if b == c:
-                out = out + GLElement.symbol(a, d, self.f_basis(a, d))
-            return out
-
-        # remaining block pairs bracket to zero
-        return GLElement.zero()
+        M = self.M
+        w = _twist(M, a, b) * _twist(M, c, d)
+        items = []
+        if b == c:
+            items.append(((a, d), Fraction(w * _twist(M, a, d))))
+        if d == a:
+            odd = self.parity_symbol(x) and self.parity_symbol(y)
+            items.append(((c, b), Fraction((w if odd else -w) * _twist(M, c, b))))
+        return GLElement._sum(items)
 
     def bracket_el(self, X: GLElement, Y: GLElement) -> GLElement:
         return GLElement._sum(
@@ -238,23 +182,12 @@ class Superalgebra:
         )
 
     def form(self, x, y) -> Fraction:
-        """Supertrace form on basis symbols."""
+        """Supertrace form on basis symbols: (T_ab, T_cd) = s_ab s_cd str(E_ab E_cd)."""
         a, b = x
         c, d = y
-        M = self.M
         if b != c or d != a:
             return Fraction(0)
-        bx = (a > M, b > M)
-        by = (c > M, d > M)
-        if bx == (False, False) and by == (False, False):
-            return Fraction(self.f_roots(a, b, c, d))
-        if bx == (True, False) and by == (False, True):
-            return Fraction(-1)
-        if bx == (False, True) and by == (True, False):
-            return Fraction(1)
-        if bx == (True, True) and by == (True, True):
-            return Fraction(-1)
-        return Fraction(0)
+        return Fraction(_twist(self.M, a, b) * _twist(self.M, b, a) * (1 if a <= self.M else -1))
 
     def form_el(self, X: GLElement, Y: GLElement) -> Fraction:
         total = Fraction(0)

@@ -56,13 +56,13 @@ def reference_vertex_mode_apply(a, idx, s):
         shift = bilinear(a, gamma)
         sign = cocycle(a, gamma)
         new_gamma = a + gamma
-        for d, (d_ann, monos) in _exp_annihilation(a, mono).items():
+        for d, monos in _exp_annihilation(a, mono).items():
             c_level = d - shift - h
             if c_level < 0:
                 continue
             d_cre, created = _creation_level(a, c_level)
             for mo, n_ann in monos:
-                base = coeff * sign * Fraction(n_ann, d_ann)
+                base = coeff * sign * n_ann
                 accumulate(out, (((new_gamma, tuple(sorted(mo + extra))), base * Fraction(n_cre, d_cre))
                                  for extra, n_cre in created))
     return LatticeFockState._from_clean(out)

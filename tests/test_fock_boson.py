@@ -43,7 +43,7 @@ def test_flavor_validation():
     with pytest.raises(ValueError):
         phi_apply(0, 0, VAC)
     with pytest.raises(ValueError):
-        phi_star_apply(3, 0, VAC, num_flavors=2)
+        phi_star_apply(0, 0, VAC)
 
 
 def test_relations_31_exhaustive_box():

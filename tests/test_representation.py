@@ -108,12 +108,12 @@ def test_s_examples():
 
 def test_s_dressed_zero_mu_equals_plain():
     rng = random.Random(3)
-    for _ in range(15):
+    fams = (("upper", 1, M + 1), ("lower", M + 2, 1), ("boson", M + 2, M + 1))
+    for trial in range(15):
         s = random_tensor(rng)
         n = rng.randint(-2, 2)
-        assert SOp(1, M + 1, (0,), n).apply(s) == SOp(1, M + 1, (0,), n).apply(s)
-        plain = oracle_s_plain("upper", 1, M + 1, M, Q, n, s)
-        assert SOp(1, M + 1, (0,), n).apply(s) == plain
+        fam, i, j = fams[trial % 3]
+        assert SOp(i, j, (0,), n).apply(s) == oracle_s_plain(fam, i, j, M, Q, n, s), (fam, n)
 
 
 def test_s_plain_against_wide_window_oracle():
@@ -129,16 +129,21 @@ def test_s_plain_against_wide_window_oracle():
 
 
 def test_s_dressed_against_wide_window_oracle():
+    # the literal double sum checks the upper and lower families' identity-4.4 fold
     rng = random.Random(29)
     fams = (("upper", 1, M + 1), ("lower", M + 1, 1), ("boson", M + 2, M + 1))
-    for trial in range(8):
-        s = random_tensor(rng, max_deg=3)
+    nonzero = dict.fromkeys(((fam, q) for fam, _, _ in fams for q in (2, 3)), 0)
+    for trial in range(24):
+        q = 2 if trial < 12 else 3
+        s = random_tensor(rng, q=q, max_deg=3)
         fam, i, j = fams[trial % 3]
-        mu = (rng.randint(-2, 2),)
-        n = rng.randint(-2, 2)
+        mu = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(q - 1))
+        n = rng.randint(-3, 1)
         fast = SOp(i, j, mu, n).apply(s)
-        wide = oracle_s_dressed(fam, i, j, M, Q, mu, n, s)
+        wide = oracle_s_dressed(fam, i, j, M, q, mu, n, s)
         assert fast == wide, (fam, mu, n)
+        nonzero[(fam, q)] += not fast.is_zero()
+    assert min(nonzero.values()) >= 3, nonzero
 
 
 def test_diag_current_dressed_against_manual_window():

@@ -279,3 +279,67 @@ def test_readers_reject_wrong_json_shapes():
                 {"kind": "sum", "terms": [["1/1", {"kind": "phi", "flavor": 1, "r": 0}]]}):
         with pytest.raises(ValueError):
             ser.operator_from_obj(bad)
+
+
+
+def _put(template, v):
+    """template with its "<int>" placeholder replaced by v."""
+    if template == "<int>":
+        return v
+    if isinstance(template, dict):
+        return {k: _put(x, v) for k, x in template.items()}
+    if isinstance(template, list):
+        return [_put(x, v) for x in template]
+    return template
+
+
+_GAMMA = {"e": [0, 0, 0], "delta": [0], "d": [0]}
+_TERM = {"coeff": "1/1", "gamma": _GAMMA}
+# site -> (reader, JSON with one integer field left as "<int>", an int the site accepts)
+_INT_FIELD_SITES = {
+    "vector.e": (ser.vector_from_obj, {"e": [1, "<int>", 0]}, 1),
+    "vector.delta": (ser.vector_from_obj, {"e": [1, 0, 0], "delta": ["<int>"], "d": [0]}, 1),
+    "vector.d": (ser.vector_from_obj, {"e": [1, 0, 0], "delta": [0], "d": ["<int>"]}, 1),
+    "monomial.basis": (ser.lattice_state_from_obj,
+                       [{**_TERM, "monomial": [{"basis": "<int>", "mode": 1}]}], 0),
+    "monomial.mode": (ser.lattice_state_from_obj,
+                      [{**_TERM, "monomial": [{"basis": 0, "mode": "<int>"}]}], 1),
+    "monomial.power": (ser.lattice_state_from_obj,
+                       [{**_TERM, "monomial": [{"basis": 0, "mode": 1, "power": "<int>"}]}], 2),
+    "boson.flavor": (ser.tensor_state_from_obj,
+                     [{**_TERM, "phi": [{"flavor": "<int>", "doubled_mode": -1}]}], 1),
+    "boson.doubled_mode": (ser.boson_state_from_obj,
+                           [{"coeff": "1/1", "phi_star": [{"flavor": 1, "doubled_mode": "<int>"}]}],
+                           -3),
+    "toroidal.i": (ser.toroidal_from_obj,
+                   [{"coeff": "1/1", "kind": "T", "i": "<int>", "j": 2, "exponent": [0, 0]}], 1),
+    "toroidal.j": (ser.toroidal_from_obj,
+                   [{"coeff": "1/1", "kind": "T", "i": 1, "j": "<int>", "exponent": [0, 0]}], 2),
+    "toroidal.direction": (ser.toroidal_from_obj,
+                           [{"coeff": "1/1", "kind": "K", "direction": "<int>", "exponent": [0, 1]}],
+                           1),
+    "toroidal.exponent": (ser.toroidal_from_obj,
+                          [{"coeff": "1/1", "kind": "T", "i": 1, "j": 2, "exponent": [0, "<int>"]}],
+                          -1),
+    "gl.i": (ser.gl_element_from_obj, [{"coeff": "1/1", "i": "<int>", "j": 2}], 1),
+    "gl.j": (ser.gl_element_from_obj, [{"coeff": "1/1", "i": 1, "j": "<int>"}], 2),
+    "phi.flavor": (ser.operator_from_obj, {"kind": "phi", "flavor": "<int>", "r": 0}, 1),
+    "phi.r": (ser.operator_from_obj, {"kind": "phi_star", "flavor": 1, "r": "<int>"}, 1),
+    "vertex.index": (ser.operator_from_obj, {"kind": "vertex", "alpha": _GAMMA, "index": "<int>"}, 0),
+    "s_op.i": (ser.operator_from_obj, {"kind": "s_op", "i": "<int>", "j": 4, "mu": [0], "n": 0}, 1),
+    "s_op.n": (ser.operator_from_obj, {"kind": "s_op", "i": 1, "j": 4, "mu": [0], "n": "<int>"}, 0),
+    "s_op.mu": (ser.operator_from_obj, {"kind": "s_op", "i": 1, "j": 4, "mu": ["<int>"], "n": 0}, 1),
+    "central.direction": (ser.operator_from_obj,
+                          {"kind": "central", "mbar": [0, 0], "direction": "<int>"}, 2),
+    "central.mbar": (ser.operator_from_obj,
+                     {"kind": "central", "mbar": [0, "<int>"], "direction": 1}, 3),
+}
+
+
+@pytest.mark.parametrize("bad", (1.7, True, "3"), ids=("float", "bool", "string"))
+@pytest.mark.parametrize("site", sorted(_INT_FIELD_SITES))
+def test_readers_refuse_non_integers_in_integer_fields(site, bad):
+    reader, template, good = _INT_FIELD_SITES[site]
+    reader(_put(template, good))
+    with pytest.raises(ValueError, match="must be an integer"):
+        reader(_put(template, bad))

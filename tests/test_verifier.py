@@ -269,6 +269,16 @@ def test_cli_export_constants(tmp_path):
         {"coeff": "-1/1", "i": 1, "j": 1}, {"coeff": "1/1", "i": 2, "j": 2}]
 
 
+@pytest.mark.parametrize("M, N, digest", [
+    (3, 2, "fa2baad1b7c56aaa992625da69b5537beb045da2181707da53dbfbd7d605328a"),
+    (3, 3, "6740c39ef6fd33afec34984164a80b32fa73bc5118cb534169c3d3d4ec4e4b9b"),
+])
+def test_export_constants_table_is_pinned(M, N, digest, capsys):
+    assert main(["export-constants", "--M", str(M), "--N", str(N)]) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_replay(tmp_path):
     gen = verifier.FAMILIES["lemma49"]["generate"]
     pattern, payload = next(iter(gen(SMALL, "lemma4.9")))
@@ -308,7 +318,8 @@ def test_cli_input_and_config_errors_exit_2(capsys):
     ["act", "--op", "[]", "--state", "[]"],
     ["act", "--op", "null", "--state", "[]"],
     ["act", "--op", '{"kind": "phi", "flavor": 1, "r": 0}', "--state", '{"a": 1}'],
-], ids=["op-list", "op-null", "state-object"])
+    ["act", "--op", '{"kind": "phi", "flavor": 1.7, "r": 0}', "--state", "[]"],
+], ids=["op-list", "op-null", "state-object", "op-float-field"])
 def test_cli_wrong_json_shapes_exit_2(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
