@@ -152,7 +152,7 @@ def _exp_annihilation(a: LatticeVector, mono):
         m = len(tuple(run))
         w = -pair_with_basis(a, f[0])
         # mono is sorted and f runs in its order, so the kept factors stay sorted
-        options = [(k * f[1], (f,) * (m - k), comb(m, k) * w ** k) for k in range(m + 1 if w else 1)]
+        options = [(k * f[1], (f,) * (m - k), comb(m, k) * w**k) for k in range(m + 1 if w else 1)]
         terms = [(d + dk, kept + rest, c * ck) for d, kept, c in terms for dk, rest, ck in options]
     levels = {}
     for d, kept, c in terms:
@@ -191,7 +191,7 @@ def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> Lattic
     if not a.in_q():
         raise ValueError(f"vertex operators require a in Q, got {a!r}")
     h = _mode_depth(a, idx)
-    groups = {}  # input gamma -> {creation level: (created, [(signed numerator, q, annihilated), ...])}
+    groups = {}  # gamma -> {creation level: (created, [(numerator, q, annihilated), ...])}
     dens = set()
     for (gamma, mono), coeff in s.terms.items():
         shift = bilinear(a, gamma)
@@ -261,26 +261,31 @@ def effective_mode_bound(a: LatticeVector, s: LatticeFockState):
         return NEG_INF
     p = bilinear(a, a)
     drop = p if p % 2 == 0 else 1
-    best = NEG_INF
-    for (g, u) in s.terms:
-        eff = sum(n for (b, n) in u if pair_with_basis(a, b))
-        best = max(best, 2 * (eff - bilinear(a, g)) - drop)
-    return best
+    return max(
+        2 * (sum(n for b, n in u if pair_with_basis(a, b)) - bilinear(a, g)) - drop
+        for (g, u) in s.terms
+    )
 
 
 def current_upper_bound(a: LatticeVector, s: LatticeFockState):
     """Largest m > 0 with a(m) s possibly nonzero (0 if none; -inf on 0)."""
     if s.is_zero():
         return NEG_INF
-    best = 0
-    for (_, u) in s.terms:
-        for b, n in u:
-            if pair_with_basis(a, b) and n > best:
-                best = n
-    return best
+    return max((n for _, u in s.terms for b, n in u if pair_with_basis(a, b)), default=0)
 
 
-def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int, s: LatticeFockState) -> LatticeFockState:
+def _even_mode_sum(dm: LatticeVector, lo, hi, outer, s: LatticeFockState) -> LatticeFockState:
+    """sum over even doubled j in [lo, hi] of outer(j, X_j(dm) s), for a nonzero s."""
+    out = {}
+    for j in range(lo + lo % 2, hi + 1, 2):
+        inner = vertex_mode_apply(dm, j, s)
+        if not inner.is_zero():
+            accumulate(out, outer(j, inner).terms.items())
+    return LatticeFockState._from_clean(out)
+
+
+def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int,
+                       s: LatticeFockState) -> LatticeFockState:
     """sum_k X_{idx-k}(a) X_k(dm) s for an isotropic dm orthogonal to a.
 
     The k sum (doubled, even) is clipped above by the vanishing bound of
@@ -289,49 +294,49 @@ def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int, s: Lattice
     """
     if bilinear(dm, dm) != 0 or bilinear(a, dm) != 0:
         raise ValueError("product sum requires (dm, dm) = (a, dm) = 0")
-    hi = vanishing_bound(dm, s)
-    lo = idx - effective_mode_bound(a, s)
-    out = {}
-    if hi == NEG_INF or lo == float("inf"):
-        return LatticeFockState.zero()
-    for k in range(lo + lo % 2, hi + 1, 2):
-        inner = vertex_mode_apply(dm, k, s)
-        if not inner.is_zero():
-            accumulate(out, vertex_mode_apply(a, idx - k, inner).terms.items())
-    return LatticeFockState._from_clean(out)
+    if s.is_zero():
+        return s
+    return _even_mode_sum(dm, idx - effective_mode_bound(a, s), vanishing_bound(dm, s),
+                          lambda k, t: vertex_mode_apply(a, idx - k, t), s)
 
 
-def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int, s: LatticeFockState) -> LatticeFockState:
+def _dressed_current(a: LatticeVector, dm: LatticeVector, n: int,
+                     s: LatticeFockState) -> LatticeFockState:
+    """sum_k a(k) X_{2(n-k)}(dm) s for a without d-components and dm = delta_mu.
+
+    X_{2(n-k)}(dm) kills s once 2(n-k) passes the effective bound of dm,
+    which fixes the lowest k, and a(k) kills every state for k beyond the
+    current bound of a on s.  That bound, read on s, still holds on
+    X(dm) s: X(dm) creates only delta factors, which a cannot contract.
+    """
+    if dm.is_zero():
+        return heisenberg_apply(a, n, s)
+    if s.is_zero():
+        return s
+    k_hi = current_upper_bound(a, s)
+    return _even_mode_sum(dm, 2 * (n - k_hi), effective_mode_bound(dm, s),
+                          lambda j, t: heisenberg_apply(a, n - j // 2, t), s)
+
+
+def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int,
+                            s: LatticeFockState) -> LatticeFockState:
     """sum_k :X_{k+1/2}(a) X_{n-k-1/2}(b): s for odd vectors a, b.
 
-    Normal ordering keeps the written order when k + 1/2 <= n - k - 1/2
-    and otherwise swaps the two odd factors with a minus sign.  In each
-    term the factor acting first is the one with the larger mode, so the
-    sum is clipped by the effective bounds of a and b on s.
+    Normal ordering keeps the written order when k + 1/2 <= n - k - 1/2,
+    i.e. k <= (n-1)//2, and otherwise swaps the two odd factors with a
+    minus sign.  In each term the factor acting first is the one with the
+    larger mode, so the effective bound of its vector on s clips k.
     """
     if parity(a) != 1 or parity(b) != 1:
         raise ValueError("normal ordered pair sum is for odd vectors")
-    ba = effective_mode_bound(a, s)
-    bb = effective_mode_bound(b, s)
-    out = {}
-    if ba == NEG_INF or bb == NEG_INF:
-        return LatticeFockState.zero()
-    # doubled indices: first factor 2k+1, second 2(n-k)-1; the written
-    # order is kept iff 2k+1 <= 2(n-k)-1, i.e. k <= (n-1)//2
+    if s.is_zero():
+        return s
     split = (n - 1) // 2
-    keep_lo = n - (bb + 1) // 2  # keep order: second factor acts first
-    swap_hi = (ba - 1) // 2  # swapped: first factor acts first
-    for k in range(min(keep_lo, split + 1), max(split, swap_hi) + 1):
-        i1 = 2 * k + 1
-        i2 = 2 * (n - k) - 1
-        if k <= split:
-            if i2 > bb:
-                continue
-            accumulate(out, vertex_mode_apply(a, i1, vertex_mode_apply(b, i2, s)).terms.items())
-        else:
-            if i1 > ba:
-                continue
-            swapped = vertex_mode_apply(b, i2, vertex_mode_apply(a, i1, s))
-            accumulate(out, ((key, -c) for key, c in swapped.terms.items()))
+    out = {}
+    for k in range(n - (effective_mode_bound(b, s) + 1) // 2, split + 1):
+        kept = vertex_mode_apply(a, 2 * k + 1, vertex_mode_apply(b, 2 * (n - k) - 1, s))
+        accumulate(out, kept.terms.items())
+    for k in range(split + 1, (effective_mode_bound(a, s) - 1) // 2 + 1):
+        swapped = vertex_mode_apply(b, 2 * (n - k) - 1, vertex_mode_apply(a, 2 * k + 1, s))
+        accumulate(out, ((key, -c) for key, c in swapped.terms.items()))
     return LatticeFockState._from_clean(out)
-

@@ -47,35 +47,26 @@ class LatticeConfig:
         z = (0,) * (self.q - 1)
         return LatticeVector((0,) * self.M, z, z)
 
+    def _unit(self, block: int, i: int) -> "LatticeVector":
+        """Basis vector i, 1-based, of block 0 (e), 1 (delta) or 2 (d)."""
+        size = self.M if block == 0 else self.q - 1
+        if not 1 <= i <= size:
+            raise ValueError(f"{('e', 'delta', 'd')[block]} index {i} out of range 1..{size}")
+        blocks = [(0,) * self.M, (0,) * (self.q - 1), (0,) * (self.q - 1)]
+        blocks[block] = tuple(1 if k == i - 1 else 0 for k in range(size))
+        return LatticeVector(*blocks)
+
     def e(self, i: int) -> "LatticeVector":
         """Basis vector e_i, 1-based."""
-        if not 1 <= i <= self.M:
-            raise ValueError(f"e index {i} out of range 1..{self.M}")
-        return LatticeVector(
-            tuple(1 if k == i - 1 else 0 for k in range(self.M)),
-            (0,) * (self.q - 1),
-            (0,) * (self.q - 1),
-        )
+        return self._unit(0, i)
 
     def delta(self, j: int) -> "LatticeVector":
         """Basis vector delta_j, 1-based, defined for q >= 2."""
-        if not 1 <= j <= self.q - 1:
-            raise ValueError(f"delta index {j} out of range 1..{self.q - 1}")
-        return LatticeVector(
-            (0,) * self.M,
-            tuple(1 if k == j - 1 else 0 for k in range(self.q - 1)),
-            (0,) * (self.q - 1),
-        )
+        return self._unit(1, j)
 
     def dgen(self, j: int) -> "LatticeVector":
         """Basis vector d_j, 1-based, defined for q >= 2."""
-        if not 1 <= j <= self.q - 1:
-            raise ValueError(f"d index {j} out of range 1..{self.q - 1}")
-        return LatticeVector(
-            (0,) * self.M,
-            (0,) * (self.q - 1),
-            tuple(1 if k == j - 1 else 0 for k in range(self.q - 1)),
-        )
+        return self._unit(2, j)
 
     def root(self, i: int, j: int) -> "LatticeVector":
         """alpha_ij = e_i - e_j (zero when i = j)."""
@@ -90,13 +81,12 @@ class LatticeConfig:
 
     def basis_vector(self, idx: int) -> "LatticeVector":
         """Basis vector by flat 0-based index: e-block, delta-block, d-block."""
-        if 0 <= idx < self.M:
-            return self.e(idx + 1)
-        if self.M <= idx < self.M + self.q - 1:
-            return self.delta(idx - self.M + 1)
-        if self.M + self.q - 1 <= idx < self.rank:
-            return self.dgen(idx - self.M - (self.q - 1) + 1)
-        raise ValueError(f"basis index {idx} out of range 0..{self.rank - 1}")
+        if not 0 <= idx < self.rank:
+            raise ValueError(f"basis index {idx} out of range 0..{self.rank - 1}")
+        for block, size in enumerate((self.M, self.q - 1, self.q - 1)):
+            if idx < size:
+                return self._unit(block, idx + 1)
+            idx -= size
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,10 +100,6 @@ class LatticeVector:
     def __post_init__(self):
         if len(self.delta) != len(self.d):
             raise ValueError("delta and d blocks must have equal length")
-
-    @property
-    def config(self) -> LatticeConfig:
-        return LatticeConfig(len(self.e), len(self.delta) + 1)
 
     def in_gamma(self) -> bool:
         return not any(self.delta) and not any(self.d)
@@ -136,11 +122,7 @@ class LatticeVector:
         return self + (-other)
 
     def __neg__(self) -> "LatticeVector":
-        return LatticeVector(
-            tuple(-a for a in self.e),
-            tuple(-a for a in self.delta),
-            tuple(-a for a in self.d),
-        )
+        return self * -1
 
     def __mul__(self, n: int) -> "LatticeVector":
         return LatticeVector(
@@ -162,7 +144,8 @@ class LatticeVector:
 
 def _check_shape(a: LatticeVector, b: LatticeVector):
     if len(a.e) != len(b.e) or len(a.delta) != len(b.delta):
-        raise ValueError(f"lattice shape mismatch: {a!r} vs {b!r}")
+        raise ValueError(f"lattice shape mismatch: (M, q) = ({len(a.e)}, {len(a.delta) + 1})"
+                         f" vs ({len(b.e)}, {len(b.delta) + 1})")
 
 
 def bilinear(a: LatticeVector, b: LatticeVector) -> int:

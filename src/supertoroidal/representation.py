@@ -39,9 +39,8 @@ from fractions import Fraction
 from .combination import Combination, accumulate
 from .lattice import LatticeConfig, LatticeVector, bilinear, parity
 from .fock_lattice import (
-    NEG_INF,
     LatticeFockState,
-    current_upper_bound,
+    _dressed_current,
     effective_mode_bound,
     heisenberg_apply,
     monomial_degree,
@@ -116,18 +115,10 @@ def _map_half(fn, ts: TensorState) -> TensorState:
 _ONE = Fraction(1)
 
 
-def _lattice_keys(ts: TensorState) -> LatticeFockState:
-    """The lattice keys of ts as a state; the bound functions read only keys."""
-    return LatticeFockState._from_clean(dict.fromkeys((lk for lk, _ in ts.terms), _ONE))
-
-
 def _lattice_bound(a: LatticeVector, ts: TensorState):
-    """Effective doubled vanishing bound of a over the lattice keys."""
-    return effective_mode_bound(a, _lattice_keys(ts))
-
-
-def _current_bound(a: LatticeVector, ts: TensorState):
-    return current_upper_bound(a, _lattice_keys(ts))
+    """Effective doubled vanishing bound of a over the lattice keys; the bound reads only keys."""
+    keys = dict.fromkeys((lk for lk, _ in ts.terms), _ONE)
+    return effective_mode_bound(a, LatticeFockState._from_clean(keys))
 
 
 def _boson_depth(ts: TensorState):
@@ -217,10 +208,7 @@ class DiagCurrent(_Operator):
             return ts
         M, q = ts.lattice_shape()
         dm = LatticeConfig(M, q).delta_sum(self.mu)
-        if dm.is_zero():
-            return Current(self.alpha, self.mode).apply(ts)
-        k_hi = max(_current_bound(self.alpha, ts), 0)
-        return _window(dm, self.mode, k_hi, lambda k, t: Current(self.alpha, k).apply(t), ts)
+        return _map_half(lambda s: _dressed_current(self.alpha, dm, self.mode, s), ts)
 
 
 @dataclass(frozen=True)
@@ -260,9 +248,16 @@ class SOp(_Operator):
             return _s_plain(fam, vec, a, b, self.n, ts)
         if dm.is_zero():
             return _s_plain(fam, None, a, b, self.n, ts)
+        # X_{2(n-k)}(dm) kills ts once 2(n-k) passes the effective bound of
+        # dm; it creates only delta factors, which the bosons cannot
+        # contract, so the boson window read on ts holds on X(dm) ts too
         bd = _boson_depth(ts)
-        return _window(dm, self.n, (bd + 1) // 2 + (bd - 1) // 2,
-                       lambda k, t: _s_plain(fam, None, a, b, k, t), ts)
+        out = {}
+        for k in range(self.n - _lattice_bound(dm, ts) // 2, (bd + 1) // 2 + (bd - 1) // 2 + 1):
+            inner = VertexMode(dm, 2 * (self.n - k)).apply(ts)
+            if not inner.is_zero():
+                accumulate(out, _s_plain(fam, None, a, b, k, inner).terms.items())
+        return TensorState._from_clean(out)
 
     def parity(self, M: int) -> int:
         return 1 if (self.i <= M) != (self.j <= M) else 0
@@ -296,23 +291,6 @@ def _s_plain(fam: str, vec, a: int, b: int, m: int, ts: TensorState) -> TensorSt
         t = first.apply(ts)
         if not t.is_zero():
             accumulate(out, second.apply(t).terms.items())
-    return TensorState._from_clean(out)
-
-
-def _window(dm: LatticeVector, n: int, k_hi: int, plain, ts: TensorState) -> TensorState:
-    """sum_k plain(k, X_{2(n-k)}(dm) ts) for a nonzero dm, k up to k_hi.
-
-    Serves the dressed modes with no vertex factor to fold dm into:
-    DiagCurrent and the boson S family.  X_{2(n-k)}(dm) kills ts once
-    2(n-k) passes the effective bound of dm, which fixes the lowest k.
-    The caller reads k_hi off ts; it holds on X(dm) ts too, since X(dm)
-    only creates factors the e-block and the bosons cannot contract.
-    """
-    out = {}
-    for k in range(n - _lattice_bound(dm, ts) // 2, k_hi + 1):
-        inner = VertexMode(dm, 2 * (n - k)).apply(ts)
-        if not inner.is_zero():
-            accumulate(out, plain(k, inner).terms.items())
     return TensorState._from_clean(out)
 
 

@@ -105,13 +105,26 @@ def _lattice_key_to_obj(key, obj) -> dict:
 
 
 def _lattice_key_from_obj(item, config) -> tuple:
+    gamma = vector_from_obj(item["gamma"], config)
+    rank = len(gamma.e) + 2 * len(gamma.delta)
     factors = []
     for f in item.get("monomial", []):
-        b, n, p = _int(f["basis"], "basis"), _int(f["mode"], "mode"), _int(f.get("power", 1), "power")
+        b, n = _int(f["basis"], "basis"), _int(f["mode"], "mode")
+        p = _int(f.get("power", 1), "power")
         if n < 1 or p < 1:
             raise ValueError(f"bad monomial factor {f}")
+        if not 0 <= b < rank:
+            raise ValueError(f"monomial basis {b} out of range 0..{rank - 1} of its gamma")
         factors.extend([(b, n)] * p)
-    return vector_from_obj(item["gamma"], config), tuple(sorted(factors))
+    return gamma, tuple(sorted(factors))
+
+
+def _one_shape(state, gammas):
+    """state, once every gamma in it has the same lattice shape (M, q)."""
+    shapes = sorted({(len(g.e), len(g.delta) + 1) for g in gammas})
+    if len(shapes) > 1:
+        raise ValueError(f"state mixes lattice shapes (M, q): {shapes}")
+    return state
 
 
 def _modes_to_obj(modes) -> list:
@@ -171,7 +184,8 @@ def lattice_state_to_obj(s: LatticeFockState) -> list:
 
 
 def lattice_state_from_obj(obj, config: LatticeConfig | None = None) -> LatticeFockState:
-    return _terms_from_obj(LatticeFockState, obj, lambda item: _lattice_key_from_obj(item, config))
+    s = _terms_from_obj(LatticeFockState, obj, lambda item: _lattice_key_from_obj(item, config))
+    return _one_shape(s, (g for g, _ in s.terms))
 
 
 def boson_state_to_obj(s: BosonState) -> list:
@@ -188,10 +202,11 @@ def tensor_state_to_obj(s: rep.TensorState) -> list:
 
 
 def tensor_state_from_obj(obj, config: LatticeConfig | None = None) -> rep.TensorState:
-    return _terms_from_obj(
+    s = _terms_from_obj(
         rep.TensorState, obj,
         lambda item: (_lattice_key_from_obj(item, config), _boson_key_from_obj(item)),
     )
+    return _one_shape(s, (g for (g, _), _ in s.terms))
 
 
 def gl_element_to_obj(x: GLElement) -> list:
@@ -199,7 +214,8 @@ def gl_element_to_obj(x: GLElement) -> list:
 
 
 def gl_element_from_obj(obj) -> GLElement:
-    return _terms_from_obj(GLElement, obj, lambda item: (_int(item["i"], "i"), _int(item["j"], "j")))
+    return _terms_from_obj(GLElement, obj,
+                           lambda item: (_int(item["i"], "i"), _int(item["j"], "j")))
 
 
 def toroidal_to_obj(x: ToroidalElement) -> list:

@@ -375,11 +375,6 @@ ADJUDICATIONS = {
     },
 }
 
-# Open-question items whose printed central terms the cross-check is
-# expected to CONFIRM against the generic formula.
-CONFIRMATIONS = ("R2 central term", "ST2 central term", "R7/ST7 central terms")
-
-
 def solve_pattern(varspec, constraints, M, N, rng, tries=64):
     """Random index assignment satisfying eq/ne constraints, else None."""
     parent = {name: name for name, _ in varspec}

@@ -67,20 +67,6 @@ from .representation import (
     super_commutator,
 )
 
-FAMILY_ORDER = (
-    "cocycle",
-    "jacobi",
-    "form",
-    "rtables",
-    "sttables",
-    "prop33",
-    "thm46",
-    "lemma49",
-    "corollary19",
-    "identity110",
-)
-
-
 @dataclass(frozen=True)
 class CheckConfig:
     M: int = 3
@@ -113,15 +99,12 @@ def derive_rng(seed: int, *labels) -> random.Random:
 # seeded generation
 
 
-def _random_vector(rng, M, q, box, gamma_parity=None, q_only=False, gamma_only=False):
+def _random_vector(rng, M, q, box, gamma_parity=None, q_only=False):
     while True:
         e = tuple(rng.randint(-box, box) for _ in range(M))
         if gamma_parity is not None and sum(e) % 2 != gamma_parity:
             continue
         break
-    if gamma_only:
-        z = (0,) * (q - 1)
-        return LatticeVector(e, z, z)
     delta = tuple(rng.randint(-box, box) for _ in range(q - 1))
     if q_only:
         d = (0,) * (q - 1)
@@ -133,6 +116,17 @@ def _random_vector(rng, M, q, box, gamma_parity=None, q_only=False, gamma_only=F
 def _random_coeff(rng) -> Fraction:
     num = rng.choice((-3, -2, -1, 1, 2, 3))
     return Fraction(num, rng.randint(1, 3))
+
+
+def _random_bosons(rng, N, budget, p):
+    """(phi, phi*) creators drawn while each draw passes p and the doubled budget lasts."""
+    phi, phis = [], []
+    while budget >= 1 and rng.random() < p:
+        mag = 2 * rng.randint(0, (budget - 1) // 2) + 1
+        mode = (rng.randint(1, N), -mag)
+        (phi if rng.random() < 0.5 else phis).append(mode)
+        budget -= mag
+    return tuple(sorted(phi)), tuple(sorted(phis))
 
 
 def _random_state(rng, M, N, q, max_degree, box) -> TensorState:
@@ -149,19 +143,7 @@ def _random_state(rng, M, N, q, max_degree, box) -> TensorState:
                 n = rng.randint(1, budget // 2)
                 mono.append((rng.randrange(lat.rank), n))
                 budget -= 2 * n
-            phi, phis = [], []
-            while budget >= 1 and rng.random() < 0.5:
-                mag = 2 * rng.randint(0, (budget - 1) // 2) + 1
-                mode = (rng.randint(1, N), -mag)
-                if rng.random() < 0.5:
-                    phi.append(mode)
-                else:
-                    phis.append(mode)
-                budget -= mag
-            key = (
-                (gamma, tuple(sorted(mono))),
-                (tuple(sorted(phi)), tuple(sorted(phis))),
-            )
+            key = ((gamma, tuple(sorted(mono))), _random_bosons(rng, N, budget, 0.5))
             terms.append((key, _random_coeff(rng)))
         state = TensorState(terms)
         if not state.is_zero():
@@ -176,18 +158,8 @@ def gen_state(cfg: CheckConfig, seed_offset) -> TensorState:
 
 def _random_boson_state(rng, N, max_degree) -> BosonState:
     while True:
-        terms = []
-        for _ in range(rng.randint(1, 2)):
-            budget = max_degree
-            phi, phis = [], []
-            while budget >= 1 and rng.random() < 0.6:
-                mag = 2 * rng.randint(0, (budget - 1) // 2) + 1
-                mode = (rng.randint(1, N), -mag)
-                (phi if rng.random() < 0.5 else phis).append(mode)
-                budget -= mag
-            key = (tuple(sorted(phi)), tuple(sorted(phis)))
-            terms.append((key, _random_coeff(rng)))
-        s = BosonState(terms)
+        s = BosonState([(_random_bosons(rng, N, max_degree, 0.6), _random_coeff(rng))
+                        for _ in range(rng.randint(1, 2))])
         if not s.is_zero():
             return s
 
@@ -500,6 +472,23 @@ def _eval_boson31(payload, first, second, contracts):
 
 
 # ---------------------------------------------------------------------------
+# state identities: both sides as operators on the payload's state
+
+
+def _state_identity(sides):
+    """evaluate(cfg, payload) comparing the (lhs, rhs) of sides(lat, payload, state).
+
+    The state is payload["state"], decoded, and lat the config's lattice.
+    """
+    def evaluate(cfg, payload):
+        state = ser.tensor_state_from_obj(payload["state"])
+        lhs, rhs = sides(LatticeConfig(cfg.M, cfg.q), payload, state)
+        return lhs == rhs, lhs, rhs
+
+    return evaluate
+
+
+# ---------------------------------------------------------------------------
 # thm46 beyond the table rows
 
 
@@ -509,10 +498,9 @@ def _gen_kq_identity(cfg):
         yield "identity", {"state": _state_obj(rng, cfg)}
 
 
-def _eval_kq_identity(cfg, payload):
-    state = ser.tensor_state_from_obj(payload["state"])
-    img = apply(rho(ToroidalElement.k(cfg.q, (0,) * cfg.q), LatticeConfig(cfg.M, cfg.q)), state)
-    return img == state, img, state
+@_state_identity
+def _eval_kq_identity(lat, payload, state):
+    return apply(rho(ToroidalElement.k(lat.q, (0,) * lat.q), lat), state), state
 
 
 def _gen_central_witness(cfg):
@@ -556,9 +544,8 @@ def _gen_central_consistency(cfg):
                         "state": _state_obj(rng, cfg)}
 
 
-def _eval_central_consistency(cfg, payload):
-    state = ser.tensor_state_from_obj(payload["state"])
-    lat = LatticeConfig(cfg.M, cfg.q)
+@_state_identity
+def _eval_central_consistency(lat, payload, state):
     mbar = tuple(payload["mbar"])
     nbar = tuple(payload["nbar"])
     lhs = apply(rho(d_cocycle(mbar, nbar), lat), state)
@@ -574,7 +561,7 @@ def _eval_central_consistency(cfg, payload):
             (Fraction(mbar[-1]), VertexMode(lat.delta_sum(mu_total), 2 * s_mode)),
         ))
         rhs = apply(remark, state)
-    return lhs == rhs, lhs, rhs
+    return lhs, rhs
 
 
 def _gen_product44(cfg):
@@ -595,14 +582,12 @@ def _gen_product44(cfg):
                     "state": _state_obj(rng, cfg)}
 
 
-def _eval_product44(cfg, payload):
-    state = ser.tensor_state_from_obj(payload["state"])
-    lat = LatticeConfig(cfg.M, cfg.q)
+@_state_identity
+def _eval_product44(lat, payload, state):
     alpha = ser.vector_from_obj(payload["alpha"], lat)
     mu, idx = tuple(payload["mu"]), payload["index"]
-    lhs = apply(VertexProductSum(alpha, mu, idx), state)
-    rhs = apply(VertexMode(alpha + lat.delta_sum(mu), idx), state)
-    return lhs == rhs, lhs, rhs
+    return (apply(VertexProductSum(alpha, mu, idx), state),
+            apply(VertexMode(alpha + lat.delta_sum(mu), idx), state))
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +603,12 @@ def _gen_lemma49(cfg):
         yield pid, {"mu": mu, "mq": mq, "state": _state_obj(rng, cfg)}
 
 
-def _eval_lemma49(cfg, payload):
-    state = ser.tensor_state_from_obj(payload["state"])
+@_state_identity
+def _eval_lemma49(lat, payload, state):
     mu, mq = tuple(payload["mu"]), payload["mq"]
-    dm = LatticeConfig(cfg.M, cfg.q).delta_sum(mu)
+    dm = lat.delta_sum(mu)
     lhs = apply(DiagCurrent(dm, mq, mu), state) + mq * apply(VertexMode(dm, 2 * mq), state)
-    rhs = TensorState.zero()
-    return lhs == rhs, lhs, rhs
+    return lhs, TensorState.zero()
 
 
 def _gen_lemma28(cfg):
@@ -646,8 +630,8 @@ def _gen_lemma28(cfg):
                     "state": _state_obj(rng, cfg)}
 
 
-def _eval_lemma28(cfg, payload):
-    state = ser.tensor_state_from_obj(payload["state"])
+@_state_identity
+def _eval_lemma28(lat, payload, state):
     x1, y1, x2, y2 = (ser.operator_from_obj(payload[k]) for k in ("x1", "y1", "x2", "y2"))
     lhs = super_commutator(OpProduct((x1, y1)), OpProduct((x2, y2)), state)
     # [X1,X2] Y1 Y2 - X2 X1 [Y1,Y2], with the odd pair anticommuting
@@ -655,8 +639,7 @@ def _eval_lemma28(cfg, payload):
     first = y2.apply(state)
     first = y1.apply(first)
     first = x2.apply(x1.apply(first)) + x1.apply(x2.apply(first))
-    rhs = first - x2.apply(x1.apply(yy))
-    return lhs == rhs, lhs, rhs
+    return lhs, first - x2.apply(x1.apply(yy))
 
 
 # ---------------------------------------------------------------------------
@@ -685,16 +668,14 @@ def _gen_cor19_roots(cfg):
                     "n": rng.randint(-2, 2), "state": state}
 
 
-def _eval_cor19_roots(cfg, payload):
-    state = ser.tensor_state_from_obj(payload["state"])
-    lat = LatticeConfig(cfg.M, cfg.q)
+@_state_identity
+def _eval_cor19_roots(lat, payload, state):
     i, j, kk, m, n = (payload[k] for k in "ijkmn")
     op1 = VertexMode(lat.e(i), 2 * m - 1)
     op2 = VertexMode(lat.root(j, kk), 2 * n)
     lhs = super_commutator(op1, op2, state)
     w = cocycle(lat.e(i), lat.root(j, kk)) if i == kk else 0
-    rhs = w * apply(VertexMode(lat.e(j), 2 * (m + n) - 1), state)
-    return lhs == rhs, lhs, rhs
+    return lhs, w * apply(VertexMode(lat.e(j), 2 * (m + n) - 1), state)
 
 
 def _gen_cor19_odd(cfg):
@@ -710,16 +691,14 @@ def _gen_cor19_odd(cfg):
         yield pid, {"i": i, "j": j, "m": m, "n": n, "state": _state_obj(rng, cfg)}
 
 
-def _eval_cor19_odd(cfg, payload):
-    state = ser.tensor_state_from_obj(payload["state"])
-    lat = LatticeConfig(cfg.M, cfg.q)
+@_state_identity
+def _eval_cor19_odd(lat, payload, state):
     i, j, m, n = (payload[k] for k in "ijmn")
     op1 = VertexMode(lat.e(i), 2 * m - 1)
     op2 = VertexMode(-lat.e(j), 2 * n + 1)
     lhs = super_commutator(op1, op2, state)
     w = cocycle(lat.e(i), -lat.e(j)) if (i == j and m + n == 0) else 0
-    rhs = w * state
-    return lhs == rhs, lhs, rhs
+    return lhs, w * state
 
 
 def _gen_cor19_current(cfg):
@@ -743,15 +722,13 @@ def _gen_cor19_current(cfg):
                     "m": rng.randint(-2, 2), "index": idx, "state": state}
 
 
-def _eval_cor19_current(cfg, payload):
-    state = ser.tensor_state_from_obj(payload["state"])
-    lat = LatticeConfig(cfg.M, cfg.q)
+@_state_identity
+def _eval_cor19_current(lat, payload, state):
     alpha = ser.vector_from_obj(payload["alpha"], lat)
     beta = ser.vector_from_obj(payload["beta"], lat)
     m, idx = payload["m"], payload["index"]
     lhs = super_commutator(Current(alpha, m), VertexMode(beta, idx), state)
-    rhs = bilinear(alpha, beta) * apply(VertexMode(beta, idx + 2 * m), state)
-    return lhs == rhs, lhs, rhs
+    return lhs, bilinear(alpha, beta) * apply(VertexMode(beta, idx + 2 * m), state)
 
 
 def _gen_id110_roots(cfg):
@@ -768,16 +745,16 @@ def _gen_id110_roots(cfg):
         yield pid, {"i": i, "j": j, "m": m, "n": n, "state": _state_obj(rng, cfg)}
 
 
-def _eval_id110_roots(cfg, payload):
-    state = ser.tensor_state_from_obj(payload["state"])
+@_state_identity
+def _eval_id110_roots(lat, payload, state):
     i, j, m, n = (payload[k] for k in "ijmn")
-    alpha = LatticeConfig(cfg.M, cfg.q).root(i, j)
+    alpha = lat.root(i, j)
     lhs = super_commutator(VertexMode(alpha, 2 * m), VertexMode(-alpha, 2 * n), state)
     f = cocycle(alpha, -alpha)
     rhs = f * apply(Current(alpha, m + n), state)
     if m + n == 0 and m:
         rhs = rhs + (f * m) * state
-    return lhs == rhs, lhs, rhs
+    return lhs, rhs
 
 
 def _gen_id110_pairs(cfg):
@@ -790,16 +767,14 @@ def _gen_id110_pairs(cfg):
         yield pid, {"i": i, "j": j, "n": rng.randint(-2, 2), "form": pid, "state": state}
 
 
-def _eval_id110_pairs(cfg, payload):
-    state = ser.tensor_state_from_obj(payload["state"])
-    lat = LatticeConfig(cfg.M, cfg.q)
+@_state_identity
+def _eval_id110_pairs(lat, payload, state):
     i, j, n = payload["i"], payload["j"], payload["n"]
     a, b = lat.e(i), -lat.e(j)
     if payload["form"] == "form2":
         a, b = b, a
-    lhs = apply(NormalPairSum(a, b, n), state)
-    rhs = cocycle(a, b) * apply(VertexMode(lat.root(i, j), 2 * n), state)
-    return lhs == rhs, lhs, rhs
+    return (apply(NormalPairSum(a, b, n), state),
+            cocycle(a, b) * apply(VertexMode(lat.root(i, j), 2 * n), state))
 
 
 def _gen_id110_current(cfg):
@@ -809,12 +784,10 @@ def _gen_id110_current(cfg):
         yield pid, {"i": i, "n": n, "state": _state_obj(rng, cfg)}
 
 
-def _eval_id110_current(cfg, payload):
-    state = ser.tensor_state_from_obj(payload["state"])
-    ei = LatticeConfig(cfg.M, cfg.q).e(payload["i"])
-    lhs = apply(NormalPairSum(ei, -ei, payload["n"]), state)
-    rhs = apply(Current(ei, payload["n"]), state)
-    return lhs == rhs, lhs, rhs
+@_state_identity
+def _eval_id110_current(lat, payload, state):
+    ei, n = lat.e(payload["i"]), payload["n"]
+    return apply(NormalPairSum(ei, -ei, n), state), apply(Current(ei, n), state)
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +863,7 @@ _CLAUSES = {
         "1.10(3)": (_gen_id110_current, _eval_id110_current),
     },
 }
+FAMILY_ORDER = tuple(_CLAUSES)
 
 # the codec of each kind of check side, by name on serialize; any other
 # side (an int, the float of a negative power of -1, "nonzero") is kept

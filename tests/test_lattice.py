@@ -74,6 +74,12 @@ def test_shape_mismatch_rejected():
         bilinear(CFG.e(1), other.e(1))
 
 
+def test_shape_mismatch_names_both_shapes():
+    # the reprs of e1 in (M, q) = (2, 2) and (3, 1) read the same, the shapes do not
+    with pytest.raises(ValueError, match=r"\(M, q\) = \(2, 2\) vs \(3, 1\)"):
+        LatticeConfig(2, 2).e(1) + LatticeConfig(3, 1).e(1)
+
+
 @given(vec_strategy(), vec_strategy())
 def test_bilinear_symmetric(a, b):
     assert bilinear(a, b) == bilinear(b, a)

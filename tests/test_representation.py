@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from supertoroidal import serialize as ser
-from supertoroidal.lattice import LatticeConfig
+from supertoroidal.lattice import LatticeConfig, bilinear
 from supertoroidal.superalgebra import Superalgebra, ToroidalElement, d_cocycle
 from supertoroidal.representation import (
     CentralImage,
@@ -146,25 +146,41 @@ def test_s_dressed_against_wide_window_oracle():
     assert min(nonzero.values()) >= 3, nonzero
 
 
-def test_diag_current_dressed_against_manual_window():
-    rng = random.Random(31)
-    for _ in range(10):
-        s = random_tensor(rng, max_deg=3)
-        mu = (rng.randint(-2, 2),)
-        mq = rng.randint(-2, 2)
-        alpha = LAT.e(rng.randint(1, M))
-        fast = DiagCurrent(alpha, mq, mu).apply(s)
-        dm = LAT.delta_sum(mu)
-        from supertoroidal.representation import _current_bound, _lattice_bound
+def _spread_over_boson_keys(rng, s):
+    """s with each lattice key under two of three boson keys, so the boson groups differ."""
+    pool = (((), ()), (((1, -1),), ()), ((), ((2, -3), (2, -1))))
+    terms = {}
+    for (lk, _), c in s.terms.items():
+        for w, bk in zip((1, -2), rng.sample(pool, 2)):
+            terms[(lk, bk)] = terms.get((lk, bk), 0) + w * c
+    return TensorState(terms)
 
+
+def test_diag_current_dressed_against_manual_window():
+    # alpha = e_i at q = 2, and alpha = delta_i at q = 3 as in the image of K_i (i < q)
+    rng = random.Random(31)
+    nonzero = {("e", 2): 0, ("delta", 3): 0}
+    for trial in range(24):
+        kind, q = ("e", 2) if trial % 2 == 0 else ("delta", 3)
+        lat = LatticeConfig(M, q)
+        s = random_tensor(rng, q=q, max_deg=3, nterms=3)
+        if trial % 4 >= 2:
+            s = _spread_over_boson_keys(rng, s)
+        mu = tuple(rng.randint(-2, 2) for _ in range(q - 1))
+        mq = rng.randint(-2, 2)
+        alpha = lat.e(rng.randint(1, M)) if kind == "e" else lat.delta(rng.randint(1, q - 1))
+        fast = DiagCurrent(alpha, mq, mu).apply(s)
+        # crude window: X_{2(mq-k)}(dm) needs mq - k <= deg u - (dm, gamma), and alpha(k)
+        # with k > 0 needs a factor of mode k; widened by a margin
+        dm = lat.delta_sum(mu)
+        deg = max(sum(n for _, n in u) for (_, u), _ in s.terms)
+        shift = max(abs(bilinear(dm, g)) for (g, _), _ in s.terms)
         wide = TensorState.zero()
-        k_lo = mq - int(_lattice_bound(dm, s)) // 2 if not dm.is_zero() else mq
-        k_hi = max(int(_current_bound(alpha, s)), 0)
-        for k in range(k_lo - 4, k_hi + 5):
-            inner = VertexMode(dm, 2 * (mq - k)).apply(s)
-            if not inner.is_zero():
-                wide = wide + Current(alpha, k).apply(inner)
-        assert fast == wide
+        for k in range(mq - deg - shift - 3, deg + 4):
+            wide = wide + Current(alpha, k).apply(VertexMode(dm, 2 * (mq - k)).apply(s))
+        assert fast == wide, (kind, q, mu, mq)
+        nonzero[(kind, q)] += not fast.is_zero()
+    assert min(nonzero.values()) >= 8, nonzero
 
 
 def test_parities():

@@ -270,6 +270,16 @@ def test_readers_reject_wrong_json_shapes():
                  {"coeff": "1/1", "kind": "K", "direction": {}, "exponent": [0]}):
         with pytest.raises(ValueError):
             ser.toroidal_from_obj([item])
+    # a monomial basis index outside 0..rank-1 of its gamma, and gammas of two lattice shapes
+    g22 = {"e": [1, 0], "delta": [0], "d": [0]}
+    assert ser.tensor_state_from_obj([{"coeff": "1/1", "gamma": g22,
+                                       "monomial": [{"basis": 3, "mode": 1}]}])
+    for bad in ([{"coeff": "1/1", "gamma": g22, "monomial": [{"basis": 4, "mode": 1}]}],
+                [{"coeff": "1/1", "gamma": g22, "monomial": [{"basis": -1, "mode": 1}]}],
+                [{"coeff": "1/1", "gamma": g22}, {"coeff": "1/1", "gamma": {"e": [1, 0, 0]}}]):
+        for reader in (ser.lattice_state_from_obj, ser.tensor_state_from_obj):
+            with pytest.raises(ValueError, match="out of range|mixes lattice shapes"):
+                reader(bad)
     for bad in (None, [], "phi", 1, {"kind": []}, {"kind": {"kind": "phi"}},
                 {"kind": "phi", "flavor": None, "r": 0},
                 {"kind": "vertex", "alpha": [1, 0, 0], "index": 0},

@@ -300,7 +300,13 @@ def test_cli_replay(tmp_path):
 
 def test_cli_input_and_config_errors_exit_2(capsys):
     state = "[]"
+    phi = '{"kind": "phi", "flavor": 1, "r": 0}'
+    gamma = '"gamma": {"e": [1, 0], "delta": [0], "d": [0]}'
+    basis_beyond_rank = f'[{{"coeff": "1/1", {gamma}, "monomial": [{{"basis": 7, "mode": 1}}]}}]'
+    mixed_shapes = f'[{{"coeff": "1/1", {gamma}}}, {{"coeff": "1/1", "gamma": {{"e": [1, 0, 0]}}}}]'
     for argv in (["check", "--family", "corollary19", "--M", "1"],
+                 ["act", "--op", phi, "--state", basis_beyond_rank],
+                 ["act", "--op", phi, "--state", mixed_shapes],
                  ["check", "--family", "nosuch"],
                  ["act", "--op", '{"kind": "phi", "flavor": 0, "r": 0}', "--state", state],
                  ["act", "--op", '{"kind": "phi", "r": 0}', "--state", state],
