@@ -14,7 +14,15 @@ A term is its "coeff" next to the fields of its key; each key half, the
 lattice ("gamma", "monomial") and the boson ("phi", "phi_star") one, has
 one encoder and one decoder.  An operator is its "kind" and its fields.
 A reader refuses a JSON value of the wrong shape (an array where an
-object belongs, null, a string) with ValueError, like any other bad input.
+object belongs, an object or a string where an array belongs, null) or
+an object without a required field with ValueError, like any other bad
+input.
+
+dumps writes the text of json.dumps(obj, sort_keys=True, indent=2) and a
+newline, byte for byte, but emits it directly: json.dumps runs its
+pure-Python encoder whenever indent is set, while dumps hands strings to
+the C string encoder and ints to int.__repr__, and passes only the rare
+other scalars (floats, bools, None, non-str keys) to json.dumps.
 """
 
 from __future__ import annotations
@@ -31,8 +39,9 @@ from . import representation as rep
 
 
 def frac_to_str(c) -> str:
-    c = Fraction(c)
-    return f"{c.numerator}/{c.denominator}"
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return "%d/%d" % c.as_integer_ratio()
 
 
 def frac_from_str(s) -> Fraction:
@@ -58,14 +67,26 @@ def _int(x, what: str) -> int:
     return x
 
 
-def _ints(seq, what: str) -> tuple:
+def _array(seq, what: str):
     if not isinstance(seq, (list, tuple)):
-        raise ValueError(f"{what} must be a JSON array of integers, got {seq!r}")
-    return tuple(_int(x, what) for x in seq)
+        raise ValueError(f"{what} must be a JSON array, got {type(seq).__name__}")
+    return seq
+
+
+_INT = frozenset((int,))
+
+
+def _ints(seq, what: str) -> tuple:
+    if set(map(type, _array(seq, what))) <= _INT:
+        return tuple(seq)
+    return tuple(_int(x, what) for x in seq)  # raises at the first non-integer
 
 
 def _wrong_shape(what: str, exc: Exception) -> ValueError:
-    """A TypeError or AttributeError met while reading nested fields, as the input error it is."""
+    """A KeyError, TypeError or AttributeError met while reading nested fields, as the input
+    error it is."""
+    if isinstance(exc, KeyError):
+        return ValueError(f"{what} lacks the field {exc}")
     return ValueError(f"{what} has a field of the wrong JSON type ({exc})")
 
 
@@ -108,7 +129,7 @@ def _lattice_key_from_obj(item, config) -> tuple:
     gamma = vector_from_obj(item["gamma"], config)
     rank = len(gamma.e) + 2 * len(gamma.delta)
     factors = []
-    for f in item.get("monomial", []):
+    for f in _array(item.get("monomial", ()), "a monomial"):
         b, n = _int(f["basis"], "basis"), _int(f["mode"], "mode")
         p = _int(f.get("power", 1), "power")
         if n < 1 or p < 1:
@@ -131,7 +152,9 @@ def _modes_to_obj(modes) -> list:
     return [{"flavor": f, "doubled_mode": k} for f, k in modes]
 
 
-def _modes_from_obj(obj) -> tuple:
+def _modes_from_obj(obj, what: str) -> tuple:
+    if not _array(obj, what):
+        return ()
     return creation_modes((_int(x["flavor"], "flavor"), _int(x["doubled_mode"], "doubled_mode"))
                           for x in obj)
 
@@ -142,7 +165,8 @@ def _boson_key_to_obj(key, obj) -> dict:
 
 
 def _boson_key_from_obj(item) -> tuple:
-    return _modes_from_obj(item.get("phi", [])), _modes_from_obj(item.get("phi_star", []))
+    return (_modes_from_obj(item.get("phi", ()), "phi"),
+            _modes_from_obj(item.get("phi_star", ()), "phi_star"))
 
 
 # the integer fields of a toroidal key after its kind; the exponent comes last
@@ -170,11 +194,9 @@ def _terms_to_obj(x, key_to_obj) -> list:
 
 def _terms_from_obj(cls, obj, key_from_obj):
     what = f"a {cls.__name__}"
-    if not isinstance(obj, (list, tuple)):
-        raise ValueError(f"{what} must be a JSON array of terms, got {type(obj).__name__}")
     try:
-        terms = [(key_from_obj(item), frac_from_str(item["coeff"])) for item in obj]
-    except (TypeError, AttributeError) as exc:
+        terms = [(key_from_obj(item), frac_from_str(item["coeff"])) for item in _array(obj, what)]
+    except (KeyError, TypeError, AttributeError) as exc:
         raise _wrong_shape(what, exc) from None
     return cls(terms)
 
@@ -265,7 +287,7 @@ def operator_to_obj(op) -> dict:
 
 
 def operator_from_obj(obj, config: LatticeConfig | None = None):
-    kind = _object(obj, "an operator")["kind"]
+    kind = _object(obj, "an operator").get("kind")
     cls = _OPERATOR_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -279,17 +301,90 @@ def operator_from_obj(obj, config: LatticeConfig | None = None):
                 # an omitted mu is the empty one of q = 1; CentralImage refuses an empty mbar
                 args.append(_ints(obj.get(name, ()), name))
             elif name == "factors":
-                args.append(tuple(operator_from_obj(f, config) for f in obj["factors"]))
+                args.append(tuple(operator_from_obj(f, config)
+                                  for f in _array(obj["factors"], "factors")))
             elif name == "terms":
                 args.append(tuple((frac_from_str(t["coeff"]), operator_from_obj(t["op"], config))
-                                  for t in obj["terms"]))
+                                  for t in _array(obj["terms"], "terms")))
             else:
                 args.append(_int(obj[name], name))
-    except (TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise _wrong_shape("an operator", exc) from None
     return cls(*args)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _key_str(k) -> str:
+    """A dict key that is not a str as json.dumps writes it: an int, float, bool or None as JSON."""
+    if isinstance(k, (int, float)) or k is None:
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _emit(o, out: list, nl: str):
+    """Append the indent=2 JSON text of o to out; nl is a newline and the indent of o's level."""
+    t = type(o)
+    if t is str:
+        out.append(_encode_str(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is dict or isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            v = o[k]
+            try:
+                k = _encode_str(k)
+            except TypeError:
+                k = _encode_str(_key_str(k))
+            out.append(f"{sep}{k}: ")
+            _emit(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list or isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, o)) <= _INT:
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{nl}]")
+            return
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _emit(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        # a float, a bool, None or an int or str subclass reads the same at any indent
+        out.append(json.dumps(o))
+
+
+def _refuse_cycle(o, open_ids: set):
+    """Raise json.dumps's ValueError if the container o lies in itself; open_ids holds the ids
+    of the containers o lies in."""
+    if isinstance(o, (dict, list, tuple)):
+        if id(o) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(o))
+        for v in o.values() if isinstance(o, dict) else o:
+            _refuse_cycle(v, open_ids)
+        open_ids.discard(id(o))
+
+
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, newline terminated."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: json.dumps(obj, sort_keys=True, indent=2), newline terminated."""
+    out = []
+    try:
+        _emit(obj, out, "\n")
+    except RecursionError:
+        # a cycle recurses without end; it is looked for only then, off the common path
+        _refuse_cycle(obj, set())
+        raise
+    out.append("\n")
+    return "".join(out)

@@ -20,11 +20,14 @@ These recompute the library's operations along different routes:
   requested coefficient with no window logic;
 * oracle_s_plain / oracle_s_dressed evaluate the S mode sums with crude
   windows widened by a margin, so any clipping bug in the production
-  windows shows up as a discrepancy.
+  windows shows up as a discrepancy;
+* reference_dumps is the canonical JSON text through CPython's own
+  encoder, which serialize.dumps emits directly.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from supertoroidal.combination import accumulate
@@ -243,3 +246,8 @@ def oracle_s_dressed(fam, i, j, M, q, mu, n, ts, margin=3):
         if not inner.is_zero():
             out = out + oracle_s_plain(fam, i, j, M, q, k, inner, margin)
     return out
+
+
+def reference_dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) and a newline, the text of serialize.dumps."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_dumps
 from supertoroidal import serialize as ser
 from supertoroidal.lattice import LatticeConfig, LatticeVector
 from supertoroidal.fock_lattice import LatticeFockState
@@ -353,3 +355,161 @@ def test_readers_refuse_non_integers_in_integer_fields(site, bad):
     reader(_put(template, good))
     with pytest.raises(ValueError, match="must be an integer"):
         reader(_put(template, bad))
+
+
+# -- the direct emitter against json.dumps, and the readers under fuzzing
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+            | st.floats() | st.text(max_size=6)
+            | st.sampled_from(("", "\\", '"', "\n\t\x00\x7f", "é", " ", "\U0001f600")))
+_NON_STR_KEYS = st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans())
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | _NON_STR_KEYS.flatmap(lambda k: st.dictionaries(st.from_type(type(k)), inner,
+                                                                     max_size=3))),
+    max_leaves=24,
+)
+
+
+def _same_text_or_error(obj):
+    try:
+        expected = reference_dumps(obj)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            ser.dumps(obj)
+        return
+    assert ser.dumps(obj) == expected
+
+
+# a list and a dict that contain themselves, and a list shared by two
+# slots, which is no cycle
+_CYCLIC_LIST = []
+_CYCLIC_LIST.append(_CYCLIC_LIST)
+_CYCLIC_DICT = {"a": [1]}
+_CYCLIC_DICT["a"].append(_CYCLIC_DICT)
+_SHARED = [1, {"x": []}]
+
+
+@settings(max_examples=400)
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example(())
+@example({"a": {}, "b": [], "c": ()})
+@example([[], [{}], {"k": [[]]}])
+@example({"é\n": "\"\\ ", "": ""})
+@example([True, False, None, -0.0, 1e300, float("inf")])
+@example({2: [1], 10: {"x": None}})
+@example({1.5: 1, -2.0: 2})
+@example({True: 1, False: [2]})
+@example({None: 3})
+@example([-10**60, 10**60, 0])
+@example(("t", (1, 2)))
+@example({"timing": {"elapsed_s": 0.123456789, "per_family": [1.5, 2.25]}})
+@example({1: 1, "a": 2})
+@example({(1, 2): 3})
+@example([object()])
+@example({"a": {1j: 0}})
+@example(_CYCLIC_LIST)
+@example(_CYCLIC_DICT)
+@example([_SHARED, {"y": _SHARED}])
+def test_dumps_matches_json_dumps(obj):
+    _same_text_or_error(obj)
+
+
+def test_dumps_matches_json_dumps_on_encodings():
+    rng = random.Random(10)
+    for _ in range(100):
+        for obj in (ser.tensor_state_to_obj(random_tensor_state(rng)),
+                    ser.toroidal_to_obj(random_toroidal(rng)),
+                    ser.lattice_state_to_obj(random_lattice_state(rng)),
+                    ser.boson_state_to_obj(random_boson_state(rng))):
+            assert ser.dumps(obj) == reference_dumps(obj)
+    for op in _every_kind():
+        obj = ser.operator_to_obj(op)
+        assert ser.dumps(obj) == reference_dumps(obj)
+
+
+# readers meet objects whose keys are the encoding's own field names, so
+# the fuzzing reaches the nested fields and not only the outer shape check
+_FIELD_NAMES = ("coeff", "gamma", "e", "delta", "d", "monomial", "basis", "mode", "power", "phi",
+                "phi_star", "flavor", "doubled_mode", "kind", "i", "j", "direction", "exponent",
+                "alpha", "a", "b", "index", "r", "mu", "mbar", "n", "m", "factors", "terms", "op")
+# integers stay small: a monomial "power" is expanded into that many factors
+_READER_SCALARS = (st.none() | st.booleans() | st.integers(-4, 4) | st.floats(-2, 2)
+                   | st.sampled_from(("1/2", "-3/1", "1/0", "x", "", "T", "K",
+                                      *ser._OPERATOR_KINDS)))
+_READER_VALUES = st.recursive(
+    _READER_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(_FIELD_NAMES), inner, max_size=6)),
+    max_leaves=30,
+)
+_READERS = (ser.vector_from_obj, lambda obj: ser.vector_from_obj(obj, CFG),
+            ser.lattice_state_from_obj, ser.boson_state_from_obj, ser.tensor_state_from_obj,
+            ser.gl_element_from_obj, ser.toroidal_from_obj, ser.operator_from_obj,
+            lambda obj: ser.operator_from_obj(obj, CFG))
+
+
+@settings(max_examples=300)
+@given(_READER_VALUES, st.sampled_from(range(len(_READERS))))
+def test_readers_raise_only_value_error(obj, reader):
+    for value in (obj, [obj]):
+        try:
+            _READERS[reader](value)
+        except ValueError:
+            pass
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=8) | st.from_regex(r"\A *[-+]?[0-9_]{0,4}(/[-+0-9_]{0,4})? *\Z"))
+def test_frac_from_str_follows_fraction(s):
+    try:
+        expected = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            ser.frac_from_str(s)
+        return
+    got = ser.frac_from_str(s)
+    assert type(got) is Fraction and got == expected
+
+
+@given(st.lists(st.integers(), max_size=4), st.integers(0, 4),
+       st.one_of(st.floats(), st.booleans(), st.text(max_size=2), st.none(),
+                 st.just([]), st.just({})))
+def test_integer_arrays_refuse_any_non_integer(ints, at, bad):
+    e = ints[:at] + [bad] + ints[at:]
+    with pytest.raises(ValueError, match="must be an integer"):
+        ser.vector_from_obj({"e": e})
+    with pytest.raises(ValueError, match="must be an integer"):
+        ser.toroidal_from_obj([{"coeff": "1/1", "kind": "K", "direction": 1, "exponent": e}])
+    assert ser.vector_from_obj({"e": ints}).e == tuple(ints)
+
+
+_GAMMA2 = {"e": [0, 0], "delta": [], "d": []}
+
+
+@pytest.mark.parametrize("reader, obj", [
+    (ser.tensor_state_from_obj, [{"coeff": "1/2", "gamma": _GAMMA2, "phi": {}}]),
+    (ser.tensor_state_from_obj, [{"coeff": "1/2", "gamma": _GAMMA2, "phi": ""}]),
+    (ser.boson_state_from_obj, [{"coeff": "1/2", "phi_star": {}}]),
+    (ser.lattice_state_from_obj, [{"coeff": "1/2", "gamma": _GAMMA2, "monomial": {}}]),
+    (ser.tensor_state_from_obj, [{"coeff": "1/2", "gamma": _GAMMA2, "monomial": ""}]),
+    (ser.operator_from_obj, {"kind": "product", "factors": ""}),
+    (ser.operator_from_obj, {"kind": "sum", "terms": {}}),
+], ids=["phi-object", "phi-string", "phi_star-object", "monomial-object", "monomial-string",
+        "factors-string", "terms-object"])
+def test_readers_refuse_a_non_array_for_an_array(reader, obj):
+    with pytest.raises(ValueError, match="must be a JSON array"):
+        reader(obj)
+
+
+def test_readers_refuse_a_missing_field_as_value_error():
+    for reader, obj in ((ser.tensor_state_from_obj, [{"gamma": _GAMMA2}]),
+                        (ser.toroidal_from_obj, [{"coeff": "1/1", "i": 1, "j": 2}]),
+                        (ser.operator_from_obj, {"kind": "phi", "r": 0}),
+                        (ser.operator_from_obj, {"flavor": 1, "r": 0})):
+        with pytest.raises(ValueError):
+            reader(obj)

@@ -325,7 +325,11 @@ def test_cli_input_and_config_errors_exit_2(capsys):
     ["act", "--op", "null", "--state", "[]"],
     ["act", "--op", '{"kind": "phi", "flavor": 1, "r": 0}', "--state", '{"a": 1}'],
     ["act", "--op", '{"kind": "phi", "flavor": 1.7, "r": 0}', "--state", "[]"],
-], ids=["op-list", "op-null", "state-object", "op-float-field"])
+    ["act", "--op", '{"kind": "phi", "flavor": 1, "r": 0}',
+     "--state", '[{"coeff": "1/2", "gamma": {"e": [0, 0]}, "phi": {}}]'],
+    ["act", "--op", '{"kind": "sum", "terms": {}}', "--state", "[]"],
+], ids=["op-list", "op-null", "state-object", "op-float-field", "state-phi-object",
+        "op-terms-object"])
 def test_cli_wrong_json_shapes_exit_2(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
