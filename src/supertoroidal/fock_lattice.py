@@ -116,25 +116,41 @@ def group_multiply(a: LatticeVector, s: LatticeFockState) -> LatticeFockState:
 
 @lru_cache(maxsize=None)
 def _creation_level(a: LatticeVector, c: int):
-    """Coefficient of z^c in exp T_-(a, z) applied to 1.
+    """Coefficient of z^c in exp T_-(a, z) applied to 1, in closed form.
 
-    Returns (D, ((added-factors monomial, numerator), ...)), each
-    coefficient being numerator / D.  Differentiating exp T_- in z gives
-    k P_k = sum_{n=1..k} a(-n) P_{k-n} for the level-k part P_k, so
-    Q_k = k! P_k has integer coefficients and
-    Q_k = sum_n (k-1)!/(k-n)! a(-n) Q_{k-n}.
+    Returns (D, ((added-factors monomial, numerator), ...)) with the
+    monomials sorted and gcd(D, numerators) = 1, each coefficient being
+    numerator / D.  With a(-n) = sum_b w_b b(-n), exp T_- is the product
+    over the factor kinds f = b(-n) of exp(w_b f z^n / n), so the
+    monomial with m_f copies of each f has coefficient
+    prod_f w_b^m_f / (n^m_f m_f!), and c! times it is an int.
+
+    The monomials of degree c are enumerated depth first over the kinds
+    in factor order, more copies of a kind before fewer, which is their
+    sorted order.  After the kind b(-n) of the last basis index only
+    larger modes remain, so a branch that would leave a degree in 1..n
+    is not entered.
     """
     supp = basis_support(a)
-    levels = [{(): 1}]  # Q_0, ..., Q_c
-    for k in range(1, c + 1):
-        level = {}
-        for n in range(1, k + 1):
-            f = factorial(k - 1) // factorial(k - n)
-            accumulate(level, ((monomial_insert(mono, (b, n)), f * w * q)
-                               for mono, q in levels[k - n].items() for b, w in supp))
-        levels.append(level)
-    g = gcd(factorial(c), *levels[c].values())
-    return factorial(c) // g, tuple(sorted((mono, q // g) for mono, q in levels[c].items()))
+    fact = factorial(c)
+    # per kind b(-n) in factor order: its runs (degree, factors, w^m, n^m m!), most copies
+    # first, then n and whether b is the last basis index
+    kinds = [([(m * n, ((b, n),) * m, w**m, n**m * factorial(m)) for m in range(c // n, 0, -1)],
+              n, b == supp[-1][0]) for b, w in supp for n in range(1, c + 1)]
+    out = [((), 1)] if c == 0 else []
+
+    def fill(i, left, mono, num, rest):  # rest = c! / (the n^m m! so far), an int
+        for j in range(i, len(kinds)):
+            runs, n, last = kinds[j]
+            for deg, run, wm, dm in runs:
+                if deg == left:
+                    out.append((mono + run, num * wm * (rest // dm)))
+                elif deg < left and (not last or left - deg > n):
+                    fill(j + 1, left - deg, mono + run, num * wm, rest // dm)
+
+    fill(0, c, (), 1, fact)
+    g = gcd(fact, *(q for _, q in out))
+    return fact // g, tuple((mono, q // g) for mono, q in out)
 
 
 @lru_cache(maxsize=200_000)
@@ -182,23 +198,28 @@ def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> Lattic
     The sums run on ints: the annihilation levels are integral, so each
     (key, level) pair contributes over q = (input denominator) * D_cre,
     all are brought over the lcm of the q's, and one Fraction is built
-    per output key.  For one gamma
-    the creation level depends on d alone, so the annihilated monomials
-    of all keys are summed per (gamma, creation level) first and each
-    distinct one is multiplied by the creation level once.  Output keys
-    are grouped by gamma, so the inner loops hash only monomials.
+    per output key.  For one gamma the shift (a, gamma) + h and the
+    sign F(a, gamma) are computed once, and the creation level depends on
+    d alone, so the annihilated monomials of all keys are summed per
+    (gamma, creation level) first and each distinct one is multiplied by
+    the creation level once.  Output keys are grouped by gamma, so the
+    inner loops hash only monomials.
     """
     if not a.in_q():
         raise ValueError(f"vertex operators require a in Q, got {a!r}")
     h = _mode_depth(a, idx)
-    groups = {}  # gamma -> {creation level: (created, [(numerator, q, annihilated), ...])}
+    # gamma -> ({creation level: (created, [(numerator, q, annihilated), ...])},
+    #           (a, gamma) + h, F(a, gamma))
+    groups = {}
     dens = set()
     for (gamma, mono), coeff in s.terms.items():
-        shift = bilinear(a, gamma)
-        num = cocycle(a, gamma) * coeff.numerator
-        group = groups.setdefault(gamma, {})
+        hoisted = groups.get(gamma)
+        if hoisted is None:
+            hoisted = groups[gamma] = ({}, bilinear(a, gamma) + h, cocycle(a, gamma))
+        group, base, sign = hoisted
+        num = sign * coeff.numerator
         for d, monos in _exp_annihilation(a, mono).items():
-            c_level = d - shift - h
+            c_level = d - base
             if c_level < 0:
                 continue
             d_cre, created = _creation_level(a, c_level)
@@ -212,7 +233,7 @@ def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> Lattic
                 entry[1].append(row)
     den = lcm(*dens)
     out = {}
-    for gamma, group in groups.items():
+    for gamma, (group, _, _) in groups.items():
         sums = {}  # monomial -> numerator over den
         get = sums.get
         for created, rows in group.values():

@@ -23,7 +23,7 @@ Its first argument must lie in Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,10 +96,16 @@ class LatticeVector:
     e: tuple
     delta: tuple = ()
     d: tuple = ()
+    # vectors key every state term, so their hash is computed once, not per dict operation
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.delta) != len(self.d):
             raise ValueError("delta and d blocks must have equal length")
+        object.__setattr__(self, "_hash", hash((self.e, self.delta, self.d)))
+
+    def __hash__(self):
+        return self._hash
 
     def in_gamma(self) -> bool:
         return not any(self.delta) and not any(self.d)

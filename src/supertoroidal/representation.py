@@ -248,15 +248,17 @@ class SOp(_Operator):
             return _s_plain(fam, vec, a, b, self.n, ts)
         if dm.is_zero():
             return _s_plain(fam, None, a, b, self.n, ts)
-        # X_{2(n-k)}(dm) kills ts once 2(n-k) passes the effective bound of
-        # dm; it creates only delta factors, which the bosons cannot
-        # contract, so the boson window read on ts holds on X(dm) ts too
+        # the two factors are even and act on different halves, so they
+        # commute: the boson factor goes first, and a k whose image is 0
+        # costs no vertex mode.  The boson window is read on ts, and so is
+        # the bound of dm: X_{2(n-k)}(dm) kills a state once 2(n-k) passes
+        # it, and S^boson(k) ts carries a subset of the lattice keys of ts
         bd = _boson_depth(ts)
         out = {}
         for k in range(self.n - _lattice_bound(dm, ts) // 2, (bd + 1) // 2 + (bd - 1) // 2 + 1):
-            inner = VertexMode(dm, 2 * (self.n - k)).apply(ts)
+            inner = _s_plain(fam, None, a, b, k, ts)
             if not inner.is_zero():
-                accumulate(out, _s_plain(fam, None, a, b, k, inner).terms.items())
+                accumulate(out, VertexMode(dm, 2 * (self.n - k)).apply(inner).terms.items())
         return TensorState._from_clean(out)
 
     def parity(self, M: int) -> int:

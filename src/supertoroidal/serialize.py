@@ -1,8 +1,10 @@
 """Textual (JSON) encodings for states, elements and operators.
 
 All coefficients are emitted as explicit "p/q" strings and parsed back
-with exact rational arithmetic, so round trips are bit-exact.  Emitted
-term lists are canonically sorted.
+with exact rational arithmetic, so round trips are bit-exact.  A reader
+takes a coefficient as a JSON int or a "p" or "p/q" string of ASCII
+digits with an optional leading "-", and a monomial factor's "power" up
+to MAX_POWER.  Emitted term lists are canonically sorted.
 
 A lattice vector is an object with integer arrays "e", "delta", "d";
 arrays may be omitted on input when a LatticeConfig is supplied (they
@@ -28,6 +30,7 @@ other scalars (floats, bools, None, non-str keys) to json.dumps.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -44,14 +47,27 @@ def frac_to_str(c) -> str:
     return "%d/%d" % c.as_integer_ratio()
 
 
+# the grammar frac_to_str writes: ASCII digits with an optional leading "-", then "/" and digits
+_FRAC = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def frac_from_str(s) -> Fraction:
-    """A "p/q" string or an int as a Fraction; a float or a bool is refused."""
-    if type(s) is not str and type(s) is not int:
-        raise ValueError(f"coefficient {s!r} is neither a 'p/q' string nor an int")
-    try:
+    """A "p" or "p/q" string or an int as a Fraction.
+
+    Any other string ("1.5", " 3 ", "1_000", "1e2000000") is refused, as
+    are a float and a bool, so a coefficient costs work in proportion to
+    its digits.
+    """
+    if type(s) is int:
         return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"coefficient {s!r} has a zero denominator") from None
+    m = _FRAC.fullmatch(s) if type(s) is str else None
+    if m is None:
+        raise ValueError(f"coefficient {s!r} is not an int or a 'p' or 'p/q' string")
+    p, q = m.groups()
+    q = int(q or 1)
+    if not q:
+        raise ValueError(f"coefficient {s!r} has a zero denominator")
+    return Fraction(int(p), q)
 
 
 def _object(obj, what: str) -> dict:
@@ -125,6 +141,10 @@ def _lattice_key_to_obj(key, obj) -> dict:
     return obj
 
 
+# a monomial factor's "power" is read as that many copies of the factor
+MAX_POWER = 256
+
+
 def _lattice_key_from_obj(item, config) -> tuple:
     gamma = vector_from_obj(item["gamma"], config)
     rank = len(gamma.e) + 2 * len(gamma.delta)
@@ -134,6 +154,8 @@ def _lattice_key_from_obj(item, config) -> tuple:
         p = _int(f.get("power", 1), "power")
         if n < 1 or p < 1:
             raise ValueError(f"bad monomial factor {f}")
+        if p > MAX_POWER:
+            raise ValueError(f"monomial power {p} exceeds the limit {MAX_POWER}")
         if not 0 <= b < rank:
             raise ValueError(f"monomial basis {b} out of range 0..{rank - 1} of its gamma")
         factors.extend([(b, n)] * p)

@@ -5,6 +5,9 @@ These recompute the library's operations along different routes:
 * reference_vertex_mode_apply is the vertex kernel with one Fraction
   product and sum per (key, annihilation term, creation term), the loop
   the integer kernel replaced;
+* reference_creation_level builds a creation level of exp T_- by the
+  recurrence k P_k = sum_n a(-n) P_{k-n} from all lower levels, the
+  route the closed form replaced;
 * reference_boson_mode_apply applies a boson mode to a tensor state the
   grouped way the tensor path replaced: one BosonState per lattice key,
   through phi_apply / phi_star_apply;
@@ -14,10 +17,10 @@ These recompute the library's operations along different routes:
 * oracle_vertex_modes builds the whole z-series of Y(a, z) applied to a
   state as a dense convolution of exp-series levels, with the
   annihilation exponential expanded through partitions and the creation
-  exponential through iterated application (the production code iterates
-  the annihilation exponential and builds each creation level from the
-  lower ones by k P_k = sum_n a(-n) P_{k-n}), and reads off every
-  requested coefficient with no window logic;
+  exponential through iterated application (the production code
+  substitutes into each annihilated factor and writes each creation
+  level in closed form), and reads off every requested coefficient with
+  no window logic;
 * oracle_s_plain / oracle_s_dressed evaluate the S mode sums with crude
   windows widened by a margin, so any clipping bug in the production
   windows shows up as a discrepancy;
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import factorial, gcd
 
 from supertoroidal.combination import accumulate
 from supertoroidal.lattice import LatticeConfig, bilinear, basis_support, cocycle, pair_with_basis
@@ -39,6 +43,7 @@ from supertoroidal.fock_lattice import (
     _mode_depth,
     heisenberg_apply,
     monomial_degree,
+    monomial_insert,
 )
 from supertoroidal.fock_boson import BosonState, phi_apply, phi_star_apply
 from supertoroidal.representation import (
@@ -69,6 +74,26 @@ def reference_vertex_mode_apply(a, idx, s):
                 accumulate(out, (((new_gamma, tuple(sorted(mo + extra))), base * Fraction(n_cre, d_cre))
                                  for extra, n_cre in created))
     return LatticeFockState._from_clean(out)
+
+
+def reference_creation_level(a, c):
+    """_creation_level(a, c) through the recurrence on Q_k = k! P_k.
+
+    Differentiating exp T_- in z gives k P_k = sum_{n=1..k} a(-n) P_{k-n}
+    for the level-k part P_k, so Q_k has integer coefficients and
+    Q_k = sum_n (k-1)!/(k-n)! a(-n) Q_{k-n}.
+    """
+    supp = basis_support(a)
+    levels = [{(): 1}]  # Q_0, ..., Q_c
+    for k in range(1, c + 1):
+        level = {}
+        for n in range(1, k + 1):
+            f = factorial(k - 1) // factorial(k - n)
+            accumulate(level, ((monomial_insert(mono, (b, n)), f * w * q)
+                               for mono, q in levels[k - n].items() for b, w in supp))
+        levels.append(level)
+    g = gcd(factorial(c), *levels[c].values())
+    return factorial(c) // g, tuple(sorted((mono, q // g) for mono, q in levels[c].items()))
 
 
 def reference_boson_mode_apply(j, r, ts, star=False):

@@ -3,9 +3,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supertoroidal.lattice import (LatticeConfig, LatticeVector, basis_support, bilinear,
-                                   pair_with_basis)
+                                   cocycle, pair_with_basis)
 from supertoroidal.fock_lattice import (
     LatticeFockState,
     _creation_level,
@@ -26,6 +28,7 @@ from oracles import (
     _creation_series,
     naive_heisenberg,
     oracle_vertex_modes,
+    reference_creation_level,
     reference_vertex_mode_apply,
 )
 
@@ -171,6 +174,36 @@ def test_vertex_modes_against_series_oracle():
             assert vertex_mode_apply(a, k, s) == dense[k], (a, k, s)
 
 
+def test_vertex_modes_per_gamma_against_series_oracle():
+    # several terms share each of two or three gammas, each gamma with its own input
+    # denominator, so the shift and the sign computed once per gamma serve many terms
+    rng = random.Random(13)
+    vectors = [v for v in small_q_vectors(CFG) if not v.is_zero()]
+    mixed_signs = mixed_shifts = multi_gamma = 0
+    for trial in range(36):
+        gammas = {next(iter(random_state(rng, nterms=1).terms))[0]
+                  for _ in range(rng.randint(2, 3))}
+        terms = {}
+        for gamma, den in zip(gammas, rng.sample((2, 3, 5, 7), len(gammas))):
+            for _ in range(3):
+                (_, mono), = random_state(rng, nterms=1, max_deg=2).terms
+                terms[(gamma, mono)] = Fraction(rng.choice((-3, -1, 1, 2)), den)
+        s = LatticeFockState(terms)
+        a = vectors[trial % len(vectors)]
+        mixed_signs += len({cocycle(a, g) for g in gammas}) > 1
+        mixed_shifts += len({bilinear(a, g) for g in gammas}) > 1
+        par = bilinear(a, a) % 2
+        klo = -4 + par
+        khi = int(max(vanishing_bound(a, s), klo))
+        dense = oracle_vertex_modes(a, s, klo, khi)
+        for k in range(klo, khi + 1, 2):
+            img = vertex_mode_apply(a, k, s)
+            assert img == dense[k], (a, k, s)
+            multi_gamma += len({g for g, _ in img.terms}) > 1
+    assert min(mixed_signs, mixed_shifts) >= 10 and multi_gamma >= 30, \
+        (mixed_signs, mixed_shifts, multi_gamma)
+
+
 def test_vanishing_bound_examples_and_soundness():
     a = CFG.root(1, 2)
     assert vanishing_bound(a, VAC) == -2
@@ -257,6 +290,32 @@ def test_cached_levels_against_series_oracles():
                 monos = levels.get(d, ())
                 assert all(type(n) is int and n != 0 for _, n in monos)
                 assert {(zero, mo): Fraction(n) for mo, n in monos} == expect, (a, mono, d)
+
+
+_COORD = st.integers(-2, 2)
+_Q_VECTORS = st.tuples(st.integers(1, 4), st.integers(1, 3)).flatmap(
+    lambda shape: st.builds(LatticeVector, st.tuples(*[_COORD] * shape[0]),
+                            st.tuples(*[_COORD] * (shape[1] - 1)), st.just((0,) * (shape[1] - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_Q_VECTORS, st.integers(0, 8))
+@example(LatticeConfig(4, 3).zero(), 0)
+@example(LatticeConfig(4, 3).zero(), 5)
+@example(LatticeVector((2, -2, 1, -1), (2, -1), (0, 0)), 6)
+def test_creation_level_closed_form_against_recurrence_and_series(a, c):
+    den, created = _creation_level(a, c)
+    assert (den, created) == reference_creation_level(a, c)
+    # lowest terms over D, and the monomials sorted inside and strictly increasing
+    monos = [mo for mo, _ in created]
+    assert den >= 1 and gcd(den, *(n for _, n in created)) == 1
+    assert all(type(n) is int and n != 0 for _, n in created)
+    assert all(list(mo) == sorted(mo) for mo in monos)
+    assert all(x < y for x, y in zip(monos, monos[1:]))
+    zero = a * 0
+    series = _creation_series(a, LatticeFockState.basis(zero), c)
+    expect = series[c].terms if c in series else {}
+    assert {(zero, mo): Fraction(n, den) for mo, n in created} == expect, (a, c)
 
 
 def test_integer_kernel_matches_fraction_reference():

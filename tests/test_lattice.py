@@ -143,3 +143,14 @@ def test_q1_degenerates_to_gamma():
     assert cfg.rank == 4
     assert cfg.zero().delta == ()
     assert cfg.delta_sum(()) == cfg.zero()
+
+
+@given(vec_strategy(), vec_strategy())
+def test_cached_hash_follows_equality(a, b):
+    # equal vectors built along different routes share one hash and one dict slot
+    for x, y in ((a, b), (a + b, b + a), (a - a, CFG.zero()), (2 * a, a + a)):
+        assert (x == y) == ((x.e, x.delta, x.d) == (y.e, y.delta, y.d))
+        if x == y:
+            assert hash(x) == hash(y) and {x: 1}[y] == 1
+    rebuilt = LatticeVector(a.e, a.delta, a.d)
+    assert rebuilt == a and hash(rebuilt) == hash(a) and repr(rebuilt) == repr(a)

@@ -111,6 +111,20 @@ def test_monomial_power_grouping():
     assert ser.lattice_state_from_obj(obj) == s
 
 
+def test_monomial_power_is_capped():
+    # a power is read as that many factor copies, so the reader bounds it
+    def term(power):
+        return {"coeff": "1/1", "gamma": ser.vector_to_obj(CFG.zero()),
+                "monomial": [{"basis": 0, "mode": 1, "power": power}], "phi": [], "phi_star": []}
+
+    (_, mono), = ser.lattice_state_from_obj([term(ser.MAX_POWER)]).terms
+    assert mono == ((0, 1),) * ser.MAX_POWER
+    for power in (ser.MAX_POWER + 1, 10**9):
+        for reader in (ser.lattice_state_from_obj, ser.tensor_state_from_obj):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                reader([term(power)])
+
+
 def test_bulk_roundtrips():
     rng = random.Random(0)
     for _ in range(200):
@@ -463,13 +477,33 @@ def test_readers_raise_only_value_error(obj, reader):
             pass
 
 
+def _in_coefficient_grammar(s: str) -> bool:
+    """s is "p" or "p/q" in ASCII digits with an optional leading "-", as frac_to_str writes."""
+    parts = (s[1:] if s.startswith("-") else s).split("/")
+    return len(parts) <= 2 and all(p and set(p) <= set("0123456789") for p in parts)
+
+
 @settings(max_examples=300)
-@given(st.text(max_size=8) | st.from_regex(r"\A *[-+]?[0-9_]{0,4}(/[-+0-9_]{0,4})? *\Z"))
+@given(st.text(max_size=8) | st.from_regex(r"\A *[-+]?[0-9_]{0,4}(/[-+0-9_]{0,4})? *\Z")
+       | st.from_regex(r"\A-?[0-9]{1,6}(/[0-9]{1,6})?\Z"))
+@example("1e2000000")
+@example("1.5")
+@example(" 3 ")
+@example("1_000")
+@example("+3")
+@example("3\n")
+@example("\u0663")  # an Arabic-Indic digit, which int() and Fraction() read
+@example("-0/7")
 def test_frac_from_str_follows_fraction(s):
+    # Fraction is the oracle on the grammar frac_to_str writes; the reader refuses the rest
+    if not _in_coefficient_grammar(s):
+        with pytest.raises(ValueError):
+            ser.frac_from_str(s)
+        return
     try:
         expected = Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        with pytest.raises(ValueError):
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="zero denominator"):
             ser.frac_from_str(s)
         return
     got = ser.frac_from_str(s)
