@@ -20,11 +20,22 @@ object belongs, an object or a string where an array belongs, null) or
 an object without a required field with ValueError, like any other bad
 input.
 
+A state repeats few gammas and few phi/phi_star lists over many terms,
+so a state reader costs a pass over the terms plus one full read per
+distinct gamma and per distinct mode list, kept in a memo for the call.
+Only a value made of exact ints is looked up there, so a 1.0 or a true,
+which equal 1 and hash alike, never shares an entry with a 1.  A state
+encoder builds one object per distinct gamma, monomial and mode list and
+lets the terms that have it share it, so its result is for encoding
+(dumps, json.dumps), not for editing in place.
+
 dumps writes the text of json.dumps(obj, sort_keys=True, indent=2) and a
 newline, byte for byte, but emits it directly: json.dumps runs its
 pure-Python encoder whenever indent is set, while dumps hands strings to
 the C string encoder and ints to int.__repr__, and passes only the rare
-other scalars (floats, bools, None, non-str keys) to json.dumps.
+other scalars (floats, bools, None, non-str keys) to json.dumps.  A dict
+or list that several dict values share is written once per indent level
+and its text reused.
 """
 
 from __future__ import annotations
@@ -33,6 +44,8 @@ import json
 import re
 from dataclasses import fields
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 from .lattice import LatticeConfig, LatticeVector
 from .fock_lattice import LatticeFockState
@@ -132,24 +145,20 @@ def vector_from_obj(obj, config: LatticeConfig | None = None) -> LatticeVector:
     return LatticeVector(e, delta, d)
 
 
-def _lattice_key_to_obj(key, obj) -> dict:
+def _monomial_to_obj(mono) -> list:
     counts = {}
-    for f in key[1]:
+    for f in mono:
         counts[f] = counts.get(f, 0) + 1
-    obj["gamma"] = vector_to_obj(key[0])
-    obj["monomial"] = [{"basis": b, "mode": n, "power": p} for (b, n), p in sorted(counts.items())]
-    return obj
+    return [{"basis": b, "mode": n, "power": p} for (b, n), p in sorted(counts.items())]
 
 
 # a monomial factor's "power" is read as that many copies of the factor
 MAX_POWER = 256
 
 
-def _lattice_key_from_obj(item, config) -> tuple:
-    gamma = vector_from_obj(item["gamma"], config)
-    rank = len(gamma.e) + 2 * len(gamma.delta)
+def _monomial_from_obj(obj, rank: int) -> tuple:
     factors = []
-    for f in _array(item.get("monomial", ()), "a monomial"):
+    for f in _array(obj, "a monomial"):
         b, n = _int(f["basis"], "basis"), _int(f["mode"], "mode")
         p = _int(f.get("power", 1), "power")
         if n < 1 or p < 1:
@@ -159,7 +168,7 @@ def _lattice_key_from_obj(item, config) -> tuple:
         if not 0 <= b < rank:
             raise ValueError(f"monomial basis {b} out of range 0..{rank - 1} of its gamma")
         factors.extend([(b, n)] * p)
-    return gamma, tuple(sorted(factors))
+    return tuple(sorted(factors))
 
 
 def _one_shape(state, gammas):
@@ -181,14 +190,102 @@ def _modes_from_obj(obj, what: str) -> tuple:
                           for x in obj)
 
 
-def _boson_key_to_obj(key, obj) -> dict:
-    obj["phi"], obj["phi_star"] = _modes_to_obj(key[0]), _modes_to_obj(key[1])
-    return obj
+class _KeyWriter:
+    """The key encoders of one state, which encode each distinct gamma, monomial and
+    mode list once; the terms that have one share its object."""
+
+    __slots__ = ("gammas", "monomials", "mode_lists")
+
+    def __init__(self):
+        self.gammas = {}  # LatticeVector -> its object
+        self.monomials = {}  # sorted factors -> their list
+        self.mode_lists = {}  # sorted creators -> their list
+
+    def lattice(self, key, obj) -> dict:
+        gamma, mono = key
+        v = self.gammas.get(gamma)
+        if v is None:
+            v = self.gammas[gamma] = vector_to_obj(gamma)
+        obj["gamma"] = v
+        v = self.monomials.get(mono)
+        if v is None:
+            v = self.monomials[mono] = _monomial_to_obj(mono)
+        obj["monomial"] = v
+        return obj
+
+    def modes(self, modes) -> list:
+        v = self.mode_lists.get(modes)
+        if v is None:
+            v = self.mode_lists[modes] = _modes_to_obj(modes)
+        return v
+
+    def boson(self, key, obj) -> dict:
+        obj["phi"], obj["phi_star"] = self.modes(key[0]), self.modes(key[1])
+        return obj
+
+    def tensor(self, key, obj) -> dict:
+        return self.boson(key[1], self.lattice(key[0], obj))
 
 
-def _boson_key_from_obj(item) -> tuple:
-    return (_modes_from_obj(item.get("phi", ()), "phi"),
-            _modes_from_obj(item.get("phi_star", ()), "phi_star"))
+_LIST = frozenset((list,))
+# a boson mode's two fields as one pair
+_FLAVOR_MODE = itemgetter("flavor", "doubled_mode")
+
+
+class _KeyReader:
+    """The key readers of one state, which read each distinct gamma and mode list once.
+
+    A raw value is looked up only once each of its elements is exactly an
+    int; anything else (an omitted field, a value that is not a list, a
+    nested or unhashable value) is read the uncached way and raises what
+    that raises.
+    """
+
+    __slots__ = ("config", "gammas", "mode_lists")
+
+    def __init__(self, config: LatticeConfig | None = None):
+        self.config = config
+        self.gammas = {}  # (e, delta, d) as read -> its LatticeVector
+        self.mode_lists = {}  # ((flavor, doubled_mode), ...) as read -> its sorted creators
+
+    def gamma(self, obj) -> LatticeVector:
+        if type(obj) is dict:
+            e, delta, d = obj.get("e"), obj.get("delta"), obj.get("d")
+            if ({type(e), type(delta), type(d)} <= _LIST
+                    and set(map(type, chain(e, delta, d))) <= _INT):
+                raw = (tuple(e), tuple(delta), tuple(d))
+                v = self.gammas.get(raw)
+                if v is None:
+                    v = self.gammas[raw] = vector_from_obj(obj, self.config)
+                return v
+        return vector_from_obj(obj, self.config)
+
+    def lattice(self, item) -> tuple:
+        gamma = self.gamma(item["gamma"])
+        rank = len(gamma.e) + 2 * len(gamma.delta)
+        return gamma, _monomial_from_obj(item.get("monomial", ()), rank)
+
+    def modes(self, obj, what: str) -> tuple:
+        if type(obj) is list:
+            if not obj:
+                return ()
+            try:
+                raw = tuple(map(_FLAVOR_MODE, obj))
+            except (KeyError, TypeError):
+                return _modes_from_obj(obj, what)
+            if set(map(type, chain.from_iterable(raw))) <= _INT:
+                v = self.mode_lists.get(raw)
+                if v is None:
+                    v = self.mode_lists[raw] = creation_modes(raw)
+                return v
+        return _modes_from_obj(obj, what)
+
+    def boson(self, item) -> tuple:
+        return (self.modes(item.get("phi", ()), "phi"),
+                self.modes(item.get("phi_star", ()), "phi_star"))
+
+    def tensor(self, item) -> tuple:
+        return self.lattice(item), self.boson(item)
 
 
 # the integer fields of a toroidal key after its kind; the exponent comes last
@@ -224,32 +321,28 @@ def _terms_from_obj(cls, obj, key_from_obj):
 
 
 def lattice_state_to_obj(s: LatticeFockState) -> list:
-    return _terms_to_obj(s, _lattice_key_to_obj)
+    return _terms_to_obj(s, _KeyWriter().lattice)
 
 
 def lattice_state_from_obj(obj, config: LatticeConfig | None = None) -> LatticeFockState:
-    s = _terms_from_obj(LatticeFockState, obj, lambda item: _lattice_key_from_obj(item, config))
+    s = _terms_from_obj(LatticeFockState, obj, _KeyReader(config).lattice)
     return _one_shape(s, (g for g, _ in s.terms))
 
 
 def boson_state_to_obj(s: BosonState) -> list:
-    return _terms_to_obj(s, _boson_key_to_obj)
+    return _terms_to_obj(s, _KeyWriter().boson)
 
 
 def boson_state_from_obj(obj) -> BosonState:
-    return _terms_from_obj(BosonState, obj, _boson_key_from_obj)
+    return _terms_from_obj(BosonState, obj, _KeyReader().boson)
 
 
 def tensor_state_to_obj(s: rep.TensorState) -> list:
-    return _terms_to_obj(
-        s, lambda key, obj: _boson_key_to_obj(key[1], _lattice_key_to_obj(key[0], obj)))
+    return _terms_to_obj(s, _KeyWriter().tensor)
 
 
 def tensor_state_from_obj(obj, config: LatticeConfig | None = None) -> rep.TensorState:
-    s = _terms_from_obj(
-        rep.TensorState, obj,
-        lambda item: (_lattice_key_from_obj(item, config), _boson_key_from_obj(item)),
-    )
+    s = _terms_from_obj(rep.TensorState, obj, _KeyReader(config).tensor)
     return _one_shape(s, (g for (g, _), _ in s.terms))
 
 
@@ -345,8 +438,13 @@ def _key_str(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _emit(o, out: list, nl: str):
-    """Append the indent=2 JSON text of o to out; nl is a newline and the indent of o's level."""
+def _emit(o, out: list, nl: str, texts: dict):
+    """Append the indent=2 JSON text of o to out; nl is a newline and the indent of o's level.
+
+    texts maps the id of each dict or list met as a dict value to that
+    object, its nl and its text, so an object that several dict values
+    share, as the state encoders make them, is written once per level.
+    """
     t = type(o)
     if t is str:
         out.append(_encode_str(o))
@@ -365,7 +463,17 @@ def _emit(o, out: list, nl: str):
             except TypeError:
                 k = _encode_str(_key_str(k))
             out.append(f"{sep}{k}: ")
-            _emit(v, out, inner)
+            if type(v) is dict or type(v) is list:
+                seen = texts.get(id(v))
+                if seen is not None and seen[1] == inner:
+                    out.append(seen[2])
+                else:
+                    start = len(out)
+                    _emit(v, out, inner, texts)
+                    out[start:] = ["".join(out[start:])]
+                    texts[id(v)] = v, inner, out[start]  # v is kept, so its id is not reused
+            else:
+                _emit(v, out, inner, texts)
             sep = "," + inner
         out.append(nl + "}")
     elif t is list or isinstance(o, (list, tuple)):
@@ -379,7 +487,7 @@ def _emit(o, out: list, nl: str):
         sep = "[" + inner
         for v in o:
             out.append(sep)
-            _emit(v, out, inner)
+            _emit(v, out, inner, texts)
             sep = "," + inner
         out.append(nl + "]")
     else:
@@ -403,7 +511,7 @@ def dumps(obj) -> str:
     """Canonical JSON text: json.dumps(obj, sort_keys=True, indent=2), newline terminated."""
     out = []
     try:
-        _emit(obj, out, "\n")
+        _emit(obj, out, "\n", {})
     except RecursionError:
         # a cycle recurses without end; it is looked for only then, off the common path
         _refuse_cycle(obj, set())

@@ -25,7 +25,14 @@ These recompute the library's operations along different routes:
   windows widened by a margin, so any clipping bug in the production
   windows shows up as a discrepancy;
 * reference_dumps is the canonical JSON text through CPython's own
-  encoder, which serialize.dumps emits directly.
+  encoder, which serialize.dumps emits directly;
+* reference_lattice_state_from_obj, reference_boson_state_from_obj and
+  reference_tensor_state_from_obj read every term's gamma through
+  vector_from_obj and every phi/phi_star list through _modes_from_obj,
+  the per-term route the memoized key readers replaced;
+  reference_state_to_obj encodes every term's key halves anew, where
+  the state encoders share one object per distinct gamma, monomial and
+  mode list.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from supertoroidal.fock_lattice import (
     monomial_degree,
     monomial_insert,
 )
+from supertoroidal import serialize as ser
 from supertoroidal.fock_boson import BosonState, phi_apply, phi_star_apply
 from supertoroidal.representation import (
     PhiMode,
@@ -276,3 +284,53 @@ def oracle_s_dressed(fam, i, j, M, q, mu, n, ts, margin=3):
 def reference_dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) and a newline, the text of serialize.dumps."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _reference_lattice_key(item, config):
+    gamma = ser.vector_from_obj(item["gamma"], config)
+    rank = len(gamma.e) + 2 * len(gamma.delta)
+    return gamma, ser._monomial_from_obj(item.get("monomial", ()), rank)
+
+
+def _reference_boson_key(item):
+    return (ser._modes_from_obj(item.get("phi", ()), "phi"),
+            ser._modes_from_obj(item.get("phi_star", ()), "phi_star"))
+
+
+def reference_lattice_state_from_obj(obj, config=None):
+    s = ser._terms_from_obj(LatticeFockState, obj,
+                            lambda item: _reference_lattice_key(item, config))
+    return ser._one_shape(s, (g for g, _ in s.terms))
+
+
+def reference_boson_state_from_obj(obj):
+    return ser._terms_from_obj(BosonState, obj, _reference_boson_key)
+
+
+def reference_tensor_state_from_obj(obj, config=None):
+    s = ser._terms_from_obj(
+        TensorState, obj,
+        lambda item: (_reference_lattice_key(item, config), _reference_boson_key(item)))
+    return ser._one_shape(s, (g for (g, _), _ in s.terms))
+
+
+def _reference_lattice_key_to_obj(key, obj):
+    obj["gamma"], obj["monomial"] = ser.vector_to_obj(key[0]), ser._monomial_to_obj(key[1])
+    return obj
+
+
+def _reference_boson_key_to_obj(key, obj):
+    obj["phi"], obj["phi_star"] = ser._modes_to_obj(key[0]), ser._modes_to_obj(key[1])
+    return obj
+
+
+def reference_state_to_obj(s):
+    """s encoded term by term, every key half a new object."""
+    if isinstance(s, LatticeFockState):
+        key_to_obj = _reference_lattice_key_to_obj
+    elif isinstance(s, BosonState):
+        key_to_obj = _reference_boson_key_to_obj
+    else:
+        def key_to_obj(key, obj):
+            return _reference_boson_key_to_obj(key[1], _reference_lattice_key_to_obj(key[0], obj))
+    return ser._terms_to_obj(s, key_to_obj)

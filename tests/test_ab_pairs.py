@@ -1,0 +1,38 @@
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from ab_pairs import summarize  # noqa: E402
+
+
+def _run(workload, seed, side, **metrics):
+    return {"workload": workload, "seed": seed, "side": side, "metrics": metrics}
+
+
+def test_summary_counts_pairs_medians_and_wins():
+    runs = []
+    for seed, (parent, change) in enumerate([(4.0, 3.0), (5.0, 3.5), (4.5, 4.6), (6.0, 3.2)], 1):
+        runs += [_run("act", seed, "parent", run_s=parent, peak_rss_mb=60.0),
+                 _run("act", seed, "change", run_s=change, peak_rss_mb=60.0)]
+    runs.append(_run("thm46", 1, "parent", run_s=1.5))  # its pair is missing
+    summary = summarize(runs)
+    assert set(summary) == {"act.run_s", "act.peak_rss_mb"}
+    run_s = summary["act.run_s"]
+    assert run_s["pairs"] == 4 and run_s["change_lower_in_pairs"] == 3
+    assert run_s["parent_median"] == 4.75 and run_s["change_median"] == 3.35
+    # inclusive quartiles: 4.0 4.5 5.0 6.0 -> 4.375, 4.75, 5.25
+    assert run_s["parent_quartiles"] == [4.375, 4.75, 5.25]
+    assert run_s["change_quartiles"] == [3.15, 3.35, 3.775]
+    # a tie is no win
+    assert summary["act.peak_rss_mb"]["change_lower_in_pairs"] == 0
+
+
+def test_summary_of_one_pair_and_rounding():
+    summary = summarize([_run("thm46", 3, "change", run_s=1.234567),
+                         _run("thm46", 3, "parent", run_s=2.0)])
+    assert summary["thm46.run_s"] == {
+        "parent_median": 2.0, "parent_quartiles": [2.0, 2.0, 2.0],
+        "change_median": 1.2346, "change_quartiles": [1.2346, 1.2346, 1.2346],
+        "pairs": 1, "change_lower_in_pairs": 1,
+    }

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_dumps
+from oracles import (
+    reference_boson_state_from_obj,
+    reference_dumps,
+    reference_lattice_state_from_obj,
+    reference_state_to_obj,
+    reference_tensor_state_from_obj,
+)
 from supertoroidal import serialize as ser
 from supertoroidal.lattice import LatticeConfig, LatticeVector
 from supertoroidal.fock_lattice import LatticeFockState
@@ -404,10 +410,13 @@ _CYCLIC_LIST.append(_CYCLIC_LIST)
 _CYCLIC_DICT = {"a": [1]}
 _CYCLIC_DICT["a"].append(_CYCLIC_DICT)
 _SHARED = [1, {"x": []}]
+_SHARED_DICT = {"z": [1, {"w": []}], "y": {}}
+# one value in several dict values, at two indent levels, and as a list item
+_SHARING = st.builds(lambda v: {"a": v, "b": {"c": v, "d": [v]}, "e": v}, _JSON_VALUES)
 
 
 @settings(max_examples=400)
-@given(_JSON_VALUES)
+@given(_JSON_VALUES | _SHARING)
 @example({})
 @example([])
 @example(())
@@ -429,6 +438,8 @@ _SHARED = [1, {"x": []}]
 @example(_CYCLIC_LIST)
 @example(_CYCLIC_DICT)
 @example([_SHARED, {"y": _SHARED}])
+@example({"a": _SHARED_DICT, "b": {"c": _SHARED_DICT}, "d": _SHARED_DICT})
+@example({"a": {"b": _SHARED}, "c": _SHARED, "d": [{"e": _SHARED}]})
 def test_dumps_matches_json_dumps(obj):
     _same_text_or_error(obj)
 
@@ -547,3 +558,150 @@ def test_readers_refuse_a_missing_field_as_value_error():
                         (ser.operator_from_obj, {"flavor": 1, "r": 0})):
         with pytest.raises(ValueError):
             reader(obj)
+
+
+# -- the memoized key readers against the per-term readers they replaced
+
+# a state is drawn as a few gammas and boson mode lists that its terms
+# share; each term writes its own copy, and in three states of four one
+# term, most often a late one, changes one value in its gamma or mode list
+# to a twin of an int (1.0 and True equal 1 and hash alike, "1" and [1] do
+# not), to its negative or to a JSON value of another kind, or leaves a
+# field out
+_KEY_SHAPES = ((3, 2), (3, 1), (2, 2), (2, 1))
+_KEY_MODES = st.fixed_dictionaries({"flavor": st.integers(1, 2),
+                                    "doubled_mode": st.sampled_from((-1, -3, -5))})
+_KEY_MONOMIALS = st.lists(st.fixed_dictionaries({"basis": st.integers(0, 1),
+                                                 "mode": st.integers(1, 2)},
+                                                optional={"power": st.integers(1, 2)}),
+                          max_size=2)
+_KEY_COEFFS = st.sampled_from(("1/1", "-1/1", "0", "1/2", 3))
+
+
+def _slots(obj, out: list) -> list:
+    """(container, key) of every value nested in obj."""
+    if isinstance(obj, (dict, list)):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            out.append((obj, k))
+            _slots(v, out)
+    return out
+
+
+@st.composite
+def _key_states(draw):
+    small = st.integers(-1, 1)
+
+    def gamma(M, q):
+        g = {"e": draw(st.lists(small, min_size=M, max_size=M))}
+        if q > 1 or draw(st.booleans()):
+            g["delta"] = draw(st.lists(small, min_size=q - 1, max_size=q - 1))
+            g["d"] = draw(st.lists(small, min_size=q - 1, max_size=q - 1))
+        return g
+
+    shape = draw(st.sampled_from(_KEY_SHAPES))
+    gammas = [gamma(*shape) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        gammas.append(gamma(*draw(st.sampled_from(_KEY_SHAPES))))
+    mode_lists = draw(st.lists(st.lists(_KEY_MODES, max_size=3), min_size=1, max_size=3))
+    terms = [json.loads(json.dumps({"coeff": draw(_KEY_COEFFS),
+                                    "gamma": draw(st.sampled_from(gammas)),
+                                    "monomial": draw(_KEY_MONOMIALS),
+                                    "phi": draw(st.sampled_from(mode_lists)),
+                                    "phi_star": draw(st.sampled_from(mode_lists))}))
+             for _ in range(draw(st.sampled_from((2, 3, 4, 5, 6))))]
+    term = terms[draw(st.sampled_from(range(len(terms))[::-1]))]
+    slots = _slots(term[draw(st.sampled_from(("gamma", "phi", "phi_star")))], [])
+    if slots and draw(st.sampled_from((True, True, True, False))):
+        where, k = draw(st.sampled_from(slots))
+        v = where[k]
+        if isinstance(where, dict) and draw(st.booleans()):
+            del where[k]
+        elif type(v) is int:
+            where[k] = draw(st.sampled_from([float(v), *[bool(v)][:v in (0, 1)], str(v), [v], -v]))
+        else:
+            where[k] = draw(st.sampled_from((None, {}, "x", 0.5)))
+    return terms
+
+
+_KEY_READERS = {
+    "lattice": (ser.lattice_state_from_obj, reference_lattice_state_from_obj),
+    "boson": (lambda obj, config: ser.boson_state_from_obj(obj),
+              lambda obj, config: reference_boson_state_from_obj(obj)),
+    "tensor": (ser.tensor_state_from_obj, reference_tensor_state_from_obj),
+}
+_G3 = {"e": [1, 0, 0], "delta": [0], "d": [0]}
+_PHI = [{"flavor": 1, "doubled_mode": -1}]
+
+
+def _term(gamma=_G3, **fields):
+    return {"coeff": "1/1", "gamma": gamma, **fields}
+
+
+def _with(value):
+    """_G3 with value in place of its first e component."""
+    return {**_G3, "e": [value, *_G3["e"][1:]]}
+
+
+@settings(max_examples=400)
+@given(_key_states() | st.lists(_READER_VALUES, max_size=3),
+       st.sampled_from((None, CFG, LatticeConfig(3, 1), LatticeConfig(2, 2))),
+       st.sampled_from(sorted(_KEY_READERS)))
+# a later term repeats an earlier gamma with a value that equals or hashes like its int
+@example([_term(), _term(_with(1.0))], None, "tensor")
+@example([_term(), _term(_with(True))], None, "lattice")
+@example([_term(), _term(_with("1"))], CFG, "tensor")
+@example([_term(), _term(_with([1]))], None, "tensor")
+@example([_term(), _term({**_G3, "d": [0.0]})], CFG, "lattice")
+# ... or an earlier phi/phi_star list
+@example([_term(phi=_PHI), _term(phi=[{"flavor": 1.0, "doubled_mode": -1}])], None, "tensor")
+@example([_term(phi_star=_PHI), _term(phi_star=[{"flavor": True, "doubled_mode": -1}])], None,
+         "boson")
+@example([_term(phi=_PHI), _term(phi=[{"flavor": 1, "doubled_mode": "-1"}])], None, "tensor")
+@example([_term(phi=_PHI), _term(phi=[{"flavor": [1], "doubled_mode": -1}])], None, "boson")
+# one flavor with two modes in two terms
+@example([_term(phi=_PHI), _term(phi=[{"flavor": 1, "doubled_mode": -3}])], None, "tensor")
+@example([_term(phi_star=[{"flavor": 2, "doubled_mode": -1}]),
+          _term(phi_star=[{"flavor": 2, "doubled_mode": -3}])], None, "boson")
+# an omitted delta or d, with and without a config, next to the same vector written out
+@example([_term(), _term({"e": [1, 0, 0]})], CFG, "tensor")
+@example([_term(), _term({"e": [1, 0, 0], "d": [0]})], CFG, "lattice")
+@example([_term({"e": [1, 0, 0], "delta": [2]}), _term({"e": [1, 0, 0], "delta": [2], "d": [0]})],
+         None, "tensor")
+@example([_term({"e": [1, 0, 0]}), _term({"e": [1, 0, 0], "delta": [], "d": []})], None, "tensor")
+# mixed shapes: the odd gamma repeated, read past the memo, or only on a term of coefficient 0
+@example([_term(), _term({"e": [1, 0]}), _term({"e": [1, 0]})], None, "tensor")
+@example([_term(), _term({"e": [1, 0], "delta": [], "d": []}),
+          _term({"e": [1, 0], "delta": [], "d": []})], None, "lattice")
+@example([_term(), _term({"e": [1, 0, 0]})], None, "tensor")
+@example([_term(), {**_term({"e": [1, 0, 0]}), "coeff": "0"}], None, "tensor")
+def test_key_readers_match_per_term_readers(obj, config, reader):
+    read, reference = _KEY_READERS[reader]
+    try:
+        expected = reference(obj, config)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=rf"\A{re.escape(str(exc))}\Z"):
+            read(obj, config)
+        return
+    got = read(obj, config)
+    assert type(got) is type(expected) and got == expected
+
+
+def test_state_encoders_match_per_term_encoders():
+    rng = random.Random(12)
+    for _ in range(100):
+        for s, encode in ((random_tensor_state(rng), ser.tensor_state_to_obj),
+                          (random_lattice_state(rng), ser.lattice_state_to_obj),
+                          (random_boson_state(rng), ser.boson_state_to_obj)):
+            obj, expected = encode(s), reference_state_to_obj(s)
+            assert obj == expected
+            assert ser.dumps(obj) == reference_dumps(expected)
+    # terms share the object of their gamma, monomial or mode list, and only
+    # theirs: g and h agree in e, the monomials in length, the phi lists in flavor
+    g, h = LatticeVector((1, 0, 0), (0,), (0,)), LatticeVector((1, 0, 0), (1,), (0,))
+    s = TensorState({((g, ((0, 1),)), (((1, -1),), ())): 1, ((g, ((0, 1),)), ((), ())): 2,
+                     ((h, ((0, 2),)), (((1, -3),), ())): 3})
+    obj = ser.tensor_state_to_obj(s)
+    assert obj == reference_state_to_obj(s)
+    a, b, c = obj
+    assert a["gamma"] is b["gamma"] and a["monomial"] is b["monomial"]
+    assert a["phi"] is a["phi_star"] is b["phi_star"] is c["phi_star"]

@@ -1,0 +1,161 @@
+#!/usr/bin/env python3
+"""Alternating A/B pairs of the benchmark between two git revisions.
+
+    python3 tools/ab_pairs.py PARENT CHANGE --workload act [--workload thm46] \\
+        [--pairs 10] --out BENCH_N.json
+
+PARENT and CHANGE are any git tree-ish (a commit, a branch, or a tree id
+such as ``git write-tree`` prints for a staged working tree).  Each one
+is exported with ``git archive`` into its own temporary directory, so
+both sides run from clean trees that hold only committed files.  The
+parent's BENCHMARK.json sets the command and the run length: for each
+workload, pair N (N = 1..pairs) runs
+
+    COMMAND --workload W --seed N --seconds RUN_SECONDS
+
+(python3 perfbench/run.py and 42 at the time of writing) once in each
+tree, the parent first when N is odd and the change first when N is
+even, so that a drift of the machine does not favour one side.  Each
+side is recorded with its tree and its src tree, so a record made from
+a commit can be matched to the code of another that differs only
+outside src.
+
+The output file holds every run's last output line (the benchmark's JSON
+result), the act responses' SHA-256 where the run prints one, and per
+workload and metric each side's median and quartiles and the number of
+pairs in which the change was lower.  Every metric the benchmark gates
+is better when lower.  Run it from inside the repository; it needs only
+the standard library and git.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+_SHA = re.compile(r"responses sha256 ([0-9a-f]{64})")
+
+
+def summarize(runs: list) -> dict:
+    """Per "workload.metric": each side's median and inclusive quartiles (rounded to 4
+    places), the number of pairs and the pairs in which the change read lower.
+
+    runs holds dicts with "workload", "seed", "side" ("parent" or "change") and
+    "metrics" ({name: value}); a pair is the two runs of one (workload, seed).
+    """
+    values = {}
+    for run in runs:
+        for name, value in run["metrics"].items():
+            cell = values.setdefault(f"{run['workload']}.{name}", {})
+            cell.setdefault(run["seed"], {})[run["side"]] = value
+    summary = {}
+    for key, by_seed in values.items():
+        pairs = [v for v in by_seed.values() if "parent" in v and "change" in v]
+        if not pairs:
+            continue
+        parent = [v["parent"] for v in pairs]
+        change = [v["change"] for v in pairs]
+        summary[key] = {
+            "parent_median": round(statistics.median(parent), 4),
+            "parent_quartiles": _quartiles(parent),
+            "change_median": round(statistics.median(change), 4),
+            "change_quartiles": _quartiles(change),
+            "pairs": len(pairs),
+            "change_lower_in_pairs": sum(v["change"] < v["parent"] for v in pairs),
+        }
+    return summary
+
+
+def _quartiles(values: list) -> list:
+    if len(values) < 2:
+        return [round(values[0], 4)] * 3
+    return [round(q, 4) for q in statistics.quantiles(values, n=4, method="inclusive")]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], check=True, capture_output=True, text=True).stdout.strip()
+
+
+def _export(rev: str, into: str):
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
+        fh.extractall(into)
+
+
+def _run(tree: str, command: list) -> dict:
+    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        last = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        last = None
+    sha = _SHA.search(proc.stdout)
+    return {"exit_code": proc.returncode, "last_line": last,
+            "responses_sha256": sha.group(1) if sha else None,
+            "stderr_tail": proc.stderr.strip().splitlines()[-5:] if proc.returncode else []}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    sides = {}
+    for side, rev in (("parent", args.parent), ("change", args.change)):
+        sides[side] = {"rev": rev, "tree": _git("rev-parse", f"{rev}^{{tree}}"),
+                       "src_tree": _git("rev-parse", f"{rev}:src")}
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {}
+        for side, info in sides.items():
+            trees[side] = os.path.join(tmp, side)
+            _export(info["rev"], trees[side])
+        with open(os.path.join(trees["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
+            bench = json.load(fh)
+        command, seconds = bench["command"], bench["run_seconds"]
+        for workload in args.workload:
+            for seed in range(1, args.pairs + 1):
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
+                for n, side in enumerate(order):
+                    result = _run(trees[side], [*command, "--workload", workload,
+                                                "--seed", str(seed), "--seconds", str(seconds)])
+                    last = result["last_line"] or {}
+                    metrics = {k: v["value"] for k, v in last.get("metrics", {}).items()}
+                    runs.append({"workload": workload, "seed": seed, "side": side,
+                                 "ran_first": n == 0, "metrics": metrics, **result})
+                    print(f"{workload} seed {seed} {side}: "
+                          + " ".join(f"{k}={v:.4g}" for k, v in metrics.items())
+                          + ("" if result["exit_code"] == 0 else f" exit {result['exit_code']}"),
+                          flush=True)
+    report = {
+        "what": "Alternating parent/change pairs of the benchmark from tools/ab_pairs.py",
+        "command": (f"{' '.join(command)} --workload W --seed N --seconds {seconds}"
+                    f" (N = 1..{args.pairs}; odd N runs the parent first, even N the change"
+                    " first), each side from its own git archive export"),
+        "sides": sides,
+        "machine": f"{os.cpu_count()} cores, Python {platform.python_version()}",
+        "summary": summarize(runs),
+        "runs": runs,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    failed = [r for r in runs if r["exit_code"] != 0]
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
