@@ -160,6 +160,48 @@ def test_counterexample_replay_reproduces_recorded_failure():
     assert result["ok"] and not result["reproduced"]
 
 
+def _forced_failure(evaluate):
+    def failing(cfg, payload):
+        _, lhs, rhs = evaluate(cfg, payload)
+        return False, lhs, rhs
+
+    return failing
+
+
+def test_forced_failures_pin_each_record_and_its_replay(monkeypatch):
+    # every clause reports not-ok, so each records its first sample that
+    # no print typo adjudicates; the report and the replay of each record,
+    # read back from the report's text, are pinned byte for byte, which
+    # holds the payload encoding and the replay reader
+    for clauses in verifier._CLAUSES.values():
+        for clause, (generate, evaluate) in clauses.items():
+            monkeypatch.setitem(clauses, clause, (generate, _forced_failure(evaluate)))
+    q1_families = tuple(f for f in verifier.FAMILY_ORDER if f not in ("sttables", "thm46"))
+    configs = (
+        (CheckConfig(M=3, N=2, q=2, max_degree=4, exponent_box=1, samples=3, seed=99),
+         verifier.FAMILY_ORDER),
+        (CheckConfig(M=2, N=2, q=1, max_degree=3, exponent_box=1, samples=2, seed=4),
+         q1_families),
+    )
+    digest = hashlib.sha256()
+    replays = 0
+    for cfg, families in configs:
+        text = verifier.report_text(run(cfg, families=families), include_timing=False)
+        digest.update(text.encode())
+        for fam in json.loads(text)["families"].values():
+            for cell in fam["clauses"].values():
+                record = cell["counterexample"]
+                if record is not None:
+                    result = replay_counterexample(record)
+                    assert result["reproduced"] and not result["ok"], result
+                    digest.update(ser.dumps(result).encode())
+                    replays += 1
+    assert replays == 106
+    assert digest.hexdigest() == (
+        "e986975ca4cf0d216a5fadebbd73446e52ab9454e058e5a3d3535716ec3e70c3"
+    )
+
+
 def test_coverage_map_counts():
     rep = run(SMALL, families=("rtables",))
     for k in range(1, 11):
