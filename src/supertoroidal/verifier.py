@@ -23,11 +23,12 @@ Families and their clauses:
 
 One table, _CLAUSES, holds every check: family -> clause ->
 (generate, evaluate).  generate(cfg) yields (pattern, payload) pairs
-whose payloads are plain JSON, so a check can be replayed from its
-record alone; evaluate(cfg, payload) returns (ok, lhs, rhs) as library
-objects.  FAMILIES gives each family the uniform interface
-generate(cfg, clause) and evaluate(cfg, clause, payload) ->
-(ok, adjudicated, note, lhs, rhs), which serializes both sides by type.
+whose payloads hold library objects, ints, int lists and strings;
+evaluate(cfg, payload) returns (ok, lhs, rhs) as library objects.
+FAMILIES gives each family the uniform interface generate(cfg, clause)
+and evaluate(cfg, clause, payload) -> (ok, adjudicated, note, lhs, rhs).
+Only a clause's first failure is encoded (_serialize), and a replay
+reads its recorded payload back (_payload_from_obj).
 
 Comparisons are exact; there is no tolerance anywhere.  A failing check
 records the first counterexample with enough payload to re-run it in
@@ -41,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -82,7 +83,10 @@ class CheckConfig:
 
     @classmethod
     def from_obj(cls, obj) -> "CheckConfig":
-        return cls(**{k: int(v) for k, v in obj.items()})
+        names = [f.name for f in fields(cls)]
+        if set(ser._object(obj, "a config")) != set(names):
+            raise ValueError(f"a config has the integer fields {names}, got {sorted(obj)}")
+        return cls(**{k: ser._int(obj[k], k) for k in names})
 
 
 def derive_rng(seed: int, *labels) -> random.Random:
@@ -193,20 +197,14 @@ def _cycle(cfg, patterns, *labels):
         yield pattern, derive_rng(cfg.seed, *labels, pattern, k)
 
 
-def _state_obj(rng, cfg, q=None):
-    """A random state of this config drawn from rng, as a payload object."""
-    state = _random_state(rng, cfg.M, cfg.N, q or cfg.q, cfg.max_degree, cfg.exponent_box)
-    return ser.tensor_state_to_obj(state)
+def _draw_state(rng, cfg, q=None):
+    """A random state of this config drawn from rng."""
+    return _random_state(rng, cfg.M, cfg.N, q or cfg.q, cfg.max_degree, cfg.exponent_box)
 
 
-def _vector_objs(rng, cfg, names, **kw):
-    """One random vector per name, as payload objects."""
-    return {n: ser.vector_to_obj(_random_vector(rng, cfg.M, cfg.q, cfg.exponent_box, **kw))
-            for n in names}
-
-
-def _vectors(payload, names):
-    return [ser.vector_from_obj(payload[n]) for n in names]
+def _draw_vectors(rng, cfg, names, **kw):
+    """One random vector per name."""
+    return {n: _random_vector(rng, cfg.M, cfg.q, cfg.exponent_box, **kw) for n in names}
 
 
 def _tuples(cfg, labels, space, names, limit):
@@ -225,21 +223,21 @@ def _tuples(cfg, labels, space, names, limit):
 
 
 def _box_space(cfg):
-    """The coordinate box of e-vectors, as payload objects."""
+    """The coordinate box of e-vectors."""
     zq = (0,) * (cfg.q - 1)
     box = range(-cfg.exponent_box, cfg.exponent_box + 1)
-    return [ser.vector_to_obj(LatticeVector(e, zq, zq)) for e in product(box, repeat=cfg.M)]
+    return [LatticeVector(e, zq, zq) for e in product(box, repeat=cfg.M)]
 
 
 def _eval_cocycle_identity(cfg, payload):
-    a, b, c = _vectors(payload, "abc")
+    a, b, c = payload["a"], payload["b"], payload["c"]
     lhs = cocycle(a, b) * cocycle(a + b, c)
     rhs = cocycle(b, c) * cocycle(a, b + c)
     return lhs == rhs, lhs, rhs
 
 
 def _eval_sign_law(cfg, payload):
-    a, b = _vectors(payload, "ab")
+    a, b = payload["a"], payload["b"]
     lhs = cocycle(a, b) * cocycle(b, a)
     rhs = (-1) ** (bilinear(a, b) + parity(a) * parity(b))
     return lhs == rhs, lhs, rhs
@@ -247,12 +245,12 @@ def _eval_sign_law(cfg, payload):
 
 def _gen_bimultiplicative(cfg):
     for slot, rng in _cycle(cfg, ("left", "right"), "cocycle", "bimultiplicative"):
-        yield slot, {**_vector_objs(rng, cfg, "xy", q_only=True),
-                     **_vector_objs(rng, cfg, "z", q_only=(slot == "left")), "slot": slot}
+        yield slot, {**_draw_vectors(rng, cfg, "xy", q_only=True),
+                     **_draw_vectors(rng, cfg, "z", q_only=(slot == "left")), "slot": slot}
 
 
 def _eval_bimultiplicative(cfg, payload):
-    x, y, z = _vectors(payload, "xyz")
+    x, y, z = payload["x"], payload["y"], payload["z"]
     if payload["slot"] == "left":
         lhs, rhs = cocycle(x + y, z), cocycle(x, z) * cocycle(y, z)
     else:
@@ -266,7 +264,7 @@ def _gen_basis_table(cfg):
     for i in range(1, M + 1):
         for j in range(1, M + 1):
             yield "ee", {"case": "ee", "i": i, "j": j, "expected": 1 if i <= j else -1}
-    alpha = ser.vector_to_obj(_random_vector(rng, M, q, cfg.exponent_box, q_only=True))
+    alpha = _random_vector(rng, M, q, cfg.exponent_box, q_only=True)
     yield "zero", {"case": "zero-left", "alpha": alpha, "expected": 1}
     yield "zero", {"case": "zero-right", "alpha": alpha, "expected": 1}
     for j in range(1, q):
@@ -276,18 +274,18 @@ def _gen_basis_table(cfg):
         for l in range(1, q):
             yield "delta", {"case": "delta-delta", "i": j, "j": l, "expected": 1}
         beta = _random_vector(rng, M, q, cfg.exponent_box, q_only=True)
-        yield "dgen", {"case": "x-d", "alpha": ser.vector_to_obj(beta), "j": j, "expected": 1}
+        yield "dgen", {"case": "x-d", "alpha": beta, "j": j, "expected": 1}
 
 
 # the two cocycle arguments of each basis-table case
 _BASIS_CASES = {
     "ee": lambda lat, p: (lat.e(p["i"]), lat.e(p["j"])),
-    "zero-left": lambda lat, p: (lat.zero(), ser.vector_from_obj(p["alpha"])),
-    "zero-right": lambda lat, p: (ser.vector_from_obj(p["alpha"]), lat.zero()),
+    "zero-left": lambda lat, p: (lat.zero(), p["alpha"]),
+    "zero-right": lambda lat, p: (p["alpha"], lat.zero()),
     "e-delta": lambda lat, p: (lat.e(p["i"]), lat.delta(p["j"])),
     "delta-e": lambda lat, p: (lat.delta(p["j"]), lat.e(p["i"])),
     "delta-delta": lambda lat, p: (lat.delta(p["i"]), lat.delta(p["j"])),
-    "x-d": lambda lat, p: (ser.vector_from_obj(p["alpha"]), lat.dgen(p["j"])),
+    "x-d": lambda lat, p: (p["alpha"], lat.dgen(p["j"])),
 }
 
 
@@ -299,12 +297,12 @@ def _eval_basis_table(cfg, payload):
 
 def _gen_bilinear_form(cfg):
     for slot, rng in _cycle(cfg, ("linear", "symmetric"), "cocycle", "bilinear-form"):
-        yield slot, {**_vector_objs(rng, cfg, "abc"), "m": rng.randint(-3, 3),
+        yield slot, {**_draw_vectors(rng, cfg, "abc"), "m": rng.randint(-3, 3),
                      "n": rng.randint(-3, 3), "slot": slot}
 
 
 def _eval_bilinear_form(cfg, payload):
-    a, b, c = _vectors(payload, "abc")
+    a, b, c = payload["a"], payload["b"], payload["c"]
     if payload["slot"] == "linear":
         m, n = payload["m"], payload["n"]
         lhs = bilinear(m * a + n * b, c)
@@ -316,11 +314,11 @@ def _eval_bilinear_form(cfg, payload):
 
 def _gen_parity(cfg):
     for slot, rng in _cycle(cfg, ("additive", "norm"), "cocycle", "parity"):
-        yield slot, {**_vector_objs(rng, cfg, "ab"), "slot": slot}
+        yield slot, {**_draw_vectors(rng, cfg, "ab"), "slot": slot}
 
 
 def _eval_parity(cfg, payload):
-    a, b = _vectors(payload, "ab")
+    a, b = payload["a"], payload["b"]
     if payload["slot"] == "additive":
         lhs, rhs = parity(a + b), (parity(a) + parity(b)) % 2
     else:
@@ -406,18 +404,14 @@ def _gen_rows(cfg, clause, kind, label):
         me, ne = _exp_pair(rng, qeff, cfg.exponent_box, ep)
         payload = {"row": row.row, "indices": idx, "me": list(me), "ne": list(ne)}
         if label == "hom":
-            payload["state"] = _state_obj(rng, cfg, qeff)
+            payload["state"] = _draw_state(rng, cfg, qeff)
         yield f"{row.row}|{pid}|{ep}", payload
-
-
-def _row_indices(payload):
-    return {k: int(v) for k, v in payload["indices"].items()}
 
 
 def _build_row(cfg, payload):
     """The bracket arguments x, y of a row payload and the printed [x, y]."""
     row = _ROW_BY_ID[payload["row"]]
-    return row.build(Superalgebra(cfg.M, cfg.N), _row_indices(payload),
+    return row.build(Superalgebra(cfg.M, cfg.N), payload["indices"],
                      tuple(payload["me"]), tuple(payload["ne"]))
 
 
@@ -430,7 +424,7 @@ def _eval_table(cfg, payload):
 def _eval_hom(cfg, payload):
     x, y, _ = _build_row(cfg, payload)
     lat = LatticeConfig(cfg.M, len(payload["me"]))
-    state = ser.tensor_state_from_obj(payload["state"], lat)
+    state = payload["state"]
     lhs = super_commutator(rho(x, lat), rho(y, lat), state)
     rhs = apply(rho(Superalgebra(cfg.M, cfg.N).bracket_toroidal(x, y), lat), state)
     return lhs == rhs, lhs, rhs
@@ -458,14 +452,12 @@ def _gen_boson31(cfg, clause):
             j = rng.choice([v for v in range(1, cfg.N + 1) if v != i]) if cfg.N > 1 else i
             s_idx = rng.randint(-box, box + 1)
         state = _random_boson_state(rng, cfg.N, cfg.max_degree)
-        yield pid, {"i": i, "j": j, "r": r, "s": s_idx,
-                    "state": ser.boson_state_to_obj(state)}
+        yield pid, {"i": i, "j": j, "r": r, "s": s_idx, "state": state}
 
 
 def _eval_boson31(payload, first, second, contracts):
     """[first^i_r, second^j_s] on a boson state; only phi against phi* contracts."""
-    i, j, r, s_idx = (payload[k] for k in "ijrs")
-    t = ser.boson_state_from_obj(payload["state"])
+    i, j, r, s_idx, t = (payload[k] for k in ("i", "j", "r", "s", "state"))
     lhs = first(i, r, second(j, s_idx, t)) - second(j, s_idx, first(i, r, t))
     rhs = (-1 if (contracts and r + s_idx - 1 == 0 and i == j) else 0) * t
     return lhs == rhs, lhs, rhs
@@ -478,11 +470,10 @@ def _eval_boson31(payload, first, second, contracts):
 def _state_identity(sides):
     """evaluate(cfg, payload) comparing the (lhs, rhs) of sides(lat, payload, state).
 
-    The state is payload["state"], decoded, and lat the config's lattice.
+    The state is payload["state"] and lat the config's lattice.
     """
     def evaluate(cfg, payload):
-        state = ser.tensor_state_from_obj(payload["state"])
-        lhs, rhs = sides(LatticeConfig(cfg.M, cfg.q), payload, state)
+        lhs, rhs = sides(LatticeConfig(cfg.M, cfg.q), payload, payload["state"])
         return lhs == rhs, lhs, rhs
 
     return evaluate
@@ -495,7 +486,7 @@ def _state_identity(sides):
 def _gen_kq_identity(cfg):
     for k in range(max(cfg.samples, 1)):
         rng = derive_rng(cfg.seed, "thm46", "Kq-identity", k)
-        yield "identity", {"state": _state_obj(rng, cfg)}
+        yield "identity", {"state": _draw_state(rng, cfg)}
 
 
 @_state_identity
@@ -520,17 +511,12 @@ def _gen_central_witness(cfg):
             else:
                 mbar = [0] * q
                 state = TensorState.basis(rng.randint(1, 2) * lat.dgen(direction))
-            yield f"K{direction}", {
-                "direction": direction,
-                "mbar": mbar,
-                "state": ser.tensor_state_to_obj(state),
-            }
+            yield f"K{direction}", {"direction": direction, "mbar": mbar, "state": state}
 
 
 def _eval_central_witness(cfg, payload):
-    state = ser.tensor_state_from_obj(payload["state"])
     x = ToroidalElement.k(payload["direction"], tuple(payload["mbar"]))
-    img = apply(rho(x, LatticeConfig(cfg.M, cfg.q)), state)
+    img = apply(rho(x, LatticeConfig(cfg.M, cfg.q)), payload["state"])
     return (not img.is_zero()), img, "nonzero"
 
 
@@ -541,7 +527,7 @@ def _gen_central_consistency(cfg):
         mbar = [rng.randint(-box, box) for _ in range(cfg.q)]
         nbar = [rng.randint(-box, box) for _ in range(cfg.q)]
         yield variant, {"variant": variant, "mbar": mbar, "nbar": nbar,
-                        "state": _state_obj(rng, cfg)}
+                        "state": _draw_state(rng, cfg)}
 
 
 @_state_identity
@@ -578,14 +564,12 @@ def _gen_product44(cfg):
             alpha = lat.e(rng.randint(1, cfg.M))
             idx = 2 * rng.randint(-2, 2) - 1
         mu = [rng.randint(-cfg.exponent_box, cfg.exponent_box) for _ in range(cfg.q - 1)]
-        yield pid, {"alpha": ser.vector_to_obj(alpha), "mu": mu, "index": idx,
-                    "state": _state_obj(rng, cfg)}
+        yield pid, {"alpha": alpha, "mu": mu, "index": idx, "state": _draw_state(rng, cfg)}
 
 
 @_state_identity
 def _eval_product44(lat, payload, state):
-    alpha = ser.vector_from_obj(payload["alpha"], lat)
-    mu, idx = tuple(payload["mu"]), payload["index"]
+    alpha, mu, idx = payload["alpha"], tuple(payload["mu"]), payload["index"]
     return (apply(VertexProductSum(alpha, mu, idx), state),
             apply(VertexMode(alpha + lat.delta_sum(mu), idx), state))
 
@@ -600,7 +584,7 @@ def _gen_lemma49(cfg):
     for pid, rng in _cycle(cfg, ("mq=0", "mq!=0"), "lemma49", "lemma4.9"):
         mu = [rng.randint(-box, box) for _ in range(cfg.q - 1)]
         mq = 0 if pid == "mq=0" else rng.choice(nonzero)
-        yield pid, {"mu": mu, "mq": mq, "state": _state_obj(rng, cfg)}
+        yield pid, {"mu": mu, "mq": mq, "state": _draw_state(rng, cfg)}
 
 
 @_state_identity
@@ -625,14 +609,12 @@ def _gen_lemma28(cfg):
             y2 = PhiStarMode(f1, 1 - r1)
         else:
             y2 = PhiMode(rng.randint(1, cfg.N), rng.randint(-2, 2))
-        ops = {"x1": x1, "y1": y1, "x2": x2, "y2": y2}
-        yield pid, {**{k: ser.operator_to_obj(op) for k, op in ops.items()},
-                    "state": _state_obj(rng, cfg)}
+        yield pid, {"x1": x1, "y1": y1, "x2": x2, "y2": y2, "state": _draw_state(rng, cfg)}
 
 
 @_state_identity
 def _eval_lemma28(lat, payload, state):
-    x1, y1, x2, y2 = (ser.operator_from_obj(payload[k]) for k in ("x1", "y1", "x2", "y2"))
+    x1, y1, x2, y2 = (payload[k] for k in ("x1", "y1", "x2", "y2"))
     lhs = super_commutator(OpProduct((x1, y1)), OpProduct((x2, y2)), state)
     # [X1,X2] Y1 Y2 - X2 X1 [Y1,Y2], with the odd pair anticommuting
     yy = y1.apply(y2.apply(state)) - y2.apply(y1.apply(state))
@@ -663,7 +645,7 @@ def _gen_cor19_roots(cfg):
             i = j
         else:
             i = rng.choice([v for v in range(1, M + 1) if v != kk])
-        state = _state_obj(rng, cfg)
+        state = _draw_state(rng, cfg)
         yield pid, {"i": i, "j": j, "k": kk, "m": rng.randint(-2, 2),
                     "n": rng.randint(-2, 2), "state": state}
 
@@ -688,7 +670,7 @@ def _gen_cor19_odd(cfg):
             j = i
         m = rng.randint(-2, 2)
         n = -m if pid.endswith("m+n=0") or pid == "i!=j" else m + rng.choice((1, -1, 2))
-        yield pid, {"i": i, "j": j, "m": m, "n": n, "state": _state_obj(rng, cfg)}
+        yield pid, {"i": i, "j": j, "m": m, "n": n, "state": _draw_state(rng, cfg)}
 
 
 @_state_identity
@@ -717,16 +699,14 @@ def _gen_cor19_current(cfg):
         else:
             beta = lat.zero()
             idx = 2 * rng.randint(-2, 2)
-        state = _state_obj(rng, cfg)
-        yield pid, {"alpha": ser.vector_to_obj(alpha), "beta": ser.vector_to_obj(beta),
-                    "m": rng.randint(-2, 2), "index": idx, "state": state}
+        state = _draw_state(rng, cfg)
+        yield pid, {"alpha": alpha, "beta": beta, "m": rng.randint(-2, 2), "index": idx,
+                    "state": state}
 
 
 @_state_identity
 def _eval_cor19_current(lat, payload, state):
-    alpha = ser.vector_from_obj(payload["alpha"], lat)
-    beta = ser.vector_from_obj(payload["beta"], lat)
-    m, idx = payload["m"], payload["index"]
+    alpha, beta, m, idx = (payload[k] for k in ("alpha", "beta", "m", "index"))
     lhs = super_commutator(Current(alpha, m), VertexMode(beta, idx), state)
     return lhs, bilinear(alpha, beta) * apply(VertexMode(beta, idx + 2 * m), state)
 
@@ -742,7 +722,7 @@ def _gen_id110_roots(cfg):
         else:
             m = rng.choice([v for v in range(-2, 3) if v])
             n = -m if pid == "m+n=0" else m + rng.choice((1, -1))
-        yield pid, {"i": i, "j": j, "m": m, "n": n, "state": _state_obj(rng, cfg)}
+        yield pid, {"i": i, "j": j, "m": m, "n": n, "state": _draw_state(rng, cfg)}
 
 
 @_state_identity
@@ -763,7 +743,7 @@ def _gen_id110_pairs(cfg):
     for pid, rng in _cycle(cfg, ("form1", "form2"), "id110", "1.10(2)"):
         i = rng.randint(1, M)
         j = rng.choice([v for v in range(1, M + 1) if v != i])
-        state = _state_obj(rng, cfg)
+        state = _draw_state(rng, cfg)
         yield pid, {"i": i, "j": j, "n": rng.randint(-2, 2), "form": pid, "state": state}
 
 
@@ -781,7 +761,7 @@ def _gen_id110_current(cfg):
     for pid, rng in _cycle(cfg, ("n<0", "n=0", "n>0"), "id110", "1.10(3)"):
         i = rng.randint(1, cfg.M)
         n = 0 if pid == "n=0" else rng.randint(1, 2) * (1 if pid == "n>0" else -1)
-        yield pid, {"i": i, "n": n, "state": _state_obj(rng, cfg)}
+        yield pid, {"i": i, "n": n, "state": _draw_state(rng, cfg)}
 
 
 @_state_identity
@@ -865,20 +845,57 @@ _CLAUSES = {
 }
 FAMILY_ORDER = tuple(_CLAUSES)
 
-# the codec of each kind of check side, by name on serialize; any other
-# side (an int, the float of a negative power of -1, "nonzero") is kept
+# the encoder of each kind of payload value or check side, by name on serialize; any
+# other value (an int, an int list, a string, a float power of -1, "nonzero") is kept
 _CODECS = {
     TensorState: "tensor_state_to_obj",
     BosonState: "boson_state_to_obj",
     GLElement: "gl_element_to_obj",
     ToroidalElement: "toroidal_to_obj",
     Fraction: "frac_to_str",
+    LatticeVector: "vector_to_obj",
+    **dict.fromkeys((VertexMode, PhiMode, PhiStarMode), "operator_to_obj"),
 }
 
 
-def _serialize(side):
-    codec = _CODECS.get(type(side))
-    return side if codec is None else getattr(ser, codec)(side)
+def _serialize(value):
+    """A payload (a dict, encoded value by value) or a check side as JSON objects."""
+    if type(value) is dict:
+        return {k: _serialize(v) for k, v in value.items()}
+    codec = _CODECS.get(type(value))
+    return value if codec is None else getattr(ser, codec)(value)
+
+
+# the reader of each payload field of a library object, by name on serialize, and the
+# string fields; x, y, z are vectors in cocycle only, and a 3.1(*) state is a boson state
+_FIELD_READERS = {
+    **dict.fromkeys(("a", "b", "c", "alpha", "beta"), "vector_from_obj"),
+    **dict.fromkeys(("x1", "y1", "x2", "y2"), "operator_from_obj"),
+    "state": "tensor_state_from_obj",
+}
+_STRING_FIELDS = ("slot", "case", "row", "variant", "form")
+
+
+def _payload_from_obj(family, clause, obj):
+    """A recorded payload as its generator yields it; every other field holds ints."""
+    payload = {}
+    for name, value in ser._object(obj, "a payload").items():
+        reader = _FIELD_READERS.get(name)
+        if family == "cocycle" and name in ("x", "y", "z"):
+            reader = "vector_from_obj"
+        elif name == "state" and family == "prop33" and clause.startswith("3.1"):
+            reader = "boson_state_from_obj"
+        if reader is not None:
+            value = getattr(ser, reader)(value)
+        elif name in _STRING_FIELDS:
+            if type(value) is not str:
+                raise ValueError(f"payload field {name} must be a string, got {value!r}")
+        elif isinstance(value, dict):
+            value = {k: ser._int(v, name) for k, v in value.items()}
+        else:
+            value = ser._ints(value, name) if isinstance(value, list) else ser._int(value, name)
+        payload[name] = value
+    return payload
 
 
 def _generate(family, cfg, clause):
@@ -888,7 +905,7 @@ def _generate(family, cfg, clause):
 
 
 def _evaluate(family, cfg, clause, payload):
-    """(ok, adjudicated, note, lhs, rhs) with both sides serialized.
+    """(ok, adjudicated, note, lhs, rhs) with both sides as library objects.
 
     Only the printed-table families adjudicate: a failing row with a
     known print typo at these indices is reported with its note.
@@ -897,9 +914,9 @@ def _evaluate(family, cfg, clause, payload):
     adjudicated, note = False, None
     if not ok and family in ("rtables", "sttables"):
         adj = tables.ADJUDICATIONS.get(payload["row"])
-        if adj is not None and adj["predicate"](_row_indices(payload)):
+        if adj is not None and adj["predicate"](payload["indices"]):
             adjudicated, note = True, adj["note"]
-    return ok, adjudicated, note, _serialize(lhs), _serialize(rhs)
+    return ok, adjudicated, note, lhs, rhs
 
 
 FAMILIES = {
@@ -913,10 +930,13 @@ FAMILIES = {
 
 
 def evaluate_check(cfg: CheckConfig, family: str, clause: str, payload):
-    """Re-run one check from its payload; the replay entry point."""
+    """Re-run one check from its recorded payload, with both sides encoded; the replay
+    entry point."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    return FAMILIES[family]["evaluate"](cfg, clause, payload)
+    ok, adj, note, lhs, rhs = FAMILIES[family]["evaluate"](
+        cfg, clause, _payload_from_obj(family, clause, payload))
+    return ok, adj, note, _serialize(lhs), _serialize(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -947,9 +967,9 @@ def _run_clause(cfg: CheckConfig, family: str, clause: str) -> dict:
                     "clause": clause,
                     "pattern": pattern,
                     "config": cfg.to_obj(),
-                    "payload": payload,
-                    "lhs": lhs,
-                    "rhs": rhs,
+                    "payload": _serialize(payload),
+                    "lhs": _serialize(lhs),
+                    "rhs": _serialize(rhs),
                 }
                 if "row" in payload:
                     # spell out the bracket arguments the row encodes

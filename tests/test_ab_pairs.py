@@ -36,3 +36,23 @@ def test_summary_of_one_pair_and_rounding():
         "change_median": 1.2346, "change_quartiles": [1.2346, 1.2346, 1.2346],
         "pairs": 1, "change_lower_in_pairs": 1,
     }
+
+
+def test_summary_marks_a_median_worse_than_its_bound():
+    runs = []
+    for seed, (parent, change, rss) in enumerate([(2.0, 2.6, 50.0), (2.2, 2.7, 50.0),
+                                                  (1.8, 2.2, 50.0)], 1):
+        runs += [_run("thm46", seed, "parent", run_s=parent, setup_s=0.5, peak_rss_mb=rss,
+                      **{"serialize.terms": 9728}),
+                 _run("thm46", seed, "change", run_s=change, setup_s=0.625, peak_rss_mb=rss - 3,
+                      **{"serialize.terms": 0})]
+    summary = summarize(runs, {"run_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.2})
+    # 2.6 against 2.0 is 30% worse, past the bound of 25%
+    assert summary["thm46.run_s"]["bound"] == 0.25
+    assert summary["thm46.run_s"]["worse_than_bound"] is True
+    # exactly at the bound is not past it, and a better median never is
+    assert summary["thm46.setup_s"]["worse_than_bound"] is False
+    assert summary["thm46.peak_rss_mb"]["worse_than_bound"] is False
+    # a metric without a bound is not marked
+    assert "worse_than_bound" not in summary["thm46.serialize.terms"]
+    assert "worse_than_bound" not in summarize(runs)["thm46.run_s"]

@@ -116,6 +116,7 @@ def test_counterexample_replay_of_synthetic_failure():
     # replay must expose that the recorded failure does not reproduce
     gen = verifier.FAMILIES["corollary19"]["generate"]
     pattern, payload = next(iter(gen(SMALL, "1.9(2)")))
+    payload = verifier._serialize(payload)  # as a record holds it
     ok, adj, note, lhs, rhs = evaluate_check(SMALL, "corollary19", "1.9(2)", payload)
     assert ok
     record = {
@@ -141,7 +142,7 @@ def test_counterexample_replay_reproduces_recorded_failure():
     gen = verifier.FAMILIES["identity110"]["generate"]
     items = list(gen(CheckConfig(M=3, N=2, q=1, max_degree=2, exponent_box=1,
                                  samples=2, seed=3), "1.10(3)"))
-    _, payload = items[0]
+    payload = verifier._serialize(items[0][1])  # as a record holds it
     cfg = CheckConfig(M=3, N=2, q=1, max_degree=2, exponent_box=1, samples=2, seed=3)
     ok, _, _, lhs, rhs = evaluate_check(cfg, "identity110", "1.10(3)", payload)
     assert ok
@@ -324,6 +325,7 @@ def test_export_constants_table_is_pinned(M, N, digest, capsys):
 def test_cli_replay(tmp_path):
     gen = verifier.FAMILIES["lemma49"]["generate"]
     pattern, payload = next(iter(gen(SMALL, "lemma4.9")))
+    payload = verifier._serialize(payload)  # as a record holds it
     ok, _, _, lhs, rhs = evaluate_check(SMALL, "lemma49", "lemma4.9", payload)
     record = {
         "family": "lemma49", "clause": "lemma4.9", "pattern": pattern,
@@ -338,6 +340,27 @@ def test_cli_replay(tmp_path):
     # the recorded check passes, so the "failure" does not reproduce
     assert proc.returncode == 2
     assert "did NOT reproduce" in proc.stderr
+
+
+@pytest.mark.parametrize("part, field, value", [
+    ("payload", "mq", "1"),
+    ("config", "M", 3.7),
+    ("config", "extra", 1),
+], ids=["payload-string-int", "config-float", "config-extra-key"])
+def test_cli_replay_of_a_malformed_record_exits_2(tmp_path, capsys, part, field, value):
+    # a record field of the wrong type, or an unknown config key, is an
+    # input error: it is neither truncated nor met later as a TypeError
+    pattern, payload = next(iter(verifier.FAMILIES["lemma49"]["generate"](SMALL, "lemma4.9")))
+    record = {"family": "lemma49", "clause": "lemma4.9", "pattern": pattern,
+              "config": SMALL.to_obj(), "payload": verifier._serialize(payload),
+              "lhs": [], "rhs": []}
+    record[part][field] = value
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps(record))
+    assert main(["replay", "--counterexample", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert out == ""
 
 
 def test_cli_input_and_config_errors_exit_2(capsys):

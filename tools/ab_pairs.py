@@ -24,8 +24,10 @@ The output file holds every run's last output line (the benchmark's JSON
 result), the act responses' SHA-256 where the run prints one, and per
 workload and metric each side's median and quartiles and the number of
 pairs in which the change was lower.  Every metric the benchmark gates
-is better when lower.  Run it from inside the repository; it needs only
-the standard library and git.
+is better when lower; one whose change median exceeds the parent's by
+more than its BENCHMARK.json bound, a fraction of the parent's median,
+is marked, and ``worse_than_bound`` lists all such metrics.  Run it from
+inside the repository; it needs only the standard library and git.
 """
 
 from __future__ import annotations
@@ -45,33 +47,40 @@ import tempfile
 _SHA = re.compile(r"responses sha256 ([0-9a-f]{64})")
 
 
-def summarize(runs: list) -> dict:
+def summarize(runs: list, bounds=None) -> dict:
     """Per "workload.metric": each side's median and inclusive quartiles (rounded to 4
     places), the number of pairs and the pairs in which the change read lower.
 
     runs holds dicts with "workload", "seed", "side" ("parent" or "change") and
     "metrics" ({name: value}); a pair is the two runs of one (workload, seed).
+    bounds maps a gated metric, better when lower, to its bound: its summary also
+    holds that bound and "worse_than_bound", whether the change's median exceeds the
+    parent's by more than the bound times the parent's median.
     """
+    bounds = bounds or {}
     values = {}
     for run in runs:
         for name, value in run["metrics"].items():
-            cell = values.setdefault(f"{run['workload']}.{name}", {})
+            cell = values.setdefault((run["workload"], name), {})
             cell.setdefault(run["seed"], {})[run["side"]] = value
     summary = {}
-    for key, by_seed in values.items():
+    for (workload, name), by_seed in values.items():
         pairs = [v for v in by_seed.values() if "parent" in v and "change" in v]
         if not pairs:
             continue
-        parent = [v["parent"] for v in pairs]
-        change = [v["change"] for v in pairs]
-        summary[key] = {
-            "parent_median": round(statistics.median(parent), 4),
-            "parent_quartiles": _quartiles(parent),
-            "change_median": round(statistics.median(change), 4),
-            "change_quartiles": _quartiles(change),
+        parent = statistics.median(v["parent"] for v in pairs)
+        change = statistics.median(v["change"] for v in pairs)
+        cell = summary[f"{workload}.{name}"] = {
+            "parent_median": round(parent, 4),
+            "parent_quartiles": _quartiles([v["parent"] for v in pairs]),
+            "change_median": round(change, 4),
+            "change_quartiles": _quartiles([v["change"] for v in pairs]),
             "pairs": len(pairs),
             "change_lower_in_pairs": sum(v["change"] < v["parent"] for v in pairs),
         }
+        if name in bounds:
+            cell["bound"] = bounds[name]
+            cell["worse_than_bound"] = change - parent > bounds[name] * parent
     return summary
 
 
@@ -126,6 +135,7 @@ def main(argv=None) -> int:
         with open(os.path.join(trees["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
             bench = json.load(fh)
         command, seconds = bench["command"], bench["run_seconds"]
+        bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
         for workload in args.workload:
             for seed in range(1, args.pairs + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -140,6 +150,7 @@ def main(argv=None) -> int:
                           + " ".join(f"{k}={v:.4g}" for k, v in metrics.items())
                           + ("" if result["exit_code"] == 0 else f" exit {result['exit_code']}"),
                           flush=True)
+    summary = summarize(runs, bounds)
     report = {
         "what": "Alternating parent/change pairs of the benchmark from tools/ab_pairs.py",
         "command": (f"{' '.join(command)} --workload W --seed N --seconds {seconds}"
@@ -147,7 +158,8 @@ def main(argv=None) -> int:
                     " first), each side from its own git archive export"),
         "sides": sides,
         "machine": f"{os.cpu_count()} cores, Python {platform.python_version()}",
-        "summary": summarize(runs),
+        "summary": summary,
+        "worse_than_bound": sorted(k for k, v in summary.items() if v.get("worse_than_bound")),
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
