@@ -68,19 +68,20 @@ def summarize(runs: list, bounds=None) -> dict:
         pairs = [v for v in by_seed.values() if "parent" in v and "change" in v]
         if not pairs:
             continue
-        parent = statistics.median(v["parent"] for v in pairs)
-        change = statistics.median(v["change"] for v in pairs)
+        parent = [v["parent"] for v in pairs]
+        change = [v["change"] for v in pairs]
         cell = summary[f"{workload}.{name}"] = {
-            "parent_median": round(parent, 4),
-            "parent_quartiles": _quartiles([v["parent"] for v in pairs]),
-            "change_median": round(change, 4),
-            "change_quartiles": _quartiles([v["change"] for v in pairs]),
+            "parent_median": round(statistics.median(parent), 4),
+            "parent_quartiles": _quartiles(parent),
+            "change_median": round(statistics.median(change), 4),
+            "change_quartiles": _quartiles(change),
             "pairs": len(pairs),
             "change_lower_in_pairs": sum(v["change"] < v["parent"] for v in pairs),
         }
         if name in bounds:
+            base = statistics.median(parent)
             cell["bound"] = bounds[name]
-            cell["worse_than_bound"] = change - parent > bounds[name] * parent
+            cell["worse_than_bound"] = statistics.median(change) - base > bounds[name] * base
     return summary
 
 
