@@ -14,6 +14,7 @@ from .fock_lattice import (
     normal_ordered_pair_sum,
     vanishing_bound,
     vertex_mode_apply,
+    vertex_modes,
     vertex_product_sum,
 )
 from .fock_boson import BosonState, depth, phi_apply, phi_star_apply
@@ -85,6 +86,7 @@ __all__ = [
     "super_commutator",
     "vanishing_bound",
     "vertex_mode_apply",
+    "vertex_modes",
     "vertex_product_sum",
 ]
 

@@ -13,25 +13,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def accumulate(out: dict, items) -> dict:
-    """Add the (key, coeff) items into out in place and return it.
+def accumulate(out: dict, items, negate: bool = False) -> dict:
+    """Add the (key, coeff) items into out in place and return it; with
+    negate, subtract them.
 
     A key whose sum cancels is deleted and a zero item is not stored, so
-    out stays a map to nonzero coefficients.  Only a dict the caller owns
-    may be passed: never the terms of a state another caller can see.
+    out stays a map to nonzero coefficients.  Coefficients are Fractions
+    or ints, both in lowest terms, so a sum cancels exactly when the two
+    denominators are equal and the numerators opposite: that key is
+    deleted without building the zero.  Only a dict the caller owns may
+    be passed: never the terms of a state another caller can see.
     """
     get = out.get
+    if negate:
+        for key, c in items:
+            prev = get(key)
+            if prev is None:
+                if c:
+                    out[key] = -c
+            elif prev.denominator == c.denominator and prev.numerator == c.numerator:
+                del out[key]
+            else:
+                out[key] = prev - c
+        return out
     for key, c in items:
         prev = get(key)
         if prev is None:
             if c:
                 out[key] = c
+        elif prev.denominator == c.denominator and prev.numerator == -c.numerator:
+            del out[key]
         else:
-            c += prev
-            if c:
-                out[key] = c
-            else:
-                del out[key]
+            out[key] = prev + c
     return out
 
 
@@ -80,9 +93,7 @@ class Combination:
         return self._from_clean(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        return self._from_clean(
-            accumulate(dict(self.terms), ((k, -c) for k, c in other.terms.items()))
-        )
+        return self._from_clean(accumulate(dict(self.terms), other.terms.items(), negate=True))
 
     def __rmul__(self, scalar):
         if type(scalar) is not Fraction:

@@ -25,9 +25,13 @@ is stored as 2n and an odd vector's mode n - 1/2 as 2n - 1.
 
 Every mode application is exact and finite: exp T_+ substitutes
 f - (a, b) z^{-n} for each factor f = b(-n), a finite product of
-binomials with integer coefficients, and only the single creation level
-that can reach the requested z-coefficient is expanded from exp T_-.  No
-truncation parameter exists anywhere.
+binomials with integer coefficients, and per index only the single
+creation level that can reach the requested z-coefficient is expanded
+from exp T_-.  No truncation parameter exists anywhere.  The kernel,
+vertex_modes, serves a window of indices of one vector on one state
+from one pass over the state, so the mode sums that need many modes of
+X(a) on the same state read them all at once; vertex_mode_apply is its
+one-index case.
 """
 
 from __future__ import annotations
@@ -188,71 +192,106 @@ def _mode_depth(a: LatticeVector, idx: int) -> int:
     return (idx + 1) // 2
 
 
-def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> LatticeFockState:
-    """Apply the Fourier mode with doubled index idx of X(a, .), a in Q.
+def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
+    """{idx: X_idx(a) s} for every doubled index idx of the window idxs, a in Q.
 
-    Per key e^gamma (x) u the z-coefficient is assembled from annihilation
-    level d (bounded by deg u) and the single creation level
-    c = d - (a, gamma) - h that lands on the requested power.
+    Per key e^gamma (x) u and index the z-coefficient is assembled from
+    annihilation level d (bounded by deg u) and the single creation level
+    c = d - (a, gamma) - h_idx that lands on the requested power.  No
+    level depends on the index but the creation level, so one pass over
+    s serves the whole window: one exp T_+ lookup per key, the shift
+    (a, gamma), the sign F(a, gamma) and the target a + gamma once per
+    gamma, and the annihilated monomials of all keys summed per (gamma,
+    level d) once, each distinct one then multiplied by the creation
+    level of each index.
 
-    The sums run on ints: the annihilation levels are integral, so each
-    (key, level) pair contributes over q = (input denominator) * D_cre,
-    all are brought over the lcm of the q's, and one Fraction is built
-    per output key.  For one gamma the shift (a, gamma) + h and the
-    sign F(a, gamma) are computed once, and the creation level depends on
-    d alone, so the annihilated monomials of all keys are summed per
-    (gamma, creation level) first and each distinct one is multiplied by
-    the creation level once.  Output keys are grouped by gamma, so the
-    inner loops hash only monomials.
+    The sums run on ints: the annihilation levels are integral, so the
+    contributions to one index on one gamma are brought over one common
+    denominator, the lcm of the input denominators times the lcm of the
+    creation denominators they use, and one Fraction is built per output
+    key.  Output keys are grouped by gamma, so the inner loops hash only
+    monomials.  An index whose image is 0 maps to the zero state.
     """
     if not a.in_q():
         raise ValueError(f"vertex operators require a in Q, got {a!r}")
-    h = _mode_depth(a, idx)
-    # gamma -> ({creation level: (created, [(numerator, q, annihilated), ...])},
-    #           (a, gamma) + h, F(a, gamma))
+    depths = {idx: _mode_depth(a, idx) for idx in idxs}
+    if not depths:
+        return {}
+    h_lo = min(depths.values())
+    den_in = lcm(*{c.denominator for c in s.terms.values()})
+    # gamma -> ({level d: {annihilated monomial: numerator over den_in}}, (a, gamma), F(a, gamma));
+    # a level below (a, gamma) + h_lo needs a negative creation level at every index
     groups = {}
-    dens = set()
     for (gamma, mono), coeff in s.terms.items():
         hoisted = groups.get(gamma)
         if hoisted is None:
-            hoisted = groups[gamma] = ({}, bilinear(a, gamma) + h, cocycle(a, gamma))
-        group, base, sign = hoisted
-        num = sign * coeff.numerator
+            shift = bilinear(a, gamma)
+            hoisted = groups[gamma] = ({}, shift, cocycle(a, gamma))
+        levels, shift, _ = hoisted
+        scale = coeff.numerator * (den_in // coeff.denominator)
         for d, monos in _exp_annihilation(a, mono).items():
-            c_level = d - base
-            if c_level < 0:
+            if d < shift + h_lo:
                 continue
-            d_cre, created = _creation_level(a, c_level)
-            q = coeff.denominator * d_cre
-            dens.add(q)
-            row = (num, q, monos)
-            entry = group.get(c_level)
-            if entry is None:
-                group[c_level] = (created, [row])
-            else:
-                entry[1].append(row)
-    den = lcm(*dens)
-    out = {}
-    for gamma, (group, _, _) in groups.items():
-        sums = {}  # monomial -> numerator over den
-        get = sums.get
-        for created, rows in group.values():
-            annihilated = {}  # annihilated monomial -> numerator over den, before creation
-            ann_get = annihilated.get
-            for num, q, monos in rows:
-                scale = num * (den // q)
-                for mo, n_ann in monos:
-                    annihilated[mo] = ann_get(mo, 0) + scale * n_ann
-            for mo, n in annihilated.items():
-                if n:
-                    for extra, n_cre in created:
-                        key = tuple(sorted(mo + extra))
-                        sums[key] = get(key, 0) + n * n_cre
+            annihilated = levels.get(d)
+            if annihilated is None:
+                annihilated = levels[d] = {}
+            get = annihilated.get
+            for mo, n_ann in monos:
+                annihilated[mo] = get(mo, 0) + scale * n_ann
+    out = {idx: {} for idx in depths}
+    for gamma, (levels, shift, sign) in groups.items():
         new_gamma = a + gamma
-        for mo, n in sums.items():
-            if n:
-                out[(new_gamma, mo)] = Fraction(n, den)
-    return LatticeFockState._from_clean(out)
+        for idx, h in depths.items():
+            base = shift + h
+            used = [(annihilated, _creation_level(a, d - base))
+                    for d, annihilated in levels.items() if d >= base]
+            if not used:
+                continue
+            cre_den = lcm(*(d_cre for _, (d_cre, _) in used))
+            sums = {}  # monomial -> numerator over den_in * cre_den
+            get = sums.get
+            for annihilated, (d_cre, created) in used:
+                f = sign * (cre_den // d_cre)
+                for mo, n in annihilated.items():
+                    if n:
+                        n *= f
+                        for extra, n_cre in created:
+                            key = tuple(sorted(mo + extra))
+                            sums[key] = get(key, 0) + n * n_cre
+            den = den_in * cre_den
+            image = out[idx]
+            for mo, n in sums.items():
+                if n:
+                    image[(new_gamma, mo)] = Fraction(n, den)
+    return {idx: LatticeFockState._from_clean(image) for idx, image in out.items()}
+
+
+def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> LatticeFockState:
+    """Apply the Fourier mode with doubled index idx of X(a, .), a in Q: the
+    window of vertex_modes with the one index idx."""
+    return vertex_modes(a, (idx,), s)[idx]
+
+
+def _paired(a: LatticeVector) -> set:
+    """The basis indices b with (a, b) != 0: the factors b(-n) that a(n) can contract."""
+    return {b for b in range(len(a.e) + 2 * len(a.delta)) if pair_with_basis(a, b)}
+
+
+def _mode_bound(a: LatticeVector, s: LatticeFockState, paired):
+    """max over keys of 2 (deg u - (a, gamma)) minus the norm for even a and
+    minus 1 for odd a, deg u counting only the factors of basis indices in
+    paired (all when paired is None); -inf on the zero state.  (a, gamma)
+    is computed once per gamma, for its largest degree."""
+    if s.is_zero():
+        return NEG_INF
+    p = bilinear(a, a)
+    drop = p if p % 2 == 0 else 1
+    degrees = {}  # gamma -> largest counted degree of its monomials
+    for g, u in s.terms:
+        d = monomial_degree(u) if paired is None else sum(n for b, n in u if b in paired)
+        if d > degrees.get(g, -1):
+            degrees[g] = d
+    return max(2 * (d - bilinear(a, g)) - drop for g, d in degrees.items())
 
 
 def vanishing_bound(a: LatticeVector, s: LatticeFockState):
@@ -261,13 +300,7 @@ def vanishing_bound(a: LatticeVector, s: LatticeFockState):
     Per key the bound is 2 (deg u - (a, gamma)) minus the norm for even a
     and minus 1 for odd a; the zero state yields -inf.
     """
-    if s.is_zero():
-        return NEG_INF
-    p = bilinear(a, a)
-    drop = p if p % 2 == 0 else 1
-    return max(
-        2 * (monomial_degree(u) - bilinear(a, g)) - drop for (g, u) in s.terms
-    )
+    return _mode_bound(a, s, None)
 
 
 def effective_mode_bound(a: LatticeVector, s: LatticeFockState):
@@ -278,28 +311,22 @@ def effective_mode_bound(a: LatticeVector, s: LatticeFockState):
     mode family.  Used to clip the infinite mode sums of the toroidal
     operators, where states carry factors orthogonal to a.
     """
-    if s.is_zero():
-        return NEG_INF
-    p = bilinear(a, a)
-    drop = p if p % 2 == 0 else 1
-    return max(
-        2 * (sum(n for b, n in u if pair_with_basis(a, b)) - bilinear(a, g)) - drop
-        for (g, u) in s.terms
-    )
+    return _mode_bound(a, s, _paired(a))
 
 
 def current_upper_bound(a: LatticeVector, s: LatticeFockState):
     """Largest m > 0 with a(m) s possibly nonzero (0 if none; -inf on 0)."""
     if s.is_zero():
         return NEG_INF
-    return max((n for _, u in s.terms for b, n in u if pair_with_basis(a, b)), default=0)
+    paired = _paired(a)
+    return max((n for _, u in s.terms for b, n in u if b in paired), default=0)
 
 
 def _even_mode_sum(dm: LatticeVector, lo, hi, outer, s: LatticeFockState) -> LatticeFockState:
-    """sum over even doubled j in [lo, hi] of outer(j, X_j(dm) s), for a nonzero s."""
+    """sum over even doubled j in [lo, hi] of outer(j, X_j(dm) s), for a nonzero s;
+    the X_j(dm) s come from one window of vertex_modes."""
     out = {}
-    for j in range(lo + lo % 2, hi + 1, 2):
-        inner = vertex_mode_apply(dm, j, s)
+    for j, inner in vertex_modes(dm, range(lo + lo % 2, hi + 1, 2), s).items():
         if not inner.is_zero():
             accumulate(out, outer(j, inner).terms.items())
     return LatticeFockState._from_clean(out)
@@ -346,7 +373,8 @@ def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int,
     Normal ordering keeps the written order when k + 1/2 <= n - k - 1/2,
     i.e. k <= (n-1)//2, and otherwise swaps the two odd factors with a
     minus sign.  In each term the factor acting first is the one with the
-    larger mode, so the effective bound of its vector on s clips k.
+    larger mode, so the effective bound of its vector on s clips k.  The
+    first factors of each range come from one window on s.
     """
     if parity(a) != 1 or parity(b) != 1:
         raise ValueError("normal ordered pair sum is for odd vectors")
@@ -354,10 +382,12 @@ def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int,
         return s
     split = (n - 1) // 2
     out = {}
-    for k in range(n - (effective_mode_bound(b, s) + 1) // 2, split + 1):
-        kept = vertex_mode_apply(a, 2 * k + 1, vertex_mode_apply(b, 2 * (n - k) - 1, s))
-        accumulate(out, kept.terms.items())
-    for k in range(split + 1, (effective_mode_bound(a, s) - 1) // 2 + 1):
-        swapped = vertex_mode_apply(b, 2 * (n - k) - 1, vertex_mode_apply(a, 2 * k + 1, s))
-        accumulate(out, ((key, -c) for key, c in swapped.terms.items()))
+    kept = range(n - (effective_mode_bound(b, s) + 1) // 2, split + 1)
+    for j, t in vertex_modes(b, [2 * (n - k) - 1 for k in kept], s).items():
+        if not t.is_zero():
+            accumulate(out, vertex_mode_apply(a, 2 * n - j, t).terms.items())
+    swapped = range(split + 1, (effective_mode_bound(a, s) - 1) // 2 + 1)
+    for j, t in vertex_modes(a, [2 * k + 1 for k in swapped], s).items():
+        if not t.is_zero():
+            accumulate(out, vertex_mode_apply(b, 2 * n - j, t).terms.items(), negate=True)
     return LatticeFockState._from_clean(out)

@@ -46,6 +46,7 @@ from .fock_lattice import (
     monomial_degree,
     normal_ordered_pair_sum,
     vertex_mode_apply,
+    vertex_modes,
     vertex_product_sum,
 )
 from .fock_boson import BosonState, creation_modes, depth, mode_on_key
@@ -99,13 +100,18 @@ class TensorState(Combination):
         return None
 
 
-def _map_half(fn, ts: TensorState) -> TensorState:
-    """Apply the lattice operator fn to the lattice half of ts, the boson half fixed."""
+def _boson_groups(ts: TensorState) -> dict:
+    """ts grouped by boson half: {boson key: {lattice key: coefficient}}."""
     groups = {}
     for (lk, bk), c in ts.terms.items():
         groups.setdefault(bk, {})[lk] = c
+    return groups
+
+
+def _map_half(fn, ts: TensorState) -> TensorState:
+    """Apply the lattice operator fn to the lattice half of ts, the boson half fixed."""
     out = {}
-    for bk, half in groups.items():
+    for bk, half in _boson_groups(ts).items():
         # groups differ in the boson half, so no two images share a key
         for lk, c in fn(LatticeFockState._from_clean(half)).terms.items():
             out[(lk, bk)] = c
@@ -276,23 +282,41 @@ def _s_plain(fam: str, vec, a: int, b: int, m: int, ts: TensorState) -> TensorSt
     X_{2(m-k)}(delta_mu): the boson factor commutes with the lattice, and
     identity 4.4, sum_k X_{idx-k}(v) X_k(delta_mu) = X_idx(v + delta_mu),
     folds the k sum into one vertex mode of v + delta_mu.  ts is nonzero.
+
+    For upper and lower the two factors act on different halves of a key,
+    so the state is grouped by boson half once.  Per half, the boson
+    factor of each r is evaluated on the key alone, the lattice half gets
+    one vertex_modes window over the r whose boson image is nonzero, and
+    each lattice image is paired with its boson image.
     """
     bd = _boson_depth(ts)
     r_hi = (bd + 1) // 2 if vec is None else (_lattice_bound(vec, ts) + 1) // 2
+    rs = range(m - (bd - 1) // 2, r_hi + 1)
     out = {}
-    for r in range(m - (bd - 1) // 2, r_hi + 1):
-        s_idx = m - r + 1
-        if fam == "upper":
-            first, second = PhiStarMode(b, s_idx), VertexMode(vec, 2 * r - 1)
-        elif fam == "lower":
-            first, second = PhiMode(a, s_idx), VertexMode(vec, 2 * r - 1)
-        elif r <= s_idx:  # normal ordering: phi first iff r <= s, annihilators right
-            first, second = PhiStarMode(b, s_idx), PhiMode(a, r)
-        else:
-            first, second = PhiMode(a, r), PhiStarMode(b, s_idx)
-        t = first.apply(ts)
-        if not t.is_zero():
-            accumulate(out, second.apply(t).terms.items())
+    if vec is None:
+        for r in rs:
+            s_idx = m - r + 1
+            if r <= s_idx:  # normal ordering: phi first iff r <= s, annihilators right
+                first, second = PhiStarMode(b, s_idx), PhiMode(a, r)
+            else:
+                first, second = PhiMode(a, r), PhiStarMode(b, s_idx)
+            t = first.apply(ts)
+            if not t.is_zero():
+                accumulate(out, second.apply(t).terms.items())
+        return TensorState._from_clean(out)
+    star = fam == "upper"
+    flavor = b if star else a
+    for bk, half in _boson_groups(ts).items():
+        images = {}  # doubled index 2r - 1 -> (boson image key, integer weight)
+        for r in rs:
+            image = mode_on_key(flavor, m - r + 1, bk, star)
+            if image is not None:
+                images[2 * r - 1] = image
+        if not images:
+            continue
+        for idx, lat in vertex_modes(vec, images, LatticeFockState._from_clean(half)).items():
+            image, w = images[idx]
+            accumulate(out, (((lk, image), c if w == 1 else c * w) for lk, c in lat.terms.items()))
     return TensorState._from_clean(out)
 
 
@@ -381,9 +405,12 @@ class OpSum(_Operator):
     terms: tuple  # of (Fraction, operator)
 
     def apply(self, ts: TensorState) -> TensorState:
+        if len(self.terms) == 1 and self.terms[0][0] == 1:
+            return self.terms[0][1].apply(ts)
         out = {}
         for c, op in self.terms:
-            accumulate(out, ((k, c * v) for k, v in op.apply(ts).terms.items()))
+            image = op.apply(ts).terms.items()
+            accumulate(out, image if c == 1 else ((k, c * v) for k, v in image))
         return TensorState._from_clean(out)
 
     def parity(self, M=None):
@@ -450,5 +477,8 @@ def super_commutator(op1, op2, ts: TensorState) -> TensorState:
     p2 = op2.parity(M)
     if p1 is None or p2 is None:
         raise ValueError("super commutator needs homogeneous operators")
-    sign = -1 if (p1 and p2) else 1
-    return op1.apply(op2.apply(ts)) - sign * op2.apply(op1.apply(ts))
+    # the second ordering is folded into a copy of the first's terms, added for
+    # two odd operators and subtracted otherwise
+    out = dict(op1.apply(op2.apply(ts)).terms)
+    accumulate(out, op2.apply(op1.apply(ts)).terms.items(), negate=not (p1 and p2))
+    return TensorState._from_clean(out)

@@ -876,8 +876,12 @@ _FIELD_READERS = {
 _STRING_FIELDS = ("slot", "case", "row", "variant", "form")
 
 
-def _payload_from_obj(family, clause, obj):
-    """A recorded payload as its generator yields it; every other field holds ints."""
+def _payload_from_obj(cfg, family, clause, obj):
+    """A recorded payload as its generator yields it; every other field holds ints.
+
+    A tensor state is read at the lattice shape its generator draws: q = 1
+    for the R rows of prop33, the config's q otherwise.
+    """
     payload = {}
     for name, value in ser._object(obj, "a payload").items():
         reader = _FIELD_READERS.get(name)
@@ -885,7 +889,13 @@ def _payload_from_obj(family, clause, obj):
             reader = "vector_from_obj"
         elif name == "state" and family == "prop33" and clause.startswith("3.1"):
             reader = "boson_state_from_obj"
-        if reader is not None:
+        if reader == "tensor_state_from_obj":
+            shape = LatticeConfig(cfg.M, 1 if family == "prop33" else cfg.q)
+            try:
+                value = ser.tensor_state_from_obj(value, shape)
+            except ValueError as exc:
+                raise ValueError(f"payload field state: {exc}") from None
+        elif reader is not None:
             value = getattr(ser, reader)(value)
         elif name in _STRING_FIELDS:
             if type(value) is not str:
@@ -934,8 +944,10 @@ def evaluate_check(cfg: CheckConfig, family: str, clause: str, payload):
     entry point."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if clause not in _CLAUSES[family]:
+        raise ValueError(f"unknown clause {clause!r} of family {family!r}")
     ok, adj, note, lhs, rhs = FAMILIES[family]["evaluate"](
-        cfg, clause, _payload_from_obj(family, clause, payload))
+        cfg, clause, _payload_from_obj(cfg, family, clause, payload))
     return ok, adj, note, _serialize(lhs), _serialize(rhs)
 
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supertoroidal import (
     BosonState,
@@ -99,6 +101,32 @@ def test_accumulate_in_place(cls, k1, k2, text):
     assert (y - x).terms == {k1: Fraction(-1), k2: three}
     assert (x - x).is_zero() and (x + y) is not x
     assert x.terms == xt and y.terms == yt
+
+_FRACS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 3), _FRACS), st.lists(st.tuples(st.integers(0, 3), _FRACS)),
+       st.booleans())
+@example({0: Fraction(1, 3)}, [(0, Fraction(-1, 3))], False)  # a key that cancels
+@example({0: Fraction(1, 3)}, [(0, Fraction(1, 3))], True)  # the same, subtracted
+@example({0: Fraction(1, 3)}, [(0, Fraction(-2, 3))], False)  # opposite sign, no cancelling
+@example({0: Fraction(1, 3)}, [(0, Fraction(-1, 3))], True)
+@example({0: Fraction(1, 2)}, [(0, Fraction(-1, 3)), (0, Fraction(-1, 6))], False)  # 1/2 - 1/3 - 1/6
+@example({0: Fraction(1, 2)}, [(0, Fraction(1, 3)), (1, Fraction(0)), (0, Fraction(1, 6))], True)
+@example({0: Fraction(2)}, [(0, -2)], False)  # an int item against a Fraction
+def test_accumulate_against_fraction_sums(start, items, negate):
+    # the sum of each key as Fractions, with the keys whose sum is 0 left out
+    start = {k: c for k, c in start.items() if c}
+    expect = dict(start)
+    for k, c in items:
+        expect[k] = expect.get(k, 0) + (-c if negate else c)
+    expect = {k: c for k, c in expect.items() if c}
+    out = dict(start)
+    assert accumulate(out, items, negate=negate) is out
+    assert out == expect
+    assert all(c != 0 for c in out.values())
+
 
 @pytest.mark.parametrize("cls, k1, k2, text", CASES, ids=[c.__name__ for c in CLASSES])
 def test_float_coefficients_rejected(cls, k1, k2, text):

@@ -20,6 +20,7 @@ from supertoroidal.fock_lattice import (
     normal_ordered_pair_sum,
     vanishing_bound,
     vertex_mode_apply,
+    vertex_modes,
     vertex_product_sum,
 )
 
@@ -433,6 +434,48 @@ def test_kernel_skips_a_level_that_cancels():
         assert_lowest_terms(img)
         live += 1 - bilinear(a, gamma) - _mode_depth(a, k) >= 0 and not img.is_zero()
     assert live >= 3
+
+
+_GAMMAS = st.builds(LatticeVector, st.tuples(*[_COORD] * CFG.M), st.tuples(_COORD),
+                    st.tuples(_COORD))
+_MONOMIALS = st.lists(st.tuples(st.integers(0, CFG.rank - 1), st.integers(1, 3)),
+                      max_size=3).map(lambda fs: tuple(sorted(fs)))
+_COEFFS = st.builds(Fraction, st.sampled_from((-5, -2, -1, 1, 3, 4)),
+                    st.sampled_from((1, 2, 3, 7, 9)))
+
+
+@st.composite
+def _window_cases(draw):
+    """(a, a window of doubled indices, a state of several gammas and mixed denominators)."""
+    a = draw(st.sampled_from(small_q_vectors(CFG)))
+    gammas = draw(st.lists(_GAMMAS, min_size=1, max_size=3, unique=True))
+    terms = draw(st.lists(st.tuples(st.sampled_from(gammas), _MONOMIALS, _COEFFS),
+                          min_size=1, max_size=6))
+    s = LatticeFockState([((g, mo), c) for g, mo, c in terms])
+    par = bilinear(a, a) % 2
+    idxs = draw(st.lists(st.sampled_from(range(-8 + par, 9, 2)), max_size=6, unique=True))
+    if not s.is_zero() and draw(st.booleans()):
+        idxs.append(int(vanishing_bound(a, s)) + 2)  # beyond the bound: a zero image
+    return a, idxs, s
+
+
+@settings(max_examples=80, deadline=None)
+@given(_window_cases())
+@example((CFG.e(1), [], LatticeFockState.basis(CFG.e(2), ((0, 1),))))
+@example((CFG.root(1, 2), [-4, -2, 0, 2, 40], LatticeFockState(
+    {(CFG.e(1), ((0, 1),)): Fraction(1, 2), (CFG.e(3), ((1, 2),)): Fraction(-3, 7),
+     (CFG.e(3), ()): Fraction(4, 9)})))
+def test_vertex_modes_window_matches_reference_index_by_index(case):
+    # one pass over s serves the window; each index must still equal the
+    # one-Fraction-at-a-time kernel, zero images and the empty window included
+    a, idxs, s = case
+    images = vertex_modes(a, idxs, s)
+    assert list(images) == list(dict.fromkeys(idxs))
+    for idx, img in images.items():
+        assert img == reference_vertex_mode_apply(a, idx, s), (a, idx, s)
+        assert_lowest_terms(img)
+        if idx > vanishing_bound(a, s):
+            assert img.is_zero()
 
 
 # --- mode sums

@@ -26,6 +26,8 @@ from supertoroidal.representation import (
     super_commutator,
 )
 
+from supertoroidal.fock_boson import mode_on_key
+
 from oracles import oracle_s_dressed, oracle_s_plain, reference_boson_mode_apply
 
 M, N, Q = 3, 2, 2
@@ -156,6 +158,33 @@ def _spread_over_boson_keys(rng, s):
     return TensorState(terms)
 
 
+def test_s_upper_lower_across_boson_halves_against_wide_window_oracle():
+    # each lattice key sits under two boson keys, and for n >= 1 the boson
+    # factor of r = n contracts some halves and kills the others, so every
+    # half gets its own window of vertex modes
+    rng = random.Random(37)
+    fams = (("upper", 1, M + 1), ("lower", M + 2, 2))  # phi*^1 and phi^2 contract the pool
+    split = dict.fromkeys((fam for fam, _, _ in fams), 0)
+    nonzero = dict(split)
+    for trial in range(32):
+        fam, i, j = fams[trial % 2]
+        s = _spread_over_boson_keys(rng, random_tensor(rng, max_deg=3, nterms=2))
+        n = rng.randint(1, 3)
+        mu = (0,) if trial < 16 else (rng.choice((-1, 1)),)
+        fast = SOp(i, j, mu, n).apply(s)
+        if mu == (0,):
+            wide = oracle_s_plain(fam, i, j, M, Q, n, s)
+        else:
+            wide = oracle_s_dressed(fam, i, j, M, Q, mu, n, s)
+        assert fast == wide, (fam, mu, n)
+        star = fam == "upper"
+        flavor = j - M if star else i - M
+        killed = {mode_on_key(flavor, 1, bk, star) is None for _, bk in s.terms}
+        split[fam] += killed == {True, False}
+        nonzero[fam] += not fast.is_zero()
+    assert min(split.values()) >= 8 and min(nonzero.values()) >= 4, (split, nonzero)
+
+
 def test_diag_current_dressed_against_manual_window():
     # alpha = e_i at q = 2, and alpha = delta_i at q = 3 as in the image of K_i (i < q)
     rng = random.Random(31)
@@ -202,6 +231,27 @@ def test_super_commutator_of_odd_pair_is_anticommutator():
     op2 = VertexMode(-LAT.e(1), 1)
     direct = op1.apply(op2.apply(s)) + op2.apply(op1.apply(s))
     assert super_commutator(op1, op2, s) == direct
+
+
+def test_super_commutator_against_both_orderings():
+    # [op1, op2] s = op1 op2 s - (-1)^{|op1||op2|} op2 op1 s, for each pair of parities
+    rng = random.Random(67)
+    odd = [VertexMode(LAT.e(1), -1), VertexMode(-LAT.e(2) + LAT.delta_sum((1,)), 1),
+           SOp(1, M + 1, (1,), 0), SOp(M + 2, 2, (0,), 1)]
+    even = [Current(LAT.e(1), 1), DiagCurrent(LAT.e(2), 0, (1,)), VertexMode(LAT.root(1, 2), 0),
+            SOp(M + 1, M + 2, (1,), 0), PhiMode(1, 1)]
+    both = dict.fromkeys(((p1, p2) for p1 in (0, 1) for p2 in (0, 1)), 0)
+    for trial in range(80):
+        op1 = rng.choice(odd if trial % 2 else even)
+        op2 = rng.choice(odd if trial % 4 >= 2 else even)
+        s = random_tensor(rng, nterms=3)
+        before = dict(s.terms)
+        first, second = op1.apply(op2.apply(s)), op2.apply(op1.apply(s))
+        sign = -1 if op1.parity(M) and op2.parity(M) else 1
+        assert super_commutator(op1, op2, s) == first - sign * second, (op1, op2)
+        assert s.terms == before
+        both[(op1.parity(M), op2.parity(M))] += not first.is_zero() and not second.is_zero()
+    assert min(both.values()) >= 5, both
 
 
 def test_super_commutator_of_orthogonal_currents_vanishes():
@@ -337,6 +387,38 @@ def test_every_operator_kind_leaves_its_input_alone():
         images.append(ser.tensor_state_to_obj(img))
     digest = hashlib.sha256(ser.dumps(images).encode()).hexdigest()
     assert digest == "f94f1bf8659973fb145ca3090d5e4edf3d7bf0c15f11a4f4ea1ff225ab6686cf"
+
+
+def test_no_operator_writes_into_its_input_or_its_images():
+    # the identity OpProduct(()) and a unit OpSum of it return their input
+    # itself, so [op, identity] = 0 folds op s into a dict that holds s's
+    # own terms unless it copies them; every key of that fold cancels
+    rng = random.Random(71)
+    s = _spread_over_boson_keys(rng, random_tensor(rng, max_deg=4, nterms=4))
+    before = dict(s.terms)
+    identity = OpProduct(())
+    ops = [
+        VertexMode(LAT.root(1, 2) + LAT.delta_sum((1,)), 0),
+        Current(LAT.e(1), -1),
+        PhiMode(1, 1),
+        PhiStarMode(2, 0),
+        DiagCurrent(LAT.e(2), 0, (1,)),
+        SOp(1, M + 1, (1,), 1),
+        SOp(M + 2, 2, (-1,), 1),
+        SOp(M + 1, M + 2, (1,), 0),
+        CentralImage((1, 1), 1),
+        NormalPairSum(LAT.e(1), -LAT.e(2), 0),
+        VertexProductSum(LAT.root(1, 3), (1,), 0),
+        OpSum(((Fraction(1), identity),)),
+        identity,
+    ]
+    assert OpSum(((Fraction(1), identity),)).apply(s) is s
+    for op in ops:
+        img = op.apply(s)
+        kept = dict(img.terms)
+        for comm in (super_commutator(op, identity, s), super_commutator(identity, op, s)):
+            assert comm.is_zero(), op
+        assert s.terms == before and img.terms == kept, op
 
 
 def test_boson_modes_match_grouped_reference():

@@ -363,6 +363,46 @@ def test_cli_replay_of_a_malformed_record_exits_2(tmp_path, capsys, part, field,
     assert out == ""
 
 
+def _replay_exit_and_error(tmp_path, capsys, record):
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps(record))
+    code = main(["replay", "--counterexample", str(path)])
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, (out, err)
+    return code, err
+
+
+def test_cli_replay_of_an_unknown_clause_exits_2(tmp_path, capsys):
+    pattern, payload = next(iter(verifier.FAMILIES["lemma49"]["generate"](SMALL, "lemma4.9")))
+    record = {"family": "lemma49", "clause": "nosuch", "pattern": pattern,
+              "config": SMALL.to_obj(), "payload": verifier._serialize(payload),
+              "lhs": [], "rhs": []}
+    code, err = _replay_exit_and_error(tmp_path, capsys, record)
+    assert code == 2
+    assert err == "error: unknown clause 'nosuch' of family 'lemma49'\n"
+
+
+@pytest.mark.parametrize("family, clause, shape", [
+    ("lemma49", "lemma4.9", (4, 3)),  # the config is (M, q) = (3, 2)
+    ("lemma49", "lemma4.9", (3, 1)),
+    ("prop33", "R7", (3, 2)),  # prop33's R rows act on q = 1 states
+], ids=["lemma49-4x3", "lemma49-3x1", "prop33-R-3x2"])
+def test_cli_replay_of_a_state_of_another_shape_exits_2(tmp_path, capsys, family, clause, shape):
+    # the recorded state is read at the shape its generator draws, so a
+    # state of another lattice shape is refused by the field that holds it
+    pattern, payload = next(iter(verifier.FAMILIES[family]["generate"](SMALL, clause)))
+    other = CheckConfig(M=shape[0], N=2, q=shape[1], max_degree=4, exponent_box=1, samples=1,
+                        seed=5)
+    payload["state"] = gen_state(other, 0)
+    record = {"family": family, "clause": clause, "pattern": pattern,
+              "config": SMALL.to_obj(), "payload": verifier._serialize(payload),
+              "lhs": [], "rhs": []}
+    code, err = _replay_exit_and_error(tmp_path, capsys, record)
+    assert code == 2
+    assert err.startswith("error: payload field state: "), err
+    assert f"does not fit M=3, q={1 if family == 'prop33' else 2}" in err, err
+
+
 def test_cli_input_and_config_errors_exit_2(capsys):
     state = "[]"
     phi = '{"kind": "phi", "flavor": 1, "r": 0}'
