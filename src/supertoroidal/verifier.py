@@ -879,8 +879,9 @@ _STRING_FIELDS = ("slot", "case", "row", "variant", "form")
 def _payload_from_obj(cfg, family, clause, obj):
     """A recorded payload as its generator yields it; every other field holds ints.
 
-    A tensor state is read at the lattice shape its generator draws: q = 1
-    for the R rows of prop33, the config's q otherwise.
+    Vectors, operators and tensor states are read at the lattice shape
+    their generator draws, q = 1 in prop33 (its R rows) and the config's q
+    otherwise, and a reader's error names its field.
     """
     payload = {}
     for name, value in ser._object(obj, "a payload").items():
@@ -889,14 +890,13 @@ def _payload_from_obj(cfg, family, clause, obj):
             reader = "vector_from_obj"
         elif name == "state" and family == "prop33" and clause.startswith("3.1"):
             reader = "boson_state_from_obj"
-        if reader == "tensor_state_from_obj":
+        if reader is not None:
             shape = LatticeConfig(cfg.M, 1 if family == "prop33" else cfg.q)
+            read = getattr(ser, reader)
             try:
-                value = ser.tensor_state_from_obj(value, shape)
+                value = read(value) if reader == "boson_state_from_obj" else read(value, shape)
             except ValueError as exc:
-                raise ValueError(f"payload field state: {exc}") from None
-        elif reader is not None:
-            value = getattr(ser, reader)(value)
+                raise ValueError(f"payload field {name}: {exc}") from None
         elif name in _STRING_FIELDS:
             if type(value) is not str:
                 raise ValueError(f"payload field {name} must be a string, got {value!r}")

@@ -118,16 +118,31 @@ def test_s_dressed_zero_mu_equals_plain():
         assert SOp(i, j, (0,), n).apply(s) == oracle_s_plain(fam, i, j, M, Q, n, s), (fam, n)
 
 
+def _splits_boson_halves(fam, i, j, s):
+    """Whether the contracting boson factor of S_ij at r = n keeps some boson halves of s
+    and kills the others, so that the halves get different windows."""
+    star = fam == "upper"
+    flavor = j - M if star else i - M
+    return {mode_on_key(flavor, 1, bk, star) is None for _, bk in s.terms} == {True, False}
+
+
 def test_s_plain_against_wide_window_oracle():
+    # from trial 12 on, each lattice key sits under two boson keys and n >= 1
     rng = random.Random(13)
     fams = (("upper", 1, M + 1), ("lower", M + 2, 2), ("boson", M + 1, M + 2))
-    for _ in range(12):
+    split = dict.fromkeys(("upper", "lower"), 0)
+    for trial in range(28):
         s = random_tensor(rng)
+        if trial >= 12:
+            s = _spread_over_boson_keys(rng, s)
         for fam, i, j in fams:
-            n = rng.randint(-2, 2)
+            n = rng.randint(-2, 2) if trial < 12 else rng.randint(1, 3)
             fast = s_mode_apply(fam, i, j, (0,), n, s)
             wide = oracle_s_plain(fam, i, j, M, Q, n, s)
             assert fast == wide, (fam, n)
+            if trial >= 12 and fam != "boson":
+                split[fam] += _splits_boson_halves(fam, i, j, s)
+    assert min(split.values()) >= 6, split
 
 
 def test_s_dressed_against_wide_window_oracle():
@@ -138,6 +153,8 @@ def test_s_dressed_against_wide_window_oracle():
     for trial in range(24):
         q = 2 if trial < 12 else 3
         s = random_tensor(rng, q=q, max_deg=3)
+        if trial % 4 == 3:
+            s = _spread_over_boson_keys(rng, s)
         fam, i, j = fams[trial % 3]
         mu = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(q - 1))
         n = rng.randint(-3, 1)
@@ -156,33 +173,6 @@ def _spread_over_boson_keys(rng, s):
         for w, bk in zip((1, -2), rng.sample(pool, 2)):
             terms[(lk, bk)] = terms.get((lk, bk), 0) + w * c
     return TensorState(terms)
-
-
-def test_s_upper_lower_across_boson_halves_against_wide_window_oracle():
-    # each lattice key sits under two boson keys, and for n >= 1 the boson
-    # factor of r = n contracts some halves and kills the others, so every
-    # half gets its own window of vertex modes
-    rng = random.Random(37)
-    fams = (("upper", 1, M + 1), ("lower", M + 2, 2))  # phi*^1 and phi^2 contract the pool
-    split = dict.fromkeys((fam for fam, _, _ in fams), 0)
-    nonzero = dict(split)
-    for trial in range(32):
-        fam, i, j = fams[trial % 2]
-        s = _spread_over_boson_keys(rng, random_tensor(rng, max_deg=3, nterms=2))
-        n = rng.randint(1, 3)
-        mu = (0,) if trial < 16 else (rng.choice((-1, 1)),)
-        fast = SOp(i, j, mu, n).apply(s)
-        if mu == (0,):
-            wide = oracle_s_plain(fam, i, j, M, Q, n, s)
-        else:
-            wide = oracle_s_dressed(fam, i, j, M, Q, mu, n, s)
-        assert fast == wide, (fam, mu, n)
-        star = fam == "upper"
-        flavor = j - M if star else i - M
-        killed = {mode_on_key(flavor, 1, bk, star) is None for _, bk in s.terms}
-        split[fam] += killed == {True, False}
-        nonzero[fam] += not fast.is_zero()
-    assert min(split.values()) >= 8 and min(nonzero.values()) >= 4, (split, nonzero)
 
 
 def test_diag_current_dressed_against_manual_window():

@@ -403,6 +403,24 @@ def test_cli_replay_of_a_state_of_another_shape_exits_2(tmp_path, capsys, family
     assert f"does not fit M=3, q={1 if family == 'prop33' else 2}" in err, err
 
 
+@pytest.mark.parametrize("family, clause, field", [
+    ("thm46", "4.4-product", "alpha"),
+    ("cocycle", "cocycle-identity", "a"),
+    ("lemma49", "lemma2.8", "x1"),  # the vector inside an operator
+])
+def test_cli_replay_of_a_vector_of_another_shape_exits_2(tmp_path, capsys, family, clause, field):
+    pattern, payload = next(iter(verifier.FAMILIES[family]["generate"](SMALL, clause)))
+    payload = verifier._serialize(payload)
+    vector = payload[field]["alpha"] if field == "x1" else payload[field]
+    vector["e"] = vector["e"] + [1]  # M = 4 under a config of M = 3
+    record = {"family": family, "clause": clause, "pattern": pattern,
+              "config": SMALL.to_obj(), "payload": payload, "lhs": [], "rhs": []}
+    code, err = _replay_exit_and_error(tmp_path, capsys, record)
+    assert code == 2
+    assert err.startswith(f"error: payload field {field}: "), err
+    assert "does not fit M=3, q=2" in err, err
+
+
 def test_cli_input_and_config_errors_exit_2(capsys):
     state = "[]"
     phi = '{"kind": "phi", "flavor": 1, "r": 0}'
