@@ -31,7 +31,9 @@ from exp T_-.  No truncation parameter exists anywhere.  The kernel,
 vertex_modes, serves a window of indices of one vector on one state
 from one pass over the state, so the mode sums that need many modes of
 X(a) on the same state read them all at once; vertex_mode_apply is its
-one-index case.
+one-index case.  exp T_+ leaves a factor b(-n) with (a, b) = 0 as it is,
+so the kernel looks exp T_+ up once per key on the key's contracted part
+alone and passes the carried factors through.
 """
 
 from __future__ import annotations
@@ -165,7 +167,10 @@ def _exp_annihilation(a: LatticeVector, mono):
     b(-n) -> -(a, b) z^{-n}, so exp T_+ is the algebra map substituting
     f - (a, b_f) z^{-n_f} for each factor f = b_f(-n_f).  A factor of
     multiplicity m keeps m - k copies with weight C(m, k) (-(a, b_f))^k
-    at level k n_f; every coefficient is a nonzero int.
+    at level k n_f; every coefficient is a nonzero int.  A factor with
+    (a, b_f) = 0 is kept as it is, so this holds for any monomial, but
+    vertex_modes asks only for the contracted part of each key and carries
+    the rest past the cache.
     """
     terms = [(0, (), 1)]  # (level, kept factors, coefficient)
     for f, run in groupby(mono):
@@ -203,7 +208,11 @@ def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
     (a, gamma), the sign F(a, gamma) and the target a + gamma once per
     gamma, and the annihilated monomials of all keys summed per (gamma,
     level d) once, each distinct one then multiplied by the creation
-    level of each index.
+    level of each index.  The lookup takes only the key's contracted
+    factors, those of basis indices in _paired(a); the carried factors
+    go in front of each kept monomial, a canonical key because the split
+    of a monomial is unique, and the product with the created factors
+    sorts the whole.
 
     The sums run on ints: the annihilation levels are integral, so the
     contributions to one index on one gamma are brought over one common
@@ -219,6 +228,7 @@ def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
         return {}
     h_lo = min(depths.values())
     den_in = lcm(*{c.denominator for c in s.terms.values()})
+    paired = _paired(a)
     # gamma -> ({level d: {annihilated monomial: numerator over den_in}}, (a, gamma), F(a, gamma));
     # a level below (a, gamma) + h_lo needs a negative creation level at every index
     groups = {}
@@ -229,6 +239,13 @@ def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
             hoisted = groups[gamma] = ({}, shift, cocycle(a, gamma))
         levels, shift, _ = hoisted
         scale = coeff.numerator * (den_in // coeff.denominator)
+        # only the contracted factors are looked up; the carried ones pass exp T_+ unchanged
+        carried = ()
+        for b, _ in mono:
+            if b not in paired:
+                carried = tuple([f for f in mono if f[0] not in paired])
+                mono = tuple([f for f in mono if f[0] in paired])
+                break
         for d, monos in _exp_annihilation(a, mono).items():
             if d < shift + h_lo:
                 continue
@@ -237,6 +254,7 @@ def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
                 annihilated = levels[d] = {}
             get = annihilated.get
             for mo, n_ann in monos:
+                mo = carried + mo
                 annihilated[mo] = get(mo, 0) + scale * n_ann
     out = {idx: {} for idx in depths}
     for gamma, (levels, shift, sign) in groups.items():
@@ -272,9 +290,10 @@ def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> Lattic
     return vertex_modes(a, (idx,), s)[idx]
 
 
-def _paired(a: LatticeVector) -> set:
+@lru_cache(maxsize=1024)
+def _paired(a: LatticeVector) -> frozenset:
     """The basis indices b with (a, b) != 0: the factors b(-n) that a(n) can contract."""
-    return {b for b in range(len(a.e) + 2 * len(a.delta)) if pair_with_basis(a, b)}
+    return frozenset(b for b in range(len(a.e) + 2 * len(a.delta)) if pair_with_basis(a, b))
 
 
 def _mode_bound(a: LatticeVector, s: LatticeFockState, paired):

@@ -23,6 +23,9 @@ input.
 A state repeats few gammas and few phi/phi_star lists over many terms,
 so a state reader costs a pass over the terms plus one full read per
 distinct gamma and per distinct mode list, kept in a memo for the call.
+It refuses a state whose gammas mix lattice shapes, checking the shape
+of each distinct gamma as it is read, so a gamma of another shape on a
+term of coefficient 0 or on terms that cancel is refused too.
 Only a value made of exact ints is looked up there, so a 1.0 or a true,
 which equal 1 and hash alike, never shares an entry with a 1.  A state
 encoder builds one object per distinct gamma, monomial and mode list and
@@ -171,9 +174,14 @@ def _monomial_from_obj(obj, rank: int) -> tuple:
     return tuple(sorted(factors))
 
 
-def _one_shape(state, gammas):
-    """state, once every gamma in it has the same lattice shape (M, q)."""
-    shapes = sorted({(len(g.e), len(g.delta) + 1) for g in gammas})
+def _shape(gamma: LatticeVector) -> tuple:
+    return len(gamma.e), len(gamma.delta) + 1
+
+
+def _one_shape(state, shapes):
+    """state, once every gamma read for it, on a term of coefficient 0 or on terms
+    that cancel too, has the same lattice shape (M, q)."""
+    shapes = sorted(set(shapes))
     if len(shapes) > 1:
         raise ValueError(f"state mixes lattice shapes (M, q): {shapes}")
     return state
@@ -241,11 +249,12 @@ class _KeyReader:
     that raises.
     """
 
-    __slots__ = ("config", "gammas", "mode_lists")
+    __slots__ = ("config", "gammas", "shapes", "mode_lists")
 
     def __init__(self, config: LatticeConfig | None = None):
         self.config = config
         self.gammas = {}  # (e, delta, d) as read -> its LatticeVector
+        self.shapes = set()  # the lattice shape of every gamma read, before any term is dropped
         self.mode_lists = {}  # ((flavor, doubled_mode), ...) as read -> its sorted creators
 
     def gamma(self, obj) -> LatticeVector:
@@ -257,8 +266,11 @@ class _KeyReader:
                 v = self.gammas.get(raw)
                 if v is None:
                     v = self.gammas[raw] = vector_from_obj(obj, self.config)
+                    self.shapes.add(_shape(v))
                 return v
-        return vector_from_obj(obj, self.config)
+        v = vector_from_obj(obj, self.config)
+        self.shapes.add(_shape(v))
+        return v
 
     def lattice(self, item) -> tuple:
         gamma = self.gamma(item["gamma"])
@@ -325,8 +337,8 @@ def lattice_state_to_obj(s: LatticeFockState) -> list:
 
 
 def lattice_state_from_obj(obj, config: LatticeConfig | None = None) -> LatticeFockState:
-    s = _terms_from_obj(LatticeFockState, obj, _KeyReader(config).lattice)
-    return _one_shape(s, (g for g, _ in s.terms))
+    reader = _KeyReader(config)
+    return _one_shape(_terms_from_obj(LatticeFockState, obj, reader.lattice), reader.shapes)
 
 
 def boson_state_to_obj(s: BosonState) -> list:
@@ -342,8 +354,8 @@ def tensor_state_to_obj(s: rep.TensorState) -> list:
 
 
 def tensor_state_from_obj(obj, config: LatticeConfig | None = None) -> rep.TensorState:
-    s = _terms_from_obj(rep.TensorState, obj, _KeyReader(config).tensor)
-    return _one_shape(s, (g for (g, _), _ in s.terms))
+    reader = _KeyReader(config)
+    return _one_shape(_terms_from_obj(rep.TensorState, obj, reader.tensor), reader.shapes)
 
 
 def gl_element_to_obj(x: GLElement) -> list:

@@ -908,9 +908,17 @@ def _payload_from_obj(cfg, family, clause, obj):
     return payload
 
 
-def _generate(family, cfg, clause):
+def _refuse_config(family, cfg):
+    """Raise where a family cannot run at cfg: every family but cocycle draws from
+    gl(M|N) with N >= 1, and the toroidal tables and thm46 need q >= 2."""
+    if family != "cocycle" and cfg.N < 1:
+        raise ValueError(f"the {family} family needs N >= 1, got N = {cfg.N}")
     if family in ("sttables", "thm46") and cfg.q < 2:
         raise ValueError(f"the {family} family needs q >= 2")
+
+
+def _generate(family, cfg, clause):
+    _refuse_config(family, cfg)
     return _CLAUSES[family][clause][0](cfg)
 
 
@@ -946,6 +954,7 @@ def evaluate_check(cfg: CheckConfig, family: str, clause: str, payload):
         raise ValueError(f"unknown family {family!r}")
     if clause not in _CLAUSES[family]:
         raise ValueError(f"unknown clause {clause!r} of family {family!r}")
+    _refuse_config(family, cfg)
     ok, adj, note, lhs, rhs = FAMILIES[family]["evaluate"](
         cfg, clause, _payload_from_obj(cfg, family, clause, payload))
     return ok, adj, note, _serialize(lhs), _serialize(rhs)
@@ -1012,6 +1021,7 @@ def run(cfg: CheckConfig, families=None) -> dict:
     for fam in families:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}; known: {', '.join(FAMILY_ORDER)}")
+        _refuse_config(fam, cfg)
 
     report = {"config": cfg.to_obj(), "families": {}, "coverage": {},
               "adjudications": [], "all_pass": True}

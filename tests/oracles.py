@@ -4,7 +4,8 @@ These recompute the library's operations along different routes:
 
 * reference_vertex_mode_apply is the vertex kernel with one Fraction
   product and sum per (key, annihilation term, creation term), the loop
-  the integer kernel replaced;
+  the integer kernel replaced, and exp T_+ expanded on each whole
+  monomial, where the kernel expands only the factors a can contract;
 * reference_creation_level builds a creation level of exp T_- by the
   recurrence k P_k = sum_n a(-n) P_{k-n} from all lower levels, the
   route the closed form replaced;
@@ -29,7 +30,8 @@ These recompute the library's operations along different routes:
 * reference_lattice_state_from_obj, reference_boson_state_from_obj and
   reference_tensor_state_from_obj read every term's gamma through
   vector_from_obj and every phi/phi_star list through _modes_from_obj,
-  the per-term route the memoized key readers replaced;
+  the per-term route the memoized key readers replaced, and check the
+  lattice shape of every term's gamma, a zero or cancelling term's too;
   reference_state_to_obj encodes every term's key halves anew, where
   the state encoders share one object per distinct gamma, monomial and
   mode list.
@@ -286,8 +288,9 @@ def reference_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _reference_lattice_key(item, config):
+def _reference_lattice_key(item, config, shapes):
     gamma = ser.vector_from_obj(item["gamma"], config)
+    shapes.append(ser._shape(gamma))
     rank = len(gamma.e) + 2 * len(gamma.delta)
     return gamma, ser._monomial_from_obj(item.get("monomial", ()), rank)
 
@@ -298,9 +301,10 @@ def _reference_boson_key(item):
 
 
 def reference_lattice_state_from_obj(obj, config=None):
+    shapes = []  # one per term, zero and cancelling terms included
     s = ser._terms_from_obj(LatticeFockState, obj,
-                            lambda item: _reference_lattice_key(item, config))
-    return ser._one_shape(s, (g for g, _ in s.terms))
+                            lambda item: _reference_lattice_key(item, config, shapes))
+    return ser._one_shape(s, shapes)
 
 
 def reference_boson_state_from_obj(obj):
@@ -308,10 +312,11 @@ def reference_boson_state_from_obj(obj):
 
 
 def reference_tensor_state_from_obj(obj, config=None):
+    shapes = []
     s = ser._terms_from_obj(
         TensorState, obj,
-        lambda item: (_reference_lattice_key(item, config), _reference_boson_key(item)))
-    return ser._one_shape(s, (g for (g, _), _ in s.terms))
+        lambda item: (_reference_lattice_key(item, config, shapes), _reference_boson_key(item)))
+    return ser._one_shape(s, shapes)
 
 
 def _reference_lattice_key_to_obj(key, obj):

@@ -6,8 +6,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from ab_pairs import summarize  # noqa: E402
 
 
-def _run(workload, seed, side, **metrics):
-    return {"workload": workload, "seed": seed, "side": side, "metrics": metrics}
+def _run(workload, seed, side, last_line=None, **metrics):
+    last_line = last_line or {"attempted": 100, "failed": 0}
+    return {"workload": workload, "seed": seed, "side": side, "metrics": metrics,
+            "last_line": last_line}
 
 
 def test_summary_counts_pairs_medians_and_wins():
@@ -35,6 +37,7 @@ def test_summary_of_one_pair_and_rounding():
         "parent_median": 2.0, "parent_quartiles": [2.0, 2.0, 2.0],
         "change_median": 1.2346, "change_quartiles": [1.2346, 1.2346, 1.2346],
         "pairs": 1, "change_lower_in_pairs": 1,
+        "gain_rule_met": True, "failed_share": {"parent": 0.0, "change": 0.0},
     }
 
 
@@ -56,3 +59,49 @@ def test_summary_marks_a_median_worse_than_its_bound():
     # a metric without a bound is not marked
     assert "worse_than_bound" not in summary["thm46.serialize.terms"]
     assert "worse_than_bound" not in summarize(runs)["thm46.run_s"]
+
+
+def _pairs(values, metric="run_s"):
+    runs = []
+    for seed, (parent, change) in enumerate(values, 1):
+        runs += [_run("thm46", seed, "parent", **{metric: parent}),
+                 _run("thm46", seed, "change", **{metric: change})]
+    return runs
+
+
+def test_gain_rule_met_by_nine_wins_of_ten_and_a_gap_past_the_spread():
+    # parent 10..19 has quartiles 12.25 and 16.75, an interquartile distance of 4.5
+    parent = [10.0 + k for k in range(10)]
+    change = [p - 5.0 for p in parent[:9]] + [parent[9] + 1.0]  # one pair lost
+    cell = summarize(_pairs(zip(parent, change)))["thm46.run_s"]
+    assert cell["change_lower_in_pairs"] == 9 and cell["parent_quartiles"] == [12.25, 14.5, 16.75]
+    assert cell["parent_median"] - cell["change_median"] == 5.0
+    assert cell["gain_rule_met"] is True
+
+
+def test_gain_rule_missed_by_the_spread():
+    # lower in 10 of 10, but by 4.0 against an interquartile distance of 4.5
+    parent = [10.0 + k for k in range(10)]
+    cell = summarize(_pairs((p, p - 4.0) for p in parent))["thm46.run_s"]
+    assert cell["change_lower_in_pairs"] == 10
+    assert cell["gain_rule_met"] is False
+
+
+def test_gain_rule_missed_by_wins():
+    # a wide gap, but 8 wins, one tie and one loss in 10 pairs
+    parent = [10.0 + 0.1 * k for k in range(10)]
+    change = [p - 5.0 for p in parent[:8]] + [parent[8], parent[9] + 0.5]
+    cell = summarize(_pairs(zip(parent, change)))["thm46.run_s"]
+    assert cell["change_lower_in_pairs"] == 8
+    assert cell["parent_median"] - cell["change_median"] > 1.0
+    assert cell["gain_rule_met"] is False
+
+
+def test_failed_share_per_side_from_the_last_lines():
+    runs = [_run("act", 1, "parent", {"attempted": 1008, "failed": 0}, run_s=3.0),
+            _run("act", 1, "change", {"attempted": 1008, "failed": 2}, run_s=3.1),
+            _run("act", 2, "parent", {"attempted": 1008, "failed": 0}, run_s=3.0),
+            # a run that printed no result counts as one failed operation
+            {**_run("act", 2, "change", run_s=3.1), "last_line": None}]
+    cell = summarize(runs)["act.run_s"]
+    assert cell["failed_share"] == {"parent": 0.0, "change": 3 / 1009}

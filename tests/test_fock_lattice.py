@@ -13,6 +13,7 @@ from supertoroidal.fock_lattice import (
     _creation_level,
     _exp_annihilation,
     _mode_depth,
+    _paired,
     current_upper_bound,
     effective_mode_bound,
     group_multiply,
@@ -476,6 +477,73 @@ def test_vertex_modes_window_matches_reference_index_by_index(case):
         assert_lowest_terms(img)
         if idx > vanishing_bound(a, s):
             assert img.is_zero()
+
+
+def test_kernel_looks_up_exp_t_plus_once_per_contracted_part():
+    # every key's contracted part is e1(-1) e1(-1) e1(-2); the carried factors
+    # (none, repeated, or on other gammas) pass through, so one lookup misses
+    a = CFG.e(1)
+    assert _paired(a) == {0}
+    core = ((0, 1), (0, 1), (0, 2))
+    carried = [(), ((1, 1),), ((1, 1), (1, 1)), ((2, 3), (4, 1)), ((1, 2), (3, 1), (4, 1))]
+    terms = {}
+    for k, extra in enumerate(carried):
+        for gamma in (CFG.zero(), CFG.e(2) - CFG.e(3)):
+            terms[(gamma, tuple(sorted(core + extra)))] = Fraction(k + 1, 1 + k % 3)
+    s = LatticeFockState(terms)
+    _exp_annihilation.cache_clear()
+    images = vertex_modes(a, range(-7, 9, 2), s)
+    info = _exp_annihilation.cache_info()
+    assert (info.misses, info.hits) == (1, len(terms) - 1)
+    assert any(not img.is_zero() for img in images.values())
+    for idx, img in images.items():
+        assert img == reference_vertex_mode_apply(a, idx, s), idx
+
+
+@st.composite
+def _split_cases(draw):
+    """(a, a window, a state whose monomials mix factors a contracts with factors it carries)."""
+    a = draw(st.sampled_from(small_q_vectors(CFG)))
+    paired = sorted(_paired(a))
+    carried = [b for b in range(CFG.rank) if b not in paired]
+
+    def factors(pool):
+        # few kinds, so a factor repeats often
+        if not pool:
+            return st.just([])
+        return st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2)), max_size=3)
+
+    gammas = draw(st.lists(_GAMMAS, min_size=1, max_size=2, unique=True))
+    terms = draw(st.lists(st.tuples(st.sampled_from(gammas), factors(paired), factors(carried),
+                                    _COEFFS), min_size=1, max_size=6))
+    s = LatticeFockState([((g, tuple(sorted(mine + other))), c) for g, mine, other, c in terms])
+    par = bilinear(a, a) % 2
+    idxs = draw(st.lists(st.sampled_from(range(-8 + par, 9, 2)), min_size=1, max_size=5,
+                         unique=True))
+    return a, idxs, s
+
+
+_MIXED = LatticeFockState({
+    (CFG.e(2), ()): Fraction(1, 3),                                 # empty
+    (CFG.e(2), ((1, 1), (1, 1), (3, 2))): Fraction(-2),             # all carried, repeated
+    (CFG.e(2), ((0, 1), (0, 1), (0, 2))): Fraction(5, 7),           # all contracted, repeated
+    (CFG.e(2), ((0, 1), (0, 1), (1, 1), (1, 1))): Fraction(3, 2),   # repeated on both sides
+    (CFG.zero(), ((0, 2), (4, 1))): Fraction(-1, 9),
+})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_split_cases())
+@example((CFG.e(1), [-5, -3, -1, 1, 3], _MIXED))
+@example((CFG.root(1, 2) + CFG.delta_sum((-1,)), [-4, -2, 0, 2, 4], _MIXED))
+@example((CFG.zero(), [-2, 0, 2], _MIXED))
+def test_kernel_with_carried_factors_matches_whole_monomial_reference(case):
+    # the kernel expands exp T_+ on each key's contracted part and prefixes the
+    # carried factors; the reference expands it on the whole monomial
+    a, idxs, s = case
+    for idx, img in vertex_modes(a, idxs, s).items():
+        assert img == reference_vertex_mode_apply(a, idx, s), (a, idx, s)
+        assert_lowest_terms(img)
 
 
 # --- mode sums

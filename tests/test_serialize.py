@@ -637,6 +637,22 @@ def _term(gamma=_G3, **fields):
     return {"coeff": "1/1", "gamma": gamma, **fields}
 
 
+# the (3, 1) gamma sits only on terms that leave the state when it is cleaned
+_ZERO_TERM_OF_ANOTHER_SHAPE = [_term(), {**_term({"e": [1, 0, 0]}), "coeff": "0"}]
+_CANCELLING_TERMS_OF_ANOTHER_SHAPE = [_term(), {**_term({"e": [0, 1, 0]}), "coeff": "1/2"},
+                                      {**_term({"e": [0, 1, 0]}), "coeff": "-1/2"}]
+
+
+@pytest.mark.parametrize("obj", [_ZERO_TERM_OF_ANOTHER_SHAPE, _CANCELLING_TERMS_OF_ANOTHER_SHAPE],
+                         ids=["zero-coeff", "cancelling-pair"])
+@pytest.mark.parametrize("reader", ["lattice", "tensor"])
+def test_state_readers_refuse_a_shape_only_on_terms_that_clean_away(obj, reader):
+    # the shape is checked on every gamma read, before the terms are cleaned
+    for read in _KEY_READERS[reader]:
+        with pytest.raises(ValueError, match=re.escape("mixes lattice shapes (M, q): [(3, 1), (3, 2)]")):
+            read(obj, None)
+
+
 def _with(value):
     """_G3 with value in place of its first e component."""
     return {**_G3, "e": [value, *_G3["e"][1:]]}
@@ -668,12 +684,14 @@ def _with(value):
 @example([_term({"e": [1, 0, 0], "delta": [2]}), _term({"e": [1, 0, 0], "delta": [2], "d": [0]})],
          None, "tensor")
 @example([_term({"e": [1, 0, 0]}), _term({"e": [1, 0, 0], "delta": [], "d": []})], None, "tensor")
-# mixed shapes: the odd gamma repeated, read past the memo, or only on a term of coefficient 0
+# mixed shapes: the odd gamma repeated, read past the memo, or only on a term of
+# coefficient 0 or on two terms that cancel (both refused, see below)
 @example([_term(), _term({"e": [1, 0]}), _term({"e": [1, 0]})], None, "tensor")
 @example([_term(), _term({"e": [1, 0], "delta": [], "d": []}),
           _term({"e": [1, 0], "delta": [], "d": []})], None, "lattice")
 @example([_term(), _term({"e": [1, 0, 0]})], None, "tensor")
-@example([_term(), {**_term({"e": [1, 0, 0]}), "coeff": "0"}], None, "tensor")
+@example(_ZERO_TERM_OF_ANOTHER_SHAPE, None, "tensor")
+@example(_CANCELLING_TERMS_OF_ANOTHER_SHAPE, None, "lattice")
 def test_key_readers_match_per_term_readers(obj, config, reader):
     read, reference = _KEY_READERS[reader]
     try:

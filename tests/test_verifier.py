@@ -443,6 +443,26 @@ def test_cli_input_and_config_errors_exit_2(capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cli_check_refuses_n_0_before_drawing(seed, capsys):
+    # every family but cocycle needs N >= 1 and says so in one message, whatever
+    # the seed; thm46 once said "need M >= 1 and N >= 1" at seed 0 and
+    # "empty range for randrange() (1, 1, 0)" at seed 1
+    for family in verifier.FAMILY_ORDER:
+        code = main(["check", "--family", family, "--M", "2", "--N", "0", "--q", "2",
+                     "--seed", str(seed), "--samples", "2"])
+        out, err = capsys.readouterr()
+        if family == "cocycle":
+            assert (code, err) == (0, "") and "all_pass: True" in out
+        else:
+            assert (code, out) == (2, ""), family
+            assert err == f"error: the {family} family needs N >= 1, got N = 0\n"
+    # the default list is refused before cocycle runs
+    assert main(["check", "--M", "2", "--N", "0", "--seed", str(seed)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the jacobi family needs N >= 1, got N = 0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["act", "--op", "[]", "--state", "[]"],
     ["act", "--op", "null", "--state", "[]"],

@@ -22,12 +22,16 @@ outside src.
 
 The output file holds every run's last output line (the benchmark's JSON
 result), the act responses' SHA-256 where the run prints one, and per
-workload and metric each side's median and quartiles and the number of
-pairs in which the change was lower.  Every metric the benchmark gates
-is better when lower; one whose change median exceeds the parent's by
-more than its BENCHMARK.json bound, a fraction of the parent's median,
-is marked, and ``worse_than_bound`` lists all such metrics.  Run it from
-inside the repository; it needs only the standard library and git.
+workload and metric each side's median and quartiles, the number of
+pairs in which the change was lower, whether that makes a gain by the
+rule below, and each side's share of failed operations.  Every metric
+the benchmark gates is better when lower; one whose change median
+exceeds the parent's by more than its BENCHMARK.json bound, a fraction
+of the parent's median, is marked, and ``worse_than_bound`` lists all
+such metrics.  A gain needs the change lower in at least 9 of 10 pairs
+(a tie is no win) and its median below the parent's by more than the
+parent's interquartile distance.  Run it from inside the repository; it
+needs only the standard library and git.
 """
 
 from __future__ import annotations
@@ -49,20 +53,32 @@ _SHA = re.compile(r"responses sha256 ([0-9a-f]{64})")
 
 def summarize(runs: list, bounds=None) -> dict:
     """Per "workload.metric": each side's median and inclusive quartiles (rounded to 4
-    places), the number of pairs and the pairs in which the change read lower.
+    places), the number of pairs, the pairs in which the change read lower,
+    "gain_rule_met" and each side's "failed_share".
 
-    runs holds dicts with "workload", "seed", "side" ("parent" or "change") and
-    "metrics" ({name: value}); a pair is the two runs of one (workload, seed).
+    runs holds dicts with "workload", "seed", "side" ("parent" or "change"),
+    "metrics" ({name: value}) and "last_line" (the benchmark's JSON result, or None
+    when the run printed none); a pair is the two runs of one (workload, seed).
+    "gain_rule_met" holds when the change is lower in at least 9/10 of the pairs and
+    its median is below the parent's by more than the parent's interquartile
+    distance.  "failed_share" is failed / attempted over a side's last lines of the
+    workload, a run without a last line counting as one failed operation.
     bounds maps a gated metric, better when lower, to its bound: its summary also
     holds that bound and "worse_than_bound", whether the change's median exceeds the
     parent's by more than the bound times the parent's median.
     """
     bounds = bounds or {}
     values = {}
+    counts = {}  # (workload, side) -> [failed, attempted]
     for run in runs:
+        last = run["last_line"] or {"attempted": 1, "failed": 1}
+        count = counts.setdefault((run["workload"], run["side"]), [0, 0])
+        count[0] += last.get("failed", 0)
+        count[1] += last.get("attempted", 0)
         for name, value in run["metrics"].items():
             cell = values.setdefault((run["workload"], name), {})
             cell.setdefault(run["seed"], {})[run["side"]] = value
+    shares = {key: failed / max(attempted, 1) for key, (failed, attempted) in counts.items()}
     summary = {}
     for (workload, name), by_seed in values.items():
         pairs = [v for v in by_seed.values() if "parent" in v and "change" in v]
@@ -70,13 +86,20 @@ def summarize(runs: list, bounds=None) -> dict:
             continue
         parent = [v["parent"] for v in pairs]
         change = [v["change"] for v in pairs]
+        wins = sum(v["change"] < v["parent"] for v in pairs)
+        low, mid, high = _quartiles(parent)
         cell = summary[f"{workload}.{name}"] = {
             "parent_median": round(statistics.median(parent), 4),
-            "parent_quartiles": _quartiles(parent),
+            "parent_quartiles": [round(q, 4) for q in (low, mid, high)],
             "change_median": round(statistics.median(change), 4),
-            "change_quartiles": _quartiles(change),
+            "change_quartiles": [round(q, 4) for q in _quartiles(change)],
             "pairs": len(pairs),
-            "change_lower_in_pairs": sum(v["change"] < v["parent"] for v in pairs),
+            "change_lower_in_pairs": wins,
+            "gain_rule_met": (10 * wins >= 9 * len(pairs)
+                              and statistics.median(parent) - statistics.median(change)
+                              > high - low),
+            "failed_share": {side: shares.get((workload, side), 0.0)
+                             for side in ("parent", "change")},
         }
         if name in bounds:
             base = statistics.median(parent)
@@ -86,9 +109,7 @@ def summarize(runs: list, bounds=None) -> dict:
 
 
 def _quartiles(values: list) -> list:
-    if len(values) < 2:
-        return [round(values[0], 4)] * 3
-    return [round(q, 4) for q in statistics.quantiles(values, n=4, method="inclusive")]
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
 def _git(*args: str) -> str:
