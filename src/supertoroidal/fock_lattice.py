@@ -34,6 +34,15 @@ X(a) on the same state read them all at once; vertex_mode_apply is its
 one-index case.  exp T_+ leaves a factor b(-n) with (a, b) = 0 as it is,
 so the kernel looks exp T_+ up once per key on the key's contracted part
 alone and passes the carried factors through.
+
+exp T_- factors over the basis, prod_b exp(w_b sum_n b(-n) z^n / n) for
+a = sum_b w_b b, so the kernel may multiply by the creation levels of a
+one group of its support bases at a time.  Two products of annihilated
+and created monomials can meet on one key only through a basis that an
+annihilated monomial already uses; the kernel takes such met bases one
+at a time, merging equal monomials after each, where the products of one
+gamma and index pile up on few keys, and multiplies by whole levels of a
+elsewhere.
 """
 
 from __future__ import annotations
@@ -185,9 +194,10 @@ def _exp_annihilation(a: LatticeVector, mono):
     return {d: tuple(monos) for d, monos in levels.items()}
 
 
-def _mode_depth(a: LatticeVector, idx: int) -> int:
-    """z-power h with X_idx(a) = coefficient of z^{-h} in Y(a, z)."""
-    p = bilinear(a, a)
+def _mode_depth(a: LatticeVector, idx: int, p=None) -> int:
+    """z-power h with X_idx(a) = coefficient of z^{-h} in Y(a, z); p is (a, a) if known."""
+    if p is None:
+        p = bilinear(a, a)
     if p % 2 == 0:
         if idx % 2:
             raise ValueError(f"even vector {a!r} takes even doubled indices, got {idx}")
@@ -206,38 +216,55 @@ def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
     level depends on the index but the creation level, so one pass over
     s serves the whole window: one exp T_+ lookup per key, the shift
     (a, gamma), the sign F(a, gamma) and the target a + gamma once per
-    gamma, and the annihilated monomials of all keys summed per (gamma,
-    level d) once, each distinct one then multiplied by the creation
-    level of each index.  The lookup takes only the key's contracted
+    gamma (from _shifted, which caches them across calls), and the
+    annihilated monomials of all keys summed per (gamma, level d) once,
+    each distinct one then multiplied by the creation level of each
+    index.  The lookup takes only the key's contracted
     factors, those of basis indices in _paired(a); the carried factors
     go in front of each kept monomial, a canonical key because the split
     of a monomial is unique, and the product with the created factors
     sorts the whole.
 
-    The sums run on ints: the annihilation levels are integral, so the
-    contributions to one index on one gamma are brought over one common
-    denominator, the lcm of the input denominators times the lcm of the
-    creation denominators they use, and one Fraction is built per output
-    key.  Output keys are grouped by gamma, so the inner loops hash only
+    The product with the creation levels runs in stages, one group of a's
+    support bases each, as _stages chooses per (gamma, index); the
+    annihilated sums are bucketed by the creation degree r they still need.
+    A stage multiplies bucket r by the levels j <= r of a restricted to its
+    group and puts the products in bucket r - j; the last stage reads only
+    level r, which empties the bucket.  The pair loop, every sum times the
+    whole level r of a, is the one-stage case.  A group whose bases
+    some annihilated monomial uses (met bases) can form one key from two
+    pairs, so its products are merged.  A group of free bases cannot:
+    the factors of a key in free bases are exactly the created ones, so the
+    key splits back into its pair, and the last, free group writes each
+    product straight to the image.
+
+    The sums run on ints: the annihilation levels are integral, and a
+    created monomial of degree c has coefficient prod w^m / prod(n^m m!),
+    with c! / prod(n^m m!) an int.  So bucket r is kept over den_in *
+    cmax! / r!, den_in the lcm of the input denominators and cmax the
+    largest creation degree a bucket needs, and every stage's factor
+    r! / ((r - j)! D_j) is an int.  One Fraction is built per output key.
+    Output keys are grouped by gamma, so the inner loops hash only
     monomials.  An index whose image is 0 maps to the zero state.
     """
     if not a.in_q():
         raise ValueError(f"vertex operators require a in Q, got {a!r}")
-    depths = {idx: _mode_depth(a, idx) for idx in idxs}
+    norm = bilinear(a, a)
+    depths = {idx: _mode_depth(a, idx, norm) for idx in idxs}
     if not depths:
         return {}
     h_lo = min(depths.values())
     den_in = lcm(*{c.denominator for c in s.terms.values()})
     paired = _paired(a)
-    # gamma -> ({level d: {annihilated monomial: numerator over den_in}}, (a, gamma), F(a, gamma));
-    # a level below (a, gamma) + h_lo needs a negative creation level at every index
+    # gamma -> ({level d: {annihilated monomial: numerator over den_in}}, a + gamma,
+    # (a, gamma), F(a, gamma)); a level below (a, gamma) + h_lo needs a negative creation
+    # level at every index
     groups = {}
     for (gamma, mono), coeff in s.terms.items():
         hoisted = groups.get(gamma)
         if hoisted is None:
-            shift = bilinear(a, gamma)
-            hoisted = groups[gamma] = ({}, shift, cocycle(a, gamma))
-        levels, shift, _ = hoisted
+            hoisted = groups[gamma] = ({}, *_shifted(a, gamma))
+        levels, _, shift, _ = hoisted
         scale = coeff.numerator * (den_in // coeff.denominator)
         # only the contracted factors are looked up; the carried ones pass exp T_+ unchanged
         carried = ()
@@ -256,38 +283,138 @@ def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
             for mo, n_ann in monos:
                 mo = carried + mo
                 annihilated[mo] = get(mo, 0) + scale * n_ann
+    # k counts a's support bases (a in Q pairs with one basis vector per support basis);
+    # for k = 1 every grouping is the pair loop
+    pair_loop = [(a, True)]
+    k = len(paired)
     out = {idx: {} for idx in depths}
-    for gamma, (levels, shift, sign) in groups.items():
-        new_gamma = a + gamma
+    for levels, new_gamma, shift, sign in groups.values():
         for idx, h in depths.items():
             base = shift + h
-            used = [(annihilated, _creation_level(a, d - base))
-                    for d, annihilated in levels.items() if d >= base]
-            if not used:
+            # creation degree r still needed -> {monomial: numerator}
+            buckets = {d - base: annihilated for d, annihilated in levels.items() if d >= base}
+            if not buckets:
                 continue
-            cre_den = lcm(*(d_cre for _, (d_cre, _) in used))
-            sums = {}  # monomial -> numerator over den_in * cre_den
-            get = sums.get
-            for annihilated, (d_cre, created) in used:
-                f = sign * (cre_den // d_cre)
-                for mo, n in annihilated.items():
-                    if n:
-                        n *= f
-                        for extra, n_cre in created:
-                            key = tuple(sorted(mo + extra))
-                            sums[key] = get(key, 0) + n * n_cre
-            den = den_in * cre_den
+            cmax = max(buckets)
+            fact = factorial(cmax)
+            den = den_in * fact
             image = out[idx]
-            for mo, n in sums.items():
+            stages = pair_loop
+            if k > 1:  # the pair loop's count of products, counted here for the small calls
+                sizes = _level_sizes(k, cmax)
+                pairs = 0
+                for r, entries in buckets.items():
+                    pairs += len(entries) * sizes[r]
+                if pairs > _FREE_PAIRS:
+                    stages = _stages(a, buckets, pairs)
+            last = len(stages) - 1
+            # bucket r holds numerators over den_in * cmax! / r!; the first stage lifts
+            # the raw numerators, over den_in, by sign * cmax!
+            for i, (g, merges) in enumerate(stages):
+                nxt = {}
+                for r, entries in buckets.items():
+                    lift = factorial(r) if i else sign * fact
+                    for j in range(r if i == last else 0, r + 1):
+                        d_cre, created = _creation_level(g, j)
+                        q = lift // (factorial(r - j) * d_cre)
+                        if not merges:  # distinct pairs give distinct keys
+                            for mo, n in entries.items():
+                                if n:
+                                    n *= q
+                                    for extra, n_cre in created:
+                                        image[(new_gamma, tuple(sorted(mo + extra)))] = \
+                                            Fraction(n * n_cre, den)
+                            continue
+                        target = nxt.setdefault(r - j, {})
+                        get = target.get
+                        for mo, n in entries.items():
+                            if n:
+                                n *= q
+                                if i and not j:  # level 0 keeps a key, sorted after stage 0
+                                    target[mo] = get(mo, 0) + n
+                                    continue
+                                for extra, n_cre in created:
+                                    key = tuple(sorted(mo + extra))
+                                    target[key] = get(key, 0) + n * n_cre
+                buckets = nxt
+            for mo, n in buckets.get(0, {}).items():
                 if n:
                     image[(new_gamma, mo)] = Fraction(n, den)
     return {idx: LatticeFockState._from_clean(image) for idx, image in out.items()}
+
+
+# the grouping of a (gamma, index) whose pair loop forms more than _FREE_PAIRS products
+# is chosen by _stages; below, the pair loop is kept, as for nearly every call of act
+_FREE_PAIRS = 200
+_STAGE_PAIRS = 2000
+_PAIRS_PER_SUM = 32
+
+
+def _stages(a: LatticeVector, buckets, pairs):
+    """The grouping vertex_modes multiplies the buckets {r: {monomial: numerator}} of
+    one (gamma, index) by, where its pair loop forms more than _FREE_PAIRS products:
+    the pair loop [(a, True)] or _grouping(a, buckets).
+
+    The pair loop forms pairs = sum_r |A_r| p_k(r) products over the k > 1 support
+    bases of a, p_k(r) being the size of a's creation level r.  Where no basis is
+    met, the grouping is the pair loop without its merge.  Otherwise the staged loop
+    carries every annihilated sum through every met basis, and it gains only where
+    the products of many sums meet on one key, so it is taken only above
+    _STAGE_PAIRS and where pairs >= _PAIRS_PER_SUM sum_r |A_r|.
+    """
+    grouping = _grouping(a, buckets)
+    if len(grouping) == 1 or (pairs > _STAGE_PAIRS
+                              and pairs >= _PAIRS_PER_SUM * sum(map(len, buckets.values()))):
+        return grouping
+    return [(a, True)]
+
+
+def _grouping(a: LatticeVector, buckets):
+    """Each met basis of a alone, merged after it, then the free bases, not merged.
+
+    A basis of a's support is met when some annihilated monomial of the buckets
+    has a factor in it.  Products of a sum by created factors in free bases only
+    split back uniquely into the two, so distinct pairs give distinct keys there.
+    """
+    support = {b for b, _ in basis_support(a)}
+    met = support.intersection(b for entries in buckets.values() for mo in entries for b, _ in mo)
+    free = tuple(sorted(support - met))
+    stages = [(_restrict(a, (b,)), True) for b in sorted(met)]
+    if free:
+        stages.append((_restrict(a, free), False))
+    return stages
+
+
+@lru_cache(maxsize=256)
+def _level_sizes(k: int, c: int) -> tuple:
+    """(p_k(0), ..., p_k(c)): p_k(r) counts the degree-r monomials over k bases, the
+    k-coloured partitions of r, by r p_k(r) = k sum_j sigma(j) p_k(r-j) with sigma(j)
+    the sum of the divisors of j."""
+    sigma = [0] + [sum(d for d in range(1, j + 1) if j % d == 0) for j in range(1, c + 1)]
+    p = [1]
+    for r in range(1, c + 1):
+        p.append(k * sum(sigma[j] * p[r - j] for j in range(1, r + 1)) // r)
+    return tuple(p)
+
+
+@lru_cache(maxsize=1024)
+def _restrict(a: LatticeVector, bases) -> LatticeVector:
+    """a with every coordinate outside the flat basis indices bases set to 0."""
+    flat = [c if b in bases else 0 for b, c in enumerate(a.e + a.delta + a.d)]
+    m, qm1 = len(a.e), len(a.delta)
+    return LatticeVector(tuple(flat[:m]), tuple(flat[m:m + qm1]), tuple(flat[m + qm1:]))
 
 
 def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> LatticeFockState:
     """Apply the Fourier mode with doubled index idx of X(a, .), a in Q: the
     window of vertex_modes with the one index idx."""
     return vertex_modes(a, (idx,), s)[idx]
+
+
+@lru_cache(maxsize=4096)
+def _shifted(a: LatticeVector, gamma: LatticeVector) -> tuple:
+    """(a + gamma, (a, gamma), F(a, gamma)): what vertex_modes needs of each gamma."""
+    return a + gamma, bilinear(a, gamma), cocycle(a, gamma)
 
 
 @lru_cache(maxsize=1024)

@@ -909,8 +909,11 @@ def _payload_from_obj(cfg, family, clause, obj):
 
 
 def _refuse_config(family, cfg):
-    """Raise where a family cannot run at cfg: every family but cocycle draws from
-    gl(M|N) with N >= 1, and the toroidal tables and thm46 need q >= 2."""
+    """Raise where a family cannot run at cfg: no family takes N < 0, every family
+    but cocycle draws from gl(M|N) with N >= 1, and the toroidal tables and thm46
+    need q >= 2."""
+    if cfg.N < 0:
+        raise ValueError(f"N must be >= 0, got N = {cfg.N}")
     if family != "cocycle" and cfg.N < 1:
         raise ValueError(f"the {family} family needs N >= 1, got N = {cfg.N}")
     if family in ("sttables", "thm46") and cfg.q < 2:

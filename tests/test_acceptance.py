@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the one-line
 verdict per criterion.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -130,6 +131,22 @@ def test_criterion_6_thm46():
     _verdict(6, ok, f"toroidal dictionary is a homomorphism on every clause including "
                     f"central terms; K_q acts as identity; every central direction "
                     f"witnessed nonzero ({total} checks)")
+
+
+def test_criterion_6_thm46_at_q3():
+    # the several-variable case: at q = 3 two delta/d pairs carry pairings and
+    # cocycle signs between them, and two K directions survive the reduction at
+    # each m != 0; criterion 6's config and seed, 30 samples, report bytes pinned
+    cfg = CheckConfig(M=3, N=2, q=3, max_degree=6, exponent_box=2, samples=30, seed=6)
+    rep = run(cfg, families=("thm46",))
+    cells = _cells(rep, "thm46")
+    total = sum(c["hits"] for c in cells.values())
+    digest = hashlib.sha256(verifier.report_text(rep, include_timing=False).encode()).hexdigest()
+    ok = rep["all_pass"] and total == 440 and all(
+        cells[f"ST{k}"]["fail"] == 0 and cells[f"ST{k}"]["hits"] >= 30 for k in range(1, 11))
+    ok = ok and digest == "503f3a80eaf0fef60fe78519c644873730d77550b325425f0ad05b6f5dfb85f7"
+    _verdict("6 (q=3)", ok, f"toroidal dictionary is a homomorphism at q = 3 on every clause "
+                            f"({total} checks), report bytes pinned")
 
 
 def test_criterion_7_mode_identities():

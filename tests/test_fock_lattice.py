@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -8,10 +9,14 @@ from hypothesis import strategies as st
 
 from supertoroidal.lattice import (LatticeConfig, LatticeVector, basis_support, bilinear,
                                    cocycle, pair_with_basis)
+from supertoroidal.verifier import CheckConfig, run
+from supertoroidal import fock_lattice, representation
 from supertoroidal.fock_lattice import (
     LatticeFockState,
     _creation_level,
     _exp_annihilation,
+    _grouping,
+    _level_sizes,
     _mode_depth,
     _paired,
     current_upper_bound,
@@ -544,6 +549,153 @@ def test_kernel_with_carried_factors_matches_whole_monomial_reference(case):
     for idx, img in vertex_modes(a, idxs, s).items():
         assert img == reference_vertex_mode_apply(a, idx, s), (a, idx, s)
         assert_lowest_terms(img)
+
+
+@contextmanager
+def grouping(kind):
+    """Take every (gamma, index) of a vector of two or more support bases through
+    the staged grouping ("staged") or through the pair loop ("pairs")."""
+    with pytest.MonkeyPatch.context() as mp:
+        if kind == "staged":
+            mp.setattr(fock_lattice, "_FREE_PAIRS", -1)
+            mp.setattr(fock_lattice, "_stages", lambda a, buckets, pairs: _grouping(a, buckets))
+        else:
+            mp.setattr(fock_lattice, "_FREE_PAIRS", float("inf"))
+        yield
+
+
+def test_level_sizes_count_the_creation_levels():
+    # p_k(r) is the number of monomials in a's creation level r for k support bases
+    for a in (CFG.e(1), CFG.root(1, 2), CFG.e(1) - CFG.e(3) + CFG.delta_sum((2,)),
+              CFG.e(1) + 2 * CFG.e(2) - CFG.e(3) - CFG.delta_sum((1,))):
+        k = len(basis_support(a))
+        assert _level_sizes(k, 9) == tuple(len(_creation_level(a, r)[1]) for r in range(10))
+
+
+def test_grouping_takes_met_bases_alone_and_free_bases_last():
+    a = CFG.e(2) - CFG.e(3) + CFG.delta_sum((2,))  # support: e2, e3, delta1 (indices 1, 2, 3)
+    e2, e3, d1 = (LatticeVector(*v) for v in (((0, 1, 0), (0,), (0,)), ((0, 0, -1), (0,), (0,)),
+                                               ((0, 0, 0), (2,), (0,))))
+    # factors of basis 0 and 4 are outside the support and meet nothing
+    buckets = {0: {((0, 1), (2, 1)): 3}, 2: {((2, 2), (4, 1)): -1, ((0, 1),): 5}}
+    assert _grouping(a, buckets) == [(e3, True), (e2 + d1, False)]
+    assert _grouping(a, {1: {((0, 1), (4, 2)): 1}}) == [(a, False)]
+    every = {3: {((1, 1), (2, 1), (3, 1)): 1}}
+    assert _grouping(a, every) == [(e2, True), (e3, True), (d1, True)]
+
+
+@st.composite
+def _staged_cases(draw):
+    """(a of 2-4 support bases, a window reaching creation levels 2 and more, a state
+    whose factors lie on none, some or all of a's support bases, repeated often)."""
+    cfg = LatticeConfig(3, 3)  # rank 7: e1..e3, delta1, delta2, d1, d2
+    support = draw(st.lists(st.sampled_from(range(5)), min_size=2, max_size=4, unique=True))
+    coords = [0] * 7
+    for b in support:
+        coords[b] = draw(st.sampled_from((-2, -1, 1, 2)))
+    a = LatticeVector(tuple(coords[:3]), tuple(coords[3:5]), (0, 0))
+    on = draw(st.sampled_from(["none", "some", "all"]))
+    met = {"none": [], "some": support[:1], "all": support}[on]
+    pool = met + [b for b in range(7) if b not in support]
+    kinds = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2)), min_size=1,
+                          max_size=3, unique=True))
+    gammas = draw(st.lists(st.builds(LatticeVector, st.tuples(*[st.integers(-1, 1)] * 3),
+                                     st.tuples(*[st.integers(-1, 1)] * 2),
+                                     st.tuples(*[st.integers(-1, 1)] * 2)),
+                           min_size=1, max_size=2, unique=True))
+    terms = draw(st.lists(st.tuples(st.sampled_from(gammas),
+                                    st.lists(st.sampled_from(kinds), max_size=4), _COEFFS),
+                          min_size=1, max_size=5))
+    s = LatticeFockState([((g, tuple(sorted(mono))), c) for g, mono, c in terms])
+    par = bilinear(a, a) % 2
+    hi = int(vanishing_bound(a, s)) if not s.is_zero() else 0
+    idxs = list(range(hi - 2 * draw(st.integers(3, 6)), hi + 1, 2))
+    assert all(i % 2 == par for i in idxs)
+    return a, idxs, s
+
+
+_ON_SOME = LatticeFockState({  # e1 factors, repeated; e1 is met, e2 and delta1 are free
+    (CFG.zero(), ((0, 1), (0, 1), (0, 2))): Fraction(1, 3),
+    (CFG.zero(), ((0, 1), (4, 1), (4, 1))): Fraction(-2, 5),
+    (CFG.e(3), ((0, 2), (2, 1))): Fraction(3),
+})
+_ON_ALL = LatticeFockState({  # e1 and e2 factors, each key with repeats
+    (CFG.zero(), ((0, 1), (0, 1), (1, 2))): Fraction(1, 2),
+    (CFG.zero(), ((0, 2), (1, 1), (1, 1))): Fraction(-1, 7),
+    (CFG.zero(), ((1, 1), (1, 1), (1, 1), (1, 1))): Fraction(4),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_staged_cases())
+@example((CFG.e(1) + CFG.e(2) + CFG.delta_sum((1,)), list(range(-14, 3, 2)), _ON_SOME))
+@example((CFG.root(1, 2), list(range(-14, 3, 2)), _ON_ALL))
+@example((CFG.root(1, 2) - CFG.delta_sum((2,)), list(range(-12, 5, 2)),
+          LatticeFockState({(CFG.e(3), ((2, 1), (2, 1), (4, 3))): Fraction(5, 3)})))
+def test_staged_kernel_matches_whole_level_reference(case):
+    # every (gamma, index) of a vector of several support bases goes through the
+    # met bases one at a time and the free bases last; the reference multiplies
+    # each annihilated monomial by whole creation levels of a
+    a, idxs, s = case
+    with grouping("staged"):
+        images = vertex_modes(a, idxs, s)
+    for idx, img in images.items():
+        assert img == reference_vertex_mode_apply(a, idx, s), (a, idx, s)
+        assert_lowest_terms(img)
+
+
+def test_staged_examples_reach_deep_levels_with_met_and_free_bases():
+    # the fixed examples above take met bases before free ones, met bases alone,
+    # and creation levels past 1 of the restricted vectors
+    shapes, levels = set(), set()
+    real = fock_lattice._creation_level
+
+    def stages(a, buckets, pairs):
+        groups = _grouping(a, buckets)
+        shapes.add(tuple(merged for _, merged in groups))
+        return groups
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fock_lattice, "_FREE_PAIRS", -1)
+        mp.setattr(fock_lattice, "_stages", stages)
+        mp.setattr(fock_lattice, "_creation_level", lambda g, j: levels.add(j) or real(g, j))
+        vertex_modes(CFG.e(1) + CFG.e(2) + CFG.delta_sum((1,)), range(-14, 3, 2), _ON_SOME)
+        vertex_modes(CFG.root(1, 2), range(-14, 3, 2), _ON_ALL)
+    assert {(True, False), (True, True)} <= shapes
+    assert max(levels) >= 4
+
+
+def _kernel_calls(cfg, families):
+    """Every (a, window, state, images) of vertex_modes in one verifier run."""
+    calls = []
+    kernel = fock_lattice.vertex_modes
+
+    def record(a, idxs, s):
+        images = kernel(a, list(idxs), s)
+        calls.append((a, list(idxs), s, images))
+        return images
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fock_lattice, "vertex_modes", record)
+        mp.setattr(representation, "vertex_modes", record)
+        assert run(cfg, families=families)["all_pass"]
+    return calls
+
+
+@pytest.mark.parametrize("q, box", [(2, 2), (3, 1)])
+def test_both_groupings_replay_every_kernel_call_of_a_thm46_run(q, box):
+    # each call of a small run at criterion 6's seed, once through the staged
+    # grouping wherever a has two support bases and once through the pair loop,
+    # gives the images the run saw (at q = 3 a box of 2 spends seconds in ST4)
+    cfg = CheckConfig(M=3, N=2, q=q, max_degree=6, exponent_box=box, samples=2, seed=6)
+    calls = _kernel_calls(cfg, ("thm46",))
+    staged = 0
+    for kind in ("staged", "pairs"):
+        with grouping(kind):
+            for a, idxs, s, images in calls:
+                assert vertex_modes(a, idxs, s) == images, (kind, a, idxs)
+                staged += kind == "staged" and len(basis_support(a)) > 1
+    assert len(calls) > 150 and staged > 50
 
 
 # --- mode sums

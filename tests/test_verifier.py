@@ -444,6 +444,21 @@ def test_cli_input_and_config_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
+def test_cli_check_refuses_a_negative_n_for_every_family(seed, capsys):
+    # cocycle, the one family that runs at N = 0, once passed at N = -3 and wrote
+    # N = -3 into its report; every family now refuses it in one message
+    for family in verifier.FAMILY_ORDER:
+        code = main(["check", "--family", family, "--M", "2", "--N", "-3", "--q", "2",
+                     "--seed", str(seed), "--samples", "2"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "error: N must be >= 0, got N = -3\n"), family
+    # replay refuses it before reading the payload
+    cfg = CheckConfig(M=2, N=-1, q=2, max_degree=2, exponent_box=1, samples=1, seed=seed)
+    with pytest.raises(ValueError, match=r"^N must be >= 0, got N = -1$"):
+        evaluate_check(cfg, "cocycle", "sign-law", {})
+
+
+@pytest.mark.parametrize("seed", [0, 1])
 def test_cli_check_refuses_n_0_before_drawing(seed, capsys):
     # every family but cocycle needs N >= 1 and says so in one message, whatever
     # the seed; thm46 once said "need M >= 1 and N >= 1" at seed 0 and
