@@ -1,9 +1,14 @@
+import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
 
 from ab_pairs import summarize  # noqa: E402
+from sample_pairs import _check, _run as _run_check  # noqa: E402
 
 
 def _run(workload, seed, side, last_line=None, **metrics):
@@ -105,3 +110,23 @@ def test_failed_share_per_side_from_the_last_lines():
             {**_run("act", 2, "change", run_s=3.1), "last_line": None}]
     cell = summarize(runs)["act.run_s"]
     assert cell["failed_share"] == {"parent": 0.0, "change": 3 / 1009}
+
+
+def test_sample_pairs_reads_a_check_as_clause_and_index():
+    assert _check("ST1:97") == ("ST1", 97)
+    assert _check("central-witness:0") == ("central-witness", 0)
+    for bad in ("ST1", "ST1:", ":3", "ST1:-1", "ST1:x"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _check(bad)
+
+
+def test_sample_pairs_times_one_check_in_a_fresh_interpreter():
+    # the child draws the INDEX-th payload of the clause and evaluates it, here in
+    # this checkout as in an exported tree
+    config = {"M": 3, "N": 2, "q": 2, "max_degree": 4, "exponent_box": 1, "samples": 2,
+              "seed": 6}
+    run = _run_check(str(ROOT), "thm46", "ST1", 1, config)
+    assert run["exit_code"] == 0, run["stderr_tail"]
+    result = run["result"]
+    assert result["ok"] is True and result["pattern"].startswith("ST1:")
+    assert result["seconds"] > 0 and result["peak_rss_mb"] > 0

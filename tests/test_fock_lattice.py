@@ -588,7 +588,7 @@ def test_grouping_takes_met_bases_alone_and_free_bases_last():
 def _staged_cases(draw):
     """(a of 2-4 support bases, a window reaching creation levels 2 and more, a state
     whose factors lie on none, some or all of a's support bases, repeated often)."""
-    cfg = LatticeConfig(3, 3)  # rank 7: e1..e3, delta1, delta2, d1, d2
+    # at (M, q) = (3, 3) the flat basis is e1..e3, delta1, delta2, d1, d2
     support = draw(st.lists(st.sampled_from(range(5)), min_size=2, max_size=4, unique=True))
     coords = [0] * 7
     for b in support:
@@ -608,7 +608,7 @@ def _staged_cases(draw):
                           min_size=1, max_size=5))
     s = LatticeFockState([((g, tuple(sorted(mono))), c) for g, mono, c in terms])
     par = bilinear(a, a) % 2
-    hi = int(vanishing_bound(a, s)) if not s.is_zero() else 0
+    hi = int(vanishing_bound(a, s)) if not s.is_zero() else par
     idxs = list(range(hi - 2 * draw(st.integers(3, 6)), hi + 1, 2))
     assert all(i % 2 == par for i in idxs)
     return a, idxs, s
