@@ -284,7 +284,7 @@ def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
                 mo = carried + mo
                 annihilated[mo] = get(mo, 0) + scale * n_ann
     # k counts a's support bases (a in Q pairs with one basis vector per support basis);
-    # for k = 1 every grouping is the pair loop
+    # a vector of one basis keeps the pair loop
     pair_loop = [(a, True)]
     k = len(paired)
     out = {idx: {} for idx in depths}
