@@ -42,7 +42,7 @@ from .representation import (
     s_mode_apply,
     super_commutator,
 )
-from .verifier import CheckConfig, gen_state, replay_counterexample, run, run_family
+from .verifier import CheckConfig, gen_state, replay_counterexample, run
 
 __all__ = [
     "BosonState",
@@ -81,7 +81,6 @@ __all__ = [
     "replay_counterexample",
     "rho",
     "run",
-    "run_family",
     "s_mode_apply",
     "super_commutator",
     "vanishing_bound",

@@ -87,10 +87,13 @@ def _cmd_bracket(args) -> int:
     x = ser.toroidal_from_obj(_load_json_arg(args.x))
     y = ser.toroidal_from_obj(_load_json_arg(args.y))
     for el in (x, y):
-        for key in el.terms:
-            exp = key[3] if key[0] == "T" else key[2]
+        for kind, *indices, exp in el.terms:
             if len(exp) != args.q:
                 raise ValueError(f"element exponent {list(exp)} does not match q={args.q}")
+            top, name = (args.M + args.N, "T index") if kind == "T" else (args.q, "K direction")
+            for k in indices:
+                if not 1 <= k <= top:
+                    raise ValueError(f"{name} {k} is outside 1..{top}")
     out = alg.bracket_toroidal(x, y)
     _write_out(ser.dumps(ser.toroidal_to_obj(out)), args.out)
     return 0

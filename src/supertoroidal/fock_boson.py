@@ -99,6 +99,11 @@ def phi_star_apply(j: int, r: int, s: BosonState) -> BosonState:
     return _mode_apply(j, r, s, star=True)
 
 
+def key_depth(key) -> int:
+    """Max doubled creation-mode magnitude of one basis key, 0 for the vacuum key."""
+    return max((-k for _, k in key[0] + key[1]), default=0)
+
+
 def depth(s: BosonState):
     """Max doubled creation-mode magnitude; annihilators beyond it act as 0.
 
@@ -106,9 +111,4 @@ def depth(s: BosonState):
     """
     if s.is_zero():
         return NEG_INF
-    best = 0
-    for (phi, phis) in s.terms:
-        for _, k in phi + phis:
-            if -k > best:
-                best = -k
-    return best
+    return max(map(key_depth, s.terms))

@@ -253,6 +253,8 @@ def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
     depths = {idx: _mode_depth(a, idx, norm) for idx in idxs}
     if not depths:
         return {}
+    if a.is_zero():  # Y(0, z) = 1: X_0(0) is the identity and every other mode is 0
+        return {idx: LatticeFockState.zero() if idx else s for idx in depths}
     h_lo = min(depths.values())
     den_in = lcm(*{c.denominator for c in s.terms.values()})
     paired = _paired(a)
@@ -468,14 +470,15 @@ def current_upper_bound(a: LatticeVector, s: LatticeFockState):
     return max((n for _, u in s.terms for b, n in u if b in paired), default=0)
 
 
-def _even_mode_sum(dm: LatticeVector, lo, hi, outer, s: LatticeFockState) -> LatticeFockState:
-    """sum over even doubled j in [lo, hi] of outer(j, X_j(dm) s), for a nonzero s;
-    the X_j(dm) s come from one window of vertex_modes."""
-    out = {}
-    for j, inner in vertex_modes(dm, range(lo + lo % 2, hi + 1, 2), s).items():
-        if not inner.is_zero():
-            accumulate(out, outer(j, inner).terms.items())
-    return LatticeFockState._from_clean(out)
+def window_sum(out: dict, vec: LatticeVector, idxs, outer, s: LatticeFockState,
+               negate=False) -> dict:
+    """Add outer(idx, X_idx(vec) s), an iterable of (key, coefficient) items, into out
+    (subtracted with negate) for each idx of the window idxs whose image is nonzero; the
+    images come from one window of vertex_modes.  Every mode sum runs on this skeleton."""
+    for idx, image in vertex_modes(vec, idxs, s).items():
+        if not image.is_zero():
+            accumulate(out, outer(idx, image), negate)
+    return out
 
 
 def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int,
@@ -490,8 +493,10 @@ def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int,
         raise ValueError("product sum requires (dm, dm) = (a, dm) = 0")
     if s.is_zero():
         return s
-    return _even_mode_sum(dm, idx - effective_mode_bound(a, s), vanishing_bound(dm, s),
-                          lambda k, t: vertex_mode_apply(a, idx - k, t), s)
+    lo = idx - effective_mode_bound(a, s)
+    return LatticeFockState._from_clean(window_sum(
+        {}, dm, range(lo + lo % 2, vanishing_bound(dm, s) + 1, 2),
+        lambda k, t: vertex_mode_apply(a, idx - k, t).terms.items(), s))
 
 
 def _dressed_current(a: LatticeVector, dm: LatticeVector, n: int,
@@ -507,9 +512,9 @@ def _dressed_current(a: LatticeVector, dm: LatticeVector, n: int,
         return heisenberg_apply(a, n, s)
     if s.is_zero():
         return s
-    k_hi = current_upper_bound(a, s)
-    return _even_mode_sum(dm, 2 * (n - k_hi), effective_mode_bound(dm, s),
-                          lambda j, t: heisenberg_apply(a, n - j // 2, t), s)
+    return LatticeFockState._from_clean(window_sum(
+        {}, dm, range(2 * (n - current_upper_bound(a, s)), effective_mode_bound(dm, s) + 1, 2),
+        lambda j, t: heisenberg_apply(a, n - j // 2, t).terms.items(), s))
 
 
 def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int,
@@ -527,13 +532,10 @@ def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int,
     if s.is_zero():
         return s
     split = (n - 1) // 2
-    out = {}
     kept = range(n - (effective_mode_bound(b, s) + 1) // 2, split + 1)
-    for j, t in vertex_modes(b, [2 * (n - k) - 1 for k in kept], s).items():
-        if not t.is_zero():
-            accumulate(out, vertex_mode_apply(a, 2 * n - j, t).terms.items())
+    out = window_sum({}, b, [2 * (n - k) - 1 for k in kept],
+                     lambda j, t: vertex_mode_apply(a, 2 * n - j, t).terms.items(), s)
     swapped = range(split + 1, (effective_mode_bound(a, s) - 1) // 2 + 1)
-    for j, t in vertex_modes(a, [2 * k + 1 for k in swapped], s).items():
-        if not t.is_zero():
-            accumulate(out, vertex_mode_apply(b, 2 * n - j, t).terms.items(), negate=True)
+    window_sum(out, a, [2 * k + 1 for k in swapped],
+               lambda j, t: vertex_mode_apply(b, 2 * n - j, t).terms.items(), s, negate=True)
     return LatticeFockState._from_clean(out)

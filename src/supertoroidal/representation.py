@@ -21,9 +21,11 @@ combinations).  Every internal mode sum is clipped to an exactly
 computed finite window: boson annihilators die beyond the state's depth,
 lattice modes die beyond the vanishing bound, and the attached
 X(delta_mu) factors only create material orthogonal to the e-block, so
-the effective bounds of the input state cap every index.  The upper and
-lower S modes need no k sum: identity 4.4 folds X(+-e) X(delta_mu) into
-one vertex mode of +-e + delta_mu.
+the effective bounds of the input state cap every index.  All three S
+families are one vertex_modes window per boson half: the boson factor is
+evaluated on the boson key alone, and for the upper and lower families
+identity 4.4 folds X(+-e) X(delta_mu) into one vertex mode of
++-e + delta_mu.
 
 The dictionary rho sends T_ij (x) t^mbar to X-modes (i, j <= M), to the
 dressed diagonal current (i = j <= M), or to an S family mode (an index
@@ -46,10 +48,10 @@ from .fock_lattice import (
     monomial_degree,
     normal_ordered_pair_sum,
     vertex_mode_apply,
-    vertex_modes,
     vertex_product_sum,
+    window_sum,
 )
-from .fock_boson import BosonState, creation_modes, depth, mode_on_key
+from .fock_boson import BosonState, creation_modes, key_depth, mode_on_key
 
 
 class TensorState(Combination):
@@ -116,19 +118,6 @@ def _map_half(fn, ts: TensorState) -> TensorState:
         for lk, c in fn(LatticeFockState._from_clean(half)).terms.items():
             out[(lk, bk)] = c
     return TensorState._from_clean(out)
-
-
-_ONE = Fraction(1)
-
-
-def _lattice_bound(a: LatticeVector, ts: TensorState):
-    """Effective doubled vanishing bound of a over the lattice keys; the bound reads only keys."""
-    keys = dict.fromkeys((lk for lk, _ in ts.terms), _ONE)
-    return effective_mode_bound(a, LatticeFockState._from_clean(keys))
-
-
-def _boson_depth(ts: TensorState):
-    return depth(BosonState._from_clean(dict.fromkeys((bk for _, bk in ts.terms), _ONE)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +208,19 @@ class DiagCurrent(_Operator):
 
 @dataclass(frozen=True)
 class SOp(_Operator):
-    """S-family mode: sum_k S_ij(k) X_{2(n-k)}(delta_mu), a k sum only for the boson family."""
+    """S-family mode sum_k S_ij(k) X_{2(n-k)}(delta_mu); with a = i - M, b = j - M,
+
+    upper:  sum_r X_{r-1/2}(e_i + delta_mu) phi*^b_{n-r+1/2}
+    lower:  sum_r X_{r-1/2}(-e_j + delta_mu) phi^a_{n-r+1/2}
+    boson:  S^{ab}(k) = sum_r :phi^a_{r-1/2} phi*^b_{k-r+1/2}:
+
+    For upper and lower, identity 4.4, sum_k X_{idx-k}(v) X_k(delta_mu) =
+    X_idx(v + delta_mu), folds the k sum into one vertex mode.  The factors
+    act on different halves of a key, so per boson half the boson factor is
+    evaluated on the key alone, each image at the doubled index of the lattice
+    mode it pairs with (2r - 1, or 2(n - k) for the boson family), and one
+    vertex_modes window of the family's vector on the lattice half serves them.
+    """
 
     i: int
     j: int
@@ -247,77 +248,51 @@ class SOp(_Operator):
             raise ValueError(f"mu has length {len(self.mu)}, state has q={q}")
         fam = self.family(M)
         cfg = LatticeConfig(M, q)
-        dm = cfg.delta_sum(self.mu)
-        a, b = self.i - M, self.j - M
+        vec = cfg.delta_sum(self.mu)
         if fam != "boson":
-            vec = (cfg.e(self.i) if fam == "upper" else -cfg.e(self.j)) + dm
-            return _s_plain(fam, vec, a, b, self.n, ts)
-        if dm.is_zero():
-            return _s_plain(fam, None, a, b, self.n, ts)
-        # the two factors are even and act on different halves, so they
-        # commute: the boson factor goes first, and a k whose image is 0
-        # costs no vertex mode.  The boson window is read on ts, and so is
-        # the bound of dm: X_{2(n-k)}(dm) kills a state once 2(n-k) passes
-        # it, and S^boson(k) ts carries a subset of the lattice keys of ts
-        bd = _boson_depth(ts)
+            vec = (cfg.e(self.i) if fam == "upper" else -cfg.e(self.j)) + vec
         out = {}
-        for k in range(self.n - _lattice_bound(dm, ts) // 2, (bd + 1) // 2 + (bd - 1) // 2 + 1):
-            inner = _s_plain(fam, None, a, b, k, ts)
-            if not inner.is_zero():
-                accumulate(out, VertexMode(dm, 2 * (self.n - k)).apply(inner).terms.items())
+        for bk, half in _boson_groups(ts).items():
+            half = LatticeFockState._from_clean(half)
+            images = self._boson_images(fam, M, vec, bk, half)
+            if images:
+                window_sum(out, vec, images, lambda idx, lat: (
+                    ((lk, image), c if w == 1 else c * w)
+                    for image, w in images[idx] for lk, c in lat.terms.items()), half)
         return TensorState._from_clean(out)
+
+    def _boson_images(self, fam: str, M: int, vec, bk, half) -> dict:
+        """{lattice doubled index: [(boson image key, integer weight), ...]} on the boson
+        key bk.  The key's creation depth bounds the boson annihilators, and the
+        effective bound of vec on the lattice half under bk the lattice index; the
+        only nonzero mode of vec = 0 (the boson family at mu = 0) is X_0."""
+        a, b, n = self.i - M, self.j - M, self.n
+        bd, bound = key_depth(bk), effective_mode_bound(vec, half)
+        images = {}
+        if fam != "boson":
+            star = fam == "upper"
+            for r in range(n - (bd - 1) // 2, (bound + 1) // 2 + 1):
+                image = mode_on_key(b if star else a, n - r + 1, bk, star)
+                if image is not None:
+                    images[2 * r - 1] = (image,)
+            return images
+        k_hi = n if vec.is_zero() else (bd + 1) // 2 + (bd - 1) // 2
+        for k in range(n - bound // 2, k_hi + 1):
+            for r in range(k - (bd - 1) // 2, (bd + 1) // 2 + 1):
+                s = k - r + 1
+                # normal ordering: phi* acts first iff r <= s, annihilators right
+                if r <= s:
+                    first = mode_on_key(b, s, bk, True)
+                    second = first and mode_on_key(a, r, first[0], False)
+                else:
+                    first = mode_on_key(a, r, bk, False)
+                    second = first and mode_on_key(b, s, first[0], True)
+                if second:
+                    images.setdefault(2 * (n - k), []).append((second[0], first[1] * second[1]))
+        return images
 
     def parity(self, M: int) -> int:
         return 1 if (self.i <= M) != (self.j <= M) else 0
-
-
-def _s_plain(fam: str, vec, a: int, b: int, m: int, ts: TensorState) -> TensorState:
-    """S_ij(m) on a state, with the exact finite r-window; a = i - M, b = j - M.
-
-    upper:  sum_r X_{r-1/2}(vec) phi*^b_{m-r+1/2},  vec = e_i + delta_mu
-    lower:  sum_r X_{r-1/2}(vec) phi^a_{m-r+1/2},   vec = -e_j + delta_mu
-    boson:  sum_r :phi^a_{r-1/2} phi*^b_{m-r+1/2}:  (vec is None)
-
-    For upper and lower this is already the dressed mode sum_k S_ij(k)
-    X_{2(m-k)}(delta_mu): the boson factor commutes with the lattice, and
-    identity 4.4, sum_k X_{idx-k}(v) X_k(delta_mu) = X_idx(v + delta_mu),
-    folds the k sum into one vertex mode of v + delta_mu.  ts is nonzero.
-
-    For upper and lower the two factors act on different halves of a key,
-    so the state is grouped by boson half once.  Per half, the boson
-    factor of each r is evaluated on the key alone, the lattice half gets
-    one vertex_modes window over the r whose boson image is nonzero, and
-    each lattice image is paired with its boson image.
-    """
-    bd = _boson_depth(ts)
-    r_hi = (bd + 1) // 2 if vec is None else (_lattice_bound(vec, ts) + 1) // 2
-    rs = range(m - (bd - 1) // 2, r_hi + 1)
-    out = {}
-    if vec is None:
-        for r in rs:
-            s_idx = m - r + 1
-            if r <= s_idx:  # normal ordering: phi first iff r <= s, annihilators right
-                first, second = PhiStarMode(b, s_idx), PhiMode(a, r)
-            else:
-                first, second = PhiMode(a, r), PhiStarMode(b, s_idx)
-            t = first.apply(ts)
-            if not t.is_zero():
-                accumulate(out, second.apply(t).terms.items())
-        return TensorState._from_clean(out)
-    star = fam == "upper"
-    flavor = b if star else a
-    for bk, half in _boson_groups(ts).items():
-        images = {}  # doubled index 2r - 1 -> (boson image key, integer weight)
-        for r in rs:
-            image = mode_on_key(flavor, m - r + 1, bk, star)
-            if image is not None:
-                images[2 * r - 1] = image
-        if not images:
-            continue
-        for idx, lat in vertex_modes(vec, images, LatticeFockState._from_clean(half)).items():
-            image, w = images[idx]
-            accumulate(out, (((lk, image), c if w == 1 else c * w) for lk, c in lat.terms.items()))
-    return TensorState._from_clean(out)
 
 
 @dataclass(frozen=True)

@@ -1056,11 +1056,6 @@ def run(cfg: CheckConfig, families=None) -> dict:
     return report
 
 
-def run_family(family: str, cfg: CheckConfig) -> dict:
-    """Single-family run; the report restricted to that family."""
-    return run(cfg, families=(family,))
-
-
 def strip_timings(obj):
     if isinstance(obj, dict):
         return {k: strip_timings(v) for k, v in obj.items() if k != "elapsed_ms"}

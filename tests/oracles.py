@@ -22,9 +22,11 @@ These recompute the library's operations along different routes:
   substitutes into each annihilated factor and writes each creation
   level in closed form), and reads off every requested coefficient with
   no window logic;
-* oracle_s_plain / oracle_s_dressed evaluate the S mode sums with crude
-  windows widened by a margin, so any clipping bug in the production
-  windows shows up as a discrepancy;
+* oracle_s_plain / oracle_s_dressed evaluate the S mode sums through
+  PhiMode / PhiStarMode / VertexMode on the whole state, with one window
+  for the whole state widened by a margin (the library evaluates the
+  boson factor per key and reads one window per boson half), so any
+  clipping bug in the production windows shows up as a discrepancy;
 * reference_dumps is the canonical JSON text through CPython's own
   encoder, which serialize.dumps emits directly;
 * reference_lattice_state_from_obj, reference_boson_state_from_obj and
@@ -50,20 +52,14 @@ from supertoroidal.fock_lattice import (
     _creation_level,
     _exp_annihilation,
     _mode_depth,
+    effective_mode_bound,
     heisenberg_apply,
     monomial_degree,
     monomial_insert,
 )
 from supertoroidal import serialize as ser
-from supertoroidal.fock_boson import BosonState, phi_apply, phi_star_apply
-from supertoroidal.representation import (
-    PhiMode,
-    PhiStarMode,
-    TensorState,
-    VertexMode,
-    _boson_depth,
-    _lattice_bound,
-)
+from supertoroidal.fock_boson import BosonState, depth, phi_apply, phi_star_apply
+from supertoroidal.representation import PhiMode, PhiStarMode, TensorState, VertexMode
 
 
 def reference_vertex_mode_apply(a, idx, s):
@@ -234,6 +230,16 @@ def oracle_vertex_modes(a, s, klo, khi):
                         )
                         out[k] = out[k] + shifted
     return out
+
+
+def _lattice_bound(a, ts):
+    """Effective bound of a over all lattice keys of ts, one window for the whole state."""
+    return effective_mode_bound(a, LatticeFockState({lk: 1 for (lk, _) in ts.terms}))
+
+
+def _boson_depth(ts):
+    """Creation depth over all boson keys of ts, one window for the whole state."""
+    return depth(BosonState({bk: 1 for (_, bk) in ts.terms}))
 
 
 def oracle_s_plain(fam, i, j, M, q, m, ts, margin=4):

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from supertoroidal.fock_boson import BosonState, depth, phi_apply, phi_star_apply
+from supertoroidal.fock_boson import BosonState, depth, key_depth, phi_apply, phi_star_apply
 
 VAC = BosonState.vacuum()
 
@@ -86,6 +86,9 @@ def test_depth():
     assert depth(BosonState.basis(phi=((1, -3),))) == 3
     assert depth(BosonState.basis(phi=((1, -1),), phi_star=((2, -1),))) == 1
     assert depth(BosonState.zero()) == float("-inf")
+    # a key's own depth, which bounds the S modes' boson windows key by key
+    assert key_depth(((), ())) == 0
+    assert key_depth((((1, -1),), ((2, -5), (2, -1)))) == 5
 
 
 def test_depth_clips_annihilators():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from supertoroidal.lattice import (LatticeConfig, LatticeVector, basis_support, bilinear,
                                    cocycle, pair_with_basis)
 from supertoroidal.verifier import CheckConfig, run
-from supertoroidal import fock_lattice, representation
+from supertoroidal import fock_lattice
 from supertoroidal.fock_lattice import (
     LatticeFockState,
     _creation_level,
@@ -471,6 +471,8 @@ def _window_cases(draw):
 @example((CFG.root(1, 2), [-4, -2, 0, 2, 40], LatticeFockState(
     {(CFG.e(1), ((0, 1),)): Fraction(1, 2), (CFG.e(3), ((1, 2),)): Fraction(-3, 7),
      (CFG.e(3), ()): Fraction(4, 9)})))
+@example((CFG.zero(), [-2, 0, 2], LatticeFockState(  # X_0(0) is the identity
+    {(CFG.e(1), ((0, 1), (3, 2))): Fraction(1, 2), (CFG.e(3), ()): Fraction(-3, 7)})))
 def test_vertex_modes_window_matches_reference_index_by_index(case):
     # one pass over s serves the window; each index must still equal the
     # one-Fraction-at-a-time kernel, zero images and the empty window included
@@ -666,7 +668,8 @@ def test_staged_examples_reach_deep_levels_with_met_and_free_bases():
 
 
 def _kernel_calls(cfg, families):
-    """Every (a, window, state, images) of vertex_modes in one verifier run."""
+    """Every (a, window, state, images) of vertex_modes in one verifier run; every mode
+    sum reads its windows through fock_lattice's own name."""
     calls = []
     kernel = fock_lattice.vertex_modes
 
@@ -677,7 +680,6 @@ def _kernel_calls(cfg, families):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fock_lattice, "vertex_modes", record)
-        mp.setattr(representation, "vertex_modes", record)
         assert run(cfg, families=families)["all_pass"]
     return calls
 

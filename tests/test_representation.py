@@ -26,7 +26,7 @@ from supertoroidal.representation import (
     super_commutator,
 )
 
-from supertoroidal.fock_boson import mode_on_key
+from supertoroidal.fock_boson import key_depth, mode_on_key
 
 from oracles import oracle_s_dressed, oracle_s_plain, reference_boson_mode_apply
 
@@ -119,8 +119,11 @@ def test_s_dressed_zero_mu_equals_plain():
 
 
 def _splits_boson_halves(fam, i, j, s):
-    """Whether the contracting boson factor of S_ij at r = n keeps some boson halves of s
-    and kills the others, so that the halves get different windows."""
+    """Whether the boson halves of s get different windows: for upper and lower, the
+    contracting boson factor of S_ij at r = n keeps some halves and kills the others;
+    for the boson family, the halves have different creation depths."""
+    if fam == "boson":
+        return len({key_depth(bk) for _, bk in s.terms}) > 1
     star = fam == "upper"
     flavor = j - M if star else i - M
     return {mode_on_key(flavor, 1, bk, star) is None for _, bk in s.terms} == {True, False}
@@ -130,7 +133,7 @@ def test_s_plain_against_wide_window_oracle():
     # from trial 12 on, each lattice key sits under two boson keys and n >= 1
     rng = random.Random(13)
     fams = (("upper", 1, M + 1), ("lower", M + 2, 2), ("boson", M + 1, M + 2))
-    split = dict.fromkeys(("upper", "lower"), 0)
+    split = dict.fromkeys(("upper", "lower", "boson"), 0)
     for trial in range(28):
         s = random_tensor(rng)
         if trial >= 12:
@@ -140,7 +143,7 @@ def test_s_plain_against_wide_window_oracle():
             fast = s_mode_apply(fam, i, j, (0,), n, s)
             wide = oracle_s_plain(fam, i, j, M, Q, n, s)
             assert fast == wide, (fam, n)
-            if trial >= 12 and fam != "boson":
+            if trial >= 12:
                 split[fam] += _splits_boson_halves(fam, i, j, s)
     assert min(split.values()) >= 6, split
 

@@ -436,7 +436,14 @@ def test_cli_input_and_config_errors_exit_2(capsys):
                  ["act", "--op", '{"kind": "phi",', "--state", state],
                  ["bracket", "--x", "[]", "--y",
                   '[{"coeff": "1/1", "kind": "K", "direction": 1, "exponent": [0]}]',
-                  "--M", "2", "--N", "1", "--q", "2"]):
+                  "--M", "2", "--N", "1", "--q", "2"],
+                 # indices outside the algebra, once bracketed to [] with exit 0
+                 ["bracket", "--M", "2", "--N", "1", "--q", "2",
+                  "--x", '[{"coeff": "1/1", "kind": "T", "i": 99, "j": -4, "exponent": [1, 0]}]',
+                  "--y", '[{"coeff": "1/1", "kind": "K", "direction": 1, "exponent": [0, 1]}]'],
+                 ["bracket", "--M", "2", "--N", "1", "--q", "2",
+                  "--x", '[{"coeff": "1/1", "kind": "K", "direction": 7, "exponent": [1, 0]}]',
+                  "--y", '[{"coeff": "1/1", "kind": "T", "i": 1, "j": 2, "exponent": [0, 0]}]']):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
