@@ -175,7 +175,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+    # json.JSONDecodeError is a ValueError; OSError is a file that cannot be read or written
+    except (ValueError, KeyError, OSError) as exc:
         msg = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2

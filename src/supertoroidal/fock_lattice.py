@@ -88,7 +88,7 @@ class LatticeFockState(Combination):
     @staticmethod
     def _sort_key(item):
         (gamma, mono), _ = item
-        return (gamma.e, gamma.delta, gamma.d, mono)
+        return (*gamma, mono)
 
     @staticmethod
     def _format_term(key, c) -> str:
@@ -402,9 +402,8 @@ def _level_sizes(k: int, c: int) -> tuple:
 @lru_cache(maxsize=1024)
 def _restrict(a: LatticeVector, bases) -> LatticeVector:
     """a with every coordinate outside the flat basis indices bases set to 0."""
-    flat = [c if b in bases else 0 for b, c in enumerate(a.e + a.delta + a.d)]
-    m, qm1 = len(a.e), len(a.delta)
-    return LatticeVector(tuple(flat[:m]), tuple(flat[m:m + qm1]), tuple(flat[m + qm1:]))
+    flat = tuple(c if b in bases else 0 for b, c in enumerate(a.flat))
+    return LatticeVector.from_flat(flat, a.shape[0])
 
 
 def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> LatticeFockState:
@@ -422,7 +421,7 @@ def _shifted(a: LatticeVector, gamma: LatticeVector) -> tuple:
 @lru_cache(maxsize=1024)
 def _paired(a: LatticeVector) -> frozenset:
     """The basis indices b with (a, b) != 0: the factors b(-n) that a(n) can contract."""
-    return frozenset(b for b in range(len(a.e) + 2 * len(a.delta)) if pair_with_basis(a, b))
+    return frozenset(b for b in range(a.rank) if pair_with_basis(a, b))
 
 
 def _mode_bound(a: LatticeVector, s: LatticeFockState, paired):

@@ -23,7 +23,8 @@ Its first argument must lie in Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import add, itemgetter, mul
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,8 +45,7 @@ class LatticeConfig:
         return self.M + 2 * (self.q - 1)
 
     def zero(self) -> "LatticeVector":
-        z = (0,) * (self.q - 1)
-        return LatticeVector((0,) * self.M, z, z)
+        return LatticeVector.from_flat((0,) * self.rank, self.M)
 
     def _unit(self, block: int, i: int) -> "LatticeVector":
         """Basis vector i, 1-based, of block 0 (e), 1 (delta) or 2 (d)."""
@@ -83,29 +83,47 @@ class LatticeConfig:
         """Basis vector by flat 0-based index: e-block, delta-block, d-block."""
         if not 0 <= idx < self.rank:
             raise ValueError(f"basis index {idx} out of range 0..{self.rank - 1}")
-        for block, size in enumerate((self.M, self.q - 1, self.q - 1)):
-            if idx < size:
-                return self._unit(block, idx + 1)
-            idx -= size
+        return LatticeVector.from_flat(tuple(int(k == idx) for k in range(self.rank)), self.M)
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeVector:
-    """Element of Gbar with exact integer coordinates in the fixed basis."""
+class LatticeVector(tuple):
+    """Element of Gbar with exact integer coordinates in the fixed basis: the
+    tuple (e, delta, d) of its three coordinate blocks.
 
-    e: tuple
-    delta: tuple = ()
-    d: tuple = ()
-    # vectors key every state term, so their hash is computed once, not per dict operation
-    _hash: int = field(init=False, repr=False, compare=False)
+    Hash and equality are the tuple's. The operators below are the lattice's,
+    so + and * add and scale coordinates; they never concatenate or repeat.
+    """
 
-    def __post_init__(self):
-        if len(self.delta) != len(self.d):
+    __slots__ = ()
+
+    def __new__(cls, e, delta=(), d=()):
+        if len(delta) != len(d):
             raise ValueError("delta and d blocks must have equal length")
-        object.__setattr__(self, "_hash", hash((self.e, self.delta, self.d)))
+        return tuple.__new__(cls, (e, delta, d))
 
-    def __hash__(self):
-        return self._hash
+    e = property(itemgetter(0))
+    delta = property(itemgetter(1))
+    d = property(itemgetter(2))
+
+    @property
+    def shape(self) -> tuple:
+        """(M, q): M e-coordinates and q - 1 delta/d pairs."""
+        return len(self[0]), len(self[1]) + 1
+
+    @property
+    def rank(self) -> int:
+        return len(self[0]) + 2 * len(self[1])
+
+    @property
+    def flat(self) -> tuple:
+        """The coordinates in flat basis order: the e, then the delta, then the d block."""
+        return self[0] + self[1] + self[2]
+
+    @classmethod
+    def from_flat(cls, coords: tuple, M: int) -> "LatticeVector":
+        """The vector whose flat coordinates (see flat) are coords, M of them in the e block."""
+        k = (len(coords) - M) // 2
+        return cls(coords[:M], coords[M:M + k], coords[M + k:])
 
     def in_gamma(self) -> bool:
         return not any(self.delta) and not any(self.d)
@@ -114,15 +132,11 @@ class LatticeVector:
         return not any(self.d)
 
     def is_zero(self) -> bool:
-        return not any(self.e) and not any(self.delta) and not any(self.d)
+        return not any(self.flat)
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         _check_shape(self, other)
-        return LatticeVector(
-            tuple(a + b for a, b in zip(self.e, other.e)),
-            tuple(a + b for a, b in zip(self.delta, other.delta)),
-            tuple(a + b for a, b in zip(self.d, other.d)),
-        )
+        return LatticeVector(*[tuple(map(add, x, y)) for x, y in zip(self, other)])
 
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
         return self + (-other)
@@ -131,36 +145,30 @@ class LatticeVector:
         return self * -1
 
     def __mul__(self, n: int) -> "LatticeVector":
-        return LatticeVector(
-            tuple(n * a for a in self.e),
-            tuple(n * a for a in self.delta),
-            tuple(n * a for a in self.d),
-        )
+        return LatticeVector(*[tuple(n * c for c in x) for x in self])
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        parts = []
-        for name, coords in (("e", self.e), ("delta", self.delta), ("d", self.d)):
-            for k, c in enumerate(coords):
-                if c:
-                    parts.append(f"{c:+d}*{name}{k + 1}")
-        return "LatticeVector<" + (" ".join(parts) if parts else "0") + ">"
+        parts = [f"{c:+d}*{name}{k + 1}" for name, coords in zip(("e", "delta", "d"), self)
+                 for k, c in enumerate(coords) if c]
+        return "LatticeVector<" + (" ".join(parts) or "0") + ">"
 
 
 def _check_shape(a: LatticeVector, b: LatticeVector):
-    if len(a.e) != len(b.e) or len(a.delta) != len(b.delta):
-        raise ValueError(f"lattice shape mismatch: (M, q) = ({len(a.e)}, {len(a.delta) + 1})"
-                         f" vs ({len(b.e)}, {len(b.delta) + 1})")
+    if len(a[0]) != len(b[0]) or len(a[1]) != len(b[1]):
+        raise ValueError(f"lattice shape mismatch: (M, q) = {a.shape} vs {b.shape}")
+
+
+def _dual(a: LatticeVector) -> tuple:
+    """a's pairings with the flat basis: delta_j pairs with d-coordinate j, d_j with delta."""
+    return a[0] + a[2] + a[1]
 
 
 def bilinear(a: LatticeVector, b: LatticeVector) -> int:
     """Symmetric form: orthonormal e-block plus the delta/d duality."""
     _check_shape(a, b)
-    s = sum(x * y for x, y in zip(a.e, b.e))
-    s += sum(x * y for x, y in zip(a.delta, b.d))
-    s += sum(x * y for x, y in zip(a.d, b.delta))
-    return s
+    return sum(map(mul, a.flat, _dual(b)))
 
 
 def parity(a: LatticeVector) -> int:
@@ -178,39 +186,23 @@ def cocycle(a: LatticeVector, b: LatticeVector) -> int:
     _check_shape(a, b)
     if not a.in_q():
         raise ValueError(f"cocycle first argument must lie in Q, got {a!r}")
+    ae, be = a.e, b.e
     dd = 0
-    for i in range(1, len(a.e)):
-        ai = a.e[i]
+    for i in range(1, len(ae)):
+        ai = ae[i]
         if ai:
-            dd += ai * sum(b.e[:i])
+            dd += ai * sum(be[:i])
     return -1 if dd % 2 else 1
 
 
 def pair_with_basis(a: LatticeVector, idx: int) -> int:
     """(a, basis_vector(idx)) without materialising the basis vector."""
-    m = len(a.e)
-    qm1 = len(a.delta)
-    if 0 <= idx < m:
-        return a.e[idx]
-    if m <= idx < m + qm1:
-        return a.d[idx - m]  # (x, delta_j) pairs with the d-coordinate
-    if m + qm1 <= idx < m + 2 * qm1:
-        return a.delta[idx - m - qm1]
-    raise ValueError(f"basis index {idx} out of range for rank {m + 2 * qm1}")
+    dual = _dual(a)
+    if not 0 <= idx < len(dual):
+        raise ValueError(f"basis index {idx} out of range for rank {len(dual)}")
+    return dual[idx]
 
 
 def basis_support(a: LatticeVector):
     """Pairs (flat basis index, coordinate) for the nonzero coordinates."""
-    m = len(a.e)
-    qm1 = len(a.delta)
-    out = []
-    for i, c in enumerate(a.e):
-        if c:
-            out.append((i, c))
-    for i, c in enumerate(a.delta):
-        if c:
-            out.append((m + i, c))
-    for i, c in enumerate(a.d):
-        if c:
-            out.append((m + qm1 + i, c))
-    return out
+    return [(i, c) for i, c in enumerate(a.flat) if c]

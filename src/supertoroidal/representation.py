@@ -76,7 +76,7 @@ class TensorState(Combination):
     @staticmethod
     def _sort_key(item):
         ((g, u), (p, ps)), _ = item
-        return (g.e, g.delta, g.d, u, p, ps)
+        return (*g, u, p, ps)
 
     @staticmethod
     def _format_term(key, c) -> str:
@@ -97,9 +97,7 @@ class TensorState(Combination):
 
     def lattice_shape(self):
         """(M, q) read off any key, or None for the zero state."""
-        for ((g, _), _) in self.terms:
-            return len(g.e), len(g.delta) + 1
-        return None
+        return next((g.shape for (g, _), _ in self.terms), None)
 
 
 def _boson_groups(ts: TensorState) -> dict:

@@ -174,10 +174,6 @@ def _monomial_from_obj(obj, rank: int) -> tuple:
     return tuple(sorted(factors))
 
 
-def _shape(gamma: LatticeVector) -> tuple:
-    return len(gamma.e), len(gamma.delta) + 1
-
-
 def _one_shape(state, shapes):
     """state, once every gamma read for it, on a term of coefficient 0 or on terms
     that cancel too, has the same lattice shape (M, q)."""
@@ -266,16 +262,15 @@ class _KeyReader:
                 v = self.gammas.get(raw)
                 if v is None:
                     v = self.gammas[raw] = vector_from_obj(obj, self.config)
-                    self.shapes.add(_shape(v))
+                    self.shapes.add(v.shape)
                 return v
         v = vector_from_obj(obj, self.config)
-        self.shapes.add(_shape(v))
+        self.shapes.add(v.shape)
         return v
 
     def lattice(self, item) -> tuple:
         gamma = self.gamma(item["gamma"])
-        rank = len(gamma.e) + 2 * len(gamma.delta)
-        return gamma, _monomial_from_obj(item.get("monomial", ()), rank)
+        return gamma, _monomial_from_obj(item.get("monomial", ()), gamma.rank)
 
     def modes(self, obj, what: str) -> tuple:
         if type(obj) is list:

@@ -909,11 +909,12 @@ def _payload_from_obj(cfg, family, clause, obj):
 
 
 def _refuse_config(family, cfg):
-    """Raise where a family cannot run at cfg: no family takes N < 0, every family
-    but cocycle draws from gl(M|N) with N >= 1, and the toroidal tables and thm46
-    need q >= 2."""
-    if cfg.N < 0:
-        raise ValueError(f"N must be >= 0, got N = {cfg.N}")
+    """Raise where a family cannot run at cfg: no family takes N, a degree or a box
+    below 0 or fewer than one sample, every family but cocycle draws from gl(M|N)
+    with N >= 1, and the toroidal tables and thm46 need q >= 2."""
+    for name, low in (("N", 0), ("max_degree", 0), ("exponent_box", 0), ("samples", 1)):
+        if getattr(cfg, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {name} = {getattr(cfg, name)}")
     if family != "cocycle" and cfg.N < 1:
         raise ValueError(f"the {family} family needs N >= 1, got N = {cfg.N}")
     if family in ("sttables", "thm46") and cfg.q < 2:
@@ -1075,6 +1076,10 @@ def replay_counterexample(obj) -> dict:
     Returns the fresh outcome plus whether the recorded failure was
     reproduced bit-exactly.
     """
+    ser._object(obj, "a counterexample record")
+    for name in ("family", "clause"):
+        if not isinstance(obj[name], str):
+            raise ValueError(f"record field {name} must be a string, got {obj[name]!r}")
     cfg = CheckConfig.from_obj(obj["config"])
     ok, adj, note, lhs, rhs = evaluate_check(cfg, obj["family"], obj["clause"], obj["payload"])
     return {

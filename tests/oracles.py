@@ -27,6 +27,9 @@ These recompute the library's operations along different routes:
   for the whole state widened by a margin (the library evaluates the
   boson factor per key and reads one window per boson half), so any
   clipping bug in the production windows shows up as a discrepancy;
+* reference_pair_with_basis and reference_basis_support read a lattice
+  vector block by block, one branch or loop per block, where the library
+  reads one expression over the concatenated blocks;
 * reference_dumps is the canonical JSON text through CPython's own
   encoder, which serialize.dumps emits directly;
 * reference_lattice_state_from_obj, reference_boson_state_from_obj and
@@ -289,6 +292,27 @@ def oracle_s_dressed(fam, i, j, M, q, mu, n, ts, margin=3):
     return out
 
 
+def reference_pair_with_basis(a, idx):
+    """(a, basis_vector(idx)): delta_j pairs with the d-coordinate j, d_j with the delta one."""
+    m, qm1 = len(a.e), len(a.delta)
+    if 0 <= idx < m:
+        return a.e[idx]
+    if m <= idx < m + qm1:
+        return a.d[idx - m]
+    if m + qm1 <= idx < m + 2 * qm1:
+        return a.delta[idx - m - qm1]
+    raise ValueError(f"basis index {idx} out of range for rank {m + 2 * qm1}")
+
+
+def reference_basis_support(a):
+    """(flat basis index, coordinate) for the nonzero coordinates, block by block."""
+    m, qm1 = len(a.e), len(a.delta)
+    out = [(i, c) for i, c in enumerate(a.e) if c]
+    out += [(m + i, c) for i, c in enumerate(a.delta) if c]
+    out += [(m + qm1 + i, c) for i, c in enumerate(a.d) if c]
+    return out
+
+
 def reference_dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) and a newline, the text of serialize.dumps."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -296,7 +320,7 @@ def reference_dumps(obj) -> str:
 
 def _reference_lattice_key(item, config, shapes):
     gamma = ser.vector_from_obj(item["gamma"], config)
-    shapes.append(ser._shape(gamma))
+    shapes.append(gamma.shape)
     rank = len(gamma.e) + 2 * len(gamma.delta)
     return gamma, ser._monomial_from_obj(item.get("monomial", ()), rank)
 

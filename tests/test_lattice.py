@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_basis_support, reference_pair_with_basis
 from supertoroidal.lattice import (
     LatticeConfig,
     LatticeVector,
+    basis_support,
     bilinear,
     cocycle,
+    pair_with_basis,
     parity,
 )
 
@@ -154,3 +157,58 @@ def test_cached_hash_follows_equality(a, b):
             assert hash(x) == hash(y) and {x: 1}[y] == 1
     rebuilt = LatticeVector(a.e, a.delta, a.d)
     assert rebuilt == a and hash(rebuilt) == hash(a) and repr(rebuilt) == repr(a)
+
+
+def test_arithmetic_adds_and_scales_and_never_concatenates():
+    a = LatticeVector((1, -2, 0), (3, 0), (0, -1))
+    b = LatticeVector((0, 1, 4), (-3, 2), (1, 1))
+    assert a + b == LatticeVector((1, -1, 4), (0, 2), (1, 0))
+    assert a - b == LatticeVector((1, -3, -4), (6, -2), (-1, -2))
+    assert -a == LatticeVector((-1, 2, 0), (-3, 0), (0, 1))
+    assert 2 * a == a * 2 == LatticeVector((2, -4, 0), (6, 0), (0, -2))
+    for v in (a + b, a - b, -a, 2 * a, a * 2, 0 * a):
+        assert type(v) is LatticeVector and len(v) == 3 and v.shape == (3, 3)
+
+
+def test_vector_is_immutable_and_checks_its_blocks():
+    v = CFG.e(1)
+    with pytest.raises(AttributeError):
+        v.e = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        v.extra = 1  # no instance dict
+    with pytest.raises(ValueError, match="delta and d blocks must have equal length"):
+        LatticeVector((1,), (0,), ())
+    assert LatticeVector((1, 2)) == LatticeVector((1, 2), (), ())
+
+
+def test_equal_vectors_built_apart_are_equal_and_hash_alike():
+    built = [LatticeVector((1, 0, -1), (2, 0), (0, 3)),
+             CFG.e(1) - CFG.e(3) + 2 * CFG.delta(1) + 3 * CFG.dgen(2),
+             LatticeVector.from_flat((1, 0, -1, 2, 0, 0, 3), 3)]
+    first = built[0]
+    for v in built:
+        assert v == first and hash(v) == hash(first) and {first: 1}[v] == 1
+    assert LatticeVector((1,), (), ()) != LatticeVector((1,), (0,), (0,))
+
+
+@pytest.mark.parametrize("M, q", [(1, 1), (3, 1), (1, 2), (2, 3), (4, 4)])
+def test_shape_and_rank(M, q):
+    cfg = LatticeConfig(M, q)
+    for v in [cfg.zero()] + [cfg.basis_vector(i) for i in range(cfg.rank)]:
+        assert v.shape == (M, q) and v.rank == cfg.rank == M + 2 * (q - 1)
+        assert len(v.flat) == v.rank and LatticeVector.from_flat(v.flat, M) == v
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([(1, 1), (2, 2), (3, 3), (2, 4)]).flatmap(
+    lambda shape: vec_strategy(M=shape[0], q=shape[1])))
+def test_pairings_match_block_by_block_reference(a):
+    rank = a.rank
+    for idx in range(-2, rank + 2):
+        if 0 <= idx < rank:
+            assert pair_with_basis(a, idx) == reference_pair_with_basis(a, idx)
+            assert pair_with_basis(a, idx) == bilinear(a, LatticeConfig(*a.shape).basis_vector(idx))
+        else:
+            with pytest.raises(ValueError):
+                pair_with_basis(a, idx)
+    assert basis_support(a) == reference_basis_support(a)

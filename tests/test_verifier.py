@@ -448,6 +448,41 @@ def test_cli_input_and_config_errors_exit_2(capsys):
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert out == ""
+    # a sample count below 1 (once a verified failure, exit 1), a negative box (once a
+    # randrange error) and a negative degree (once exit 0) are refused by field name
+    for flags, field, value, low in (
+            (["--family", "jacobi", "--M", "3", "--N", "3", "--q", "1", "--samples", "-1"],
+             "samples", -1, 1),
+            (["--family", "cocycle", "--box", "-1"], "exponent_box", -1, 0),
+            (["--family", "thm46", "--max-degree", "-3", "--samples", "2"], "max_degree", -3, 0)):
+        assert main(["check", *flags]) == 2, flags
+        assert capsys.readouterr() == ("", f"error: {field} must be >= {low}, got {field} = {value}\n")
+    cfg = CheckConfig(M=2, N=1, q=2, max_degree=2, exponent_box=1, samples=0, seed=0)
+    with pytest.raises(ValueError, match=r"^samples must be >= 1, got samples = 0$"):
+        evaluate_check(cfg, "cocycle", "sign-law", {})
+
+
+def test_cli_crashes_exit_2_not_1(tmp_path, capsys):
+    # exit 1 is kept for a verified failure: a record that is not an object, a family
+    # or clause that is not a string, and a file that cannot be opened exit 2
+    missing = tmp_path / "missing"
+    records = ([], {"family": ["x"], "clause": "sign-law"}, {"family": "cocycle", "clause": 1})
+    argvs = []
+    for k, record in enumerate(records):
+        path = tmp_path / f"record{k}.json"
+        path.write_text(json.dumps(record))
+        argvs.append(["replay", "--counterexample", str(path)])
+    argvs += [["check", "--family", "cocycle", "--samples", "1", "--report", str(missing / "r.json")],
+              ["replay", "--counterexample", str(missing / "ce.json")],
+              ["bracket", "--x", "[]", "--y", "[]", "--M", "2", "--N", "1", "--q", "2",
+               "--out", str(missing / "o.json")]]
+    for argv in argvs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    for record in records:
+        with pytest.raises(ValueError):
+            replay_counterexample(record)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
