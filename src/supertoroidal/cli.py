@@ -45,12 +45,9 @@ def _write_out(text: str, path):
 
 
 def _cmd_check(args) -> int:
-    families = []
+    families = None
     if args.family:
-        for item in args.family:
-            families.extend(f for f in item.split(",") if f)
-    else:
-        families = list(verifier.FAMILY_ORDER)
+        families = [f for item in args.family for f in item.split(",") if f]
     cfg = CheckConfig(
         M=args.M,
         N=args.N,
@@ -60,7 +57,11 @@ def _cmd_check(args) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    report = verifier.run(cfg, families=families)
+    families = verifier.requested_families(cfg, families)
+    if args.report:
+        # a path that cannot be written exits 2 before any family runs; "a" truncates nothing
+        open(args.report, "a", encoding="utf-8").close()
+    report = verifier.run(cfg, families)
     for fam, fr in report["families"].items():
         for clause, cell in fr["clauses"].items():
             status = "ok" if cell["ok"] else "FAIL"

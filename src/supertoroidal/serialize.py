@@ -6,11 +6,11 @@ takes a coefficient as a JSON int or a "p" or "p/q" string of ASCII
 digits with an optional leading "-", and a monomial factor's "power" up
 to MAX_POWER.  Emitted term lists are canonically sorted.
 
-A lattice vector is an object with integer arrays "e", "delta", "d";
-arrays may be omitted on input when a LatticeConfig is supplied (they
-then mean zero), and an omitted "delta"/"d" without a config is read as
-q = 1.  Output always carries all three arrays so that every emitted
-object is self-describing.
+A lattice vector is an object with integer arrays "e", "delta", "d".
+An omitted array is the zero block: of the config's length when a
+LatticeConfig is supplied, else of the other block's length ("e" is then
+required), so delta and d are never padded to agree.  Output always
+carries all three arrays so that every emitted object is self-describing.
 
 A term is its "coeff" next to the fields of its key; each key half, the
 lattice ("gamma", "monomial") and the boson ("phi", "phi_star") one, has
@@ -34,11 +34,14 @@ lets the terms that have it share it, so its result is for encoding
 
 dumps writes the text of json.dumps(obj, sort_keys=True, indent=2) and a
 newline, byte for byte, but emits it directly: json.dumps runs its
-pure-Python encoder whenever indent is set, while dumps hands strings to
-the C string encoder and ints to int.__repr__, and passes only the rare
-other scalars (floats, bools, None, non-str keys) to json.dumps.  A dict
-or list that several dict values share is written once per indent level
-and its text reused.
+pure-Python encoder whenever indent is set, while dumps hands str keys
+and strings to the C string encoder and ints to int.__repr__, and passes
+only the rare other scalars (floats, bools, None) to json.dumps without
+an indent.  A dict or list that several dict values share is written
+once per indent level and its text reused.  A value dumps does not
+write itself (a non-str key, a value of no JSON type, keys that cannot
+be sorted, a cycle) hands the whole object to json.dumps, which writes
+or refuses it.
 """
 
 from __future__ import annotations
@@ -138,13 +141,10 @@ def vector_from_obj(obj, config: LatticeConfig | None = None) -> LatticeVector:
         if "e" not in obj:
             raise ValueError("vector object without 'e' needs an explicit config")
         e = _ints(obj["e"], "e")
-        delta = _ints(obj.get("delta", ()), "delta")
-        d = _ints(obj.get("d", ()), "d")
-        if len(delta) != len(d):
-            # one of the blocks was omitted; zero-fill to the longer one
-            n = max(len(delta), len(d))
-            delta = delta + (0,) * (n - len(delta))
-            d = d + (0,) * (n - len(d))
+        blocks = {name: _ints(obj[name], name) for name in ("delta", "d") if name in obj}
+        # an omitted block is the zero one of the other's length; LatticeVector judges the rest
+        zero = (0,) * max(map(len, blocks.values()), default=0)
+        delta, d = blocks.get("delta", zero), blocks.get("d", zero)
     return LatticeVector(e, delta, d)
 
 
@@ -438,19 +438,13 @@ def operator_from_obj(obj, config: LatticeConfig | None = None):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _key_str(k) -> str:
-    """A dict key that is not a str as json.dumps writes it: an int, float, bool or None as JSON."""
-    if isinstance(k, (int, float)) or k is None:
-        return json.dumps(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
 def _emit(o, out: list, nl: str, texts: dict):
     """Append the indent=2 JSON text of o to out; nl is a newline and the indent of o's level.
 
     texts maps the id of each dict or list met as a dict value to that
     object, its nl and its text, so an object that several dict values
     share, as the state encoders make them, is written once per level.
+    Raises TypeError or RecursionError on a value it does not write.
     """
     t = type(o)
     if t is str:
@@ -465,11 +459,7 @@ def _emit(o, out: list, nl: str, texts: dict):
         sep = "{" + inner
         for k in sorted(o):
             v = o[k]
-            try:
-                k = _encode_str(k)
-            except TypeError:
-                k = _encode_str(_key_str(k))
-            out.append(f"{sep}{k}: ")
+            out.append(f"{sep}{_encode_str(k)}: ")
             if type(v) is dict or type(v) is list:
                 seen = texts.get(id(v))
                 if seen is not None and seen[1] == inner:
@@ -502,26 +492,13 @@ def _emit(o, out: list, nl: str, texts: dict):
         out.append(json.dumps(o))
 
 
-def _refuse_cycle(o, open_ids: set):
-    """Raise json.dumps's ValueError if the container o lies in itself; open_ids holds the ids
-    of the containers o lies in."""
-    if isinstance(o, (dict, list, tuple)):
-        if id(o) in open_ids:
-            raise ValueError("Circular reference detected")
-        open_ids.add(id(o))
-        for v in o.values() if isinstance(o, dict) else o:
-            _refuse_cycle(v, open_ids)
-        open_ids.discard(id(o))
-
-
 def dumps(obj) -> str:
     """Canonical JSON text: json.dumps(obj, sort_keys=True, indent=2), newline terminated."""
     out = []
     try:
         _emit(obj, out, "\n", {})
-    except RecursionError:
-        # a cycle recurses without end; it is looked for only then, off the common path
-        _refuse_cycle(obj, set())
-        raise
+    except (TypeError, RecursionError):
+        # json.dumps writes or refuses what _emit does not, off the common path
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     out.append("\n")
     return "".join(out)

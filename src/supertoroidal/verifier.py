@@ -628,13 +628,7 @@ def _eval_lemma28(lat, payload, state):
 # mode identities 1.9 and 1.10
 
 
-def _needs_roots(cfg, clause):
-    if cfg.M < 2:
-        raise ValueError(f"the root-pair identity {clause} needs M >= 2")
-
-
 def _gen_cor19_roots(cfg):
-    _needs_roots(cfg, "1.9(1)")
     M = cfg.M
     for pid, rng in _cycle(cfg, ("i=k", "i!=k", "i=j"), "cor19", "1.9(1)"):
         j = rng.randint(1, M)
@@ -664,7 +658,7 @@ def _gen_cor19_odd(cfg):
     M = cfg.M
     for pid, rng in _cycle(cfg, ("i=j,m+n=0", "i=j,m+n!=0", "i!=j"), "cor19", "1.9(2)"):
         i = rng.randint(1, M)
-        if pid == "i!=j" and M > 1:
+        if pid == "i!=j":
             j = rng.choice([v for v in range(1, M + 1) if v != i])
         else:
             j = i
@@ -690,8 +684,8 @@ def _gen_cor19_current(cfg):
         alpha = rng.choice((1, -1)) * lat.e(rng.randint(1, M))
         if pid == "norm2":
             i = rng.randint(1, M)
-            j = rng.choice([v for v in range(1, M + 1) if v != i]) if M > 1 else i
-            beta = lat.root(i, j) if i != j else lat.zero()
+            j = rng.choice([v for v in range(1, M + 1) if v != i])
+            beta = lat.root(i, j)
             idx = 2 * rng.randint(-2, 2)
         elif pid == "norm1":
             beta = rng.choice((1, -1)) * lat.e(rng.randint(1, M))
@@ -712,7 +706,6 @@ def _eval_cor19_current(lat, payload, state):
 
 
 def _gen_id110_roots(cfg):
-    _needs_roots(cfg, "1.10(1)")
     M = cfg.M
     for pid, rng in _cycle(cfg, ("m+n=0", "m+n!=0", "m=n=0"), "id110", "1.10(1)"):
         i = rng.randint(1, M)
@@ -738,7 +731,6 @@ def _eval_id110_roots(lat, payload, state):
 
 
 def _gen_id110_pairs(cfg):
-    _needs_roots(cfg, "1.10(2)")
     M = cfg.M
     for pid, rng in _cycle(cfg, ("form1", "form2"), "id110", "1.10(2)"):
         i = rng.randint(1, M)
@@ -909,14 +901,18 @@ def _payload_from_obj(cfg, family, clause, obj):
 
 
 def _refuse_config(family, cfg):
-    """Raise where a family cannot run at cfg: no family takes N, a degree or a box
-    below 0 or fewer than one sample, every family but cocycle draws from gl(M|N)
-    with N >= 1, and the toroidal tables and thm46 need q >= 2."""
-    for name, low in (("N", 0), ("max_degree", 0), ("exponent_box", 0), ("samples", 1)):
+    """Raise where a family cannot run at cfg: every family needs M, q and samples >= 1
+    and N, the degree and the box >= 0, every family but cocycle draws from gl(M|N) with
+    N >= 1, corollary19 and identity110 need M >= 2 for their root pairs, and the
+    toroidal tables and thm46 need q >= 2."""
+    for name, low in (("M", 1), ("N", 0), ("q", 1), ("max_degree", 0), ("exponent_box", 0),
+                      ("samples", 1)):
         if getattr(cfg, name) < low:
             raise ValueError(f"{name} must be >= {low}, got {name} = {getattr(cfg, name)}")
     if family != "cocycle" and cfg.N < 1:
         raise ValueError(f"the {family} family needs N >= 1, got N = {cfg.N}")
+    if family in ("corollary19", "identity110") and cfg.M < 2:
+        raise ValueError(f"the {family} family needs M >= 2 for its root pairs, got M = {cfg.M}")
     if family in ("sttables", "thm46") and cfg.q < 2:
         raise ValueError(f"the {family} family needs q >= 2")
 
@@ -954,11 +950,9 @@ FAMILIES = {
 def evaluate_check(cfg: CheckConfig, family: str, clause: str, payload):
     """Re-run one check from its recorded payload, with both sides encoded; the replay
     entry point."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    requested_families(cfg, [family])
     if clause not in _CLAUSES[family]:
         raise ValueError(f"unknown clause {clause!r} of family {family!r}")
-    _refuse_config(family, cfg)
     ok, adj, note, lhs, rhs = FAMILIES[family]["evaluate"](
         cfg, clause, _payload_from_obj(cfg, family, clause, payload))
     return ok, adj, note, _serialize(lhs), _serialize(rhs)
@@ -1016,9 +1010,9 @@ def _run_clause(cfg: CheckConfig, family: str, clause: str) -> dict:
     }
 
 
-def run(cfg: CheckConfig, families=None) -> dict:
-    """Run the requested families and assemble the report."""
-    # a family named twice runs once, where it is first named
+def requested_families(cfg: CheckConfig, families=None) -> list:
+    """The families to run, a family named twice once where it is first named; raises
+    where one is unknown or cannot run at cfg, before any family runs."""
     families = list(dict.fromkeys(FAMILY_ORDER if families is None else families))
     if not families:
         raise ValueError(f"no family requested; known: {', '.join(FAMILY_ORDER)}")
@@ -1026,7 +1020,12 @@ def run(cfg: CheckConfig, families=None) -> dict:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}; known: {', '.join(FAMILY_ORDER)}")
         _refuse_config(fam, cfg)
+    return families
 
+
+def run(cfg: CheckConfig, families=None) -> dict:
+    """Run the requested families and assemble the report."""
+    families = requested_families(cfg, families)
     report = {"config": cfg.to_obj(), "families": {}, "coverage": {},
               "adjudications": [], "all_pass": True}
     for fam in families:

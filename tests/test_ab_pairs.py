@@ -66,6 +66,20 @@ def test_summary_marks_a_median_worse_than_its_bound():
     assert "worse_than_bound" not in summarize(runs)["thm46.run_s"]
 
 
+def test_unresolved_when_either_side_spreads_past_the_bound():
+    bounds = {"run_s": 0.25}
+    tight = [0.45 + 0.001 * k for k in range(10)]
+    # inclusive quartiles 0.425 and 0.575 around 0.5: a spread of 0.15 against 0.25 * 0.5
+    wide = [0.4] * 3 + [0.5] * 4 + [0.6] * 3
+    for parent, change, unresolved in ((wide, tight, True), (tight, wide, True),
+                                       (tight, tight, False),
+                                       # every change run below every parent run
+                                       (wide, [v - 0.3 for v in wide], False)):
+        cell = summarize(_pairs(zip(parent, change)), bounds)["thm46.run_s"]
+        assert cell["unresolved"] is unresolved, (parent, change)
+    assert "unresolved" not in summarize(_pairs(zip(wide, tight)))["thm46.run_s"]
+
+
 def _pairs(values, metric="run_s"):
     runs = []
     for seed, (parent, change) in enumerate(values, 1):

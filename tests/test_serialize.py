@@ -16,6 +16,7 @@ from oracles import (
     reference_tensor_state_from_obj,
 )
 from supertoroidal import serialize as ser
+from supertoroidal import verifier
 from supertoroidal.lattice import LatticeConfig, LatticeVector
 from supertoroidal.fock_lattice import LatticeFockState
 from supertoroidal.fock_boson import BosonState
@@ -34,6 +35,7 @@ from supertoroidal.representation import (
     VertexMode,
     VertexProductSum,
 )
+from supertoroidal.verifier import CheckConfig
 
 CFG = LatticeConfig(3, 2)
 
@@ -105,6 +107,13 @@ def test_vector_roundtrip_and_omission():
         ser.vector_from_obj({"e": [1, 0]}, CFG)
     with pytest.raises(ValueError):
         ser.vector_from_obj({"delta": [1]})
+    # without a config an omitted block is the zero one of the other's length, and
+    # blocks of unequal length are refused, not padded
+    assert ser.vector_from_obj({"e": [1], "d": [3, 4]}) == LatticeVector((1,), (0, 0), (3, 4))
+    assert ser.vector_from_obj({"e": [1], "delta": [5]}) == LatticeVector((1,), (5,), (0,))
+    for obj in ({"e": [1], "delta": [1, 2], "d": [3]}, {"e": [1], "delta": [], "d": [0]}):
+        with pytest.raises(ValueError, match="equal length"):
+            ser.vector_from_obj(obj)
 
 
 def test_monomial_power_grouping():
@@ -444,17 +453,28 @@ def test_dumps_matches_json_dumps(obj):
     _same_text_or_error(obj)
 
 
-def test_dumps_matches_json_dumps_on_encodings():
+def test_dumps_matches_json_dumps_on_encodings(monkeypatch):
     rng = random.Random(10)
+    objs = []
     for _ in range(100):
-        for obj in (ser.tensor_state_to_obj(random_tensor_state(rng)),
-                    ser.toroidal_to_obj(random_toroidal(rng)),
-                    ser.lattice_state_to_obj(random_lattice_state(rng)),
-                    ser.boson_state_to_obj(random_boson_state(rng))):
-            assert ser.dumps(obj) == reference_dumps(obj)
-    for op in _every_kind():
-        obj = ser.operator_to_obj(op)
-        assert ser.dumps(obj) == reference_dumps(obj)
+        objs += [ser.tensor_state_to_obj(random_tensor_state(rng)),
+                 ser.toroidal_to_obj(random_toroidal(rng)),
+                 ser.lattice_state_to_obj(random_lattice_state(rng)),
+                 ser.boson_state_to_obj(random_boson_state(rng))]
+    objs += [ser.operator_to_obj(op) for op in _every_kind()]
+    # a report's floats, bools and None take the scalar path
+    objs.append(verifier.run(CheckConfig(M=2, N=1, q=2, max_degree=2, exponent_box=1,
+                                         samples=1, seed=0), ["jacobi"]))
+    expected = [reference_dumps(obj) for obj in objs]
+    # none of them falls back to json.dumps of the whole value, the only call with indent
+    json_dumps = json.dumps
+
+    def without_indent(*args, **kwargs):
+        assert "indent" not in kwargs, "dumps fell back to json.dumps"
+        return json_dumps(*args, **kwargs)
+
+    monkeypatch.setattr(ser.json, "dumps", without_indent)
+    assert [ser.dumps(obj) for obj in objs] == expected
 
 
 # readers meet objects whose keys are the encoding's own field names, so

@@ -421,14 +421,40 @@ def test_cli_replay_of_a_vector_of_another_shape_exits_2(tmp_path, capsys, famil
     assert "does not fit M=3, q=2" in err, err
 
 
-def test_cli_input_and_config_errors_exit_2(capsys):
+def test_cli_input_and_config_errors_exit_2(tmp_path, capsys):
     state = "[]"
     phi = '{"kind": "phi", "flavor": 1, "r": 0}'
-    gamma = '"gamma": {"e": [1, 0], "delta": [0], "d": [0]}'
+    vector = '{"e": [1, 0], "delta": [0], "d": [0]}'
+    even = '{"e": [1, 1], "delta": [0], "d": [0]}'
+    gamma = f'"gamma": {vector}'
+    one_term = f'[{{"coeff": "1/1", {gamma}}}]'  # at (M, q) = (2, 2)
     basis_beyond_rank = f'[{{"coeff": "1/1", {gamma}, "monomial": [{{"basis": 7, "mode": 1}}]}}]'
+    mode_0 = f'[{{"coeff": "1/1", {gamma}, "monomial": [{{"basis": 0, "mode": 0}}]}}]'
     mixed_shapes = f'[{{"coeff": "1/1", {gamma}}}, {{"coeff": "1/1", "gamma": {{"e": [1, 0, 0]}}}}]'
+    config = {"M": 2, "N": 1, "q": 2, "max_degree": 2, "exponent_box": 1, "samples": 1, "seed": 0}
+    records = []
+    for k, record in enumerate(({"family": "nope", "clause": "x", "payload": {}},
+                                {"family": "cocycle", "clause": "bimultiplicative",
+                                 "payload": {"slot": 1}})):
+        path = tmp_path / f"record{k}.json"
+        path.write_text(json.dumps({**record, "config": config, "lhs": [], "rhs": []}))
+        records.append(["replay", "--counterexample", str(path)])
     for argv in (["check", "--family", "corollary19", "--M", "1"],
                  ["act", "--op", phi, "--state", basis_beyond_rank],
+                 ["act", "--op", phi, "--state", mode_0],
+                 ["act", "--op", '{"kind": "central", "mbar": [1, 0, 0], "direction": 1}',
+                  "--state", one_term],
+                 ["act", "--op", f'{{"kind": "diag_current", "alpha": {vector}, "mode": 0, '
+                                 '"mu": [0, 0]}', "--state", one_term],
+                 ["act", "--op", f'{{"kind": "vertex_product_sum", "a": {vector}, "mu": [0, 0], '
+                                 '"index": 0}', "--state", one_term],
+                 ["act", "--op", '{"kind": "s_op", "i": 1, "j": 2, "mu": [0], "n": 0}',
+                  "--state", one_term],
+                 ["act", "--op", f'{{"kind": "normal_pair_sum", "a": {even}, "b": {even}, "n": 0}}',
+                  "--state", one_term],
+                 ["bracket", "--M", "2", "--N", "1", "--q", "2", "--y", "[]",
+                  "--x", '[{"coeff": "1/1", "kind": "Q", "exponent": [0, 0]}]'],
+                 *records,
                  ["act", "--op", phi, "--state", mixed_shapes],
                  ["check", "--family", "nosuch"],
                  ["act", "--op", '{"kind": "phi", "flavor": 0, "r": 0}', "--state", state],
@@ -457,6 +483,15 @@ def test_cli_input_and_config_errors_exit_2(capsys):
             (["--family", "thm46", "--max-degree", "-3", "--samples", "2"], "max_degree", -3, 0)):
         assert main(["check", *flags]) == 2, flags
         assert capsys.readouterr() == ("", f"error: {field} must be >= {low}, got {field} = {value}\n")
+    # q = 0 once passed, M = 0 once met a randrange error, and M = 1 once ran all of
+    # lemma49 before corollary19 refused it
+    for flags, message in (
+            (["--family", "jacobi", "--q", "0"], "q must be >= 1, got q = 0"),
+            (["--family", "thm46", "--M", "0"], "M must be >= 1, got M = 0"),
+            (["--family", "lemma49,corollary19", "--M", "1"],
+             "the corollary19 family needs M >= 2 for its root pairs, got M = 1")):
+        assert main(["check", *flags]) == 2, flags
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     cfg = CheckConfig(M=2, N=1, q=2, max_degree=2, exponent_box=1, samples=0, seed=0)
     with pytest.raises(ValueError, match=r"^samples must be >= 1, got samples = 0$"):
         evaluate_check(cfg, "cocycle", "sign-law", {})
@@ -478,11 +513,43 @@ def test_cli_crashes_exit_2_not_1(tmp_path, capsys):
                "--out", str(missing / "o.json")]]
     for argv in argvs:
         assert main(argv) == 2, argv
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        # a report path that cannot be opened is refused before any family runs
+        assert out == "", argv
     for record in records:
         with pytest.raises(ValueError):
             replay_counterexample(record)
+
+
+def test_run_refuses_before_any_clause_is_generated(monkeypatch):
+    # lemma49 runs at M = 1 and corollary19 does not; all of lemma49 once ran first
+    generated = []
+
+    def recording(generate):
+        def recorded(cfg, clause):
+            generated.append(clause)
+            return generate(cfg, clause)
+        return recorded
+
+    for spec in verifier.FAMILIES.values():
+        monkeypatch.setitem(spec, "generate", recording(spec["generate"]))
+    cfg = CheckConfig(M=1, N=1, q=2, max_degree=2, exponent_box=1, samples=1, seed=0)
+    with pytest.raises(ValueError, match=r"^the corollary19 family needs M >= 2"):
+        run(cfg, ("lemma49", "corollary19"))
+    assert generated == []
+
+
+def test_cli_check_keeps_a_report_that_a_refused_config_never_replaces(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    report.write_text("kept\n")
+    assert main(["check", "--family", "jacobi", "--q", "0", "--report", str(report)]) == 2
+    assert report.read_text() == "kept\n"
+    argv = ["check", "--family", "cocycle", "--M", "2", "--N", "1", "--samples", "1", "--box", "1"]
+    assert main([*argv, "--report", str(report)]) == 0
+    capsys.readouterr()
+    text = report.read_text()
+    assert json.loads(text)["all_pass"] is True and text.endswith("}\n")
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -28,7 +28,10 @@ rule below, and each side's share of failed operations.  Every metric
 the benchmark gates is better when lower; one whose change median
 exceeds the parent's by more than its BENCHMARK.json bound, a fraction
 of the parent's median, is marked, and ``worse_than_bound`` lists all
-such metrics.  A gain needs the change lower in at least 9 of 10 pairs
+such metrics.  ``unresolved`` lists each gated metric whose parent or
+change runs spread, between their quartiles, by more than that bound of
+the parent's median, unless every change run is below every parent run:
+on such a metric the pairs cannot tell the sides apart.  A gain needs the change lower in at least 9 of 10 pairs
 (a tie is no win) and its median below the parent's by more than the
 parent's interquartile distance.  Run it from inside the repository; it
 needs only the standard library and git.
@@ -64,8 +67,10 @@ def summarize(runs: list, bounds=None) -> dict:
     distance.  "failed_share" is failed / attempted over a side's last lines of the
     workload, a run without a last line counting as one failed operation.
     bounds maps a gated metric, better when lower, to its bound: its summary also
-    holds that bound and "worse_than_bound", whether the change's median exceeds the
-    parent's by more than the bound times the parent's median.
+    holds that bound, "worse_than_bound", whether the change's median exceeds the
+    parent's by more than the bound times the parent's median, and "unresolved",
+    whether either side's interquartile distance exceeds that same amount while some
+    change run is not below every parent run.
     """
     bounds = bounds or {}
     values = {}
@@ -102,9 +107,13 @@ def summarize(runs: list, bounds=None) -> dict:
                              for side in ("parent", "change")},
         }
         if name in bounds:
-            base = statistics.median(parent)
+            limit = bounds[name] * statistics.median(parent)
+            change_low, _, change_high = _quartiles(change)
             cell["bound"] = bounds[name]
-            cell["worse_than_bound"] = statistics.median(change) - base > bounds[name] * base
+            cell["worse_than_bound"] = statistics.median(change) - statistics.median(parent) > limit
+            # the runs spread too widely to tell, unless every change run beat every parent run
+            cell["unresolved"] = (max(high - low, change_high - change_low) > limit
+                                  and max(change) >= min(parent))
     return summary
 
 
@@ -182,6 +191,7 @@ def main(argv=None) -> int:
         "machine": f"{os.cpu_count()} cores, Python {platform.python_version()}",
         "summary": summary,
         "worse_than_bound": sorted(k for k, v in summary.items() if v.get("worse_than_bound")),
+        "unresolved": sorted(k for k, v in summary.items() if v.get("unresolved")),
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
