@@ -19,16 +19,84 @@ on basis pairs equals -1 exactly for (e_i, e_j) with i > j; every pair
 involving a delta or d generator has value 1 (the extension to the d
 generators is a free choice and is fixed this way for reproducibility).
 Its first argument must lie in Q.
+
+Record, the base of the package's immutable value classes, lives here
+because this module is the first every import of the package loads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, itemgetter, mul
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeConfig:
+class Record:
+    """An immutable record whose fields are the names annotated in its class body
+    and its bases', bases first; a value in the class body is the field's default.
+
+    The fields are read once per class, and no code is generated for it. A record
+    is built from positional or keyword arguments, then checked by __post_init__.
+    Its __dict__ holds exactly its fields, in order: the repr is
+    Name(field=value!r, ...), a record equals only a record of its own class with
+    equal fields and hashes as the tuple of its fields, and setting or deleting an
+    attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = {}
+        for base in reversed(cls.__mro__):
+            names.update(dict.fromkeys(vars(base).get("__annotations__", ())))
+        cls._fields = tuple(names)
+        cls._defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def _bind(self, args, kwargs) -> list:
+        """The field values, in order, from arguments that are not one positional per field."""
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [f for f in fields if f not in values and f not in self._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments {missing}")
+        return [values[f] if f in values else self._defaults[f] for f in fields]
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+
+class LatticeConfig(Record):
     """Shape of the lattice: M e-generators and q-1 delta/d pairs."""
 
     M: int
@@ -124,9 +192,6 @@ class LatticeVector(tuple):
         """The vector whose flat coordinates (see flat) are coords, M of them in the e block."""
         k = (len(coords) - M) // 2
         return cls(coords[:M], coords[M:M + k], coords[M + k:])
-
-    def in_gamma(self) -> bool:
-        return not any(self.delta) and not any(self.d)
 
     def in_q(self) -> bool:
         return not any(self.d)

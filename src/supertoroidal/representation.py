@@ -35,17 +35,15 @@ i < q and to X-modes of delta_mu for i = q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combination import Combination, accumulate
-from .lattice import LatticeConfig, LatticeVector, bilinear, parity
+from .lattice import LatticeConfig, LatticeVector, Record, bilinear, parity
 from .fock_lattice import (
     LatticeFockState,
     _dressed_current,
     effective_mode_bound,
     heisenberg_apply,
-    monomial_degree,
     normal_ordered_pair_sum,
     vertex_mode_apply,
     vertex_product_sum,
@@ -87,14 +85,6 @@ class TensorState(Combination):
         seen = {parity(g) for ((g, _), _) in self.terms}
         return seen.pop() if len(seen) == 1 else None
 
-    def doubled_degree(self) -> int:
-        """Max over keys of 2 deg(monomial) + total boson mode magnitude."""
-        best = 0
-        for ((_, u), (p, ps)) in self.terms:
-            d = 2 * monomial_degree(u) - sum(k for _, k in p) - sum(k for _, k in ps)
-            best = max(best, d)
-        return best
-
     def lattice_shape(self):
         """(M, q) read off any key, or None for the zero state."""
         return next((g.shape for (g, _), _ in self.terms), None)
@@ -122,14 +112,13 @@ def _map_half(fn, ts: TensorState) -> TensorState:
 # operator descriptors
 
 
-class _Operator:
+class _Operator(Record):
     """Shared by the descriptors: an operator is even unless it says otherwise."""
 
     def parity(self, M=None) -> int:
         return 0
 
 
-@dataclass(frozen=True)
 class VertexMode(_Operator):
     alpha: LatticeVector
     index: int  # doubled
@@ -141,7 +130,6 @@ class VertexMode(_Operator):
         return bilinear(self.alpha, self.alpha) % 2
 
 
-@dataclass(frozen=True)
 class Current(_Operator):
     alpha: LatticeVector
     mode: int
@@ -150,7 +138,6 @@ class Current(_Operator):
         return _map_half(lambda s: heisenberg_apply(self.alpha, self.mode, s), ts)
 
 
-@dataclass(frozen=True)
 class _BosonMode(_Operator):
     flavor: int
     r: int  # mode r - 1/2
@@ -170,19 +157,16 @@ class _BosonMode(_Operator):
         return TensorState._from_clean(out)
 
 
-@dataclass(frozen=True)
 class PhiMode(_BosonMode):
     def apply(self, ts: TensorState) -> TensorState:
         return self._apply(ts, star=False)
 
 
-@dataclass(frozen=True)
 class PhiStarMode(_BosonMode):
     def apply(self, ts: TensorState) -> TensorState:
         return self._apply(ts, star=True)
 
 
-@dataclass(frozen=True)
 class DiagCurrent(_Operator):
     """Dressed current: sum_k alpha(k) X_{2(n-k)}(delta_mu)."""
 
@@ -204,7 +188,6 @@ class DiagCurrent(_Operator):
         return _map_half(lambda s: _dressed_current(self.alpha, dm, self.mode, s), ts)
 
 
-@dataclass(frozen=True)
 class SOp(_Operator):
     """S-family mode sum_k S_ij(k) X_{2(n-k)}(delta_mu); with a = i - M, b = j - M,
 
@@ -293,7 +276,6 @@ class SOp(_Operator):
         return 1 if (self.i <= M) != (self.j <= M) else 0
 
 
-@dataclass(frozen=True)
 class CentralImage(_Operator):
     """Image of the central symbol t^mbar K_direction."""
 
@@ -323,7 +305,6 @@ class CentralImage(_Operator):
         return DiagCurrent(cfg.delta(self.direction), mq, mu)
 
 
-@dataclass(frozen=True)
 class NormalPairSum(_Operator):
     """sum_k :X_{k+1/2}(a) X_{n-k-1/2}(b): for odd a, b."""
 
@@ -335,7 +316,6 @@ class NormalPairSum(_Operator):
         return _map_half(lambda s: normal_ordered_pair_sum(self.a, self.b, self.n, s), ts)
 
 
-@dataclass(frozen=True)
 class VertexProductSum(_Operator):
     """sum_k X_{idx-k}(a) X_k(delta_mu), the dressed vertex mode."""
 
@@ -354,7 +334,6 @@ class VertexProductSum(_Operator):
         return bilinear(self.a, self.a) % 2
 
 
-@dataclass(frozen=True)
 class OpProduct(_Operator):
     factors: tuple
 
@@ -373,7 +352,6 @@ class OpProduct(_Operator):
         return total % 2
 
 
-@dataclass(frozen=True)
 class OpSum(_Operator):
     terms: tuple  # of (Fraction, operator)
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
@@ -394,8 +393,8 @@ def operator_to_obj(op) -> dict:
     if kind is None:
         raise TypeError(f"not a serialisable operator: {op!r}")
     obj = {"kind": kind}
-    for field in fields(op):
-        name, value = field.name, getattr(op, field.name)
+    for name in op._fields:
+        value = getattr(op, name)
         if name in _VECTOR_FIELDS:
             value = vector_to_obj(value)
         elif name in _INT_LIST_FIELDS:
@@ -415,8 +414,7 @@ def operator_from_obj(obj, config: LatticeConfig | None = None):
         raise ValueError(f"unknown operator kind {kind!r}")
     args = []
     try:
-        for field in fields(cls):
-            name = field.name
+        for name in cls._fields:
             if name in _VECTOR_FIELDS:
                 args.append(vector_from_obj(obj[name], config))
             elif name in _INT_LIST_FIELDS:

@@ -16,14 +16,13 @@ written order, so the checker always compares against [x, y] as printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from .lattice import Record
 from .superalgebra import ToroidalElement, d_cocycle
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     clause: str
     row: str
     vars: tuple  # (name, "M" | "N") pairs

@@ -42,14 +42,13 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import partial
 from itertools import product
 
 from . import serialize as ser
 from . import tables
-from .lattice import LatticeConfig, LatticeVector, bilinear, cocycle, parity
+from .lattice import LatticeConfig, LatticeVector, Record, bilinear, cocycle, parity
 from .fock_boson import BosonState, phi_apply, phi_star_apply
 from .superalgebra import GLElement, Superalgebra, ToroidalElement, d_cocycle
 from .representation import (
@@ -68,8 +67,7 @@ from .representation import (
     super_commutator,
 )
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(Record):
     M: int = 3
     N: int = 2
     q: int = 2
@@ -79,11 +77,11 @@ class CheckConfig:
     seed: int = 0
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     @classmethod
     def from_obj(cls, obj) -> "CheckConfig":
-        names = [f.name for f in fields(cls)]
+        names = list(cls._fields)
         if set(ser._object(obj, "a config")) != set(names):
             raise ValueError(f"a config has the integer fields {names}, got {sorted(obj)}")
         return cls(**{k: ser._int(obj[k], k) for k in names})

@@ -40,6 +40,10 @@ These recompute the library's operations along different routes:
   reference_state_to_obj encodes every term's key halves anew, where
   the state encoders share one object per distinct gamma, monomial and
   mode list.
+
+Two predicates only tests ask: in_gamma, whether a lattice vector lies in
+Gamma, and doubled_degree, the budget measure the state generator keeps
+under max_degree.
 """
 
 from __future__ import annotations
@@ -311,6 +315,20 @@ def reference_basis_support(a):
     out += [(m + i, c) for i, c in enumerate(a.delta) if c]
     out += [(m + qm1 + i, c) for i, c in enumerate(a.d) if c]
     return out
+
+
+def in_gamma(a) -> bool:
+    """Whether the lattice vector a lies in Gamma: no delta and no d components."""
+    return not any(a.delta) and not any(a.d)
+
+
+def doubled_degree(ts) -> int:
+    """Max over the keys of the tensor state ts of 2 deg(monomial) + total boson mode magnitude."""
+    best = 0
+    for ((_, u), (p, ps)) in ts.terms:
+        d = 2 * monomial_degree(u) - sum(k for _, k in p) - sum(k for _, k in ps)
+        best = max(best, d)
+    return best
 
 
 def reference_dumps(obj) -> str:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_basis_support, reference_pair_with_basis
+from oracles import in_gamma, reference_basis_support, reference_pair_with_basis
 from supertoroidal.lattice import (
     LatticeConfig,
     LatticeVector,
@@ -135,10 +135,10 @@ def test_basis_vector_flat_indexing():
 
 
 def test_membership_predicates():
-    assert CFG.e(1).in_gamma() and CFG.e(1).in_q()
-    assert not CFG.delta(1).in_gamma() and CFG.delta(1).in_q()
+    assert in_gamma(CFG.e(1)) and CFG.e(1).in_q()
+    assert not in_gamma(CFG.delta(1)) and CFG.delta(1).in_q()
     assert not CFG.dgen(1).in_q()
-    assert CFG.zero().in_gamma()
+    assert in_gamma(CFG.zero())
 
 
 def test_q1_degenerates_to_gamma():
