@@ -11,6 +11,7 @@ term.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def accumulate(out: dict, items, negate: bool = False) -> dict:
@@ -46,6 +47,59 @@ def accumulate(out: dict, items, negate: bool = False) -> dict:
         else:
             out[key] = prev + c
     return out
+
+
+class Sink:
+    """A sum being built: terms maps a key to its int numerator over the one
+    denominator den, and no numerator is 0.
+
+    The operators of the package add into a sink their caller owns and read one as
+    their integer input, so no Fraction is built between the layers; state builds
+    one per surviving key at the end.
+    """
+
+    __slots__ = ("den", "terms")
+
+    def __init__(self, den: int = 1, terms=None):
+        self.den = den
+        self.terms = {} if terms is None else terms
+
+    @classmethod
+    def of(cls, s: "Combination") -> "Sink":
+        """The terms of s over the lcm of their denominators."""
+        den = lcm(*{c.denominator for c in s.terms.values()})
+        return cls(den, {k: c.numerator * (den // c.denominator) for k, c in s.terms.items()})
+
+    def widen(self, den: int) -> int:
+        """Make den divide self.den, rescaling every numerator in place where self.den
+        must grow; return self.den // den, which puts a numerator over den over self.den."""
+        if self.den % den:
+            grown = lcm(self.den, den)
+            f = grown // self.den
+            terms = self.terms
+            for k in terms:
+                terms[k] *= f
+            self.den = grown
+        return self.den // den
+
+    def add(self, items, den: int, scale=1):
+        """Add scale times the (key, int numerator over den) items."""
+        if not scale:
+            return
+        f = self.widen(den * scale.denominator) * scale.numerator
+        terms = self.terms
+        get = terms.get
+        for k, n in items:
+            v = get(k, 0) + n * f
+            if v:
+                terms[k] = v
+            else:
+                terms.pop(k, None)
+
+    def state(self, cls):
+        """The sum as a cls state, its Fractions in lowest terms."""
+        den = self.den
+        return cls._from_clean({k: Fraction(n, den) for k, n in self.terms.items()})
 
 
 def exact(c) -> Fraction:

@@ -43,6 +43,16 @@ annihilated monomial already uses; the kernel takes such met bases one
 at a time, merging equal monomials after each, where the products of one
 gamma and index pile up on few keys, and multiplies by whole levels of a
 elsewhere.
+
+Inside the package the operators run in an integer form: a Sink (see
+combination) holds int numerators over one denominator, keyed by (lattice
+key, tag) with the tag a boson key, and vertex_modes, vertex_mode_apply,
+the Heisenberg modes and the mode sums add scale times their image into a
+sink the caller owns.  A mode sum feeds each window image to its outer
+factor as ints, and the representation layer keeps the boson half as the
+tag, so no Fraction is built between the kernel and the tensor state.  The
+public functions on lattice states take and give Fractions around that
+form.
 """
 
 from __future__ import annotations
@@ -50,9 +60,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
-from .combination import Combination, accumulate
+from .combination import Combination, Sink
 from .lattice import LatticeVector, basis_support, bilinear, cocycle, pair_with_basis, parity
 
 NEG_INF = float("-inf")
@@ -101,25 +111,47 @@ class LatticeFockState(Combination):
         return seen.pop() if len(seen) == 1 else None
 
 
-def heisenberg_apply(a: LatticeVector, m: int, s: LatticeFockState) -> LatticeFockState:
+def heisenberg_apply(a: LatticeVector, m: int, s, sink=None, scale=1):
     """Action of the Heisenberg mode a(m) on a state.
 
     m < 0 multiplies by a(m), m = 0 scales each key by (a, gamma), m > 0
-    acts as the derivation contracting one matching factor at a time.
+    acts as the derivation contracting one matching factor at a time.  With
+    a sink, scale * a(m) s is added into it in integer form, every tag kept,
+    and the sink is returned.
     """
+    if sink is None:
+        return _on_lattice(heisenberg_apply, s, a, m)
     terms = s.terms.items()
     if m < 0:
         supp = basis_support(a)
-        items = (((gamma, monomial_insert(mono, (b, -m))), c * w)
-                 for (gamma, mono), c in terms for b, w in supp)
+        items = ((((gamma, monomial_insert(mono, (b, -m))), tag), n * w)
+                 for ((gamma, mono), tag), n in terms for b, w in supp)
     elif m == 0:
-        items = ((key, c * bilinear(a, key[0])) for key, c in terms)
+        items = ((key, n * bilinear(a, key[0][0])) for key, n in terms)
     else:
         # one of the mult copies of a distinct factor f = b(-m) goes, weighted mult m (a, b)
-        items = (((gamma, monomial_remove(mono, f)), c * (mono.count(f) * m * w))
-                 for (gamma, mono), c in terms for f in dict.fromkeys(mono)
+        items = ((((gamma, monomial_remove(mono, f)), tag), n * (mono.count(f) * m * w))
+                 for ((gamma, mono), tag), n in terms for f in dict.fromkeys(mono)
                  if f[1] == m and (w := pair_with_basis(a, f[0])))
-    return LatticeFockState._sum(items)
+    sink.add(items, s.den, scale)
+    return sink
+
+
+def _tagged(s: LatticeFockState) -> Sink:
+    """s in integer form: each key tagged None."""
+    src = Sink.of(s)
+    return Sink(src.den, {(key, None): n for key, n in src.terms.items()})
+
+
+def _untagged(sink: Sink) -> LatticeFockState:
+    """The lattice state of a sink in integer form, its tags dropped."""
+    den = sink.den
+    return LatticeFockState._from_clean({lk: Fraction(n, den) for (lk, _), n in sink.terms.items()})
+
+
+def _on_lattice(fn, s: LatticeFockState, *args) -> LatticeFockState:
+    """fn(*args, s) on a lattice state, through fn's integer form."""
+    return _untagged(fn(*args, _tagged(s), Sink()))
 
 
 def group_multiply(a: LatticeVector, s: LatticeFockState) -> LatticeFockState:
@@ -207,7 +239,7 @@ def _mode_depth(a: LatticeVector, idx: int, p=None) -> int:
     return (idx + 1) // 2
 
 
-def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
+def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
     """{idx: X_idx(a) s} for every doubled index idx of the window idxs, a in Q.
 
     Per key e^gamma (x) u and index the z-coefficient is assembled from
@@ -240,34 +272,45 @@ def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
 
     The sums run on ints: the annihilation levels are integral, and a
     created monomial of degree c has coefficient prod w^m / prod(n^m m!),
-    with c! / prod(n^m m!) an int.  So bucket r is kept over den_in *
-    cmax! / r!, den_in the lcm of the input denominators and cmax the
-    largest creation degree a bucket needs, and every stage's factor
-    r! / ((r - j)! D_j) is an int.  One Fraction is built per output key.
-    Output keys are grouped by gamma, so the inner loops hash only
-    monomials.  An index whose image is 0 maps to the zero state.
+    with c! / prod(n^m m!) an int.  With cmax the largest creation degree
+    an index needs and D the denominator its image is written over, a
+    multiple of den_in * cmax!, bucket r is kept over D / r!, and every
+    stage's factor r! / ((r - j)! D_j) is an int.  Output keys are grouped
+    by gamma, so the inner loops hash only monomials.  An index whose image
+    is 0 maps to the zero state.  a = 0 takes the same path: its creation
+    levels above 0 are empty, so X_0(0) is the identity and its other modes 0.
+
+    With a sink, the package's integer form, nothing is returned: s is a
+    Sink whose keys are (lattice key, tag) pairs, the tag (a boson key)
+    riding along, and scale * X_idx(a) s is added into sink[idx] as
+    numerators over its den, which is widened once per index; one key is
+    written per (lattice key, tag), or with targets, {idx: ((tag, int
+    weight), ...)}, once per target tag times its weight.  Keys are grouped
+    by (gamma, tag), so a lattice key under several tags meets its creation
+    levels once per tag.  Without one, s is a lattice state, and its images
+    are built through a sink each.
     """
+    if sink is None:
+        images = {idx: Sink() for idx in idxs}
+        vertex_modes(a, images, _tagged(s), images)
+        return {idx: _untagged(image) for idx, image in images.items()}
     if not a.in_q():
         raise ValueError(f"vertex operators require a in Q, got {a!r}")
     norm = bilinear(a, a)
     depths = {idx: _mode_depth(a, idx, norm) for idx in idxs}
-    if not depths:
-        return {}
-    if a.is_zero():  # Y(0, z) = 1: X_0(0) is the identity and every other mode is 0
-        return {idx: LatticeFockState.zero() if idx else s for idx in depths}
+    if not depths or not s.terms or not scale:
+        return
     h_lo = min(depths.values())
-    den_in = lcm(*{c.denominator for c in s.terms.values()})
     paired = _paired(a)
-    # gamma -> ({level d: {annihilated monomial: numerator over den_in}}, a + gamma,
+    # (gamma, tag) -> ({level d: {annihilated monomial: numerator over s.den}}, a + gamma,
     # (a, gamma), F(a, gamma)); a level below (a, gamma) + h_lo needs a negative creation
     # level at every index
     groups = {}
-    for (gamma, mono), coeff in s.terms.items():
-        hoisted = groups.get(gamma)
+    for ((gamma, mono), tag), num in s.terms.items():
+        hoisted = groups.get((gamma, tag))
         if hoisted is None:
-            hoisted = groups[gamma] = ({}, *_shifted(a, gamma))
+            hoisted = groups[gamma, tag] = ({}, *_shifted(a, gamma))
         levels, _, shift, _ = hoisted
-        scale = coeff.numerator * (den_in // coeff.denominator)
         # only the contracted factors are looked up; the carried ones pass exp T_+ unchanged
         carried = ()
         for b, _ in mono:
@@ -284,48 +327,72 @@ def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
             get = annihilated.get
             for mo, n_ann in monos:
                 mo = carried + mo
-                annihilated[mo] = get(mo, 0) + scale * n_ann
+                annihilated[mo] = get(mo, 0) + num * n_ann
+    # the largest creation degree of index idx is top - h_idx; each image's sink is widened
+    # to den_in * scale's denominator * that degree's factorial before any is written, since
+    # indices may share a sink, and lift[idx] puts a numerator over that den over the sink's
+    top = max((max(levels) - shift for levels, _, shift, _ in groups.values() if levels),
+              default=None)
+    if top is None:
+        return
+    dens = {idx: s.den * scale.denominator * factorial(top - h)
+            for idx, h in depths.items() if top >= h}
+    for idx, den in dens.items():
+        sink[idx].widen(den)
+    lift = {idx: sink[idx].den // den * scale.numerator for idx, den in dens.items()}
     # k counts a's support bases (a in Q pairs with one basis vector per support basis);
     # a vector of one basis keeps the pair loop
     pair_loop = [(a, True)]
     k = len(paired)
-    out = {idx: {} for idx in depths}
-    for levels, new_gamma, shift, sign in groups.values():
+    for (_, tag), (levels, new_gamma, shift, sign) in groups.items():
         for idx, h in depths.items():
             base = shift + h
             # creation degree r still needed -> {monomial: numerator}
             buckets = {d - base: annihilated for d, annihilated in levels.items() if d >= base}
             if not buckets:
                 continue
-            cmax = max(buckets)
-            fact = factorial(cmax)
-            den = den_in * fact
-            image = out[idx]
+            # the stage-0 lift: sign * cmax! with cmax = top - h, times lift[idx] and the
+            # weight of a single target; several targets share one image, copied to each
+            first = sign * factorial(top - h) * lift[idx]
+            spread = None
+            if targets is None:
+                terms, out_tag = sink[idx].terms, tag
+            elif len(targets[idx]) == 1:
+                (out_tag, w), = targets[idx]
+                terms = sink[idx].terms
+                first *= w
+            else:
+                terms, out_tag, spread = {}, None, targets[idx]
+            get_out = terms.get
             stages = pair_loop
             if k > 1:  # the pair loop's count of products, counted here for the small calls
-                sizes = _level_sizes(k, cmax)
+                sizes = _level_sizes(k, max(buckets))
                 pairs = 0
                 for r, entries in buckets.items():
                     pairs += len(entries) * sizes[r]
                 if pairs > _FREE_PAIRS:
                     stages = _stages(a, buckets, pairs)
             last = len(stages) - 1
-            # bucket r holds numerators over den_in * cmax! / r!; the first stage lifts
-            # the raw numerators, over den_in, by sign * cmax!
+            # bucket r holds numerators over D / r!; the first stage lifts the raw
+            # numerators, over den_in, by first
             for i, (g, merges) in enumerate(stages):
                 nxt = {}
                 for r, entries in buckets.items():
-                    lift = factorial(r) if i else sign * fact
+                    lift_r = factorial(r) if i else first
                     for j in range(r if i == last else 0, r + 1):
                         d_cre, created = _creation_level(g, j)
-                        q = lift // (factorial(r - j) * d_cre)
+                        q = lift_r // (factorial(r - j) * d_cre)
                         if not merges:  # distinct pairs give distinct keys
                             for mo, n in entries.items():
                                 if n:
                                     n *= q
                                     for extra, n_cre in created:
-                                        image[(new_gamma, tuple(sorted(mo + extra)))] = \
-                                            Fraction(n * n_cre, den)
+                                        key = ((new_gamma, tuple(sorted(mo + extra))), out_tag)
+                                        v = get_out(key, 0) + n * n_cre
+                                        if v:
+                                            terms[key] = v
+                                        else:
+                                            del terms[key]
                             continue
                         target = nxt.setdefault(r - j, {})
                         get = target.get
@@ -341,8 +408,16 @@ def vertex_modes(a: LatticeVector, idxs, s: LatticeFockState) -> dict:
                 buckets = nxt
             for mo, n in buckets.get(0, {}).items():
                 if n:
-                    image[(new_gamma, mo)] = Fraction(n, den)
-    return {idx: LatticeFockState._from_clean(image) for idx, image in out.items()}
+                    key = ((new_gamma, mo), out_tag)
+                    v = get_out(key, 0) + n
+                    if v:
+                        terms[key] = v
+                    else:
+                        del terms[key]
+            if spread:
+                out = sink[idx]
+                out.add((((lk, t), n * w) for (lk, _), n in terms.items() for t, w in spread),
+                        out.den)
 
 
 # the grouping of a (gamma, index) whose pair loop forms more than _FREE_PAIRS products
@@ -406,10 +481,15 @@ def _restrict(a: LatticeVector, bases) -> LatticeVector:
     return LatticeVector.from_flat(flat, a.shape[0])
 
 
-def vertex_mode_apply(a: LatticeVector, idx: int, s: LatticeFockState) -> LatticeFockState:
+def vertex_mode_apply(a: LatticeVector, idx: int, s, sink=None, scale=1):
     """Apply the Fourier mode with doubled index idx of X(a, .), a in Q: the
-    window of vertex_modes with the one index idx."""
-    return vertex_modes(a, (idx,), s)[idx]
+    window of vertex_modes with the one index idx.  With a sink, scale *
+    X_idx(a) s is added into it, both in the integer form of vertex_modes, and
+    the sink is returned."""
+    if sink is None:
+        return vertex_modes(a, (idx,), s)[idx]
+    vertex_modes(a, (idx,), s, {idx: sink}, scale)
+    return sink
 
 
 @lru_cache(maxsize=4096)
@@ -424,21 +504,24 @@ def _paired(a: LatticeVector) -> frozenset:
     return frozenset(b for b in range(a.rank) if pair_with_basis(a, b))
 
 
-def _mode_bound(a: LatticeVector, s: LatticeFockState, paired):
-    """max over keys of 2 (deg u - (a, gamma)) minus the norm for even a and
+def _mode_bound(a: LatticeVector, keys, paired):
+    """max over the lattice keys of 2 (deg u - (a, gamma)) minus the norm for even a and
     minus 1 for odd a, deg u counting only the factors of basis indices in
-    paired (all when paired is None); -inf on the zero state.  (a, gamma)
+    paired (all when paired is None); -inf without keys.  (a, gamma)
     is computed once per gamma, for its largest degree."""
-    if s.is_zero():
-        return NEG_INF
     p = bilinear(a, a)
     drop = p if p % 2 == 0 else 1
     degrees = {}  # gamma -> largest counted degree of its monomials
-    for g, u in s.terms:
+    for g, u in keys:
         d = monomial_degree(u) if paired is None else sum(n for b, n in u if b in paired)
         if d > degrees.get(g, -1):
             degrees[g] = d
-    return max(2 * (d - bilinear(a, g)) - drop for g, d in degrees.items())
+    return max((2 * (d - bilinear(a, g)) - drop for g, d in degrees.items()), default=NEG_INF)
+
+
+def _effective_bound(a: LatticeVector, keys):
+    """effective_mode_bound on the lattice keys keys, -inf without keys."""
+    return _mode_bound(a, keys, _paired(a))
 
 
 def vanishing_bound(a: LatticeVector, s: LatticeFockState):
@@ -447,7 +530,7 @@ def vanishing_bound(a: LatticeVector, s: LatticeFockState):
     Per key the bound is 2 (deg u - (a, gamma)) minus the norm for even a
     and minus 1 for odd a; the zero state yields -inf.
     """
-    return _mode_bound(a, s, None)
+    return _mode_bound(a, s.terms, None)
 
 
 def effective_mode_bound(a: LatticeVector, s: LatticeFockState):
@@ -458,31 +541,40 @@ def effective_mode_bound(a: LatticeVector, s: LatticeFockState):
     mode family.  Used to clip the infinite mode sums of the toroidal
     operators, where states carry factors orthogonal to a.
     """
-    return _mode_bound(a, s, _paired(a))
+    return _effective_bound(a, s.terms)
 
 
 def current_upper_bound(a: LatticeVector, s: LatticeFockState):
     """Largest m > 0 with a(m) s possibly nonzero (0 if none; -inf on 0)."""
-    if s.is_zero():
-        return NEG_INF
+    return NEG_INF if s.is_zero() else _current_bound(a, s.terms)
+
+
+def _current_bound(a: LatticeVector, keys) -> int:
+    """current_upper_bound on the lattice keys keys, 0 without keys."""
     paired = _paired(a)
-    return max((n for _, u in s.terms for b, n in u if b in paired), default=0)
+    return max((n for _, u in keys for b, n in u if b in paired), default=0)
 
 
-def window_sum(out: dict, vec: LatticeVector, idxs, outer, s: LatticeFockState,
-               negate=False) -> dict:
-    """Add outer(idx, X_idx(vec) s), an iterable of (key, coefficient) items, into out
-    (subtracted with negate) for each idx of the window idxs whose image is nonzero; the
-    images come from one window of vertex_modes.  Every mode sum runs on this skeleton."""
-    for idx, image in vertex_modes(vec, idxs, s).items():
-        if not image.is_zero():
-            accumulate(out, outer(idx, image), negate)
-    return out
+def window_sum(vec: LatticeVector, idxs, src: Sink, outer):
+    """Call outer(idx, image) for each idx of the window idxs whose image X_idx(vec) src
+    is nonzero, in order, each image a Sink in the integer form of vertex_modes that is
+    dropped once read; the images come from one window of vertex_modes.  Every mode sum
+    but the S modes' runs on this skeleton."""
+    images = {idx: Sink() for idx in idxs}
+    vertex_modes(vec, images, src, images)
+    for idx in list(images):
+        image = images.pop(idx)
+        if image.terms:
+            outer(idx, image)
 
 
-def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int,
-                       s: LatticeFockState) -> LatticeFockState:
-    """sum_k X_{idx-k}(a) X_k(dm) s for an isotropic dm orthogonal to a.
+def _lattice_keys(src: Sink) -> list:
+    return [lk for lk, _ in src.terms]
+
+
+def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int, s, sink=None, scale=1):
+    """sum_k X_{idx-k}(a) X_k(dm) s for an isotropic dm orthogonal to a; with a sink,
+    that times scale is added into it in integer form, and the sink is returned.
 
     The k sum (doubled, even) is clipped above by the vanishing bound of
     dm on s and below because X(dm) only creates factors a cannot
@@ -490,17 +582,20 @@ def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int,
     """
     if bilinear(dm, dm) != 0 or bilinear(a, dm) != 0:
         raise ValueError("product sum requires (dm, dm) = (a, dm) = 0")
-    if s.is_zero():
-        return s
-    lo = idx - effective_mode_bound(a, s)
-    return LatticeFockState._from_clean(window_sum(
-        {}, dm, range(lo + lo % 2, vanishing_bound(dm, s) + 1, 2),
-        lambda k, t: vertex_mode_apply(a, idx - k, t).terms.items(), s))
+    if sink is None:
+        return _on_lattice(vertex_product_sum, s, a, dm, idx)
+    if s.terms:
+        keys = _lattice_keys(s)
+        lo = idx - _effective_bound(a, keys)
+        window_sum(dm, range(lo + lo % 2, _mode_bound(dm, keys, None) + 1, 2), s,
+                   lambda k, image: vertex_mode_apply(a, idx - k, image, sink, scale))
+    return sink
 
 
-def _dressed_current(a: LatticeVector, dm: LatticeVector, n: int,
-                     s: LatticeFockState) -> LatticeFockState:
-    """sum_k a(k) X_{2(n-k)}(dm) s for a without d-components and dm = delta_mu.
+def _dressed_current(a: LatticeVector, dm: LatticeVector, n: int, s: Sink, sink: Sink,
+                     scale=1) -> Sink:
+    """Add scale * sum_k a(k) X_{2(n-k)}(dm) s into sink, in integer form, for a
+    without d-components and dm = delta_mu; return the sink.
 
     X_{2(n-k)}(dm) kills s once 2(n-k) passes the effective bound of dm,
     which fixes the lowest k, and a(k) kills every state for k beyond the
@@ -508,17 +603,17 @@ def _dressed_current(a: LatticeVector, dm: LatticeVector, n: int,
     X(dm) s: X(dm) creates only delta factors, which a cannot contract.
     """
     if dm.is_zero():
-        return heisenberg_apply(a, n, s)
-    if s.is_zero():
-        return s
-    return LatticeFockState._from_clean(window_sum(
-        {}, dm, range(2 * (n - current_upper_bound(a, s)), effective_mode_bound(dm, s) + 1, 2),
-        lambda j, t: heisenberg_apply(a, n - j // 2, t).terms.items(), s))
+        return heisenberg_apply(a, n, s, sink, scale)
+    if s.terms:
+        keys = _lattice_keys(s)
+        window_sum(dm, range(2 * (n - _current_bound(a, keys)), _effective_bound(dm, keys) + 1, 2),
+                   s, lambda j, image: heisenberg_apply(a, n - j // 2, image, sink, scale))
+    return sink
 
 
-def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int,
-                            s: LatticeFockState) -> LatticeFockState:
-    """sum_k :X_{k+1/2}(a) X_{n-k-1/2}(b): s for odd vectors a, b.
+def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int, s, sink=None, scale=1):
+    """sum_k :X_{k+1/2}(a) X_{n-k-1/2}(b): s for odd vectors a, b; with a sink, that
+    times scale is added into it in integer form, and the sink is returned.
 
     Normal ordering keeps the written order when k + 1/2 <= n - k - 1/2,
     i.e. k <= (n-1)//2, and otherwise swaps the two odd factors with a
@@ -528,13 +623,15 @@ def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int,
     """
     if parity(a) != 1 or parity(b) != 1:
         raise ValueError("normal ordered pair sum is for odd vectors")
-    if s.is_zero():
-        return s
-    split = (n - 1) // 2
-    kept = range(n - (effective_mode_bound(b, s) + 1) // 2, split + 1)
-    out = window_sum({}, b, [2 * (n - k) - 1 for k in kept],
-                     lambda j, t: vertex_mode_apply(a, 2 * n - j, t).terms.items(), s)
-    swapped = range(split + 1, (effective_mode_bound(a, s) - 1) // 2 + 1)
-    window_sum(out, a, [2 * k + 1 for k in swapped],
-               lambda j, t: vertex_mode_apply(b, 2 * n - j, t).terms.items(), s, negate=True)
-    return LatticeFockState._from_clean(out)
+    if sink is None:
+        return _on_lattice(normal_ordered_pair_sum, s, a, b, n)
+    if s.terms:
+        keys = _lattice_keys(s)
+        split = (n - 1) // 2
+        kept = range(n - (_effective_bound(b, keys) + 1) // 2, split + 1)
+        window_sum(b, [2 * (n - k) - 1 for k in kept], s,
+                   lambda j, image: vertex_mode_apply(a, 2 * n - j, image, sink, scale))
+        swapped = range(split + 1, (_effective_bound(a, keys) - 1) // 2 + 1)
+        window_sum(a, [2 * k + 1 for k in swapped], s,
+                   lambda j, image: vertex_mode_apply(b, 2 * n - j, image, sink, -scale))
+    return sink

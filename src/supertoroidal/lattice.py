@@ -169,6 +169,10 @@ class LatticeVector(tuple):
             raise ValueError("delta and d blocks must have equal length")
         return tuple.__new__(cls, (e, delta, d))
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild a tuple subclass as cls.__new__(cls, *these)
+        return tuple(self)
+
     e = property(itemgetter(0))
     delta = property(itemgetter(1))
     d = property(itemgetter(2))

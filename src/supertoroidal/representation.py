@@ -27,6 +27,15 @@ evaluated on the boson key alone, and for the upper and lower families
 identity 4.4 folds X(+-e) X(delta_mu) into one vertex mode of
 +-e + delta_mu.
 
+Every operator evaluates in the integer form of fock_lattice: _into adds
+scale times its image of a Sink into a Sink, both keyed (lattice key, boson
+key), so a lattice operator runs once on a whole tensor state with the
+boson half riding along as the tag (an S mode once per boson half), an OpSum hands each term its
+coefficient as the scale, an OpProduct hands each factor the previous
+factor's sink, and super_commutator adds its second ordering into the
+first ordering's sink.  apply turns the input's Fractions into ints once
+and builds one Fraction per key of the image.
+
 The dictionary rho sends T_ij (x) t^mbar to X-modes (i, j <= M), to the
 dressed diagonal current (i = j <= M), or to an S family mode (an index
 beyond M); the central t^mbar K_i go to DiagCurrent(delta_i, ...) for
@@ -37,17 +46,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .combination import Combination, accumulate
+from .combination import Combination, Sink
 from .lattice import LatticeConfig, LatticeVector, Record, bilinear, parity
 from .fock_lattice import (
     LatticeFockState,
     _dressed_current,
-    effective_mode_bound,
+    _effective_bound,
+    _lattice_keys,
     heisenberg_apply,
     normal_ordered_pair_sum,
     vertex_mode_apply,
+    vertex_modes,
     vertex_product_sum,
-    window_sum,
 )
 from .fock_boson import BosonState, creation_modes, key_depth, mode_on_key
 
@@ -90,22 +100,9 @@ class TensorState(Combination):
         return next((g.shape for (g, _), _ in self.terms), None)
 
 
-def _boson_groups(ts: TensorState) -> dict:
-    """ts grouped by boson half: {boson key: {lattice key: coefficient}}."""
-    groups = {}
-    for (lk, bk), c in ts.terms.items():
-        groups.setdefault(bk, {})[lk] = c
-    return groups
-
-
-def _map_half(fn, ts: TensorState) -> TensorState:
-    """Apply the lattice operator fn to the lattice half of ts, the boson half fixed."""
-    out = {}
-    for bk, half in _boson_groups(ts).items():
-        # groups differ in the boson half, so no two images share a key
-        for lk, c in fn(LatticeFockState._from_clean(half)).terms.items():
-            out[(lk, bk)] = c
-    return TensorState._from_clean(out)
+def _shape(src: Sink):
+    """(M, q) read off any key of a tensor state in integer form, or None for the zero state."""
+    return next((lk[0].shape for lk, _ in src.terms), None)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +110,23 @@ def _map_half(fn, ts: TensorState) -> TensorState:
 
 
 class _Operator(Record):
-    """Shared by the descriptors: an operator is even unless it says otherwise."""
+    """Shared by the descriptors: an operator is even unless it says otherwise.
+
+    An operator adds scale * op src into a sink with _into, src and sink both
+    tensor states in integer form (Sinks keyed (lattice key, boson key)), so a
+    composite hands its factors integers, and apply builds one Fraction per key
+    of the image.  Every operator class holds apply in its own __dict__, where a
+    tracer can wrap it class by class.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.apply = cls.apply
+
+    def apply(self, ts: TensorState) -> TensorState:
+        sink = Sink()
+        self._into(sink, Sink.of(ts), 1)
+        return sink.state(TensorState)
 
     def parity(self, M=None) -> int:
         return 0
@@ -123,8 +136,9 @@ class VertexMode(_Operator):
     alpha: LatticeVector
     index: int  # doubled
 
-    def apply(self, ts: TensorState) -> TensorState:
-        return _map_half(lambda s: vertex_mode_apply(self.alpha, self.index, s), ts)
+    def _into(self, sink: Sink, src: Sink, scale):
+        if src.terms:  # one kernel call serves every boson half
+            vertex_mode_apply(self.alpha, self.index, src, sink, scale)
 
     def parity(self, M=None) -> int:
         return bilinear(self.alpha, self.alpha) % 2
@@ -134,8 +148,8 @@ class Current(_Operator):
     alpha: LatticeVector
     mode: int
 
-    def apply(self, ts: TensorState) -> TensorState:
-        return _map_half(lambda s: heisenberg_apply(self.alpha, self.mode, s), ts)
+    def _into(self, sink: Sink, src: Sink, scale):
+        heisenberg_apply(self.alpha, self.mode, src, sink, scale)
 
 
 class _BosonMode(_Operator):
@@ -146,25 +160,19 @@ class _BosonMode(_Operator):
         if self.flavor < 1:
             raise ValueError(f"flavors are 1-based, got {self.flavor}")
 
-    def _apply(self, ts: TensorState, star: bool) -> TensorState:
+    def _into(self, sink: Sink, src: Sink, scale):
         """Rewrite the boson half of each key in one pass; the lattice half stays."""
-        j, r = self.flavor, self.r
-        out = {}
-        for (lk, bk), c in ts.terms.items():
-            image = mode_on_key(j, r, bk, star)
-            if image is not None:
-                out[(lk, image[0])] = c if image[1] == 1 else c * image[1]
-        return TensorState._from_clean(out)
+        j, r, star = self.flavor, self.r, self._star
+        sink.add((((lk, image[0]), n * image[1]) for (lk, bk), n in src.terms.items()
+                  if (image := mode_on_key(j, r, bk, star)) is not None), src.den, scale)
 
 
 class PhiMode(_BosonMode):
-    def apply(self, ts: TensorState) -> TensorState:
-        return self._apply(ts, star=False)
+    _star = False
 
 
 class PhiStarMode(_BosonMode):
-    def apply(self, ts: TensorState) -> TensorState:
-        return self._apply(ts, star=True)
+    _star = True
 
 
 class DiagCurrent(_Operator):
@@ -180,12 +188,11 @@ class DiagCurrent(_Operator):
         if len(self.mu) != len(self.alpha.delta):
             raise ValueError("mu length must be q-1 for the alpha shape")
 
-    def apply(self, ts: TensorState) -> TensorState:
-        if ts.is_zero():
-            return ts
-        M, q = ts.lattice_shape()
-        dm = LatticeConfig(M, q).delta_sum(self.mu)
-        return _map_half(lambda s: _dressed_current(self.alpha, dm, self.mode, s), ts)
+    def _into(self, sink: Sink, src: Sink, scale):
+        shape = _shape(src)
+        if shape is not None:
+            dm = LatticeConfig(*shape).delta_sum(self.mu)
+            _dressed_current(self.alpha, dm, self.mode, src, sink, scale)
 
 
 class SOp(_Operator):
@@ -221,10 +228,11 @@ class SOp(_Operator):
             return "boson"
         raise ValueError(f"S indices ({self.i},{self.j}) need one index beyond M={M}")
 
-    def apply(self, ts: TensorState) -> TensorState:
-        if ts.is_zero():
-            return ts
-        M, q = ts.lattice_shape()
+    def _into(self, sink: Sink, src: Sink, scale):
+        shape = _shape(src)
+        if shape is None:
+            return
+        M, q = shape
         if len(self.mu) != q - 1:
             raise ValueError(f"mu has length {len(self.mu)}, state has q={q}")
         fam = self.family(M)
@@ -232,23 +240,22 @@ class SOp(_Operator):
         vec = cfg.delta_sum(self.mu)
         if fam != "boson":
             vec = (cfg.e(self.i) if fam == "upper" else -cfg.e(self.j)) + vec
-        out = {}
-        for bk, half in _boson_groups(ts).items():
-            half = LatticeFockState._from_clean(half)
+        halves = {}  # boson key -> its part of src
+        for key, n in src.terms.items():
+            halves.setdefault(key[1], {})[key] = n
+        for bk, half in halves.items():
+            half = Sink(src.den, half)
             images = self._boson_images(fam, M, vec, bk, half)
             if images:
-                window_sum(out, vec, images, lambda idx, lat: (
-                    ((lk, image), c if w == 1 else c * w)
-                    for image, w in images[idx] for lk, c in lat.terms.items()), half)
-        return TensorState._from_clean(out)
+                vertex_modes(vec, images, half, dict.fromkeys(images, sink), scale, images)
 
-    def _boson_images(self, fam: str, M: int, vec, bk, half) -> dict:
+    def _boson_images(self, fam: str, M: int, vec, bk, half: Sink) -> dict:
         """{lattice doubled index: [(boson image key, integer weight), ...]} on the boson
         key bk.  The key's creation depth bounds the boson annihilators, and the
         effective bound of vec on the lattice half under bk the lattice index; the
         only nonzero mode of vec = 0 (the boson family at mu = 0) is X_0."""
         a, b, n = self.i - M, self.j - M, self.n
-        bd, bound = key_depth(bk), effective_mode_bound(vec, half)
+        bd, bound = key_depth(bk), _effective_bound(vec, _lattice_keys(half))
         images = {}
         if fam != "boson":
             star = fam == "upper"
@@ -286,13 +293,14 @@ class CentralImage(_Operator):
         if not 1 <= self.direction <= len(self.mbar):
             raise ValueError("central direction out of range")
 
-    def apply(self, ts: TensorState) -> TensorState:
-        if ts.is_zero():
-            return ts
-        M, q = ts.lattice_shape()
+    def _into(self, sink: Sink, src: Sink, scale):
+        shape = _shape(src)
+        if shape is None:
+            return
+        M, q = shape
         if len(self.mbar) != q:
             raise ValueError(f"mbar has length {len(self.mbar)}, state has q={q}")
-        return self.resolve(M).apply(ts)
+        self.resolve(M)._into(sink, src, scale)
 
     def resolve(self, M: int):
         """The concrete operator behind the symbol, per the central dictionary."""
@@ -312,8 +320,9 @@ class NormalPairSum(_Operator):
     b: LatticeVector
     n: int
 
-    def apply(self, ts: TensorState) -> TensorState:
-        return _map_half(lambda s: normal_ordered_pair_sum(self.a, self.b, self.n, s), ts)
+    def _into(self, sink: Sink, src: Sink, scale):
+        if src.terms:
+            normal_ordered_pair_sum(self.a, self.b, self.n, src, sink, scale)
 
 
 class VertexProductSum(_Operator):
@@ -323,12 +332,11 @@ class VertexProductSum(_Operator):
     mu: tuple
     index: int  # doubled
 
-    def apply(self, ts: TensorState) -> TensorState:
-        if ts.is_zero():
-            return ts
-        M, q = ts.lattice_shape()
-        dm = LatticeConfig(M, q).delta_sum(self.mu)
-        return _map_half(lambda s: vertex_product_sum(self.a, dm, self.index, s), ts)
+    def _into(self, sink: Sink, src: Sink, scale):
+        shape = _shape(src)
+        if shape is not None:
+            dm = LatticeConfig(*shape).delta_sum(self.mu)
+            vertex_product_sum(self.a, dm, self.index, src, sink, scale)
 
     def parity(self, M=None) -> int:
         return bilinear(self.a, self.a) % 2
@@ -338,9 +346,18 @@ class OpProduct(_Operator):
     factors: tuple
 
     def apply(self, ts: TensorState) -> TensorState:
-        for f in reversed(self.factors):
-            ts = f.apply(ts)
-        return ts
+        return _Operator.apply(self, ts) if self.factors else ts
+
+    def _into(self, sink: Sink, src: Sink, scale):
+        """The rightmost factor acts first; each image but the last is a new Sink."""
+        if not self.factors:
+            sink.add(src.terms.items(), src.den, scale)
+            return
+        for f in reversed(self.factors[1:]):
+            image = Sink()
+            f._into(image, src, 1)
+            src = image
+        self.factors[0]._into(sink, src, scale)
 
     def parity(self, M=None):
         total = 0
@@ -358,11 +375,13 @@ class OpSum(_Operator):
     def apply(self, ts: TensorState) -> TensorState:
         if len(self.terms) == 1 and self.terms[0][0] == 1:
             return self.terms[0][1].apply(ts)
-        out = {}
+        return _Operator.apply(self, ts)
+
+    def _into(self, sink: Sink, src: Sink, scale):
+        """Each term adds into sink at scale times its coefficient."""
         for c, op in self.terms:
-            image = op.apply(ts).terms.items()
-            accumulate(out, image if c == 1 else ((k, c * v) for k, v in image))
-        return TensorState._from_clean(out)
+            if c:
+                op._into(sink, src, scale * c)
 
     def parity(self, M=None):
         seen = set()
@@ -428,8 +447,11 @@ def super_commutator(op1, op2, ts: TensorState) -> TensorState:
     p2 = op2.parity(M)
     if p1 is None or p2 is None:
         raise ValueError("super commutator needs homogeneous operators")
-    # the second ordering is folded into a copy of the first's terms, added for
-    # two odd operators and subtracted otherwise
-    out = dict(op1.apply(op2.apply(ts)).terms)
-    accumulate(out, op2.apply(op1.apply(ts)).terms.items(), negate=not (p1 and p2))
-    return TensorState._from_clean(out)
+    # the second ordering is added into the first's sink, as it is for two odd operators
+    # and negated otherwise, so its own state is never built
+    src, sink = Sink.of(ts), Sink()
+    for first, second, scale in ((op2, op1, 1), (op1, op2, 1 if p1 and p2 else -1)):
+        image = Sink()
+        first._into(image, src, 1)
+        second._into(sink, image, scale)
+    return sink.state(TensorState)

@@ -9,6 +9,16 @@ These recompute the library's operations along different routes:
 * reference_creation_level builds a creation level of exp T_- by the
   recurrence k P_k = sum_n a(-n) P_{k-n} from all lower levels, the
   route the closed form replaced;
+* reference_apply and reference_super_commutator evaluate an operator on
+  a tensor state the Fraction way the integer sinks replaced: the lattice
+  operators on one lattice state per boson half (reference_vertex_mode_apply,
+  naive_heisenberg, and the dressed current, pair sum and product sum as
+  literal sums over widened windows), an OpSum by scaling every coefficient
+  of each term's image, an OpProduct through a Fraction state per factor,
+  and the commutator from both orderings built in full and subtracted; a
+  vertex mode goes through reference_vertex_mode_apply, or through the
+  library's vertex_mode_apply on one lattice state, as the replaced path
+  called it, where the reference kernel would take seconds;
 * reference_boson_mode_apply applies a boson mode to a tensor state the
   grouped way the tensor path replaced: one BosonState per lattice key,
   through phi_apply / phi_star_apply;
@@ -56,6 +66,7 @@ from supertoroidal.combination import accumulate
 from supertoroidal.lattice import LatticeConfig, bilinear, basis_support, cocycle, pair_with_basis
 from supertoroidal.fock_lattice import (
     LatticeFockState,
+    current_upper_bound,
     _creation_level,
     _exp_annihilation,
     _mode_depth,
@@ -63,9 +74,11 @@ from supertoroidal.fock_lattice import (
     heisenberg_apply,
     monomial_degree,
     monomial_insert,
+    vanishing_bound,
 )
 from supertoroidal import serialize as ser
 from supertoroidal.fock_boson import BosonState, depth, phi_apply, phi_star_apply
+from supertoroidal import representation as rep
 from supertoroidal.representation import PhiMode, PhiStarMode, TensorState, VertexMode
 
 
@@ -387,3 +400,100 @@ def reference_state_to_obj(s):
         def key_to_obj(key, obj):
             return _reference_boson_key_to_obj(key[1], _reference_lattice_key_to_obj(key[0], obj))
     return ser._terms_to_obj(s, key_to_obj)
+
+
+def _per_half(fn, ts):
+    """The lattice operator fn on the lattice half of ts, one boson half at a time."""
+    groups = {}
+    for (lk, bk), c in ts.terms.items():
+        groups.setdefault(bk, {})[lk] = c
+    out = {}
+    for bk, half in groups.items():
+        for lk, c in fn(LatticeFockState(half)).terms.items():
+            out[(lk, bk)] = c
+    return TensorState(out)
+
+
+def _total(states):
+    out = LatticeFockState.zero()
+    for s in states:
+        out = out + s
+    return out
+
+
+def _reference_dressed(a, dm, n, s, vertex, margin=3):
+    """sum_k a(k) X_{2(n-k)}(dm) s over a widened window."""
+    if dm.is_zero():
+        return naive_heisenberg(a, n, s)
+    hi = int(current_upper_bound(a, s)) + margin
+    lo = n - int(vanishing_bound(dm, s)) // 2 - margin
+    return _total(naive_heisenberg(a, k, vertex(dm, 2 * (n - k), s))
+                  for k in range(lo, hi + 1))
+
+
+def _reference_product_sum(a, dm, idx, s, vertex, margin=6):
+    """sum_k X_{idx-k}(a) X_k(dm) s over a widened window of even k."""
+    lo = idx - int(effective_mode_bound(a, s)) - margin
+    hi = int(vanishing_bound(dm, s)) + margin
+    return _total(vertex(a, idx - k, vertex(dm, k, s))
+                  for k in range(lo - lo % 2, hi + 1, 2))
+
+
+def _reference_pair_sum(a, b, n, s, vertex, margin=5):
+    """sum_k :X_{k+1/2}(a) X_{n-k-1/2}(b): s over a widened window of k."""
+    lo = n - (int(effective_mode_bound(b, s)) + 1) // 2 - margin
+    hi = max((n - 1) // 2, (int(effective_mode_bound(a, s)) - 1) // 2) + margin
+    out = LatticeFockState.zero()
+    for k in range(lo, hi + 1):
+        i1, i2 = 2 * k + 1, 2 * (n - k) - 1
+        if i1 <= i2:
+            out = out + vertex(a, i1, vertex(b, i2, s))
+        else:
+            out = out - vertex(b, i2, vertex(a, i1, s))
+    return out
+
+
+def reference_apply(op, ts, vertex=reference_vertex_mode_apply):
+    """op ts through Fraction states only (see the module docstring); vertex(a, idx, s)
+    applies one vertex mode to a lattice state."""
+    if isinstance(op, rep.OpProduct):
+        for f in reversed(op.factors):
+            ts = reference_apply(f, ts, vertex)
+        return ts
+    if isinstance(op, rep.OpSum):
+        out = {}
+        for c, f in op.terms:
+            accumulate(out, ((k, c * v) for k, v in reference_apply(f, ts, vertex).terms.items()))
+        return TensorState._from_clean(out)
+    if isinstance(op, (PhiMode, PhiStarMode)):
+        return reference_boson_mode_apply(op.flavor, op.r, ts, isinstance(op, PhiStarMode))
+    if ts.is_zero():
+        return ts
+    M, q = ts.lattice_shape()
+    cfg = LatticeConfig(M, q)
+    if isinstance(op, VertexMode):
+        return _per_half(lambda s: vertex(op.alpha, op.index, s), ts)
+    if isinstance(op, rep.Current):
+        return _per_half(lambda s: naive_heisenberg(op.alpha, op.mode, s), ts)
+    if isinstance(op, rep.DiagCurrent):
+        dm = cfg.delta_sum(op.mu)
+        return _per_half(lambda s: _reference_dressed(op.alpha, dm, op.mode, s, vertex), ts)
+    if isinstance(op, rep.SOp):
+        return oracle_s_dressed(op.family(M), op.i, op.j, M, q, op.mu, op.n, ts)
+    if isinstance(op, rep.CentralImage):
+        return reference_apply(op.resolve(M), ts, vertex)
+    if isinstance(op, rep.NormalPairSum):
+        return _per_half(lambda s: _reference_pair_sum(op.a, op.b, op.n, s, vertex), ts)
+    if isinstance(op, rep.VertexProductSum):
+        dm = cfg.delta_sum(op.mu)
+        return _per_half(lambda s: _reference_product_sum(op.a, dm, op.index, s, vertex), ts)
+    raise TypeError(f"no reference for {op!r}")
+
+
+def reference_super_commutator(op1, op2, ts, vertex=reference_vertex_mode_apply):
+    """op1 op2 ts - (-1)^{|op1||op2|} op2 op1 ts, both orderings built as states."""
+    shape = ts.lattice_shape()
+    M = shape[0] if shape else None
+    first = reference_apply(op1, reference_apply(op2, ts, vertex), vertex)
+    second = reference_apply(op2, reference_apply(op1, ts, vertex), vertex)
+    return first + second if op1.parity(M) and op2.parity(M) else first - second

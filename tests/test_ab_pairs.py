@@ -7,7 +7,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from ab_pairs import summarize  # noqa: E402
+from ab_pairs import _total_calls, summarize, summarize_calls  # noqa: E402
 from sample_pairs import _check, _run as _run_check  # noqa: E402
 
 
@@ -124,6 +124,22 @@ def test_failed_share_per_side_from_the_last_lines():
             {**_run("act", 2, "change", run_s=3.1), "last_line": None}]
     cell = summarize(runs)["act.run_s"]
     assert cell["failed_share"] == {"parent": 0.0, "change": 3 / 1009}
+
+
+def test_total_calls_shown_as_parent_to_change():
+    counts = {("thm46", "parent"): 1163940, ("thm46", "change"): 901234,
+              ("act", "change"): 5, ("act", "parent"): None}
+    assert summarize_calls(counts) == {
+        "thm46": {"parent": 1163940, "change": 901234, "shown": "1,163,940 -> 901,234"},
+        "act": {"parent": None, "change": 5, "shown": "? -> 5"},
+    }
+
+
+def test_total_calls_of_a_cold_pass_repeat():
+    # two fresh interpreters count the same calls in one cold thm46 pass
+    first = _total_calls(str(ROOT), "thm46")
+    assert first is not None and first > 100_000
+    assert _total_calls(str(ROOT), "thm46") == first
 
 
 def test_sample_pairs_reads_a_check_as_clause_and_index():

@@ -11,6 +11,7 @@ from supertoroidal.lattice import (LatticeConfig, LatticeVector, basis_support, 
                                    cocycle, pair_with_basis)
 from supertoroidal.verifier import CheckConfig, run
 from supertoroidal import fock_lattice
+from supertoroidal.combination import Sink
 from supertoroidal.fock_lattice import (
     LatticeFockState,
     _creation_level,
@@ -668,16 +669,27 @@ def test_staged_examples_reach_deep_levels_with_met_and_free_bases():
     assert max(levels) >= 4
 
 
+def _images(kernel, a, idxs, s, scale, targets):
+    """{idx: {key: Fraction}}: what one kernel call in integer form adds, each index
+    into a Sink of its own."""
+    images = {idx: Sink() for idx in idxs}
+    kernel(a, idxs, s, images, scale, targets)
+    return {idx: {k: Fraction(n, img.den) for k, n in img.terms.items()}
+            for idx, img in images.items()}
+
+
 def _kernel_calls(cfg, families):
-    """Every (a, window, state, images) of vertex_modes in one verifier run; every mode
-    sum reads its windows through fock_lattice's own name."""
+    """Every (a, window, state, scale, targets, images) of vertex_modes in one verifier
+    run, the images filled apart from the run's own sinks; every mode sum reads its
+    windows through fock_lattice's own name."""
     calls = []
     kernel = fock_lattice.vertex_modes
 
-    def record(a, idxs, s):
-        images = kernel(a, list(idxs), s)
-        calls.append((a, list(idxs), s, images))
-        return images
+    def record(a, idxs, s, sink, scale=1, targets=None):
+        idxs = list(idxs)
+        images = _images(kernel, a, idxs, s, scale, targets)
+        calls.append((a, idxs, Sink(s.den, dict(s.terms)), scale, targets, images))
+        return kernel(a, idxs, s, sink, scale, targets)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fock_lattice, "vertex_modes", record)
@@ -695,8 +707,8 @@ def test_both_groupings_replay_every_kernel_call_of_a_thm46_run(q, box):
     staged = 0
     for kind in ("staged", "pairs"):
         with grouping(kind):
-            for a, idxs, s, images in calls:
-                assert vertex_modes(a, idxs, s) == images, (kind, a, idxs)
+            for a, idxs, s, scale, targets, images in calls:
+                assert _images(vertex_modes, a, idxs, s, scale, targets) == images, (kind, a, idxs)
                 staged += kind == "staged" and len(basis_support(a)) > 1
     assert len(calls) > 150 and staged > 50
 

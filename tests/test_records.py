@@ -1,7 +1,10 @@
 """The frozen records (lattice.Record and its 15 subclasses) behave as frozen
-dataclasses did, and importing the package loads neither dataclasses nor inspect."""
+dataclasses did, every record, vector and state survives copy and pickle, and
+importing the package loads neither dataclasses nor inspect."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +13,10 @@ from pathlib import Path
 import pytest
 
 from supertoroidal import representation as rep
-from supertoroidal.lattice import LatticeConfig
+from supertoroidal.fock_boson import BosonState
+from supertoroidal.fock_lattice import LatticeFockState
+from supertoroidal.lattice import LatticeConfig, LatticeVector
+from supertoroidal.superalgebra import GLElement, ToroidalElement
 from supertoroidal.tables import Row
 from supertoroidal.verifier import CheckConfig
 
@@ -112,6 +118,28 @@ def test_record_defaults():
 def test_post_init_refusals(make):
     with pytest.raises(ValueError):
         make()
+
+
+# a vector of each block shape, one state of each Combination kind with vectors in
+# its keys where it has any, and the zero state
+VALUES = [
+    CFG.e(1), A + CFG.dgen(1), LatticeConfig(2).zero(), LatticeVector((1, -2)),
+    LatticeFockState({(A, ((0, 1), (2, 3))): Fraction(-3, 4), (B, ()): 2}),
+    BosonState.basis(((1, -1),), ((2, -3), (2, -3)), Fraction(5, 7)),
+    rep.TensorState.basis(A + B, ((1, 2),), ((1, -1),), (), Fraction(1, 3)),
+    rep.TensorState.zero(),
+    GLElement.symbol(1, 2, Fraction(2, 3)),
+    ToroidalElement.t(1, 2, (1, -1)) + ToroidalElement.k(2, (0, 1)),
+]
+
+
+@pytest.mark.parametrize("value", [cls(**fields) for cls, fields in CASES] + VALUES,
+                         ids=[c.__name__ for c, _ in CASES] + [f"value{i}" for i in range(len(VALUES))])
+def test_copy_and_pickle_round_trip(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
 
 
 def test_check_config_round_trip():

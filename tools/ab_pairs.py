@@ -33,8 +33,15 @@ change runs spread, between their quartiles, by more than that bound of
 the parent's median, unless every change run is below every parent run:
 on such a metric the pairs cannot tell the sides apart.  A gain needs the change lower in at least 9 of 10 pairs
 (a tie is no win) and its median below the parent's by more than the
-parent's interquartile distance.  Run it from inside the repository; it
-needs only the standard library and git.
+parent's interquartile distance.
+
+Beside the wall-time pairs, each side and workload gets one exact count of
+work: the calls cProfile counts over one cold pass (seed 1) in a fresh
+interpreter with PYTHONHASHSEED=0, the pass that perfbench/child.py times,
+to functions defined under src (the harness keeps its slowest samples in a
+heap, so its own calls follow the timings).  The summary shows it as parent
+-> change under "total_calls"; it gates nothing.  Run it from inside the repository; it needs only the standard
+library and git.
 """
 
 from __future__ import annotations
@@ -52,6 +59,27 @@ import tarfile
 import tempfile
 
 _SHA = re.compile(r"responses sha256 ([0-9a-f]{64})")
+
+# run in a side's tree with the workload as its argument: one cold pass under cProfile
+_PROFILE = """
+import cProfile, os, sys, tempfile
+sys.path.insert(0, "perfbench")
+import child, run
+workload = sys.argv[1]
+with tempfile.TemporaryDirectory() as tmp:
+    if workload == "act":
+        inputs = os.path.join(tmp, "act.txt")
+        child.write_act_inputs({"seed": 1, "batches": run.ACT_BATCHES, "inputs": inputs})
+        runner, job = child.run_act, {"inputs": inputs}
+    else:
+        runner, job = child.run_checks, {"workload": workload, "seed": 1}
+    profile = cProfile.Profile()
+    profile.runcall(runner, job)
+library = os.path.abspath("src") + os.sep
+# per code object, since pstats merges the code objects of one line (two comprehensions)
+print(sum(entry.callcount for entry in profile.getstats() if not isinstance(entry.code, str)
+          and os.path.abspath(entry.code.co_filename).startswith(library)))
+"""
 
 
 def summarize(runs: list, bounds=None) -> dict:
@@ -117,6 +145,26 @@ def summarize(runs: list, bounds=None) -> dict:
     return summary
 
 
+def summarize_calls(counts: dict) -> dict:
+    """Per workload, the total call counts of counts {(workload, side): int or None} as
+    {"parent": n, "change": m, "shown": "n -> m"}, a missing count shown as "?"."""
+    out = {}
+    for workload in dict.fromkeys(w for w, _ in counts):
+        cell = {side: counts.get((workload, side)) for side in ("parent", "change")}
+        cell["shown"] = " -> ".join("?" if n is None else f"{n:,}" for n in cell.values())
+        out[workload] = cell
+    return out
+
+
+def _total_calls(tree: str, workload: str):
+    """The library calls cProfile counts in one cold pass of the workload in tree, or None."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, "-c", _PROFILE, workload], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return int(lines[-1]) if proc.returncode == 0 and lines and lines[-1].isdigit() else None
+
+
 def _quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
@@ -167,6 +215,10 @@ def main(argv=None) -> int:
             bench = json.load(fh)
         command, seconds = bench["command"], bench["run_seconds"]
         bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+        counts = {(workload, side): _total_calls(trees[side], workload)
+                  for workload in args.workload for side in sides}
+        for workload, cell in summarize_calls(counts).items():
+            print(f"{workload} total_calls {cell['shown']}", flush=True)
         for workload in args.workload:
             for seed in range(1, args.pairs + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -190,6 +242,7 @@ def main(argv=None) -> int:
         "sides": sides,
         "machine": f"{os.cpu_count()} cores, Python {platform.python_version()}",
         "summary": summary,
+        "total_calls": summarize_calls(counts),
         "worse_than_bound": sorted(k for k, v in summary.items() if v.get("worse_than_bound")),
         "unresolved": sorted(k for k, v in summary.items() if v.get("unresolved")),
         "runs": runs,
