@@ -283,12 +283,13 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
     With a sink, the package's integer form, nothing is returned: s is a
     Sink whose keys are (lattice key, tag) pairs, the tag (a boson key)
     riding along, and scale * X_idx(a) s is added into sink[idx] as
-    numerators over its den, which is widened once per index; one key is
-    written per (lattice key, tag), or with targets, {idx: ((tag, int
-    weight), ...)}, once per target tag times its weight.  Keys are grouped
-    by (gamma, tag), so a lattice key under several tags meets its creation
-    levels once per tag.  Without one, s is a lattice state, and its images
-    are built through a sink each.
+    numerators over its den, which is widened once per index before any is
+    written.  An image key keeps its tag; with targets, {tag: {idx:
+    ((target tag, int weight), ...)}}, it is written once per target that
+    its tag lists at idx, times the weight, and not at all where the tag
+    lists no idx.  Keys are grouped by (gamma, tag), so a lattice key under
+    several tags meets its creation levels once per tag.  Without a sink,
+    s is a lattice state, and its images are built through a sink each.
     """
     if sink is None:
         images = {idx: Sink() for idx in idxs}
@@ -345,7 +346,11 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
     pair_loop = [(a, True)]
     k = len(paired)
     for (_, tag), (levels, new_gamma, shift, sign) in groups.items():
+        if targets is not None:
+            by_idx = targets[tag]
         for idx, h in depths.items():
+            if targets is not None and idx not in by_idx:
+                continue
             base = shift + h
             # creation degree r still needed -> {monomial: numerator}
             buckets = {d - base: annihilated for d, annihilated in levels.items() if d >= base}
@@ -357,12 +362,12 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
             spread = None
             if targets is None:
                 terms, out_tag = sink[idx].terms, tag
-            elif len(targets[idx]) == 1:
-                (out_tag, w), = targets[idx]
+            elif len(by_idx[idx]) == 1:
+                (out_tag, w), = by_idx[idx]
                 terms = sink[idx].terms
                 first *= w
             else:
-                terms, out_tag, spread = {}, None, targets[idx]
+                terms, out_tag, spread = {}, None, by_idx[idx]
             get_out = terms.get
             stages = pair_loop
             if k > 1:  # the pair loop's count of products, counted here for the small calls
@@ -569,6 +574,7 @@ def window_sum(vec: LatticeVector, idxs, src: Sink, outer):
 
 
 def _lattice_keys(src: Sink) -> list:
+    """The lattice half of each key of a state in integer form."""
     return [lk for lk, _ in src.terms]
 
 

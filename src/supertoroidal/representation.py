@@ -22,15 +22,16 @@ computed finite window: boson annihilators die beyond the state's depth,
 lattice modes die beyond the vanishing bound, and the attached
 X(delta_mu) factors only create material orthogonal to the e-block, so
 the effective bounds of the input state cap every index.  All three S
-families are one vertex_modes window per boson half: the boson factor is
-evaluated on the boson key alone, and for the upper and lower families
+families are one vertex_modes window over the state, each boson half
+reading its own indices: the boson factor is evaluated on the boson key
+alone, and for the upper and lower families
 identity 4.4 folds X(+-e) X(delta_mu) into one vertex mode of
 +-e + delta_mu.
 
 Every operator evaluates in the integer form of fock_lattice: _into adds
 scale times its image of a Sink into a Sink, both keyed (lattice key, boson
 key), so a lattice operator runs once on a whole tensor state with the
-boson half riding along as the tag (an S mode once per boson half), an OpSum hands each term its
+boson half riding along as the tag, an OpSum hands each term its
 coefficient as the scale, an OpProduct hands each factor the previous
 factor's sink, and super_commutator adds its second ordering into the
 first ordering's sink.  apply turns the input's Fractions into ints once
@@ -52,7 +53,6 @@ from .fock_lattice import (
     LatticeFockState,
     _dressed_current,
     _effective_bound,
-    _lattice_keys,
     heisenberg_apply,
     normal_ordered_pair_sum,
     vertex_mode_apply,
@@ -97,12 +97,12 @@ class TensorState(Combination):
 
     def lattice_shape(self):
         """(M, q) read off any key, or None for the zero state."""
-        return next((g.shape for (g, _), _ in self.terms), None)
+        return _shape(self)
 
 
-def _shape(src: Sink):
-    """(M, q) read off any key of a tensor state in integer form, or None for the zero state."""
-    return next((lk[0].shape for lk, _ in src.terms), None)
+def _shape(s):
+    """(M, q) read off any key of a tensor state s, in integer form or not; None for 0."""
+    return next((g.shape for (g, _), _ in s.terms), None)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,8 @@ class SOp(_Operator):
     act on different halves of a key, so per boson half the boson factor is
     evaluated on the key alone, each image at the doubled index of the lattice
     mode it pairs with (2r - 1, or 2(n - k) for the boson family), and one
-    vertex_modes window of the family's vector on the lattice half serves them.
+    vertex_modes window of the family's vector serves every half, each keyed
+    to its images.  One call also widens the sink once for all halves.
     """
 
     i: int
@@ -240,22 +241,24 @@ class SOp(_Operator):
         vec = cfg.delta_sum(self.mu)
         if fam != "boson":
             vec = (cfg.e(self.i) if fam == "upper" else -cfg.e(self.j)) + vec
-        halves = {}  # boson key -> its part of src
-        for key, n in src.terms.items():
-            halves.setdefault(key[1], {})[key] = n
-        for bk, half in halves.items():
-            half = Sink(src.den, half)
-            images = self._boson_images(fam, M, vec, bk, half)
-            if images:
-                vertex_modes(vec, images, half, dict.fromkeys(images, sink), scale, images)
+        halves = {}  # boson key -> the lattice keys under it
+        for lk, bk in src.terms:
+            halves.setdefault(bk, []).append(lk)
+        # one kernel call for every boson half, each half reading its own indices
+        targets = {bk: self._boson_images(fam, M, vec, bk, keys) for bk, keys in halves.items()}
+        if not all(targets.values()):  # a half without images reads no level
+            src = Sink(src.den, {key: n for key, n in src.terms.items() if targets[key[1]]})
+        idxs = {idx for images in targets.values() for idx in images}
+        if idxs:
+            vertex_modes(vec, idxs, src, dict.fromkeys(idxs, sink), scale, targets)
 
-    def _boson_images(self, fam: str, M: int, vec, bk, half: Sink) -> dict:
+    def _boson_images(self, fam: str, M: int, vec, bk, keys) -> dict:
         """{lattice doubled index: [(boson image key, integer weight), ...]} on the boson
         key bk.  The key's creation depth bounds the boson annihilators, and the
-        effective bound of vec on the lattice half under bk the lattice index; the
+        effective bound of vec on the lattice keys under bk the lattice index; the
         only nonzero mode of vec = 0 (the boson family at mu = 0) is X_0."""
         a, b, n = self.i - M, self.j - M, self.n
-        bd, bound = key_depth(bk), _effective_bound(vec, _lattice_keys(half))
+        bd, bound = key_depth(bk), _effective_bound(vec, keys)
         images = {}
         if fam != "boson":
             star = fam == "upper"

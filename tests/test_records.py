@@ -134,7 +134,7 @@ VALUES = [
 
 
 @pytest.mark.parametrize("value", [cls(**fields) for cls, fields in CASES] + VALUES,
-                         ids=[c.__name__ for c, _ in CASES] + [f"value{i}" for i in range(len(VALUES))])
+                         ids=[c.__name__ for c, _ in CASES] + [f"v{i}" for i in range(len(VALUES))])
 def test_copy_and_pickle_round_trip(value):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value)

@@ -40,8 +40,8 @@ work: the calls cProfile counts over one cold pass (seed 1) in a fresh
 interpreter with PYTHONHASHSEED=0, the pass that perfbench/child.py times,
 to functions defined under src (the harness keeps its slowest samples in a
 heap, so its own calls follow the timings).  The summary shows it as parent
--> change under "total_calls"; it gates nothing.  Run it from inside the repository; it needs only the standard
-library and git.
+-> change under "total_calls"; it gates nothing.  Run it from inside the
+repository; it needs only the standard library and git.
 """
 
 from __future__ import annotations
