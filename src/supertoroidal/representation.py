@@ -160,11 +160,23 @@ class _BosonMode(_Operator):
         if self.flavor < 1:
             raise ValueError(f"flavors are 1-based, got {self.flavor}")
 
-    def _into(self, sink: Sink, src: Sink, scale):
-        """Rewrite the boson half of each key in one pass; the lattice half stays."""
+    def _images(self, terms):
+        """(image key, coefficient, int weight) per key of terms that the mode keeps: the
+        boson half is rewritten, the lattice half stays."""
         j, r, star = self.flavor, self.r, self._star
-        sink.add((((lk, image[0]), n * image[1]) for (lk, bk), n in src.terms.items()
-                  if (image := mode_on_key(j, r, bk, star)) is not None), src.den, scale)
+        for (lk, bk), c in terms.items():
+            image = mode_on_key(j, r, bk, star)
+            if image is not None:
+                yield (lk, image[0]), c, image[1]
+
+    def apply(self, ts: TensorState) -> TensorState:
+        # distinct keys have distinct images, so a coefficient is kept or scaled, never
+        # summed, and apply need not turn it into an int and back
+        return TensorState._from_clean({key: c if w == 1 else c * w
+                                        for key, c, w in self._images(ts.terms)})
+
+    def _into(self, sink: Sink, src: Sink, scale):
+        sink.add(((key, n * w) for key, n, w in self._images(src.terms)), src.den, scale)
 
 
 class PhiMode(_BosonMode):
