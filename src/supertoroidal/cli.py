@@ -48,15 +48,7 @@ def _cmd_check(args) -> int:
     families = None
     if args.family:
         families = [f for item in args.family for f in item.split(",") if f]
-    cfg = CheckConfig(
-        M=args.M,
-        N=args.N,
-        q=args.q,
-        max_degree=args.max_degree,
-        exponent_box=args.box,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    cfg = CheckConfig(**{name: getattr(args, name) for name in CheckConfig._fields})
     families = verifier.requested_families(cfg, families)
     if args.report:
         # a path that cannot be written exits 2 before any family runs; "a" truncates nothing
@@ -138,13 +130,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="run relation check families")
     p.add_argument("--family", action="append",
                    help="family id (repeatable, comma lists allowed); default: all")
-    p.add_argument("--M", type=int, default=3)
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--max-degree", type=int, default=6, dest="max_degree")
-    p.add_argument("--box", type=int, default=2)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    # one flag per CheckConfig field, with its default; two flags are named apart from theirs
+    flags = {"max_degree": "--max-degree", "exponent_box": "--box"}
+    for name in CheckConfig._fields:
+        p.add_argument(flags.get(name, f"--{name}"), type=int, dest=name,
+                       default=CheckConfig._defaults[name])
     p.add_argument("--report", help="write the JSON report here")
     p.set_defaults(func=_cmd_check)
 

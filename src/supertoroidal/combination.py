@@ -14,9 +14,8 @@ from fractions import Fraction
 from math import lcm
 
 
-def accumulate(out: dict, items, negate: bool = False) -> dict:
-    """Add the (key, coeff) items into out in place and return it; with
-    negate, subtract them.
+def accumulate(out: dict, items) -> dict:
+    """Add the (key, coeff) items into out in place and return it.
 
     A key whose sum cancels is deleted and a zero item is not stored, so
     out stays a map to nonzero coefficients.  Coefficients are Fractions
@@ -26,17 +25,6 @@ def accumulate(out: dict, items, negate: bool = False) -> dict:
     be passed: never the terms of a state another caller can see.
     """
     get = out.get
-    if negate:
-        for key, c in items:
-            prev = get(key)
-            if prev is None:
-                if c:
-                    out[key] = -c
-            elif prev.denominator == c.denominator and prev.numerator == c.numerator:
-                del out[key]
-            else:
-                out[key] = prev - c
-        return out
     for key, c in items:
         prev = get(key)
         if prev is None:
@@ -147,7 +135,8 @@ class Combination:
         return self._from_clean(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        return self._from_clean(accumulate(dict(self.terms), other.terms.items(), negate=True))
+        negated = ((k, -c) for k, c in other.terms.items())
+        return self._from_clean(accumulate(dict(self.terms), negated))
 
     def __rmul__(self, scalar):
         if type(scalar) is not Fraction:

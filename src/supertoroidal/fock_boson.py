@@ -47,8 +47,7 @@ def creation_modes(modes) -> tuple:
     for flavor, k in modes:
         if k >= 0 or k % 2 == 0:
             raise ValueError(f"creation modes are negative odd doubled ints, got {k}")
-        if flavor < 1:
-            raise ValueError(f"flavors are 1-based, got {flavor}")
+        _check_flavor(flavor)
     return modes
 
 

@@ -150,7 +150,9 @@ def _untagged(sink: Sink) -> LatticeFockState:
 
 
 def _on_lattice(fn, s: LatticeFockState, *args) -> LatticeFockState:
-    """fn(*args, s) on a lattice state, through fn's integer form."""
+    """fn(*args, s) on a lattice state, through fn's integer form, which never sees 0."""
+    if not s.terms:
+        return s
     return _untagged(fn(*args, _tagged(s), Sink()))
 
 
@@ -590,11 +592,10 @@ def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int, s, sink=No
         raise ValueError("product sum requires (dm, dm) = (a, dm) = 0")
     if sink is None:
         return _on_lattice(vertex_product_sum, s, a, dm, idx)
-    if s.terms:
-        keys = _lattice_keys(s)
-        lo = idx - _effective_bound(a, keys)
-        window_sum(dm, range(lo + lo % 2, _mode_bound(dm, keys, None) + 1, 2), s,
-                   lambda k, image: vertex_mode_apply(a, idx - k, image, sink, scale))
+    keys = _lattice_keys(s)
+    lo = idx - _effective_bound(a, keys)
+    window_sum(dm, range(lo + lo % 2, _mode_bound(dm, keys, None) + 1, 2), s,
+               lambda k, image: vertex_mode_apply(a, idx - k, image, sink, scale))
     return sink
 
 
@@ -610,10 +611,9 @@ def _dressed_current(a: LatticeVector, dm: LatticeVector, n: int, s: Sink, sink:
     """
     if dm.is_zero():
         return heisenberg_apply(a, n, s, sink, scale)
-    if s.terms:
-        keys = _lattice_keys(s)
-        window_sum(dm, range(2 * (n - _current_bound(a, keys)), _effective_bound(dm, keys) + 1, 2),
-                   s, lambda j, image: heisenberg_apply(a, n - j // 2, image, sink, scale))
+    keys = _lattice_keys(s)
+    window_sum(dm, range(2 * (n - _current_bound(a, keys)), _effective_bound(dm, keys) + 1, 2),
+               s, lambda j, image: heisenberg_apply(a, n - j // 2, image, sink, scale))
     return sink
 
 
@@ -631,13 +631,12 @@ def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int, s, sink=
         raise ValueError("normal ordered pair sum is for odd vectors")
     if sink is None:
         return _on_lattice(normal_ordered_pair_sum, s, a, b, n)
-    if s.terms:
-        keys = _lattice_keys(s)
-        split = (n - 1) // 2
-        kept = range(n - (_effective_bound(b, keys) + 1) // 2, split + 1)
-        window_sum(b, [2 * (n - k) - 1 for k in kept], s,
-                   lambda j, image: vertex_mode_apply(a, 2 * n - j, image, sink, scale))
-        swapped = range(split + 1, (_effective_bound(a, keys) - 1) // 2 + 1)
-        window_sum(a, [2 * k + 1 for k in swapped], s,
-                   lambda j, image: vertex_mode_apply(b, 2 * n - j, image, sink, -scale))
+    keys = _lattice_keys(s)
+    split = (n - 1) // 2
+    kept = range(n - (_effective_bound(b, keys) + 1) // 2, split + 1)
+    window_sum(b, [2 * (n - k) - 1 for k in kept], s,
+               lambda j, image: vertex_mode_apply(a, 2 * n - j, image, sink, scale))
+    swapped = range(split + 1, (_effective_bound(a, keys) - 1) // 2 + 1)
+    window_sum(a, [2 * k + 1 for k in swapped], s,
+               lambda j, image: vertex_mode_apply(b, 2 * n - j, image, sink, -scale))
     return sink

@@ -33,9 +33,9 @@ scale times its image of a Sink into a Sink, both keyed (lattice key, boson
 key), so a lattice operator runs once on a whole tensor state with the
 boson half riding along as the tag, an OpSum hands each term its
 coefficient as the scale, an OpProduct hands each factor the previous
-factor's sink, and super_commutator adds its second ordering into the
-first ordering's sink.  apply turns the input's Fractions into ints once
-and builds one Fraction per key of the image.
+factor's sink, and super_commutator is the OpSum of its two OpProduct
+orderings.  apply turns the input's Fractions into ints once, builds one
+Fraction per key of the image, and returns the zero state as it is.
 
 The dictionary rho sends T_ij (x) t^mbar to X-modes (i, j <= M), to the
 dressed diagonal current (i = j <= M), or to an S family mode (an index
@@ -59,7 +59,7 @@ from .fock_lattice import (
     vertex_modes,
     vertex_product_sum,
 )
-from .fock_boson import BosonState, creation_modes, key_depth, mode_on_key
+from .fock_boson import BosonState, _check_flavor, creation_modes, key_depth, mode_on_key
 
 
 class TensorState(Combination):
@@ -124,6 +124,8 @@ class _Operator(Record):
         cls.apply = cls.apply
 
     def apply(self, ts: TensorState) -> TensorState:
+        if not ts.terms:  # the zero state stops here, so no _into is handed it
+            return ts
         sink = Sink()
         self._into(sink, Sink.of(ts), 1)
         return sink.state(TensorState)
@@ -137,8 +139,8 @@ class VertexMode(_Operator):
     index: int  # doubled
 
     def _into(self, sink: Sink, src: Sink, scale):
-        if src.terms:  # one kernel call serves every boson half
-            vertex_mode_apply(self.alpha, self.index, src, sink, scale)
+        # one kernel call serves every boson half
+        vertex_mode_apply(self.alpha, self.index, src, sink, scale)
 
     def parity(self, M=None) -> int:
         return bilinear(self.alpha, self.alpha) % 2
@@ -157,8 +159,7 @@ class _BosonMode(_Operator):
     r: int  # mode r - 1/2
 
     def __post_init__(self):
-        if self.flavor < 1:
-            raise ValueError(f"flavors are 1-based, got {self.flavor}")
+        _check_flavor(self.flavor)
 
     def _images(self, terms):
         """(image key, coefficient, int weight) per key of terms that the mode keeps: the
@@ -201,10 +202,8 @@ class DiagCurrent(_Operator):
             raise ValueError("mu length must be q-1 for the alpha shape")
 
     def _into(self, sink: Sink, src: Sink, scale):
-        shape = _shape(src)
-        if shape is not None:
-            dm = LatticeConfig(*shape).delta_sum(self.mu)
-            _dressed_current(self.alpha, dm, self.mode, src, sink, scale)
+        dm = LatticeConfig(*_shape(src)).delta_sum(self.mu)
+        _dressed_current(self.alpha, dm, self.mode, src, sink, scale)
 
 
 class SOp(_Operator):
@@ -242,12 +241,7 @@ class SOp(_Operator):
         raise ValueError(f"S indices ({self.i},{self.j}) need one index beyond M={M}")
 
     def _into(self, sink: Sink, src: Sink, scale):
-        shape = _shape(src)
-        if shape is None:
-            return
-        M, q = shape
-        if len(self.mu) != q - 1:
-            raise ValueError(f"mu has length {len(self.mu)}, state has q={q}")
+        M, q = _shape(src)
         fam = self.family(M)
         cfg = LatticeConfig(M, q)
         vec = cfg.delta_sum(self.mu)
@@ -309,10 +303,7 @@ class CentralImage(_Operator):
             raise ValueError("central direction out of range")
 
     def _into(self, sink: Sink, src: Sink, scale):
-        shape = _shape(src)
-        if shape is None:
-            return
-        M, q = shape
+        M, q = _shape(src)
         if len(self.mbar) != q:
             raise ValueError(f"mbar has length {len(self.mbar)}, state has q={q}")
         self.resolve(M)._into(sink, src, scale)
@@ -336,8 +327,7 @@ class NormalPairSum(_Operator):
     n: int
 
     def _into(self, sink: Sink, src: Sink, scale):
-        if src.terms:
-            normal_ordered_pair_sum(self.a, self.b, self.n, src, sink, scale)
+        normal_ordered_pair_sum(self.a, self.b, self.n, src, sink, scale)
 
 
 class VertexProductSum(_Operator):
@@ -348,10 +338,8 @@ class VertexProductSum(_Operator):
     index: int  # doubled
 
     def _into(self, sink: Sink, src: Sink, scale):
-        shape = _shape(src)
-        if shape is not None:
-            dm = LatticeConfig(*shape).delta_sum(self.mu)
-            vertex_product_sum(self.a, dm, self.index, src, sink, scale)
+        dm = LatticeConfig(*_shape(src)).delta_sum(self.mu)
+        vertex_product_sum(self.a, dm, self.index, src, sink, scale)
 
     def parity(self, M=None) -> int:
         return bilinear(self.a, self.a) % 2
@@ -364,13 +352,16 @@ class OpProduct(_Operator):
         return _Operator.apply(self, ts) if self.factors else ts
 
     def _into(self, sink: Sink, src: Sink, scale):
-        """The rightmost factor acts first; each image but the last is a new Sink."""
+        """The rightmost factor acts first; each image but the last is a new Sink, and
+        a zero image ends the product."""
         if not self.factors:
             sink.add(src.terms.items(), src.den, scale)
             return
         for f in reversed(self.factors[1:]):
             image = Sink()
             f._into(image, src, 1)
+            if not image.terms:
+                return
             src = image
         self.factors[0]._into(sink, src, scale)
 
@@ -455,18 +446,16 @@ def rho(x, cfg: LatticeConfig) -> OpSum:
 
 
 def super_commutator(op1, op2, ts: TensorState) -> TensorState:
-    """[op1, op2] s = op1 op2 s - (-1)^{|op1||op2|} op2 op1 s."""
-    shape = ts.lattice_shape()
-    M = shape[0] if shape else None
+    """[op1, op2] s = op1 op2 s - (-1)^{|op1||op2|} op2 op1 s, the OpSum of the two
+    orderings; the zero state maps to itself before any parity is read."""
+    if not ts.terms:
+        return ts
+    M = ts.lattice_shape()[0]
     p1 = op1.parity(M)
     p2 = op2.parity(M)
     if p1 is None or p2 is None:
         raise ValueError("super commutator needs homogeneous operators")
-    # the second ordering is added into the first's sink, as it is for two odd operators
-    # and negated otherwise, so its own state is never built
-    src, sink = Sink.of(ts), Sink()
-    for first, second, scale in ((op2, op1, 1), (op1, op2, 1 if p1 and p2 else -1)):
-        image = Sink()
-        first._into(image, src, 1)
-        second._into(sink, image, scale)
-    return sink.state(TensorState)
+    # both orderings add into one sink; calling _Operator.apply keeps the sum out of the
+    # tracer's per-operator apply counts
+    sign = 1 if p1 and p2 else -1
+    return _Operator.apply(OpSum(((1, OpProduct((op1, op2))), (sign, OpProduct((op2, op1))))), ts)

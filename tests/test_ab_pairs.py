@@ -7,7 +7,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from ab_pairs import _total_calls, summarize, summarize_calls  # noqa: E402
+from ab_pairs import _src_lines, _total_calls, summarize, summarize_calls  # noqa: E402
 from sample_pairs import _check, _run as _run_check  # noqa: E402
 
 
@@ -133,6 +133,18 @@ def test_total_calls_shown_as_parent_to_change():
         "thm46": {"parent": 1163940, "change": 901234, "shown": "1,163,940 -> 901,234"},
         "act": {"parent": None, "change": 5, "shown": "? -> 5"},
     }
+
+
+def test_src_lines_count_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "supertoroidal"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("\n\n# three\n")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert _src_lines(str(tmp_path)) == 5
+    assert _src_lines(str(ROOT)) == sum(
+        path.read_text().count("\n") for path in (ROOT / "src" / "supertoroidal").glob("*.py"))
 
 
 def test_total_calls_of_a_cold_pass_repeat():

@@ -6,7 +6,9 @@ from two full orderings.  Every operator kind, OpSum coefficients that are
 negative, non-unit or 0, OpProducts, commutators of every parity pair, states
 spread over several boson halves, the zero state and the heaviest thm46
 sample must agree with it, with every coefficient a nonzero Fraction in
-lowest terms.  The last test bounds the memory of that heavy sample.
+lowest terms.  The zero state stops at apply, at super_commutator, at an
+OpProduct's zero image and at the lattice forms, so no operator below them
+is handed it.  The last test bounds the memory of that heavy sample.
 """
 
 import random
@@ -14,7 +16,13 @@ import tracemalloc
 from fractions import Fraction
 from math import gcd
 
-from supertoroidal.fock_lattice import vertex_mode_apply
+from supertoroidal.fock_lattice import (
+    LatticeFockState,
+    heisenberg_apply,
+    normal_ordered_pair_sum,
+    vertex_mode_apply,
+    vertex_product_sum,
+)
 from supertoroidal.lattice import LatticeConfig, LatticeVector
 from supertoroidal.representation import (
     CentralImage,
@@ -119,9 +127,40 @@ def test_super_commutators_against_both_orderings_in_full():
         # the orderings cancel more often than not; count the pairs where one does not
         pairs[(trial % 2, int(trial % 4 >= 2))] += not op1.apply(op2.apply(s)).is_zero()
     assert min(pairs.values()) >= 4, pairs
-    # on the zero state (which shows no M, so no S mode) every commutator is 0
-    for op1, op2 in ((EVEN[0], ODD[0]), (ODD[1], ODD[4]), (EVEN[-1], EVEN[-2])):
-        assert super_commutator(op1, op2, ZERO) == ZERO
+
+
+def test_the_zero_state_stops_at_apply():
+    # one operator of each of the 11 kinds at least, and every ordered pair of them in a
+    # commutator: the zero state shows no M, so no parity may be read on it
+    assert len({type(op) for op in EVEN + ODD}) == 11
+    for op in EVEN + ODD:
+        assert op.apply(ZERO) == ZERO, op
+    for op1 in EVEN + ODD:
+        for op2 in EVEN + ODD:
+            assert super_commutator(op1, op2, ZERO) == ZERO, (op1, op2)
+
+
+def test_a_factor_that_kills_the_state_ends_the_product():
+    # phi^1_{1/2} kills the vacuum, so no later factor, which would read M and q off
+    # the state, is handed a zero state
+    vac = TensorState.vacuum(LAT)
+    kill = PhiMode(1, 1)
+    assert kill.apply(vac) == ZERO
+    for op in (SOp(1, M + 1, (1,), 0), SOp(M + 1, M + 2, (1,), 0), DiagCurrent(E2, 0, (1,)),
+               CentralImage((1, 1), 1), CentralImage((1, 0), 2),
+               VertexProductSum(LAT.root(1, 3), (1,), 0)):
+        assert OpProduct((op, kill)).apply(vac) == ZERO, op
+        assert OpProduct((op, Current(E1, -1), kill)).apply(vac) == ZERO, op
+        assert super_commutator(op, kill, vac) == reference_super_commutator(op, kill, vac)
+
+
+def test_the_lattice_forms_map_the_zero_state_to_itself():
+    zero = LatticeFockState.zero()
+    assert heisenberg_apply(E1, -1, zero) == zero
+    assert heisenberg_apply(E1, 1, zero) == zero
+    assert vertex_mode_apply(E1, -1, zero) == zero
+    assert vertex_product_sum(LAT.root(1, 3), DM, 0, zero) == zero
+    assert normal_ordered_pair_sum(E1, -E2, 0, zero) == zero
 
 
 def _probe():

@@ -269,6 +269,13 @@ def test_cli_check_and_report(tmp_path):
     assert set(report["families"]) == {"jacobi", "lemma49"}
 
 
+def test_cli_check_defaults_are_check_configs(tmp_path, capsys):
+    # every flag left out takes CheckConfig's own default
+    path = tmp_path / "report.json"
+    assert main(["check", "--family", "cocycle", "--samples", "1", "--report", str(path)]) == 0
+    assert json.loads(path.read_text())["config"] == CheckConfig(samples=1).to_obj()
+
+
 def test_cli_act_bracket_roundtrip(tmp_path):
     from supertoroidal.lattice import LatticeConfig
     from supertoroidal.representation import TensorState

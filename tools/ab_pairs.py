@@ -40,13 +40,17 @@ work: the calls cProfile counts over one cold pass (seed 1) in a fresh
 interpreter with PYTHONHASHSEED=0, the pass that perfbench/child.py times,
 to functions defined under src (the harness keeps its slowest samples in a
 heap, so its own calls follow the timings).  The summary shows it as parent
--> change under "total_calls"; it gates nothing.  Run it from inside the
-repository; it needs only the standard library and git.
+-> change under "total_calls"; it gates nothing.  Each side also records
+under "src_lines" the lines of src/supertoroidal/*.py in its export, the count
+the design gate reads (wc -l), printed as parent -> change beside the calls;
+it gates nothing either.  Run it from inside the repository; it needs only the
+standard library and git.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -165,6 +169,15 @@ def _total_calls(tree: str, workload: str):
     return int(lines[-1]) if proc.returncode == 0 and lines and lines[-1].isdigit() else None
 
 
+def _src_lines(tree: str) -> int:
+    """The newlines of src/supertoroidal/*.py in tree, as wc -l counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "supertoroidal", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += fh.read().count("\n")
+    return total
+
+
 def _quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
@@ -211,6 +224,7 @@ def main(argv=None) -> int:
         for side, info in sides.items():
             trees[side] = os.path.join(tmp, side)
             _export(info["rev"], trees[side])
+            info["src_lines"] = _src_lines(trees[side])
         with open(os.path.join(trees["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
             bench = json.load(fh)
         command, seconds = bench["command"], bench["run_seconds"]
@@ -219,6 +233,8 @@ def main(argv=None) -> int:
                   for workload in args.workload for side in sides}
         for workload, cell in summarize_calls(counts).items():
             print(f"{workload} total_calls {cell['shown']}", flush=True)
+        print(f"src_lines {sides['parent']['src_lines']:,} -> {sides['change']['src_lines']:,}",
+              flush=True)
         for workload in args.workload:
             for seed in range(1, args.pairs + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
