@@ -135,12 +135,13 @@ def _rows(kind: str) -> tuple:
         rhs = rhs + _central(C, -(j == k) * (i == l), me, ne)
         return x, y, rhs
 
-    add("2", "2", nn("i", "j", "k", "l"), (
+    pat_jk_li = (  # rows 2 and 7
         ("none", (("ne", "j", "k"), ("ne", "l", "i"))),
         ("j=k", (("eq", "j", "k"), ("ne", "l", "i"))),
         ("l=i", (("eq", "l", "i"), ("ne", "j", "k"))),
         ("both", (("eq", "j", "k"), ("eq", "l", "i"))),
-    ), b2)
+    )
+    add("2", "2", nn("i", "j", "k", "l"), pat_jk_li, b2)
 
     # --- 3: e-block against T_{k+M,l}; the second printed ST line keeps
     # F(e_j,e_i) where the affine print has F(e_i,e_j) (suspected typo)
@@ -280,15 +281,9 @@ def _rows(kind: str) -> tuple:
             rhs = rhs + d_cocycle(ne, me)
         return _t(k, l + M, ne), _t(i + M, j, me), rhs
 
-    pat7 = (
-        ("none", (("ne", "j", "k"), ("ne", "l", "i"))),
-        ("j=k", (("eq", "j", "k"), ("ne", "l", "i"))),
-        ("l=i", (("eq", "l", "i"), ("ne", "j", "k"))),
-        ("both", (("eq", "j", "k"), ("eq", "l", "i"))),
-    )
     spec7 = (("i", "N"), ("l", "N"), ("j", "M"), ("k", "M"))
-    add("7", "7:1", spec7, pat7, b7_1)
-    add("7", "7:2", spec7, pat7, b7_2)
+    add("7", "7:1", spec7, pat_jk_li, b7_1)
+    add("7", "7:2", spec7, pat_jk_li, b7_2)
 
     # --- 8, 9, 10: vanishing pairs
     def b8_1(alg, idx, me, ne):
@@ -315,14 +310,14 @@ def _rows(kind: str) -> tuple:
         M = alg.M
         return _t(idx["k"] + M, idx["l"], ne), _t(idx["i"] + M, idx["j"], me), _zero()
 
-    pat9 = (
+    pat_ik_jl = (  # rows 9 and 10
         ("generic", (("ne", "i", "k"), ("ne", "j", "l"))),
         ("i=k", (("eq", "i", "k"),)),
         ("j=l", (("eq", "j", "l"),)),
     )
     spec9 = (("i", "N"), ("k", "N"), ("j", "M"), ("l", "M"))
-    add("9", "9:1", spec9, pat9, b9_1)
-    add("9", "9:2", spec9, pat9, b9_2)
+    add("9", "9:1", spec9, pat_ik_jl, b9_1)
+    add("9", "9:2", spec9, pat_ik_jl, b9_2)
 
     def b10_1(alg, idx, me, ne):
         M = alg.M
@@ -332,14 +327,9 @@ def _rows(kind: str) -> tuple:
         M = alg.M
         return _t(idx["k"], idx["l"] + M, ne), _t(idx["i"], idx["j"] + M, me), _zero()
 
-    pat10 = (
-        ("generic", (("ne", "i", "k"), ("ne", "j", "l"))),
-        ("i=k", (("eq", "i", "k"),)),
-        ("j=l", (("eq", "j", "l"),)),
-    )
     spec10 = (("i", "M"), ("k", "M"), ("j", "N"), ("l", "N"))
-    add("10", "10:1", spec10, pat10, b10_1)
-    add("10", "10:2", spec10, pat10, b10_2)
+    add("10", "10:1", spec10, pat_ik_jl, b10_1)
+    add("10", "10:2", spec10, pat_ik_jl, b10_2)
 
     return tuple(rows)
 

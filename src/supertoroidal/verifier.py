@@ -131,21 +131,23 @@ def _random_bosons(rng, N, budget, p):
     return tuple(sorted(phi)), tuple(sorted(phis))
 
 
-def _random_state(rng, M, N, q, max_degree, box) -> TensorState:
-    """Nonzero homogeneous state within the doubled degree budget."""
-    lat = LatticeConfig(M, q)
+def _draw_state(rng, cfg, q=None) -> TensorState:
+    """Nonzero homogeneous state of this config (at q if given) within the
+    doubled degree budget, drawn from rng."""
+    q, box = q or cfg.q, cfg.exponent_box
+    lat = LatticeConfig(cfg.M, q)
     par = rng.randint(0, 1) if box > 0 else 0  # box 0 pins gamma to 0
     while True:
         terms = []
         for _ in range(rng.randint(1, 2)):
-            budget = max_degree
-            gamma = _random_vector(rng, M, q, box, gamma_parity=par)
+            budget = cfg.max_degree
+            gamma = _random_vector(rng, cfg.M, q, box, gamma_parity=par)
             mono = []
             while budget >= 2 and rng.random() < 0.6:
                 n = rng.randint(1, budget // 2)
                 mono.append((rng.randrange(lat.rank), n))
                 budget -= 2 * n
-            key = ((gamma, tuple(sorted(mono))), _random_bosons(rng, N, budget, 0.5))
+            key = ((gamma, tuple(sorted(mono))), _random_bosons(rng, cfg.N, budget, 0.5))
             terms.append((key, _random_coeff(rng)))
         state = TensorState(terms)
         if not state.is_zero():
@@ -154,8 +156,7 @@ def _random_state(rng, M, N, q, max_degree, box) -> TensorState:
 
 def gen_state(cfg: CheckConfig, seed_offset) -> TensorState:
     """Deterministic pseudo-random homogeneous state for this config."""
-    rng = derive_rng(cfg.seed, "state", seed_offset)
-    return _random_state(rng, cfg.M, cfg.N, cfg.q, cfg.max_degree, cfg.exponent_box)
+    return _draw_state(derive_rng(cfg.seed, "state", seed_offset), cfg)
 
 
 def _random_boson_state(rng, N, max_degree) -> BosonState:
@@ -193,11 +194,6 @@ def _cycle(cfg, patterns, *labels):
     for k in range(max(cfg.samples, len(patterns), 2)):
         pattern = patterns[k % len(patterns)]
         yield pattern, derive_rng(cfg.seed, *labels, pattern, k)
-
-
-def _draw_state(rng, cfg, q=None):
-    """A random state of this config drawn from rng."""
-    return _random_state(rng, cfg.M, cfg.N, q or cfg.q, cfg.max_degree, cfg.exponent_box)
 
 
 def _draw_vectors(rng, cfg, names, **kw):

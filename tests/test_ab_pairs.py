@@ -7,8 +7,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from ab_pairs import _src_lines, _total_calls, summarize, summarize_calls  # noqa: E402
-from sample_pairs import _check, _run as _run_check  # noqa: E402
+from ab_pairs import (  # noqa: E402
+    _src_lines, _total_calls, changed_lines, summarize, summarize_calls)
+from sample_pairs import _check, _parse, _run as _run_check  # noqa: E402
+from supertoroidal.verifier import CheckConfig  # noqa: E402
 
 
 def _run(workload, seed, side, last_line=None, **metrics):
@@ -142,9 +144,14 @@ def test_src_lines_count_the_package_modules_only(tmp_path):
     (package / "b.py").write_text("\n\n# three\n")
     (package / "notes.txt").write_text("not\ncounted\n")
     (tmp_path / "src" / "other.py").write_text("not counted\n")
-    assert _src_lines(str(tmp_path)) == 5
-    assert _src_lines(str(ROOT)) == sum(
-        path.read_text().count("\n") for path in (ROOT / "src" / "supertoroidal").glob("*.py"))
+    assert _src_lines(str(tmp_path)) == {"a.py": 2, "b.py": 3}
+    assert _src_lines(str(ROOT)) == {
+        path.name: path.read_text().count("\n")
+        for path in (ROOT / "src" / "supertoroidal").glob("*.py")}
+    # only the files whose count moved are shown, a missing file counting 0
+    parent, change = {"a.py": 2, "b.py": 3, "gone.py": 7}, {"a.py": 2, "b.py": 1, "new.py": 4}
+    assert changed_lines(parent, change) == {
+        "b.py": "3 -> 1", "gone.py": "7 -> 0", "new.py": "0 -> 4"}
 
 
 def test_total_calls_of_a_cold_pass_repeat():
@@ -160,6 +167,15 @@ def test_sample_pairs_reads_a_check_as_clause_and_index():
     for bad in ("ST1", "ST1:", ":3", "ST1:-1", "ST1:x"):
         with pytest.raises(argparse.ArgumentTypeError):
             _check(bad)
+
+
+def test_sample_pairs_defaults_are_the_check_config_defaults():
+    args, config = _parse(["P", "C", "--family", "thm46", "--check", "ST1:0", "--out", "x.json"])
+    assert config == CheckConfig().to_obj()
+    assert (args.pairs, args.check) == (5, [("ST1", 0)])
+    _, config = _parse(["P", "C", "--family", "thm46", "--check", "ST1:0", "--out", "x.json",
+                        "--max-degree", "4", "--box", "1", "--q", "3"])
+    assert config == CheckConfig(q=3, max_degree=4, exponent_box=1).to_obj()
 
 
 def test_sample_pairs_times_one_check_in_a_fresh_interpreter():

@@ -42,9 +42,10 @@ to functions defined under src (the harness keeps its slowest samples in a
 heap, so its own calls follow the timings).  The summary shows it as parent
 -> change under "total_calls"; it gates nothing.  Each side also records
 under "src_lines" the lines of src/supertoroidal/*.py in its export, the count
-the design gate reads (wc -l), printed as parent -> change beside the calls;
-it gates nothing either.  Run it from inside the repository; it needs only the
-standard library and git.
+the design gate reads (wc -l), printed as parent -> change beside the calls,
+and under "src_lines_by_file" the count of each of those files; the files whose
+count changed are printed below the total.  Neither gates anything.  Run it
+from inside the repository; it needs only the standard library and git.
 """
 
 from __future__ import annotations
@@ -169,13 +170,21 @@ def _total_calls(tree: str, workload: str):
     return int(lines[-1]) if proc.returncode == 0 and lines and lines[-1].isdigit() else None
 
 
-def _src_lines(tree: str) -> int:
-    """The newlines of src/supertoroidal/*.py in tree, as wc -l counts them."""
-    total = 0
-    for path in glob.glob(os.path.join(tree, "src", "supertoroidal", "*.py")):
+def _src_lines(tree: str) -> dict:
+    """{file name: newlines} of src/supertoroidal/*.py in tree, as wc -l counts them."""
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(tree, "src", "supertoroidal", "*.py"))):
         with open(path, encoding="utf-8") as fh:
-            total += fh.read().count("\n")
-    return total
+            counts[os.path.basename(path)] = fh.read().count("\n")
+    return counts
+
+
+def changed_lines(parent: dict, change: dict) -> dict:
+    """{file name: "n -> m"} for each file whose line count differs between the
+    by-file counts parent and change, a file missing on one side counting 0."""
+    return {name: f"{parent.get(name, 0):,} -> {change.get(name, 0):,}"
+            for name in sorted(parent.keys() | change.keys())
+            if parent.get(name, 0) != change.get(name, 0)}
 
 
 def _quartiles(values: list) -> list:
@@ -224,7 +233,8 @@ def main(argv=None) -> int:
         for side, info in sides.items():
             trees[side] = os.path.join(tmp, side)
             _export(info["rev"], trees[side])
-            info["src_lines"] = _src_lines(trees[side])
+            info["src_lines_by_file"] = _src_lines(trees[side])
+            info["src_lines"] = sum(info["src_lines_by_file"].values())
         with open(os.path.join(trees["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
             bench = json.load(fh)
         command, seconds = bench["command"], bench["run_seconds"]
@@ -235,6 +245,9 @@ def main(argv=None) -> int:
             print(f"{workload} total_calls {cell['shown']}", flush=True)
         print(f"src_lines {sides['parent']['src_lines']:,} -> {sides['change']['src_lines']:,}",
               flush=True)
+        for name, shown in changed_lines(sides["parent"]["src_lines_by_file"],
+                                         sides["change"]["src_lines_by_file"]).items():
+            print(f"  {name} {shown}", flush=True)
         for workload in args.workload:
             for seed in range(1, args.pairs + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")

@@ -7,7 +7,8 @@
 A check is one sample of one clause: ``--check CLAUSE:INDEX`` names the
 INDEX-th (pattern, payload) that the family's generator draws for CLAUSE
 at the configuration given by ``--M --N --q --max-degree --box --samples
---seed`` (the ``check`` command's flags and defaults).  PARENT and CHANGE
+--seed`` (the ``check`` command's flags, built as it builds them from
+``CheckConfig``'s fields and defaults in this checkout's src).  PARENT and CHANGE
 are exported with ``git archive`` as ``tools/ab_pairs.py`` does.  For each
 check, pair N (N = 1..pairs) evaluates it once in a fresh interpreter in
 each tree, the parent first when N is odd and the change first when N is
@@ -19,8 +20,8 @@ The output file holds every run and, per check and metric (``seconds``,
 ``peak_rss_mb``), the summary of ``tools/ab_pairs.py``: each side's median
 and quartiles, the pairs in which the change read lower and whether that
 meets the gain rule.  A check that fails or raises on either side counts as
-a failed operation in ``failed_share`` and makes the exit code 1.  It
-needs only the standard library and git.
+a failed operation in ``failed_share`` and makes the exit code 1.  Besides
+this checkout's src it needs only the standard library and git.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ import sys
 import tempfile
 
 from ab_pairs import _export, _git, summarize
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+from supertoroidal.verifier import CheckConfig  # noqa: E402
 
 # run in the exported tree with its src first on sys.path; argv: family clause index config
 _CHILD = r"""
@@ -70,25 +74,27 @@ def _run(tree: str, family: str, clause: str, index: int, config: dict) -> dict:
             "stderr_tail": proc.stderr.strip().splitlines()[-5:] if proc.returncode else []}
 
 
-def main(argv=None) -> int:
+def _parse(argv=None):
+    """The parsed arguments and the check config (CheckConfig.to_obj()) they give."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--family", required=True)
     ap.add_argument("--check", type=_check, action="append", required=True,
                     help="CLAUSE:INDEX, repeatable")
-    ap.add_argument("--M", type=int, default=3)
-    ap.add_argument("--N", type=int, default=2)
-    ap.add_argument("--q", type=int, default=2)
-    ap.add_argument("--max-degree", type=int, default=6, dest="max_degree")
-    ap.add_argument("--box", type=int, default=2)
-    ap.add_argument("--samples", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=0)
+    # the check command's flags: one per CheckConfig field, with its default
+    flags = {"max_degree": "--max-degree", "exponent_box": "--box"}
+    for name in CheckConfig._fields:
+        ap.add_argument(flags.get(name, f"--{name}"), type=int, dest=name,
+                        default=CheckConfig._defaults[name])
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    config = {"M": args.M, "N": args.N, "q": args.q, "max_degree": args.max_degree,
-              "exponent_box": args.box, "samples": args.samples, "seed": args.seed}
+    return args, CheckConfig(**{name: getattr(args, name) for name in CheckConfig._fields}).to_obj()
+
+
+def main(argv=None) -> int:
+    args, config = _parse(argv)
     sides = {}
     for side, rev in (("parent", args.parent), ("change", args.change)):
         sides[side] = {"rev": rev, "tree": _git("rev-parse", f"{rev}^{{tree}}"),
