@@ -7,7 +7,8 @@ Run:  python demos/06_verifier.py
 """
 
 from supertoroidal import CheckConfig, gen_state, run
-from supertoroidal.verifier import report_text, strip_timings
+from supertoroidal.serialize import dumps
+from supertoroidal.verifier import strip_timings
 
 cfg = CheckConfig(M=3, N=2, q=2, max_degree=4, exponent_box=1, samples=8, seed=2024)
 
@@ -31,7 +32,6 @@ row = ", ".join(f"{k}={v}" for k, v in sorted(report["coverage"].items())[:8])
 print(f"  {row}, ...")
 
 # reports strip to byte-identical text across reruns
-text1 = report_text(strip_timings(report), include_timing=False)
-text2 = report_text(strip_timings(run(cfg, families=("sttables", "thm46", "lemma49"))),
-                    include_timing=False)
+text1 = dumps(strip_timings(report))
+text2 = dumps(strip_timings(run(cfg, families=("sttables", "thm46", "lemma49"))))
 print(f"\nbyte-identical rerun: {text1 == text2}")

@@ -63,7 +63,7 @@ def _cmd_check(args) -> int:
         print(f"adjudicated {adj['family']}/{adj['clause']} x{adj['count']}: {adj['note']}")
     print("all_pass:", report["all_pass"])
     if args.report:
-        _write_out(verifier.report_text(report), args.report)
+        _write_out(ser.dumps(report), args.report)
     return 0 if report["all_pass"] else 1
 
 

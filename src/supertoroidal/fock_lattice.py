@@ -299,10 +299,10 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
         return {idx: _untagged(image) for idx, image in images.items()}
     if not a.in_q():
         raise ValueError(f"vertex operators require a in Q, got {a!r}")
+    if not idxs or not s.terms or not scale:
+        return
     norm = bilinear(a, a)
     depths = {idx: _mode_depth(a, idx, norm) for idx in idxs}
-    if not depths or not s.terms or not scale:
-        return
     h_lo = min(depths.values())
     paired = _paired(a)
     # (gamma, tag) -> ({level d: {annihilated monomial: numerator over s.den}}, a + gamma,

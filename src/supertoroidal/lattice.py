@@ -120,9 +120,7 @@ class LatticeConfig(Record):
         size = self.M if block == 0 else self.q - 1
         if not 1 <= i <= size:
             raise ValueError(f"{('e', 'delta', 'd')[block]} index {i} out of range 1..{size}")
-        blocks = [(0,) * self.M, (0,) * (self.q - 1), (0,) * (self.q - 1)]
-        blocks[block] = tuple(1 if k == i - 1 else 0 for k in range(size))
-        return LatticeVector(*blocks)
+        return self.basis_vector((0, self.M, self.M + size)[block] + i - 1)
 
     def e(self, i: int) -> "LatticeVector":
         """Basis vector e_i, 1-based."""

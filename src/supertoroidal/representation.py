@@ -15,6 +15,8 @@ matrices.  The primitive descriptors are
     DiagCurrent(a, n, mu)   sum_k a(k) X_{2(n-k)}(delta_mu)
     SOp(i, j, mu, n)        sum_k S_ij(k) X_{2(n-k)}(delta_mu)
     CentralImage(mbar, i)   image of the central symbol t^mbar K_i
+    NormalPairSum(a, b, n)  sum_k :X_{k+1/2}(a) X_{n-k-1/2}(b): for odd a, b
+    VertexProductSum(a, mu, k)  sum_j X_{k-j}(a) X_j(delta_mu), doubled k
 
 plus OpProduct (composition, rightmost factor first) and OpSum (rational
 combinations).  Every internal mode sum is clipped to an exactly
@@ -115,8 +117,9 @@ class _Operator(Record):
     An operator adds scale * op src into a sink with _into, src and sink both
     tensor states in integer form (Sinks keyed (lattice key, boson key)), so a
     composite hands its factors integers, and apply builds one Fraction per key
-    of the image.  Every operator class holds apply in its own __dict__, where a
-    tracer can wrap it class by class.
+    of the image.  Only the boson modes override apply: they send distinct keys to
+    distinct keys, so they keep or scale each Fraction and never need the ints.
+    Every operator class holds apply in its own __dict__ for a tracer to wrap.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -255,8 +258,7 @@ class SOp(_Operator):
         if not all(targets.values()):  # a half without images reads no level
             src = Sink(src.den, {key: n for key, n in src.terms.items() if targets[key[1]]})
         idxs = {idx for images in targets.values() for idx in images}
-        if idxs:
-            vertex_modes(vec, idxs, src, dict.fromkeys(idxs, sink), scale, targets)
+        vertex_modes(vec, idxs, src, dict.fromkeys(idxs, sink), scale, targets)
 
     def _boson_images(self, fam: str, M: int, vec, bk, keys) -> dict:
         """{lattice doubled index: [(boson image key, integer weight), ...]} on the boson
@@ -348,9 +350,6 @@ class VertexProductSum(_Operator):
 class OpProduct(_Operator):
     factors: tuple
 
-    def apply(self, ts: TensorState) -> TensorState:
-        return _Operator.apply(self, ts) if self.factors else ts
-
     def _into(self, sink: Sink, src: Sink, scale):
         """The rightmost factor acts first; each image but the last is a new Sink, and
         a zero image ends the product."""
@@ -377,11 +376,6 @@ class OpProduct(_Operator):
 
 class OpSum(_Operator):
     terms: tuple  # of (Fraction, operator)
-
-    def apply(self, ts: TensorState) -> TensorState:
-        if len(self.terms) == 1 and self.terms[0][0] == 1:
-            return self.terms[0][1].apply(ts)
-        return _Operator.apply(self, ts)
 
     def _into(self, sink: Sink, src: Sink, scale):
         """Each term adds into sink at scale times its coefficient."""

@@ -187,10 +187,8 @@ def _modes_to_obj(modes) -> list:
 
 
 def _modes_from_obj(obj, what: str) -> tuple:
-    if not _array(obj, what):
-        return ()
     return creation_modes((_int(x["flavor"], "flavor"), _int(x["doubled_mode"], "doubled_mode"))
-                          for x in obj)
+                          for x in _array(obj, what))
 
 
 class _KeyWriter:

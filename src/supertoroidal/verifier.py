@@ -957,46 +957,41 @@ def evaluate_check(cfg: CheckConfig, family: str, clause: str, payload):
 
 
 def _run_clause(cfg: CheckConfig, family: str, clause: str) -> dict:
+    """Run a clause's checks, counting each check's one outcome; only an adjudicated
+    check keeps its note, and only the first fail records its counterexample."""
     spec = FAMILIES[family]
     t0 = time.perf_counter()
-    passed = failed = adjudicated = 0
+    counts = dict.fromkeys(("pass", "fail", "adjudicated"), 0)
     patterns = {}
     notes = []
     counterexample = None
     for pattern, payload in spec["generate"](cfg, clause):
         ok, adj, note, lhs, rhs = spec["evaluate"](cfg, clause, payload)
         patterns[pattern] = patterns.get(pattern, 0) + 1
-        if ok:
-            passed += 1
-        elif adj:
-            adjudicated += 1
-            if note and note not in notes:
-                notes.append(note)
-        else:
-            failed += 1
-            if counterexample is None:
-                counterexample = {
-                    "family": family,
-                    "clause": clause,
-                    "pattern": pattern,
-                    "config": cfg.to_obj(),
-                    "payload": _serialize(payload),
-                    "lhs": _serialize(lhs),
-                    "rhs": _serialize(rhs),
-                }
-                if "row" in payload:
-                    # spell out the bracket arguments the row encodes
-                    x, y, _ = _build_row(cfg, payload)
-                    counterexample["x"] = ser.toroidal_to_obj(x)
-                    counterexample["y"] = ser.toroidal_to_obj(y)
-    hits = passed + failed + adjudicated
+        outcome = "pass" if ok else "adjudicated" if adj else "fail"
+        counts[outcome] += 1
+        if outcome == "adjudicated" and note and note not in notes:
+            notes.append(note)
+        elif outcome == "fail" and counterexample is None:
+            counterexample = {
+                "family": family,
+                "clause": clause,
+                "pattern": pattern,
+                "config": cfg.to_obj(),
+                "payload": _serialize(payload),
+                "lhs": _serialize(lhs),
+                "rhs": _serialize(rhs),
+            }
+            if "row" in payload:
+                # spell out the bracket arguments the row encodes
+                x, y, _ = _build_row(cfg, payload)
+                counterexample["x"] = ser.toroidal_to_obj(x)
+                counterexample["y"] = ser.toroidal_to_obj(y)
+    hits = sum(counts.values())
     return {
-        "clause": clause,
-        "pass": passed,
-        "fail": failed,
-        "adjudicated": adjudicated,
+        **counts,
         "hits": hits,
-        "ok": failed == 0 and hits > 0,
+        "ok": counts["fail"] == 0 and hits > 0,
         "patterns": dict(sorted(patterns.items())),
         "notes": notes,
         "counterexample": counterexample,
@@ -1023,29 +1018,23 @@ def run(cfg: CheckConfig, families=None) -> dict:
     report = {"config": cfg.to_obj(), "families": {}, "coverage": {},
               "adjudications": [], "all_pass": True}
     for fam in families:
-        cells = [_run_clause(cfg, fam, clause) for clause in FAMILIES[fam]["clauses"]]
-        fam_ok = all(c["ok"] for c in cells)
-        report["families"][fam] = {
-            "clauses": {c["clause"]: {k: v for k, v in c.items() if k != "clause"}
-                        for c in cells},
-            "pass": fam_ok,
-            "elapsed_ms": round(sum(c["elapsed_ms"] for c in cells), 3),
-        }
-        report["all_pass"] = report["all_pass"] and fam_ok
-        for c in cells:
-            report["coverage"][c["clause"]] = report["coverage"].get(c["clause"], 0) + c["hits"]
-            if c["adjudicated"]:
-                for note in c["notes"]:
-                    report["adjudications"].append(
-                        {"family": fam, "clause": c["clause"],
-                         "count": c["adjudicated"], "note": note}
-                    )
-        if fam == "rtables":
+        cells = {}
+        for clause in FAMILIES[fam]["clauses"]:
+            cells[clause] = c = _run_clause(cfg, fam, clause)
             # the generic side of each R-row evaluates the finite bracket
             # table clause of the same number
-            for c in cells:
-                tclause = "T" + c["clause"][1:]
-                report["coverage"][tclause] = report["coverage"].get(tclause, 0) + c["hits"]
+            for covered in (clause, "T" + clause[1:]) if fam == "rtables" else (clause,):
+                report["coverage"][covered] = report["coverage"].get(covered, 0) + c["hits"]
+            report["adjudications"] += ({"family": fam, "clause": clause,
+                                         "count": c["adjudicated"], "note": note}
+                                        for note in c["notes"])
+        fam_ok = all(c["ok"] for c in cells.values())
+        report["families"][fam] = {
+            "clauses": cells,
+            "pass": fam_ok,
+            "elapsed_ms": round(sum(c["elapsed_ms"] for c in cells.values()), 3),
+        }
+        report["all_pass"] = report["all_pass"] and fam_ok
     report["adjudications"].sort(key=lambda a: (a["family"], a["clause"]))
     return report
 
@@ -1056,11 +1045,6 @@ def strip_timings(obj):
     if isinstance(obj, list):
         return [strip_timings(v) for v in obj]
     return obj
-
-
-def report_text(report: dict, include_timing: bool = True) -> str:
-    body = report if include_timing else strip_timings(report)
-    return ser.dumps(body)
 
 
 def replay_counterexample(obj) -> dict:

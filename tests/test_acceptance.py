@@ -141,7 +141,7 @@ def test_criterion_6_thm46_at_q3():
     rep = run(cfg, families=("thm46",))
     cells = _cells(rep, "thm46")
     total = sum(c["hits"] for c in cells.values())
-    digest = hashlib.sha256(verifier.report_text(rep, include_timing=False).encode()).hexdigest()
+    digest = hashlib.sha256(ser.dumps(verifier.strip_timings(rep)).encode()).hexdigest()
     ok = rep["all_pass"] and total == 440 and all(
         cells[f"ST{k}"]["fail"] == 0 and cells[f"ST{k}"]["hits"] >= 30 for k in range(1, 11))
     ok = ok and digest == "503f3a80eaf0fef60fe78519c644873730d77550b325425f0ad05b6f5dfb85f7"
@@ -173,9 +173,7 @@ def test_criterion_8_determinism(tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def canon(path):
-        return verifier.report_text(
-            verifier.strip_timings(json.loads(path.read_text())), include_timing=False
-        )
+        return ser.dumps(verifier.strip_timings(json.loads(path.read_text())))
 
     ok = canon(paths[0]) == canon(paths[1]) == canon(paths[2])
     _verdict(8, ok, "three repeated runs produce byte-identical reports up to timings")

@@ -383,9 +383,9 @@ def test_every_operator_kind_leaves_its_input_alone():
 
 
 def test_no_operator_writes_into_its_input_or_its_images():
-    # the identity OpProduct(()) and a unit OpSum of it return their input
-    # itself, so [op, identity] = 0 folds op s into a dict that holds s's
-    # own terms unless it copies them; every key of that fold cancels
+    # the identity OpProduct(()) and a unit OpSum of it return a new state equal
+    # to their input, and [op, identity] = 0 folds op s and s into one sink, where
+    # every key cancels; neither s nor an image may be written into
     rng = random.Random(71)
     s = _spread_over_boson_keys(rng, random_tensor(rng, max_deg=4, nterms=4))
     before = dict(s.terms)
@@ -405,7 +405,8 @@ def test_no_operator_writes_into_its_input_or_its_images():
         OpSum(((Fraction(1), identity),)),
         identity,
     ]
-    assert OpSum(((Fraction(1), identity),)).apply(s) is s
+    unit = OpSum(((Fraction(1), identity),)).apply(s)
+    assert unit == s and unit is not s
     for op in ops:
         img = op.apply(s)
         kept = dict(img.terms)

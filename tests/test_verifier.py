@@ -16,7 +16,7 @@ SMALL = CheckConfig(M=3, N=2, q=2, max_degree=4, exponent_box=1, samples=4, seed
 
 
 def _digest(rep):
-    return hashlib.sha256(verifier.report_text(rep, include_timing=False).encode()).hexdigest()
+    return hashlib.sha256(ser.dumps(verifier.strip_timings(rep)).encode()).hexdigest()
 
 
 def test_gen_state_deterministic_and_budgeted():
@@ -78,9 +78,7 @@ def test_lemma49_at_box_zero():
 def test_reports_are_deterministic():
     r1 = run(SMALL, families=("lemma49", "corollary19"))
     r2 = run(SMALL, families=("lemma49", "corollary19"))
-    assert verifier.report_text(r1, include_timing=False) == verifier.report_text(
-        r2, include_timing=False
-    )
+    assert ser.dumps(verifier.strip_timings(r1)) == ser.dumps(verifier.strip_timings(r2))
 
 
 def test_unknown_family_rejected():
@@ -188,7 +186,7 @@ def test_forced_failures_pin_each_record_and_its_replay(monkeypatch):
     digest = hashlib.sha256()
     replays = 0
     for cfg, families in configs:
-        text = verifier.report_text(run(cfg, families=families), include_timing=False)
+        text = ser.dumps(verifier.strip_timings(run(cfg, families=families)))
         digest.update(text.encode())
         for fam in json.loads(text)["families"].values():
             for cell in fam["clauses"].values():
@@ -274,6 +272,22 @@ def test_cli_check_defaults_are_check_configs(tmp_path, capsys):
     path = tmp_path / "report.json"
     assert main(["check", "--family", "cocycle", "--samples", "1", "--report", str(path)]) == 0
     assert json.loads(path.read_text())["config"] == CheckConfig(samples=1).to_obj()
+
+
+def test_cli_report_file_is_the_canonical_text_of_run(tmp_path, capsys):
+    # the --report file is dumps of the library's report at the same config: canonical
+    # text, and equal to run's report once the timings are stripped on both sides
+    cfg = CheckConfig(M=2, N=1, q=2, max_degree=3, exponent_box=1, samples=2, seed=3)
+    families = ["sttables", "lemma49"]
+    path = tmp_path / "report.json"
+    flags = ["--M", "2", "--N", "1", "--q", "2", "--max-degree", "3", "--box", "1",
+             "--samples", "2", "--seed", "3"]
+    assert main(["check", "--family", ",".join(families), *flags, "--report", str(path)]) == 0
+    text = path.read_text()
+    assert ser.dumps(json.loads(text)) == text
+    assert json.loads(text)["adjudications"]
+    expected = ser.dumps(verifier.strip_timings(run(cfg, families)))
+    assert ser.dumps(verifier.strip_timings(json.loads(text))) == expected
 
 
 def test_cli_act_bracket_roundtrip(tmp_path):
