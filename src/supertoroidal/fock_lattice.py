@@ -178,7 +178,9 @@ def _creation_level(a: LatticeVector, c: int):
     in factor order, more copies of a kind before fewer, which is their
     sorted order.  After the kind b(-n) of the last basis index only
     larger modes remain, so a branch that would leave a degree in 1..n
-    is not entered.
+    is not entered.  The recursive fill refers to itself through its cell,
+    and that cell is emptied once it returns, so a call's scratch is freed
+    by reference counting and leaves no cycle for the cyclic collector.
     """
     supp = basis_support(a)
     fact = factorial(c)
@@ -198,6 +200,7 @@ def _creation_level(a: LatticeVector, c: int):
                     fill(j + 1, left - deg, mono + run, num * wm, rest // dm)
 
     fill(0, c, (), 1, fact)
+    del fill  # breaks the cycle fill -> its cell -> fill
     g = gcd(fact, *(q for _, q in out))
     return fact // g, tuple((mono, q // g) for mono, q in out)
 

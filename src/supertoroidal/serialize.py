@@ -20,13 +20,15 @@ object belongs, an object or a string where an array belongs, null) or
 an object without a required field with ValueError, like any other bad
 input.
 
-A state repeats few gammas and few phi/phi_star lists over many terms,
-so a state reader costs a pass over the terms plus one full read per
-distinct gamma and per distinct mode list, kept in a memo for the call.
-It refuses a state whose gammas mix lattice shapes, checking the shape
-of each distinct gamma as it is read, so a gamma of another shape on a
-term of coefficient 0 or on terms that cancel is refused too.
-Only a value made of exact ints is looked up there, so a 1.0 or a true,
+A state repeats few gammas, monomials, phi/phi_star lists and
+coefficients over many terms, so a state reader costs a pass over the
+terms plus one full read per distinct gamma, per distinct monomial of a
+gamma's rank, per distinct mode list and per distinct coefficient
+string, kept in a memo for the call.  It refuses a state whose gammas
+mix lattice shapes, checking the shape of each distinct gamma as it is
+read, so a gamma of another shape on a term of coefficient 0 or on
+terms that cancel is refused too.  Only a key made of exact ints, or a
+coefficient that is a str, is looked up there, so a 1.0 or a true,
 which equal 1 and hash alike, never shares an entry with a 1.  A state
 encoder builds one object per distinct gamma, monomial and mode list and
 lets the terms that have it share it, so its result is for encoding
@@ -231,43 +233,66 @@ class _KeyWriter:
 _LIST = frozenset((list,))
 # a boson mode's two fields as one pair
 _FLAVOR_MODE = itemgetter("flavor", "doubled_mode")
+# a monomial factor's three fields as one triple
+_FACTOR = itemgetter("basis", "mode", "power")
+
+
+def _memo(memo: dict, raw, read, *args):
+    """memo[raw], filled with read(*args) on a miss."""
+    v = memo.get(raw)
+    if v is None:
+        v = memo[raw] = read(*args)
+    return v
 
 
 class _KeyReader:
-    """The key readers of one state, which read each distinct gamma and mode list once.
+    """The key readers of one state, which read each distinct gamma, monomial and mode
+    list once.
 
     A raw value is looked up only once each of its elements is exactly an
     int; anything else (an omitted field, a value that is not a list, a
     nested or unhashable value) is read the uncached way and raises what
-    that raises.
+    that raises.  A monomial is looked up with its gamma's rank, which
+    bounds its basis indices.
     """
 
-    __slots__ = ("config", "gammas", "shapes", "mode_lists")
+    __slots__ = ("config", "gammas", "shapes", "monomials", "mode_lists")
 
     def __init__(self, config: LatticeConfig | None = None):
         self.config = config
         self.gammas = {}  # (e, delta, d) as read -> its LatticeVector
         self.shapes = set()  # the lattice shape of every gamma read, before any term is dropped
+        self.monomials = {}  # (rank, ((basis, mode, power), ...) as read) -> its sorted factors
         self.mode_lists = {}  # ((flavor, doubled_mode), ...) as read -> its sorted creators
+
+    def _vector(self, obj) -> LatticeVector:
+        v = vector_from_obj(obj, self.config)
+        self.shapes.add(v.shape)
+        return v
 
     def gamma(self, obj) -> LatticeVector:
         if type(obj) is dict:
             e, delta, d = obj.get("e"), obj.get("delta"), obj.get("d")
             if ({type(e), type(delta), type(d)} <= _LIST
                     and set(map(type, chain(e, delta, d))) <= _INT):
-                raw = (tuple(e), tuple(delta), tuple(d))
-                v = self.gammas.get(raw)
-                if v is None:
-                    v = self.gammas[raw] = vector_from_obj(obj, self.config)
-                    self.shapes.add(v.shape)
-                return v
-        v = vector_from_obj(obj, self.config)
-        self.shapes.add(v.shape)
-        return v
+                return _memo(self.gammas, (tuple(e), tuple(delta), tuple(d)), self._vector, obj)
+        return self._vector(obj)
+
+    def monomial(self, obj, rank: int) -> tuple:
+        if type(obj) is list:
+            if not obj:
+                return ()
+            try:
+                raw = tuple(map(_FACTOR, obj))
+            except (KeyError, TypeError):
+                return _monomial_from_obj(obj, rank)
+            if set(map(type, chain.from_iterable(raw))) <= _INT:
+                return _memo(self.monomials, (rank, raw), _monomial_from_obj, obj, rank)
+        return _monomial_from_obj(obj, rank)
 
     def lattice(self, item) -> tuple:
         gamma = self.gamma(item["gamma"])
-        return gamma, _monomial_from_obj(item.get("monomial", ()), gamma.rank)
+        return gamma, self.monomial(item.get("monomial", ()), gamma.rank)
 
     def modes(self, obj, what: str) -> tuple:
         if type(obj) is list:
@@ -278,10 +303,7 @@ class _KeyReader:
             except (KeyError, TypeError):
                 return _modes_from_obj(obj, what)
             if set(map(type, chain.from_iterable(raw))) <= _INT:
-                v = self.mode_lists.get(raw)
-                if v is None:
-                    v = self.mode_lists[raw] = creation_modes(raw)
-                return v
+                return _memo(self.mode_lists, raw, creation_modes, raw)
         return _modes_from_obj(obj, what)
 
     def boson(self, item) -> tuple:
@@ -315,13 +337,21 @@ def _terms_to_obj(x, key_to_obj) -> list:
     return [key_to_obj(key, {"coeff": frac_to_str(c)}) for key, c in x.sorted_terms()]
 
 
+def _coeff(memo: dict, s) -> Fraction:
+    """frac_from_str(s), a string parsed once per memo; only a str is looked up, so a
+    true never shares the entry of a 1."""
+    return _memo(memo, s, frac_from_str, s) if type(s) is str else frac_from_str(s)
+
+
 def _terms_from_obj(cls, obj, key_from_obj):
+    """The cls state of the terms in obj, each distinct coefficient string parsed once."""
     what = f"a {cls.__name__}"
+    coeffs = {}  # a coefficient string -> its Fraction
     try:
-        terms = [(key_from_obj(item), frac_from_str(item["coeff"])) for item in _array(obj, what)]
+        return cls._sum((key_from_obj(item), _coeff(coeffs, item["coeff"]))
+                        for item in _array(obj, what))
     except (KeyError, TypeError, AttributeError) as exc:
         raise _wrong_shape(what, exc) from None
-    return cls(terms)
 
 
 def lattice_state_to_obj(s: LatticeFockState) -> list:

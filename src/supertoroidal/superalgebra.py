@@ -71,6 +71,11 @@ class ToroidalElement(Combination):
         )
 
     @classmethod
+    def _sum(cls, items):
+        """The sum of (key, Fraction) items, reduced like any construction."""
+        return cls(items)
+
+    @classmethod
     def t(cls, i: int, j: int, mbar, coeff=1) -> "ToroidalElement":
         return cls({("T", i, j, tuple(int(x) for x in mbar)): coeff})
 

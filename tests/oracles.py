@@ -361,20 +361,31 @@ def _reference_boson_key(item):
             ser._modes_from_obj(item.get("phi_star", ()), "phi_star"))
 
 
+def _reference_terms_from_obj(cls, obj, key_from_obj):
+    """The cls state of the terms in obj, every coefficient parsed and checked again."""
+    what = f"a {cls.__name__}"
+    try:
+        terms = [(key_from_obj(item), ser.frac_from_str(item["coeff"]))
+                 for item in ser._array(obj, what)]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ser._wrong_shape(what, exc) from None
+    return cls(terms)
+
+
 def reference_lattice_state_from_obj(obj, config=None):
     shapes = []  # one per term, zero and cancelling terms included
-    s = ser._terms_from_obj(LatticeFockState, obj,
-                            lambda item: _reference_lattice_key(item, config, shapes))
+    s = _reference_terms_from_obj(LatticeFockState, obj,
+                                  lambda item: _reference_lattice_key(item, config, shapes))
     return ser._one_shape(s, shapes)
 
 
 def reference_boson_state_from_obj(obj):
-    return ser._terms_from_obj(BosonState, obj, _reference_boson_key)
+    return _reference_terms_from_obj(BosonState, obj, _reference_boson_key)
 
 
 def reference_tensor_state_from_obj(obj, config=None):
     shapes = []
-    s = ser._terms_from_obj(
+    s = _reference_terms_from_obj(
         TensorState, obj,
         lambda item: (_reference_lattice_key(item, config, shapes), _reference_boson_key(item)))
     return ser._one_shape(s, shapes)

@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 from ab_pairs import (  # noqa: E402
-    _src_lines, _total_calls, changed_lines, summarize, summarize_calls)
+    _cold_pass, _src_lines, changed_lines, summarize, summarize_calls, summarize_passes)
 from sample_pairs import _check, _parse, _run as _run_check  # noqa: E402
 from supertoroidal.verifier import CheckConfig  # noqa: E402
 
@@ -137,6 +137,21 @@ def test_total_calls_shown_as_parent_to_change():
     }
 
 
+def test_gc_collected_shown_as_parent_to_change():
+    passes = {("thm46", "parent"): {"total_calls": 265763, "gc_collected": 24739},
+              ("thm46", "change"): {"total_calls": 265700, "gc_collected": 0},
+              ("act", "parent"): {"total_calls": None, "gc_collected": None},
+              ("act", "change"): {"total_calls": 5, "gc_collected": 0}}
+    assert summarize_passes(passes) == {
+        "total_calls": {
+            "thm46": {"parent": 265763, "change": 265700, "shown": "265,763 -> 265,700"},
+            "act": {"parent": None, "change": 5, "shown": "? -> 5"}},
+        "gc_collected": {
+            "thm46": {"parent": 24739, "change": 0, "shown": "24,739 -> 0"},
+            "act": {"parent": None, "change": 0, "shown": "? -> 0"}},
+    }
+
+
 def test_src_lines_count_the_package_modules_only(tmp_path):
     package = tmp_path / "src" / "supertoroidal"
     package.mkdir(parents=True)
@@ -155,10 +170,12 @@ def test_src_lines_count_the_package_modules_only(tmp_path):
 
 
 def test_total_calls_of_a_cold_pass_repeat():
-    # two fresh interpreters count the same calls in one cold thm46 pass
-    first = _total_calls(str(ROOT), "thm46")
-    assert first is not None and first > 100_000
-    assert _total_calls(str(ROOT), "thm46") == first
+    # two fresh interpreters count the same calls in one cold thm46 pass, and the
+    # cyclic collector finds nothing in it
+    first = _cold_pass(str(ROOT), "thm46")
+    assert first["total_calls"] is not None and first["total_calls"] > 100_000
+    assert first["gc_collected"] == 0
+    assert _cold_pass(str(ROOT), "thm46") == first
 
 
 def test_sample_pairs_reads_a_check_as_clause_and_index():

@@ -1,3 +1,5 @@
+import gc
+import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 
 from supertoroidal.lattice import (LatticeConfig, LatticeVector, basis_support, bilinear,
                                    cocycle, pair_with_basis)
-from supertoroidal.verifier import CheckConfig, run
+from supertoroidal.verifier import FAMILIES, CheckConfig, gen_state, run
+from supertoroidal import serialize as ser
 from supertoroidal import fock_lattice
 from supertoroidal.combination import Sink
+from supertoroidal.representation import SOp
 from supertoroidal.fock_lattice import (
     LatticeFockState,
     _creation_level,
@@ -325,6 +329,33 @@ def test_creation_level_closed_form_against_recurrence_and_series(a, c):
     series = _creation_series(a, LatticeFockState.basis(zero), c)
     expect = series[c].terms if c in series else {}
     assert {(zero, mo): Fraction(n, den) for mo, n in created} == expect, (a, c)
+
+
+def test_cold_levels_a_check_and_a_request_leave_no_cyclic_garbage():
+    # everything they build is freed by reference counting, so with the cyclic
+    # collector off, a collection afterwards finds nothing
+    cfg = CheckConfig(M=3, N=2, q=2, max_degree=6, exponent_box=2, samples=20, seed=6)
+    lat = LatticeConfig(3, 2)
+    text = json.dumps({"op": ser.operator_to_obj(SOp(1, 4, (1,), -1)),
+                       "state": ser.tensor_state_to_obj(gen_state(cfg, 0))})
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for a, c in ((lat.root(1, 2), 6), (lat.delta(1) + lat.dgen(1), 4), (lat.e(1), 7)):
+            _creation_level.__wrapped__(a, c)
+        thm46 = FAMILIES["thm46"]
+        _, payload = next(iter(thm46["generate"](cfg, "ST1")))
+        ok, *_ = thm46["evaluate"](cfg, "ST1", payload)
+        request = json.loads(text)
+        op = ser.operator_from_obj(request["op"])
+        response = ser.dumps(ser.tensor_state_to_obj(op.apply(
+            ser.tensor_state_from_obj(request["state"]))))
+        assert ok and response
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_integer_kernel_matches_fraction_reference():

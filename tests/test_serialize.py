@@ -153,6 +153,13 @@ def test_bulk_roundtrips():
         assert ser.toroidal_from_obj(json.loads(json.dumps(ser.toroidal_to_obj(x)))) == x
 
 
+def test_toroidal_reader_reduces_a_pivot_central_key():
+    # K_2 t^(1,1) is the pivot key of sum_i m_i t^mbar K_i = 0, so it reads as -K_1 t^(1,1)
+    x = ser.toroidal_from_obj([{"coeff": "1", "kind": "K", "direction": 2, "exponent": [1, 1]}])
+    assert x == ToroidalElement.k(2, (1, 1))
+    assert x.terms == {("K", 1, (1, 1)): Fraction(-1)}
+
+
 def test_operator_roundtrip():
     ops = [
         VertexMode(CFG.root(1, 2), -4),
@@ -582,16 +589,16 @@ def test_readers_refuse_a_missing_field_as_value_error():
 
 # -- the memoized key readers against the per-term readers they replaced
 
-# a state is drawn as a few gammas and boson mode lists that its terms
-# share; each term writes its own copy, and in three states of four one
-# term, most often a late one, changes one value in its gamma or mode list
-# to a twin of an int (1.0 and True equal 1 and hash alike, "1" and [1] do
-# not), to its negative or to a JSON value of another kind, or leaves a
-# field out
+# a state is drawn as a few gammas, monomials and boson mode lists that its
+# terms share; each term writes its own copy, and in three states of four
+# one term, most often a late one, changes one value in its gamma, monomial,
+# mode list or coefficient to a twin of an int (1.0 and True equal 1 and
+# hash alike, "1" and [1] do not), to its negative or to a JSON value of
+# another kind, or leaves a field out
 _KEY_SHAPES = ((3, 2), (3, 1), (2, 2), (2, 1))
 _KEY_MODES = st.fixed_dictionaries({"flavor": st.integers(1, 2),
                                     "doubled_mode": st.sampled_from((-1, -3, -5))})
-_KEY_MONOMIALS = st.lists(st.fixed_dictionaries({"basis": st.integers(0, 1),
+_KEY_MONOMIALS = st.lists(st.fixed_dictionaries({"basis": st.integers(0, 2),
                                                  "mode": st.integers(1, 2)},
                                                 optional={"power": st.integers(1, 2)}),
                           max_size=2)
@@ -622,15 +629,17 @@ def _key_states(draw):
     gammas = [gamma(*shape) for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
         gammas.append(gamma(*draw(st.sampled_from(_KEY_SHAPES))))
+    monomials = draw(st.lists(_KEY_MONOMIALS, min_size=1, max_size=3))
     mode_lists = draw(st.lists(st.lists(_KEY_MODES, max_size=3), min_size=1, max_size=3))
     terms = [json.loads(json.dumps({"coeff": draw(_KEY_COEFFS),
                                     "gamma": draw(st.sampled_from(gammas)),
-                                    "monomial": draw(_KEY_MONOMIALS),
+                                    "monomial": draw(st.sampled_from(monomials)),
                                     "phi": draw(st.sampled_from(mode_lists)),
                                     "phi_star": draw(st.sampled_from(mode_lists))}))
              for _ in range(draw(st.sampled_from((2, 3, 4, 5, 6))))]
     term = terms[draw(st.sampled_from(range(len(terms))[::-1]))]
-    slots = _slots(term[draw(st.sampled_from(("gamma", "phi", "phi_star")))], [])
+    field = draw(st.sampled_from(("gamma", "monomial", "phi", "phi_star", "coeff")))
+    slots = [(term, field)] if field == "coeff" else _slots(term[field], [])
     if slots and draw(st.sampled_from((True, True, True, False))):
         where, k = draw(st.sampled_from(slots))
         v = where[k]
@@ -651,6 +660,7 @@ _KEY_READERS = {
 }
 _G3 = {"e": [1, 0, 0], "delta": [0], "d": [0]}
 _PHI = [{"flavor": 1, "doubled_mode": -1}]
+_MONO = [{"basis": 0, "mode": 1, "power": 1}]
 
 
 def _term(gamma=_G3, **fields):
@@ -694,6 +704,20 @@ def _with(value):
          "boson")
 @example([_term(phi=_PHI), _term(phi=[{"flavor": 1, "doubled_mode": "-1"}])], None, "tensor")
 @example([_term(phi=_PHI), _term(phi=[{"flavor": [1], "doubled_mode": -1}])], None, "boson")
+# ... or an earlier monomial, its power an int twin or omitted next to the same
+# factor written out
+@example([_term(monomial=_MONO), _term(monomial=[{**_MONO[0], "power": True}])], None, "lattice")
+@example([_term(monomial=_MONO), _term(monomial=[{**_MONO[0], "power": 1.0}])], None, "tensor")
+@example([_term(monomial=_MONO), _term(monomial=[{**_MONO[0], "power": "1"}])], CFG, "tensor")
+@example([_term(monomial=[{"basis": 0, "mode": 1}]), _term(monomial=_MONO)], None, "lattice")
+@example([_term(monomial=_MONO), _term(monomial=[{"basis": 0, "mode": 1}])], None, "tensor")
+# basis 3 fits the rank-4 gamma but not the rank-3 one, so the monomial is read again
+@example([_term({"e": [1, 0], "delta": [0], "d": [0]}, monomial=[{**_MONO[0], "basis": 3}]),
+          _term({"e": [1, 0, 0]}, monomial=[{**_MONO[0], "basis": 3}])], None, "lattice")
+# ... or an earlier coefficient string
+@example([_term(coeff="1/2"), _term(coeff="1/2"), _term(coeff=0.5)], None, "tensor")
+@example([_term(coeff="1/2"), _term(coeff="1/2"), _term(coeff=True)], None, "lattice")
+@example([_term(coeff=1), _term(coeff="1"), _term(coeff=True)], None, "tensor")
 # one flavor with two modes in two terms
 @example([_term(phi=_PHI), _term(phi=[{"flavor": 1, "doubled_mode": -3}])], None, "tensor")
 @example([_term(phi_star=[{"flavor": 2, "doubled_mode": -1}]),
@@ -722,6 +746,31 @@ def test_key_readers_match_per_term_readers(obj, config, reader):
         return
     got = read(obj, config)
     assert type(got) is type(expected) and got == expected
+
+
+def test_state_readers_read_each_distinct_monomial_and_coefficient_once(monkeypatch):
+    monomials = [[{"basis": b, "mode": n, "power": p}] for b in range(3) for n in (1, 2)
+                 for p in (1, 2)]
+    coeffs = ["1/1", "-1/2", "3/4", "0", "5"]
+    obj = [_term({"e": [i % 3 - 1, 0, 0], "delta": [0], "d": [0]},
+                 monomial=monomials[i % len(monomials)], coeff=coeffs[i % len(coeffs)])
+           for i in range(300)]
+    readers = ((ser.lattice_state_from_obj, reference_lattice_state_from_obj(obj)),
+               (ser.tensor_state_from_obj, reference_tensor_state_from_obj(obj)))
+    calls = {"_monomial_from_obj": [], "frac_from_str": []}
+    for name, seen in calls.items():
+        def counted(value, *args, read=getattr(ser, name), seen=seen):
+            seen.append(json.dumps(value))
+            return read(value, *args)
+        monkeypatch.setattr(ser, name, counted)
+    # one read per distinct (rank, monomial) and coefficient string, all terms on one rank
+    once = {"_monomial_from_obj": sorted(map(json.dumps, monomials)),
+            "frac_from_str": sorted(map(json.dumps, coeffs))}
+    for read, expected in readers:
+        for seen in calls.values():
+            seen.clear()
+        assert read(obj) == expected
+        assert {name: sorted(seen) for name, seen in calls.items()} == once
 
 
 def test_state_encoders_match_per_term_encoders():

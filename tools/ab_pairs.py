@@ -40,7 +40,9 @@ work: the calls cProfile counts over one cold pass (seed 1) in a fresh
 interpreter with PYTHONHASHSEED=0, the pass that perfbench/child.py times,
 to functions defined under src (the harness keeps its slowest samples in a
 heap, so its own calls follow the timings).  The summary shows it as parent
--> change under "total_calls"; it gates nothing.  Each side also records
+-> change under "total_calls"; it gates nothing.  The same pass sums, through
+gc.callbacks, the objects the cyclic collector found, shown as parent -> change
+under "gc_collected"; it gates nothing either.  Each side also records
 under "src_lines" the lines of src/supertoroidal/*.py in its export, the count
 the design gate reads (wc -l), printed as parent -> change beside the calls,
 and under "src_lines_by_file" the count of each of those files; the files whose
@@ -67,10 +69,14 @@ _SHA = re.compile(r"responses sha256 ([0-9a-f]{64})")
 
 # run in a side's tree with the workload as its argument: one cold pass under cProfile
 _PROFILE = """
-import cProfile, os, sys, tempfile
+import cProfile, gc, os, sys, tempfile
 sys.path.insert(0, "perfbench")
 import child, run
 workload = sys.argv[1]
+collected = []
+def count(phase, info):
+    if phase == "stop":
+        collected.append(info["collected"])
 with tempfile.TemporaryDirectory() as tmp:
     if workload == "act":
         inputs = os.path.join(tmp, "act.txt")
@@ -79,12 +85,16 @@ with tempfile.TemporaryDirectory() as tmp:
     else:
         runner, job = child.run_checks, {"workload": workload, "seed": 1}
     profile = cProfile.Profile()
+    gc.callbacks.append(count)
     profile.runcall(runner, job)
+    gc.callbacks.remove(count)
 library = os.path.abspath("src") + os.sep
 # per code object, since pstats merges the code objects of one line (two comprehensions)
 print(sum(entry.callcount for entry in profile.getstats() if not isinstance(entry.code, str)
-          and os.path.abspath(entry.code.co_filename).startswith(library)))
+          and os.path.abspath(entry.code.co_filename).startswith(library)), sum(collected))
 """
+# the exact counts of that pass, in the order it prints them
+_COUNTS = ("total_calls", "gc_collected")
 
 
 def summarize(runs: list, bounds=None) -> dict:
@@ -161,13 +171,24 @@ def summarize_calls(counts: dict) -> dict:
     return out
 
 
-def _total_calls(tree: str, workload: str):
-    """The library calls cProfile counts in one cold pass of the workload in tree, or None."""
+def summarize_passes(passes: dict) -> dict:
+    """Per count of _COUNTS, summarize_calls of that count in passes
+    {(workload, side): {count name: int or None}}."""
+    return {name: summarize_calls({key: counts[name] for key, counts in passes.items()})
+            for name in _COUNTS}
+
+
+def _cold_pass(tree: str, workload: str) -> dict:
+    """{count name: int or None} of one cold pass of the workload in tree: the library
+    calls cProfile counts and the objects the cyclic collector found."""
     env = dict(os.environ, PYTHONHASHSEED="0")
     proc = subprocess.run([sys.executable, "-c", _PROFILE, workload], cwd=tree, env=env,
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    return int(lines[-1]) if proc.returncode == 0 and lines and lines[-1].isdigit() else None
+    fields = lines[-1].split() if proc.returncode == 0 and lines else []
+    if len(fields) == len(_COUNTS) and all(map(str.isdigit, fields)):
+        return dict(zip(_COUNTS, map(int, fields)))
+    return dict.fromkeys(_COUNTS)
 
 
 def _src_lines(tree: str) -> dict:
@@ -239,10 +260,11 @@ def main(argv=None) -> int:
             bench = json.load(fh)
         command, seconds = bench["command"], bench["run_seconds"]
         bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-        counts = {(workload, side): _total_calls(trees[side], workload)
-                  for workload in args.workload for side in sides}
-        for workload, cell in summarize_calls(counts).items():
-            print(f"{workload} total_calls {cell['shown']}", flush=True)
+        counted = summarize_passes({(workload, side): _cold_pass(trees[side], workload)
+                                    for workload in args.workload for side in sides})
+        for name, cells in counted.items():
+            for workload, cell in cells.items():
+                print(f"{workload} {name} {cell['shown']}", flush=True)
         print(f"src_lines {sides['parent']['src_lines']:,} -> {sides['change']['src_lines']:,}",
               flush=True)
         for name, shown in changed_lines(sides["parent"]["src_lines_by_file"],
@@ -271,7 +293,7 @@ def main(argv=None) -> int:
         "sides": sides,
         "machine": f"{os.cpu_count()} cores, Python {platform.python_version()}",
         "summary": summary,
-        "total_calls": summarize_calls(counts),
+        **counted,
         "worse_than_bound": sorted(k for k, v in summary.items() if v.get("worse_than_bound")),
         "unresolved": sorted(k for k, v in summary.items() if v.get("unresolved")),
         "runs": runs,
