@@ -161,8 +161,9 @@ def summarize(runs: list, bounds=None) -> dict:
 
 
 def summarize_calls(counts: dict) -> dict:
-    """Per workload, the total call counts of counts {(workload, side): int or None} as
-    {"parent": n, "change": m, "shown": "n -> m"}, a missing count shown as "?"."""
+    """Per workload, the counts {(workload, side): int or None} (call counts or any other
+    exact count) as {"parent": n, "change": m, "shown": "n -> m"}, a missing count shown
+    as "?"."""
     out = {}
     for workload in dict.fromkeys(w for w, _ in counts):
         cell = {side: counts.get((workload, side)) for side in ("parent", "change")}
