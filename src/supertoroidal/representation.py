@@ -35,9 +35,10 @@ scale times its image of a Sink into a Sink, both keyed (lattice key, boson
 key), so a lattice operator runs once on a whole tensor state with the
 boson half riding along as the tag, an OpSum hands each term its
 coefficient as the scale, an OpProduct hands each factor the previous
-factor's sink, and super_commutator is the OpSum of its two OpProduct
-orderings.  apply turns the input's Fractions into ints once, builds one
-Fraction per key of the image, and returns the zero state as it is.
+factor's sink, and commutator is the OpSum of its two OpProduct orderings,
+which super_commutator applies.  apply turns the input's Fractions into
+ints once, builds one Fraction per key of the image, and returns the zero
+state as it is.
 
 The dictionary rho sends T_ij (x) t^mbar to X-modes (i, j <= M), to the
 dressed diagonal current (i = j <= M), or to an S family mode (an index
@@ -439,17 +440,20 @@ def rho(x, cfg: LatticeConfig) -> OpSum:
     return OpSum(tuple(terms))
 
 
-def super_commutator(op1, op2, ts: TensorState) -> TensorState:
-    """[op1, op2] s = op1 op2 s - (-1)^{|op1||op2|} op2 op1 s, the OpSum of the two
-    orderings; the zero state maps to itself before any parity is read."""
-    if not ts.terms:
-        return ts
-    M = ts.lattice_shape()[0]
-    p1 = op1.parity(M)
-    p2 = op2.parity(M)
+def commutator(op1, op2, M: int) -> OpSum:
+    """[op1, op2] = op1 op2 - (-1)^{|op1||op2|} op2 op1, the OpSum of the two orderings,
+    with each parity read at M; the sign is -1 unless both operators are odd."""
+    p1, p2 = op1.parity(M), op2.parity(M)
     if p1 is None or p2 is None:
         raise ValueError("super commutator needs homogeneous operators")
+    return OpSum(((1, OpProduct((op1, op2))), (1 if p1 and p2 else -1, OpProduct((op2, op1)))))
+
+
+def super_commutator(op1, op2, ts: TensorState) -> TensorState:
+    """[op1, op2] s, the commutator applied to s; the zero state maps to itself before any
+    parity is read."""
+    if not ts.terms:
+        return ts
     # both orderings add into one sink; calling _Operator.apply keeps the sum out of the
     # tracer's per-operator apply counts
-    sign = 1 if p1 and p2 else -1
-    return _Operator.apply(OpSum(((1, OpProduct((op1, op2))), (sign, OpProduct((op2, op1))))), ts)
+    return _Operator.apply(commutator(op1, op2, ts.lattice_shape()[0]), ts)

@@ -24,7 +24,10 @@ Families and their clauses:
 One table, _CLAUSES, holds every check: family -> clause ->
 (generate, evaluate).  generate(cfg) yields (pattern, payload) pairs
 whose payloads hold library objects, ints, int lists and strings;
-evaluate(cfg, payload) returns (ok, lhs, rhs) as library objects.
+evaluate(cfg, payload) returns (ok, lhs, rhs) as library objects.  A state
+identity's sides are two operators, checked as one difference on the
+payload's state (_state_identity) and applied to it only for a record or
+a replay (_side).
 FAMILIES gives each family the uniform interface generate(cfg, clause)
 and evaluate(cfg, clause, payload) -> (ok, adjudicated, note, lhs, rhs).
 Only a clause's first failure is encoded (_serialize), and a replay
@@ -62,9 +65,10 @@ from .representation import (
     TensorState,
     VertexMode,
     VertexProductSum,
+    _Operator,
     apply,
+    commutator,
     rho,
-    super_commutator,
 )
 
 class CheckConfig(Record):
@@ -367,6 +371,26 @@ def _eval_invariant(cfg, payload):
 
 
 # ---------------------------------------------------------------------------
+# state identities: two operators checked as one difference on the payload's state
+
+
+def _state_identity(sides):
+    """evaluate(cfg, payload) for sides(cfg, payload) -> (lhs, rhs), two operators: the
+    check passes iff lhs - rhs, applied once through one sink with lhs first, sends
+    payload["state"] to 0, and only a record or a replay applies a side (_side)."""
+    def evaluate(cfg, payload):
+        lhs, rhs = sides(cfg, payload)
+        return not OpSum(((1, lhs), (-1, rhs))).apply(payload["state"]).terms, lhs, rhs
+
+    return evaluate
+
+
+def _side(side, payload):
+    """A check side as a record holds it, an operator side applied to payload["state"]."""
+    return _serialize(side.apply(payload["state"]) if isinstance(side, _Operator) else side)
+
+
+# ---------------------------------------------------------------------------
 # printed table rows: against the generic bracket, and as operator identities
 
 
@@ -415,13 +439,12 @@ def _eval_table(cfg, payload):
     return printed == generic, printed, generic
 
 
+@_state_identity
 def _eval_hom(cfg, payload):
     x, y, _ = _build_row(cfg, payload)
     lat = LatticeConfig(cfg.M, len(payload["me"]))
-    state = payload["state"]
-    lhs = super_commutator(rho(x, lat), rho(y, lat), state)
-    rhs = apply(rho(Superalgebra(cfg.M, cfg.N).bracket_toroidal(x, y), lat), state)
-    return lhs == rhs, lhs, rhs
+    bracket = Superalgebra(cfg.M, cfg.N).bracket_toroidal(x, y)
+    return commutator(rho(x, lat), rho(y, lat), cfg.M), rho(bracket, lat)
 
 
 # ---------------------------------------------------------------------------
@@ -458,22 +481,6 @@ def _eval_boson31(payload, first, second, contracts):
 
 
 # ---------------------------------------------------------------------------
-# state identities: both sides as operators on the payload's state
-
-
-def _state_identity(sides):
-    """evaluate(cfg, payload) comparing the (lhs, rhs) of sides(lat, payload, state).
-
-    The state is payload["state"] and lat the config's lattice.
-    """
-    def evaluate(cfg, payload):
-        lhs, rhs = sides(LatticeConfig(cfg.M, cfg.q), payload, payload["state"])
-        return lhs == rhs, lhs, rhs
-
-    return evaluate
-
-
-# ---------------------------------------------------------------------------
 # thm46 beyond the table rows
 
 
@@ -484,8 +491,8 @@ def _gen_kq_identity(cfg):
 
 
 @_state_identity
-def _eval_kq_identity(lat, payload, state):
-    return apply(rho(ToroidalElement.k(lat.q, (0,) * lat.q), lat), state), state
+def _eval_kq_identity(cfg, payload):
+    return rho(ToroidalElement.k(cfg.q, (0,) * cfg.q), LatticeConfig(cfg.M, cfg.q)), OpProduct(())
 
 
 def _gen_central_witness(cfg):
@@ -525,23 +532,20 @@ def _gen_central_consistency(cfg):
 
 
 @_state_identity
-def _eval_central_consistency(lat, payload, state):
+def _eval_central_consistency(cfg, payload):
+    lat = LatticeConfig(cfg.M, cfg.q)
     mbar = tuple(payload["mbar"])
     nbar = tuple(payload["nbar"])
-    lhs = apply(rho(d_cocycle(mbar, nbar), lat), state)
+    lhs = rho(d_cocycle(mbar, nbar), lat)
     if payload["variant"] == "antisymmetry":
-        rhs = -1 * apply(rho(d_cocycle(nbar, mbar), lat), state)
-    else:
-        total = tuple(a + b for a, b in zip(mbar, nbar))
-        mu_total = total[:-1]
-        s_mode = total[-1]
-        dm = lat.delta_sum(mbar[:-1])
-        remark = OpSum((
-            (Fraction(1), DiagCurrent(dm, s_mode, mu_total)),
-            (Fraction(mbar[-1]), VertexMode(lat.delta_sum(mu_total), 2 * s_mode)),
-        ))
-        rhs = apply(remark, state)
-    return lhs, rhs
+        return lhs, OpSum(((-1, rho(d_cocycle(nbar, mbar), lat)),))
+    mu_total = tuple(a + b for a, b in zip(mbar[:-1], nbar[:-1]))
+    s_mode = mbar[-1] + nbar[-1]
+    dm = lat.delta_sum(mbar[:-1])
+    return lhs, OpSum((
+        (Fraction(1), DiagCurrent(dm, s_mode, mu_total)),
+        (Fraction(mbar[-1]), VertexMode(lat.delta_sum(mu_total), 2 * s_mode)),
+    ))
 
 
 def _gen_product44(cfg):
@@ -562,10 +566,10 @@ def _gen_product44(cfg):
 
 
 @_state_identity
-def _eval_product44(lat, payload, state):
+def _eval_product44(cfg, payload):
     alpha, mu, idx = payload["alpha"], tuple(payload["mu"]), payload["index"]
-    return (apply(VertexProductSum(alpha, mu, idx), state),
-            apply(VertexMode(alpha + lat.delta_sum(mu), idx), state))
+    dm = LatticeConfig(cfg.M, cfg.q).delta_sum(mu)
+    return VertexProductSum(alpha, mu, idx), VertexMode(alpha + dm, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +586,10 @@ def _gen_lemma49(cfg):
 
 
 @_state_identity
-def _eval_lemma49(lat, payload, state):
+def _eval_lemma49(cfg, payload):
     mu, mq = tuple(payload["mu"]), payload["mq"]
-    dm = lat.delta_sum(mu)
-    lhs = apply(DiagCurrent(dm, mq, mu), state) + mq * apply(VertexMode(dm, 2 * mq), state)
-    return lhs, TensorState.zero()
+    dm = LatticeConfig(cfg.M, cfg.q).delta_sum(mu)
+    return OpSum(((1, DiagCurrent(dm, mq, mu)), (mq, VertexMode(dm, 2 * mq)))), OpSum(())
 
 
 def _gen_lemma28(cfg):
@@ -607,15 +610,12 @@ def _gen_lemma28(cfg):
 
 
 @_state_identity
-def _eval_lemma28(lat, payload, state):
+def _eval_lemma28(cfg, payload):
     x1, y1, x2, y2 = (payload[k] for k in ("x1", "y1", "x2", "y2"))
-    lhs = super_commutator(OpProduct((x1, y1)), OpProduct((x2, y2)), state)
+    lhs = commutator(OpProduct((x1, y1)), OpProduct((x2, y2)), cfg.M)
     # [X1,X2] Y1 Y2 - X2 X1 [Y1,Y2], with the odd pair anticommuting
-    yy = y1.apply(y2.apply(state)) - y2.apply(y1.apply(state))
-    first = y2.apply(state)
-    first = y1.apply(first)
-    first = x2.apply(x1.apply(first)) + x1.apply(x2.apply(first))
-    return lhs, first - x2.apply(x1.apply(yy))
+    return lhs, OpSum(((1, OpProduct((commutator(x1, x2, cfg.M), y1, y2))),
+                       (-1, OpProduct((x2, x1, commutator(y1, y2, cfg.M))))))
 
 
 # ---------------------------------------------------------------------------
@@ -639,13 +639,12 @@ def _gen_cor19_roots(cfg):
 
 
 @_state_identity
-def _eval_cor19_roots(lat, payload, state):
+def _eval_cor19_roots(cfg, payload):
     i, j, kk, m, n = (payload[k] for k in "ijkmn")
-    op1 = VertexMode(lat.e(i), 2 * m - 1)
-    op2 = VertexMode(lat.root(j, kk), 2 * n)
-    lhs = super_commutator(op1, op2, state)
+    lat = LatticeConfig(cfg.M, cfg.q)
+    lhs = commutator(VertexMode(lat.e(i), 2 * m - 1), VertexMode(lat.root(j, kk), 2 * n), cfg.M)
     w = cocycle(lat.e(i), lat.root(j, kk)) if i == kk else 0
-    return lhs, w * apply(VertexMode(lat.e(j), 2 * (m + n) - 1), state)
+    return lhs, OpSum(((w, VertexMode(lat.e(j), 2 * (m + n) - 1)),))
 
 
 def _gen_cor19_odd(cfg):
@@ -662,13 +661,12 @@ def _gen_cor19_odd(cfg):
 
 
 @_state_identity
-def _eval_cor19_odd(lat, payload, state):
+def _eval_cor19_odd(cfg, payload):
     i, j, m, n = (payload[k] for k in "ijmn")
-    op1 = VertexMode(lat.e(i), 2 * m - 1)
-    op2 = VertexMode(-lat.e(j), 2 * n + 1)
-    lhs = super_commutator(op1, op2, state)
+    lat = LatticeConfig(cfg.M, cfg.q)
+    lhs = commutator(VertexMode(lat.e(i), 2 * m - 1), VertexMode(-lat.e(j), 2 * n + 1), cfg.M)
     w = cocycle(lat.e(i), -lat.e(j)) if (i == j and m + n == 0) else 0
-    return lhs, w * state
+    return lhs, OpSum(((w, OpProduct(())),))
 
 
 def _gen_cor19_current(cfg):
@@ -693,10 +691,10 @@ def _gen_cor19_current(cfg):
 
 
 @_state_identity
-def _eval_cor19_current(lat, payload, state):
+def _eval_cor19_current(cfg, payload):
     alpha, beta, m, idx = (payload[k] for k in ("alpha", "beta", "m", "index"))
-    lhs = super_commutator(Current(alpha, m), VertexMode(beta, idx), state)
-    return lhs, bilinear(alpha, beta) * apply(VertexMode(beta, idx + 2 * m), state)
+    lhs = commutator(Current(alpha, m), VertexMode(beta, idx), cfg.M)
+    return lhs, OpSum(((bilinear(alpha, beta), VertexMode(beta, idx + 2 * m)),))
 
 
 def _gen_id110_roots(cfg):
@@ -713,15 +711,12 @@ def _gen_id110_roots(cfg):
 
 
 @_state_identity
-def _eval_id110_roots(lat, payload, state):
+def _eval_id110_roots(cfg, payload):
     i, j, m, n = (payload[k] for k in "ijmn")
-    alpha = lat.root(i, j)
-    lhs = super_commutator(VertexMode(alpha, 2 * m), VertexMode(-alpha, 2 * n), state)
+    alpha = LatticeConfig(cfg.M, cfg.q).root(i, j)
+    lhs = commutator(VertexMode(alpha, 2 * m), VertexMode(-alpha, 2 * n), cfg.M)
     f = cocycle(alpha, -alpha)
-    rhs = f * apply(Current(alpha, m + n), state)
-    if m + n == 0 and m:
-        rhs = rhs + (f * m) * state
-    return lhs, rhs
+    return lhs, OpSum(((f, Current(alpha, m + n)), (f * m if m + n == 0 else 0, OpProduct(()))))
 
 
 def _gen_id110_pairs(cfg):
@@ -734,13 +729,13 @@ def _gen_id110_pairs(cfg):
 
 
 @_state_identity
-def _eval_id110_pairs(lat, payload, state):
+def _eval_id110_pairs(cfg, payload):
     i, j, n = payload["i"], payload["j"], payload["n"]
+    lat = LatticeConfig(cfg.M, cfg.q)
     a, b = lat.e(i), -lat.e(j)
     if payload["form"] == "form2":
         a, b = b, a
-    return (apply(NormalPairSum(a, b, n), state),
-            cocycle(a, b) * apply(VertexMode(lat.root(i, j), 2 * n), state))
+    return NormalPairSum(a, b, n), OpSum(((cocycle(a, b), VertexMode(lat.root(i, j), 2 * n)),))
 
 
 def _gen_id110_current(cfg):
@@ -751,9 +746,9 @@ def _gen_id110_current(cfg):
 
 
 @_state_identity
-def _eval_id110_current(lat, payload, state):
-    ei, n = lat.e(payload["i"]), payload["n"]
-    return apply(NormalPairSum(ei, -ei, n), state), apply(Current(ei, n), state)
+def _eval_id110_current(cfg, payload):
+    ei, n = LatticeConfig(cfg.M, cfg.q).e(payload["i"]), payload["n"]
+    return NormalPairSum(ei, -ei, n), Current(ei, n)
 
 
 # ---------------------------------------------------------------------------
@@ -947,9 +942,9 @@ def evaluate_check(cfg: CheckConfig, family: str, clause: str, payload):
     requested_families(cfg, [family])
     if clause not in _CLAUSES[family]:
         raise ValueError(f"unknown clause {clause!r} of family {family!r}")
-    ok, adj, note, lhs, rhs = FAMILIES[family]["evaluate"](
-        cfg, clause, _payload_from_obj(cfg, family, clause, payload))
-    return ok, adj, note, _serialize(lhs), _serialize(rhs)
+    payload = _payload_from_obj(cfg, family, clause, payload)
+    ok, adj, note, lhs, rhs = FAMILIES[family]["evaluate"](cfg, clause, payload)
+    return ok, adj, note, _side(lhs, payload), _side(rhs, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -979,8 +974,8 @@ def _run_clause(cfg: CheckConfig, family: str, clause: str) -> dict:
                 "pattern": pattern,
                 "config": cfg.to_obj(),
                 "payload": _serialize(payload),
-                "lhs": _serialize(lhs),
-                "rhs": _serialize(rhs),
+                "lhs": _side(lhs, payload),
+                "rhs": _side(rhs, payload),
             }
             if "row" in payload:
                 # spell out the bracket arguments the row encodes

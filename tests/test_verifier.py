@@ -10,6 +10,7 @@ from oracles import doubled_degree
 from supertoroidal import serialize as ser
 from supertoroidal import verifier
 from supertoroidal.cli import main
+from supertoroidal.representation import _Operator
 from supertoroidal.verifier import CheckConfig, evaluate_check, gen_state, replay_counterexample, run
 
 SMALL = CheckConfig(M=3, N=2, q=2, max_degree=4, exponent_box=1, samples=4, seed=99)
@@ -168,14 +169,18 @@ def _forced_failure(evaluate):
     return failing
 
 
+def _force_failures(monkeypatch):
+    for clauses in verifier._CLAUSES.values():
+        for clause, (generate, evaluate) in clauses.items():
+            monkeypatch.setitem(clauses, clause, (generate, _forced_failure(evaluate)))
+
+
 def test_forced_failures_pin_each_record_and_its_replay(monkeypatch):
     # every clause reports not-ok, so each records its first sample that
     # no print typo adjudicates; the report and the replay of each record,
     # read back from the report's text, are pinned byte for byte, which
     # holds the payload encoding and the replay reader
-    for clauses in verifier._CLAUSES.values():
-        for clause, (generate, evaluate) in clauses.items():
-            monkeypatch.setitem(clauses, clause, (generate, _forced_failure(evaluate)))
+    _force_failures(monkeypatch)
     q1_families = tuple(f for f in verifier.FAMILY_ORDER if f not in ("sttables", "thm46"))
     configs = (
         (CheckConfig(M=3, N=2, q=2, max_degree=4, exponent_box=1, samples=3, seed=99),
@@ -200,6 +205,77 @@ def test_forced_failures_pin_each_record_and_its_replay(monkeypatch):
     assert digest.hexdigest() == (
         "e986975ca4cf0d216a5fadebbd73446e52ab9454e058e5a3d3535716ec3e70c3"
     )
+
+
+# the families whose clauses check identities of operators on a tensor state, all but
+# the boson relations 3.1(*) (on a boson state) and central-witness (a nonzero test)
+_IDENTITY_FAMILIES = ("prop33", "thm46", "lemma49", "corollary19", "identity110")
+
+
+def _is_state_identity(family, clause):
+    return (family in _IDENTITY_FAMILIES and not clause.startswith("3.1")
+            and clause != "central-witness")
+
+
+def test_state_identities_return_operator_sides():
+    identities = 0
+    for family in _IDENTITY_FAMILIES:
+        spec = verifier.FAMILIES[family]
+        for clause in spec["clauses"]:
+            _, payload = next(iter(spec["generate"](SMALL, clause)))
+            ok, _, _, lhs, rhs = spec["evaluate"](SMALL, clause, payload)
+            identity = _is_state_identity(family, clause)
+            assert ok and isinstance(lhs, _Operator) is isinstance(rhs, _Operator) is identity, (
+                family, clause)
+            identities += identity
+    assert identities == 10 + 13 + 2 + 3 + 3
+
+
+def test_a_side_is_built_only_for_a_record_or_a_replay(monkeypatch):
+    # a passing check applies lhs - rhs once and builds neither side; a
+    # failing one builds each operator side once for its record, and a
+    # replay builds each once more
+    built = []
+    side = verifier._side
+
+    def counting(value, payload):
+        built.append(isinstance(value, _Operator))
+        return side(value, payload)
+
+    monkeypatch.setattr(verifier, "_side", counting)
+    assert run(SMALL, families=_IDENTITY_FAMILIES)["all_pass"]
+    assert built == []
+    _force_failures(monkeypatch)
+    cfg = CheckConfig(M=2, N=1, q=2, max_degree=2, exponent_box=1, samples=1, seed=1)
+    records = [cell["counterexample"]
+               for fam in run(cfg, families=_IDENTITY_FAMILIES)["families"].values()
+               for cell in fam["clauses"].values()]
+    identities = sum(_is_state_identity(r["family"], r["clause"]) for r in records)
+    assert identities == 31 and len(records) == 35
+    assert len(built) == 2 * len(records) and sum(built) == 2 * identities
+    for record in records:
+        assert replay_counterexample(record)["reproduced"]
+    assert len(built) == 4 * len(records) and sum(built) == 4 * identities
+
+
+@pytest.mark.parametrize("family, clause", [
+    ("thm46", "ST1"), ("prop33", "R1"), ("lemma49", "lemma4.9"), ("corollary19", "1.9(2)"),
+])
+def test_replay_of_an_empty_state_passes(tmp_path, capsys, family, clause):
+    # a recorded "state": [] shows no lattice shape: every operator is built
+    # at the config's lattice (q = 1 for prop33's R rows), and the zero state
+    # passes; its replay is not a reproduced failure (exit 2), never a crash
+    pattern, payload = next(iter(verifier.FAMILIES[family]["generate"](SMALL, clause)))
+    payload = verifier._serialize(payload)
+    payload["state"] = []
+    assert evaluate_check(SMALL, family, clause, payload) == (True, False, None, [], [])
+    if clause == "lemma4.9":
+        record = {"family": family, "clause": clause, "pattern": pattern,
+                  "config": SMALL.to_obj(), "payload": payload, "lhs": [], "rhs": []}
+        path = tmp_path / "ce.json"
+        path.write_text(json.dumps(record))
+        assert main(["replay", "--counterexample", str(path)]) == 2
+        assert "did NOT reproduce" in capsys.readouterr().err
 
 
 def test_coverage_map_counts():
