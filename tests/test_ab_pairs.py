@@ -8,7 +8,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 from ab_pairs import (  # noqa: E402
-    _cold_pass, _src_lines, changed_lines, summarize, summarize_calls, summarize_passes)
+    _cold_pass, _src_lines, changed_lines, summarize, summarize_caches, summarize_calls,
+    summarize_passes)
 from sample_pairs import _check, _parse, _run as _run_check  # noqa: E402
 from supertoroidal.verifier import CheckConfig  # noqa: E402
 
@@ -152,6 +153,31 @@ def test_gc_collected_shown_as_parent_to_change():
     }
 
 
+def test_cache_misses_and_currsize_shown_as_parent_to_change():
+    passes = {("thm46", "parent"): {"total_calls": 1, "cache": {
+                  "_creation_level": {"misses": 380, "currsize": 380}}},
+              ("thm46", "change"): {"total_calls": 1, "cache": {
+                  "_creation_level": {"misses": 582, "currsize": 128},
+                  "_new_memo": {"misses": 3, "currsize": 3}}},
+              # a pass that printed nothing has no cache
+              ("act", "parent"): {"total_calls": None, "cache": None},
+              ("act", "change"): {"total_calls": 5, "cache": {
+                  "_creation_level": {"misses": 1433, "currsize": 128}}}}
+    assert summarize_caches(passes) == {
+        "thm46": {
+            "_creation_level": {
+                "misses": {"parent": 380, "change": 582, "shown": "380 -> 582"},
+                "currsize": {"parent": 380, "change": 128, "shown": "380 -> 128"}},
+            "_new_memo": {
+                "misses": {"parent": None, "change": 3, "shown": "? -> 3"},
+                "currsize": {"parent": None, "change": 3, "shown": "? -> 3"}}},
+        "act": {
+            "_creation_level": {
+                "misses": {"parent": None, "change": 1433, "shown": "? -> 1,433"},
+                "currsize": {"parent": None, "change": 128, "shown": "? -> 128"}}},
+    }
+
+
 def test_src_lines_count_the_package_modules_only(tmp_path):
     package = tmp_path / "src" / "supertoroidal"
     package.mkdir(parents=True)
@@ -170,11 +196,13 @@ def test_src_lines_count_the_package_modules_only(tmp_path):
 
 
 def test_total_calls_of_a_cold_pass_repeat():
-    # two fresh interpreters count the same calls in one cold thm46 pass, and the
-    # cyclic collector finds nothing in it
+    # two fresh interpreters count the same calls and memo misses in one cold thm46
+    # pass, and the cyclic collector finds nothing in it
     first = _cold_pass(str(ROOT), "thm46")
     assert first["total_calls"] is not None and first["total_calls"] > 100_000
     assert first["gc_collected"] == 0
+    creation = first["cache"]["_creation_level"]
+    assert creation["misses"] >= creation["currsize"] > 0
     assert _cold_pass(str(ROOT), "thm46") == first
 
 

@@ -700,6 +700,46 @@ def test_staged_examples_reach_deep_levels_with_met_and_free_bases():
     assert max(levels) >= 4
 
 
+def _memos():
+    """Every lru_cache that fock_lattice defines."""
+    return [f for f in vars(fock_lattice).values()
+            if hasattr(f, "cache_parameters") and f.__module__ == fock_lattice.__name__]
+
+
+def test_every_memo_is_bounded():
+    # the memos live as long as the process, so each one holds a finite number of entries
+    memos = _memos()
+    assert {f.__name__ for f in memos} >= {"_creation_level", "_exp_annihilation", "_shifted"}
+    for f in memos:
+        maxsize = f.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize > 0, f.__name__
+
+
+def test_images_hold_when_every_memo_is_cleared_mid_window():
+    # a bounded memo may evict while a window is served; clearing every memo before each
+    # creation-level lookup, in both groupings, leaves every image equal to the reference
+    memos = _memos()
+    real = fock_lattice._creation_level
+    cleared = []
+
+    def level(g, j):
+        for f in memos:
+            f.cache_clear()
+        cleared.append(j)
+        return real(g, j)
+
+    cases = ((CFG.e(1) + CFG.e(2) + CFG.delta_sum((1,)), range(-14, 3, 2), _ON_SOME),
+             (CFG.root(1, 2), range(-14, 3, 2), _ON_ALL))
+    for kind in ("staged", "pairs"):
+        for a, idxs, s in cases:
+            with grouping(kind), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fock_lattice, "_creation_level", level)
+                images = vertex_modes(a, idxs, s)
+            for idx, img in images.items():
+                assert img == reference_vertex_mode_apply(a, idx, s), (kind, a, idx)
+    assert len(cleared) > 20
+
+
 def _images(kernel, a, idxs, s, scale, targets):
     """{idx: {key: Fraction}}: what one kernel call in integer form adds, each index
     into a Sink of its own."""

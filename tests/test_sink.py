@@ -186,7 +186,8 @@ def test_probe_sample_against_the_fraction_path():
 
 def test_probe_sample_peak_memory():
     # warm caches first, so only the transient states count; the two full orderings
-    # of the Fraction path peaked at about 7 MB, the folded sinks at about 4.3 MB
+    # of the Fraction path peaked at about 7 MB, the folded sinks at about 4.3 MB, and
+    # about 3.6 MB once the staged kernel pops each bucket as it reads it
     x, y, z, state = _probe()
     super_commutator(x, y, state)
     apply(z, state)
@@ -198,4 +199,4 @@ def test_probe_sample_peak_memory():
     finally:
         tracemalloc.stop()
     assert lhs == rhs == ZERO
-    assert peak < 5_000_000, peak
+    assert peak < 4_000_000, peak

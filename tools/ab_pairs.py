@@ -42,7 +42,10 @@ to functions defined under src (the harness keeps its slowest samples in a
 heap, so its own calls follow the timings).  The summary shows it as parent
 -> change under "total_calls"; it gates nothing.  The same pass sums, through
 gc.callbacks, the objects the cyclic collector found, shown as parent -> change
-under "gc_collected"; it gates nothing either.  Each side also records
+under "gc_collected"; it gates nothing either.  After the pass it reads the
+misses and the final currsize of each lru_cache that fock_lattice defines, the
+cost and the hold of the vertex kernel's memos, shown per memo as parent ->
+change under "cache"; they gate nothing.  Each side also records
 under "src_lines" the lines of src/supertoroidal/*.py in its export, the count
 the design gate reads (wc -l), printed as parent -> change beside the calls,
 and under "src_lines_by_file" the count of each of those files; the files whose
@@ -69,9 +72,10 @@ _SHA = re.compile(r"responses sha256 ([0-9a-f]{64})")
 
 # run in a side's tree with the workload as its argument: one cold pass under cProfile
 _PROFILE = """
-import cProfile, gc, os, sys, tempfile
+import cProfile, gc, json, os, sys, tempfile
 sys.path.insert(0, "perfbench")
 import child, run
+from supertoroidal import fock_lattice
 workload = sys.argv[1]
 collected = []
 def count(phase, info):
@@ -90,11 +94,16 @@ with tempfile.TemporaryDirectory() as tmp:
     gc.callbacks.remove(count)
 library = os.path.abspath("src") + os.sep
 # per code object, since pstats merges the code objects of one line (two comprehensions)
-print(sum(entry.callcount for entry in profile.getstats() if not isinstance(entry.code, str)
-          and os.path.abspath(entry.code.co_filename).startswith(library)), sum(collected))
+calls = sum(entry.callcount for entry in profile.getstats() if not isinstance(entry.code, str)
+            and os.path.abspath(entry.code.co_filename).startswith(library))
+cache = {name: {"misses": memo.cache_info().misses, "currsize": memo.cache_info().currsize}
+         for name, memo in vars(fock_lattice).items()
+         if hasattr(memo, "cache_info") and memo.__module__ == fock_lattice.__name__}
+print(json.dumps({"total_calls": calls, "gc_collected": sum(collected), "cache": cache}))
 """
-# the exact counts of that pass, in the order it prints them
+# the exact counts of that pass, and what it reads of each memo
 _COUNTS = ("total_calls", "gc_collected")
+_CACHE_FIELDS = ("misses", "currsize")
 
 
 def summarize(runs: list, bounds=None) -> dict:
@@ -179,17 +188,35 @@ def summarize_passes(passes: dict) -> dict:
             for name in _COUNTS}
 
 
+def summarize_caches(passes: dict) -> dict:
+    """Per workload and memo, summarize_calls of each of _CACHE_FIELDS in passes
+    {(workload, side): {"cache": {memo name: {field: int}} or None, ...}}, a memo
+    missing on one side shown as "?"."""
+    fields = {}  # workload -> memo -> field -> {(workload, side): int}
+    for (workload, side), counts in passes.items():
+        for memo, info in (counts.get("cache") or {}).items():
+            for field in _CACHE_FIELDS:
+                cell = fields.setdefault(workload, {}).setdefault(memo, {})
+                cell.setdefault(field, {})[workload, side] = info[field]
+    return {workload: {memo: {field: summarize_calls(counts)[workload]
+                              for field, counts in cell.items()}
+                       for memo, cell in memos.items()}
+            for workload, memos in fields.items()}
+
+
 def _cold_pass(tree: str, workload: str) -> dict:
-    """{count name: int or None} of one cold pass of the workload in tree: the library
-    calls cProfile counts and the objects the cyclic collector found."""
+    """{count name: int or None} of one cold pass of the workload in tree, the library
+    calls cProfile counts and the objects the cyclic collector found, and under "cache"
+    {memo name: {field: int}} of fock_lattice's memos after it, or None."""
     env = dict(os.environ, PYTHONHASHSEED="0")
     proc = subprocess.run([sys.executable, "-c", _PROFILE, workload], cwd=tree, env=env,
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    fields = lines[-1].split() if proc.returncode == 0 and lines else []
-    if len(fields) == len(_COUNTS) and all(map(str.isdigit, fields)):
-        return dict(zip(_COUNTS, map(int, fields)))
-    return dict.fromkeys(_COUNTS)
+    try:
+        counts = json.loads(lines[-1]) if proc.returncode == 0 else {}
+    except (IndexError, ValueError):
+        counts = {}
+    return {name: counts.get(name) for name in (*_COUNTS, "cache")}
 
 
 def _src_lines(tree: str) -> dict:
@@ -261,11 +288,17 @@ def main(argv=None) -> int:
             bench = json.load(fh)
         command, seconds = bench["command"], bench["run_seconds"]
         bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-        counted = summarize_passes({(workload, side): _cold_pass(trees[side], workload)
-                                    for workload in args.workload for side in sides})
+        passes = {(workload, side): _cold_pass(trees[side], workload)
+                  for workload in args.workload for side in sides}
+        counted = summarize_passes(passes)
         for name, cells in counted.items():
             for workload, cell in cells.items():
                 print(f"{workload} {name} {cell['shown']}", flush=True)
+        counted["cache"] = summarize_caches(passes)
+        for workload, memos in counted["cache"].items():
+            for memo, cell in memos.items():
+                print(f"{workload} cache {memo} "
+                      + ", ".join(f"{field} {c['shown']}" for field, c in cell.items()), flush=True)
         print(f"src_lines {sides['parent']['src_lines']:,} -> {sides['change']['src_lines']:,}",
               flush=True)
         for name, shown in changed_lines(sides["parent"]["src_lines_by_file"],
