@@ -40,9 +40,8 @@ a = sum_b w_b b, so the kernel may multiply by the creation levels of a
 one group of its support bases at a time.  Two products of annihilated
 and created monomials can meet on one key only through a basis that an
 annihilated monomial already uses; the kernel takes such met bases one
-at a time, merging equal monomials after each, where the products of one
-gamma and index pile up on few keys, and multiplies by whole levels of a
-elsewhere.
+at a time, merging equal monomials after each, and then the other bases
+of a's support together, writing each product straight to the image.
 
 Inside the package the operators run in an integer form: a Sink (see
 combination) holds int numerators over one denominator, keyed by (lattice
@@ -267,17 +266,16 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
     sorts the whole.
 
     The product with the creation levels runs in stages, one group of a's
-    support bases each, as _stages chooses per (gamma, index); the
-    annihilated sums are bucketed by the creation degree r they still need.
-    A stage multiplies bucket r by the levels j <= r of a restricted to its
-    group and puts the products in bucket r - j; the last stage reads only
-    level r, which empties the bucket.  The pair loop, every sum times the
-    whole level r of a, is the one-stage case.  A group whose bases
-    some annihilated monomial uses (met bases) can form one key from two
-    pairs, so its products are merged.  A group of free bases cannot:
-    the factors of a key in free bases are exactly the created ones, so the
-    key splits back into its pair, and the last, free group writes each
-    product straight to the image.
+    support bases each, from _grouping; the annihilated sums are bucketed by
+    the creation degree r they still need.  A stage multiplies bucket r by
+    the levels j <= r of a restricted to its group and puts the products in
+    bucket r - j; the last stage reads only level r, which empties the
+    bucket.  A basis that some annihilated monomial of a (gamma, tag) uses
+    (a met basis) can form one key from two pairs, so each takes a stage of
+    its own whose products are merged.  The free bases cannot: the factors
+    of a key in free bases are exactly the created ones, so the key splits
+    back into its pair, and their one last stage writes each product
+    straight to the image.
 
     The sums run on ints: the annihilation levels are integral, and a
     created monomial of degree c has coefficient prod w^m / prod(n^m m!),
@@ -350,13 +348,14 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
     for idx, den in dens.items():
         sink[idx].widen(den)
     lift = {idx: sink[idx].den // den * scale.numerator for idx, den in dens.items()}
-    # k counts a's support bases (a in Q pairs with one basis vector per support basis);
-    # a vector of one basis keeps the pair loop
-    pair_loop = [(a, True)]
-    k = len(paired)
+    support = {b for b, _ in basis_support(a)}
     for (_, tag), (levels, new_gamma, shift, sign) in groups.items():
         if targets is not None:
             by_idx = targets[tag]
+        # the met bases of the group, over the annihilated monomials of all its levels
+        stages = _grouping(a, frozenset(support.intersection(
+            [b for annihilated in levels.values() for mo in annihilated for b, _ in mo])))
+        last = len(stages) - 1
         for idx, h in depths.items():
             if targets is not None and idx not in by_idx:
                 continue
@@ -378,15 +377,6 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
             else:
                 terms, out_tag, spread = {}, None, by_idx[idx]
             get_out = terms.get
-            stages = pair_loop
-            if k > 1:  # the pair loop's count of products, counted here for the small calls
-                sizes = _level_sizes(k, max(buckets))
-                pairs = 0
-                for r, entries in buckets.items():
-                    pairs += len(entries) * sizes[r]
-                if pairs > _FREE_PAIRS:
-                    stages = _stages(a, buckets, pairs)
-            last = len(stages) - 1
             # bucket r holds numerators over D / r!; the first stage lifts the raw
             # numerators, over den_in, by first.  A stage pops each bucket as it reads it,
             # so its input drains while its output fills; it reads them by rising r, since
@@ -437,67 +427,25 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
                         out.den)
 
 
-# the grouping of a (gamma, index) whose pair loop forms more than _FREE_PAIRS products
-# is chosen by _stages; below, the pair loop is kept, as for nearly every call of act
-_FREE_PAIRS = 200
-_STAGE_PAIRS = 2000
-_PAIRS_PER_SUM = 32
+# keyed by (vector, met bases): 175 in a thm46 pass and 436 in an act pass
+@lru_cache(maxsize=512)
+def _grouping(a: LatticeVector, met: frozenset) -> tuple:
+    """The stages vertex_modes multiplies by, ((vector, merges), ...): each basis of
+    met, a set of a's support bases, alone and merged after it, then the free bases
+    of the support in one stage, not merged, each vector being a restricted to its
+    bases.  a = 0 has no support and takes the one free stage ((a, False),), which
+    still carries the lift of stage 0.
 
-
-def _stages(a: LatticeVector, buckets, pairs):
-    """The grouping vertex_modes multiplies the buckets {r: {monomial: numerator}} of
-    one (gamma, index) by, where its pair loop forms more than _FREE_PAIRS products:
-    the pair loop [(a, True)] or _grouping(a, buckets).
-
-    The pair loop forms pairs = sum_r |A_r| p_k(r) products over the k > 1 support
-    bases of a, p_k(r) being the size of a's creation level r.  Where no basis is
-    met, the grouping is the pair loop without its merge.  Otherwise the staged loop
-    carries every annihilated sum through every met basis, and it gains only where
-    the products of many sums meet on one key, so it is taken only above
-    _STAGE_PAIRS and where pairs >= _PAIRS_PER_SUM sum_r |A_r|.
+    Products of a sum by created factors in free bases only split back uniquely into
+    the two, so distinct pairs give distinct keys there.
     """
-    grouping = _grouping(a, buckets)
-    if len(grouping) == 1 or (pairs > _STAGE_PAIRS
-                              and pairs >= _PAIRS_PER_SUM * sum(map(len, buckets.values()))):
-        return grouping
-    return [(a, True)]
+    def restrict(bases):
+        flat = tuple(c if b in bases else 0 for b, c in enumerate(a.flat))
+        return LatticeVector.from_flat(flat, a.shape[0])
 
-
-def _grouping(a: LatticeVector, buckets):
-    """Each met basis of a alone, merged after it, then the free bases, not merged.
-
-    A basis of a's support is met when some annihilated monomial of the buckets
-    has a factor in it.  Products of a sum by created factors in free bases only
-    split back uniquely into the two, so distinct pairs give distinct keys there.
-    """
-    support = {b for b, _ in basis_support(a)}
-    met = support.intersection(b for entries in buckets.values() for mo in entries for b, _ in mo)
-    free = tuple(sorted(support - met))
-    stages = [(_restrict(a, (b,)), True) for b in sorted(met)]
-    if free:
-        stages.append((_restrict(a, free), False))
-    return stages
-
-
-# keyed by (bases, degree): a thm46 pass asks for 22 and a q = 3 heavy check for 36
-@lru_cache(maxsize=256)
-def _level_sizes(k: int, c: int) -> tuple:
-    """(p_k(0), ..., p_k(c)): p_k(r) counts the degree-r monomials over k bases, the
-    k-coloured partitions of r, by r p_k(r) = k sum_j sigma(j) p_k(r-j) with sigma(j)
-    the sum of the divisors of j."""
-    sigma = [0] + [sum(d for d in range(1, j + 1) if j % d == 0) for j in range(1, c + 1)]
-    p = [1]
-    for r in range(1, c + 1):
-        p.append(k * sum(sigma[j] * p[r - j] for j in range(1, r + 1)) // r)
-    return tuple(p)
-
-
-# one entry per (vector, stage group): 41 in a thm46 pass, 12 in a q = 3 heavy check
-@lru_cache(maxsize=256)
-def _restrict(a: LatticeVector, bases) -> LatticeVector:
-    """a with every coordinate outside the flat basis indices bases set to 0."""
-    flat = tuple(c if b in bases else 0 for b, c in enumerate(a.flat))
-    return LatticeVector.from_flat(flat, a.shape[0])
+    free = {b for b, _ in basis_support(a)} - met
+    stages = tuple((restrict((b,)), True) for b in sorted(met))
+    return stages + ((restrict(free), False),) if free or not met else stages
 
 
 def vertex_mode_apply(a: LatticeVector, idx: int, s, sink=None, scale=1):

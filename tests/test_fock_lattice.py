@@ -1,7 +1,6 @@
 import gc
 import json
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -14,14 +13,13 @@ from supertoroidal.lattice import (LatticeConfig, LatticeVector, basis_support, 
 from supertoroidal.verifier import FAMILIES, CheckConfig, gen_state, run
 from supertoroidal import serialize as ser
 from supertoroidal import fock_lattice
-from supertoroidal.combination import Sink
+from supertoroidal.combination import Sink, accumulate
 from supertoroidal.representation import SOp
 from supertoroidal.fock_lattice import (
     LatticeFockState,
     _creation_level,
     _exp_annihilation,
     _grouping,
-    _level_sizes,
     _mode_depth,
     _paired,
     current_upper_bound,
@@ -586,37 +584,20 @@ def test_kernel_with_carried_factors_matches_whole_monomial_reference(case):
         assert_lowest_terms(img)
 
 
-@contextmanager
-def grouping(kind):
-    """Take every (gamma, index) of a vector of two or more support bases through
-    the staged grouping ("staged") or through the pair loop ("pairs")."""
-    with pytest.MonkeyPatch.context() as mp:
-        if kind == "staged":
-            mp.setattr(fock_lattice, "_FREE_PAIRS", -1)
-            mp.setattr(fock_lattice, "_stages", lambda a, buckets, pairs: _grouping(a, buckets))
-        else:
-            mp.setattr(fock_lattice, "_FREE_PAIRS", float("inf"))
-        yield
-
-
-def test_level_sizes_count_the_creation_levels():
-    # p_k(r) is the number of monomials in a's creation level r for k support bases
-    for a in (CFG.e(1), CFG.root(1, 2), CFG.e(1) - CFG.e(3) + CFG.delta_sum((2,)),
-              CFG.e(1) + 2 * CFG.e(2) - CFG.e(3) - CFG.delta_sum((1,))):
-        k = len(basis_support(a))
-        assert _level_sizes(k, 9) == tuple(len(_creation_level(a, r)[1]) for r in range(10))
-
-
 def test_grouping_takes_met_bases_alone_and_free_bases_last():
     a = CFG.e(2) - CFG.e(3) + CFG.delta_sum((2,))  # support: e2, e3, delta1 (indices 1, 2, 3)
     e2, e3, d1 = (LatticeVector(*v) for v in (((0, 1, 0), (0,), (0,)), ((0, 0, -1), (0,), (0,)),
                                                ((0, 0, 0), (2,), (0,))))
-    # factors of basis 0 and 4 are outside the support and meet nothing
-    buckets = {0: {((0, 1), (2, 1)): 3}, 2: {((2, 2), (4, 1)): -1, ((0, 1),): 5}}
-    assert _grouping(a, buckets) == [(e3, True), (e2 + d1, False)]
-    assert _grouping(a, {1: {((0, 1), (4, 2)): 1}}) == [(a, False)]
-    every = {3: {((1, 1), (2, 1), (3, 1)): 1}}
-    assert _grouping(a, every) == [(e2, True), (e3, True), (d1, True)]
+    assert _grouping(a, frozenset({2})) == ((e3, True), (e2 + d1, False))
+    assert _grouping(a, frozenset()) == ((a, False),)
+    assert _grouping(a, frozenset({1, 2, 3})) == ((e2, True), (e3, True), (d1, True))
+    # a = 0 has no support bases, but its one stage still applies the stage-0 lift:
+    # X_0(0) is the identity and X_2(0) is 0
+    zero = CFG.zero()
+    assert _grouping(zero, frozenset()) == ((zero, False),)
+    s = LatticeFockState({(CFG.e(1), ((0, 1), (0, 1))): Fraction(-3, 4),
+                          (CFG.zero(), ((4, 2),)): Fraction(2)})
+    assert vertex_modes(zero, (0, 2), s) == {0: s, 2: LatticeFockState.zero()}
 
 
 @st.composite
@@ -672,9 +653,7 @@ def test_staged_kernel_matches_whole_level_reference(case):
     # met bases one at a time and the free bases last; the reference multiplies
     # each annihilated monomial by whole creation levels of a
     a, idxs, s = case
-    with grouping("staged"):
-        images = vertex_modes(a, idxs, s)
-    for idx, img in images.items():
+    for idx, img in vertex_modes(a, idxs, s).items():
         assert img == reference_vertex_mode_apply(a, idx, s), (a, idx, s)
         assert_lowest_terms(img)
 
@@ -685,14 +664,13 @@ def test_staged_examples_reach_deep_levels_with_met_and_free_bases():
     shapes, levels = set(), set()
     real = fock_lattice._creation_level
 
-    def stages(a, buckets, pairs):
-        groups = _grouping(a, buckets)
+    def grouping(a, met):
+        groups = _grouping(a, met)
         shapes.add(tuple(merged for _, merged in groups))
         return groups
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fock_lattice, "_FREE_PAIRS", -1)
-        mp.setattr(fock_lattice, "_stages", stages)
+        mp.setattr(fock_lattice, "_grouping", grouping)
         mp.setattr(fock_lattice, "_creation_level", lambda g, j: levels.add(j) or real(g, j))
         vertex_modes(CFG.e(1) + CFG.e(2) + CFG.delta_sum((1,)), range(-14, 3, 2), _ON_SOME)
         vertex_modes(CFG.root(1, 2), range(-14, 3, 2), _ON_ALL)
@@ -717,7 +695,7 @@ def test_every_memo_is_bounded():
 
 def test_images_hold_when_every_memo_is_cleared_mid_window():
     # a bounded memo may evict while a window is served; clearing every memo before each
-    # creation-level lookup, in both groupings, leaves every image equal to the reference
+    # creation-level lookup leaves every image equal to the reference
     memos = _memos()
     real = fock_lattice._creation_level
     cleared = []
@@ -730,13 +708,12 @@ def test_images_hold_when_every_memo_is_cleared_mid_window():
 
     cases = ((CFG.e(1) + CFG.e(2) + CFG.delta_sum((1,)), range(-14, 3, 2), _ON_SOME),
              (CFG.root(1, 2), range(-14, 3, 2), _ON_ALL))
-    for kind in ("staged", "pairs"):
-        for a, idxs, s in cases:
-            with grouping(kind), pytest.MonkeyPatch.context() as mp:
-                mp.setattr(fock_lattice, "_creation_level", level)
-                images = vertex_modes(a, idxs, s)
-            for idx, img in images.items():
-                assert img == reference_vertex_mode_apply(a, idx, s), (kind, a, idx)
+    for a, idxs, s in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fock_lattice, "_creation_level", level)
+            images = vertex_modes(a, idxs, s)
+        for idx, img in images.items():
+            assert img == reference_vertex_mode_apply(a, idx, s), (a, idx)
     assert len(cleared) > 20
 
 
@@ -768,19 +745,36 @@ def _kernel_calls(cfg, families):
     return calls
 
 
+def _reference_images(a, idxs, s, scale, targets):
+    """{idx: {key: Fraction}}: what one kernel call in integer form adds, each tag's
+    lattice state taken through reference_vertex_mode_apply and written as the
+    kernel writes it, under its own tag or under each target that its tag lists."""
+    states = {}
+    for (lk, tag), n in s.terms.items():
+        states.setdefault(tag, {})[lk] = Fraction(n, s.den)
+    images = {idx: {} for idx in idxs}
+    for tag, terms in states.items():
+        state = LatticeFockState(terms)
+        for idx in idxs:
+            outs = ((tag, 1),) if targets is None else targets[tag].get(idx, ())
+            if outs:
+                img = reference_vertex_mode_apply(a, idx, state).terms
+                accumulate(images[idx], (((lk, t), c * scale * w)
+                                         for lk, c in img.items() for t, w in outs))
+    return images
+
+
 @pytest.mark.parametrize("q, box", [(2, 2), (3, 1)])
-def test_both_groupings_replay_every_kernel_call_of_a_thm46_run(q, box):
-    # each call of a small run at criterion 6's seed, once through the staged
-    # grouping wherever a has two support bases and once through the pair loop,
-    # gives the images the run saw (at q = 3 a box of 2 spends seconds in ST4)
+def test_every_kernel_call_of_a_thm46_run_matches_the_reference(q, box):
+    # each call of a small run at criterion 6's seed gives the images that the reference
+    # gives, tag by tag, so a wrong stage of the grouping shows on the states a run
+    # meets (at q = 3 a box of 2 spends seconds in ST4)
     cfg = CheckConfig(M=3, N=2, q=q, max_degree=6, exponent_box=box, samples=2, seed=6)
     calls = _kernel_calls(cfg, ("thm46",))
     staged = 0
-    for kind in ("staged", "pairs"):
-        with grouping(kind):
-            for a, idxs, s, scale, targets, images in calls:
-                assert _images(vertex_modes, a, idxs, s, scale, targets) == images, (kind, a, idxs)
-                staged += kind == "staged" and len(basis_support(a)) > 1
+    for a, idxs, s, scale, targets, images in calls:
+        assert _reference_images(a, idxs, s, scale, targets) == images, (a, idxs)
+        staged += len(basis_support(a)) > 1
     assert len(calls) > 150 and staged > 50
 
 
