@@ -18,10 +18,13 @@ Vertex operators follow the standard homogeneous construction
     Y(a, z) = e^a z^{a(0)} exp T_-(a, z) exp T_+(a, z),
     T_+-(a, z) = - sum_{n in Z_+-} (1/n) a(n) z^{-n},
 
-with Fourier modes X_n(a) read off from X(a, z) = z^{(a,a)/2} Y(a, z)
-for even a (integer n) and X(a, z) = Y(a, z) for odd a (n in Z - 1/2).
-Modes are addressed by a doubled integer index: an even vector's mode n
-is stored as 2n and an odd vector's mode n - 1/2 as 2n - 1.
+with Fourier modes addressed by a doubled integer index idx: X_idx(a) is
+the coefficient of z^{-h} in Y(a, z), with h = (idx + p)/2 for an even
+vector of norm p = (a, a) and h = (idx + 1)/2 for every odd vector,
+whatever its norm (_mode_depth).  So an even vector's mode n of
+X(a, z) = z^{p/2} Y(a, z) is stored as 2n, and an odd vector of norm 1
+has its mode n - 1/2 stored as 2n - 1; for an odd vector of norm p >= 3
+the doubled index is not twice the conformal mode: mode m is 2m + p - 1.
 
 Every mode application is exact and finite: exp T_+ substitutes
 f - (a, b) z^{-n} for each factor f = b(-n), a finite product of

@@ -24,10 +24,10 @@ Families and their clauses:
 One table, _CLAUSES, holds every check: family -> clause ->
 (generate, evaluate).  generate(cfg) yields (pattern, payload) pairs
 whose payloads hold library objects, ints, int lists and strings;
-evaluate(cfg, payload) returns (ok, lhs, rhs) as library objects.  A state
-identity's sides are two operators, checked as one difference on the
-payload's state (_state_identity) and applied to it only for a record or
-a replay (_side).
+evaluate(cfg, payload) returns the check's two sides (lhs, rhs) as
+library objects, and one judge, _holds, decides whether they agree.  A
+state identity's sides are two operators, judged as one difference on the
+payload's state and applied to it only for a record or a replay (_side).
 FAMILIES gives each family the uniform interface generate(cfg, clause)
 and evaluate(cfg, clause, payload) -> (ok, adjudicated, note, lhs, rhs).
 Only a clause's first failure is encoded (_serialize), and a replay
@@ -229,16 +229,12 @@ def _box_space(cfg):
 
 def _eval_cocycle_identity(cfg, payload):
     a, b, c = payload["a"], payload["b"], payload["c"]
-    lhs = cocycle(a, b) * cocycle(a + b, c)
-    rhs = cocycle(b, c) * cocycle(a, b + c)
-    return lhs == rhs, lhs, rhs
+    return cocycle(a, b) * cocycle(a + b, c), cocycle(b, c) * cocycle(a, b + c)
 
 
 def _eval_sign_law(cfg, payload):
     a, b = payload["a"], payload["b"]
-    lhs = cocycle(a, b) * cocycle(b, a)
-    rhs = (-1) ** (bilinear(a, b) + parity(a) * parity(b))
-    return lhs == rhs, lhs, rhs
+    return cocycle(a, b) * cocycle(b, a), (-1) ** (bilinear(a, b) + parity(a) * parity(b))
 
 
 def _gen_bimultiplicative(cfg):
@@ -250,10 +246,8 @@ def _gen_bimultiplicative(cfg):
 def _eval_bimultiplicative(cfg, payload):
     x, y, z = payload["x"], payload["y"], payload["z"]
     if payload["slot"] == "left":
-        lhs, rhs = cocycle(x + y, z), cocycle(x, z) * cocycle(y, z)
-    else:
-        lhs, rhs = cocycle(x, y + z), cocycle(x, y) * cocycle(x, z)
-    return lhs == rhs, lhs, rhs
+        return cocycle(x + y, z), cocycle(x, z) * cocycle(y, z)
+    return cocycle(x, y + z), cocycle(x, y) * cocycle(x, z)
 
 
 def _gen_basis_table(cfg):
@@ -288,9 +282,8 @@ _BASIS_CASES = {
 
 
 def _eval_basis_table(cfg, payload):
-    lhs = cocycle(*_BASIS_CASES[payload["case"]](LatticeConfig(cfg.M, cfg.q), payload))
-    rhs = payload["expected"]
-    return lhs == rhs, lhs, rhs
+    return (cocycle(*_BASIS_CASES[payload["case"]](LatticeConfig(cfg.M, cfg.q), payload)),
+            payload["expected"])
 
 
 def _gen_bilinear_form(cfg):
@@ -303,11 +296,8 @@ def _eval_bilinear_form(cfg, payload):
     a, b, c = payload["a"], payload["b"], payload["c"]
     if payload["slot"] == "linear":
         m, n = payload["m"], payload["n"]
-        lhs = bilinear(m * a + n * b, c)
-        rhs = m * bilinear(a, c) + n * bilinear(b, c)
-    else:
-        lhs, rhs = bilinear(a, b), bilinear(b, a)
-    return lhs == rhs, lhs, rhs
+        return bilinear(m * a + n * b, c), m * bilinear(a, c) + n * bilinear(b, c)
+    return bilinear(a, b), bilinear(b, a)
 
 
 def _gen_parity(cfg):
@@ -318,10 +308,8 @@ def _gen_parity(cfg):
 def _eval_parity(cfg, payload):
     a, b = payload["a"], payload["b"]
     if payload["slot"] == "additive":
-        lhs, rhs = parity(a + b), (parity(a) + parity(b)) % 2
-    else:
-        lhs, rhs = parity(a), bilinear(a, a) % 2
-    return lhs == rhs, lhs, rhs
+        return parity(a + b), (parity(a) + parity(b)) % 2
+    return parity(a), bilinear(a, a) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +326,7 @@ def _symbol_args(cfg, payload, names):
 
 def _eval_jacobi(cfg, payload):
     alg, x, y, z = _symbol_args(cfg, payload, "xyz")
-    lhs, rhs = alg.jacobi_sides(x, y, z)
-    return lhs == rhs, lhs, rhs
+    return alg.jacobi_sides(x, y, z)
 
 
 def _gen_form_pairs(cfg, mixed_only):
@@ -353,36 +340,34 @@ def _gen_form_pairs(cfg, mixed_only):
 def _eval_supersymmetric(cfg, payload):
     alg, x, y = _symbol_args(cfg, payload, "xy")
     sign = (-1) ** (alg.parity_symbol(x) * alg.parity_symbol(y))
-    lhs, rhs = alg.form(x, y), sign * alg.form(y, x)
-    return lhs == rhs, lhs, rhs
+    return alg.form(x, y), sign * alg.form(y, x)
 
 
 def _eval_even(cfg, payload):
     alg, x, y = _symbol_args(cfg, payload, "xy")
-    lhs, rhs = alg.form(x, y), Fraction(0)
-    return lhs == rhs, lhs, rhs
+    return alg.form(x, y), Fraction(0)
 
 
 def _eval_invariant(cfg, payload):
     alg, x, y, z = _symbol_args(cfg, payload, "xyz")
-    lhs = alg.form_el(alg.bracket(x, y), GLElement.symbol(*z))
-    rhs = alg.form_el(GLElement.symbol(*x), alg.bracket(y, z))
-    return lhs == rhs, lhs, rhs
+    return (alg.form_el(alg.bracket(x, y), GLElement.symbol(*z)),
+            alg.form_el(GLElement.symbol(*x), alg.bracket(y, z)))
 
 
 # ---------------------------------------------------------------------------
-# state identities: two operators checked as one difference on the payload's state
+# the one judge of a check's two sides, and a side as a record holds it
 
 
-def _state_identity(sides):
-    """evaluate(cfg, payload) for sides(cfg, payload) -> (lhs, rhs), two operators: the
-    check passes iff lhs - rhs, applied once through one sink with lhs first, sends
-    payload["state"] to 0, and only a record or a replay applies a side (_side)."""
-    def evaluate(cfg, payload):
-        lhs, rhs = sides(cfg, payload)
-        return not OpSum(((1, lhs), (-1, rhs))).apply(payload["state"]).terms, lhs, rhs
-
-    return evaluate
+def _holds(lhs, rhs, payload):
+    """Whether a check's sides agree: two operators iff lhs - rhs, applied once through
+    one sink with lhs first, sends payload["state"] to 0 (neither side is built; only a
+    record or a replay applies one, _side), a central witness iff its image state lhs is
+    nonzero, and any other two sides iff they are equal."""
+    if isinstance(lhs, _Operator):
+        return not OpSum(((1, lhs), (-1, rhs))).apply(payload["state"]).terms
+    if rhs == "nonzero":
+        return not lhs.is_zero()
+    return lhs == rhs
 
 
 def _side(side, payload):
@@ -435,11 +420,9 @@ def _build_row(cfg, payload):
 
 def _eval_table(cfg, payload):
     x, y, printed = _build_row(cfg, payload)
-    generic = Superalgebra(cfg.M, cfg.N).bracket_toroidal(x, y)
-    return printed == generic, printed, generic
+    return printed, Superalgebra(cfg.M, cfg.N).bracket_toroidal(x, y)
 
 
-@_state_identity
 def _eval_hom(cfg, payload):
     x, y, _ = _build_row(cfg, payload)
     lat = LatticeConfig(cfg.M, len(payload["me"]))
@@ -475,9 +458,8 @@ def _gen_boson31(cfg, clause):
 def _eval_boson31(payload, first, second, contracts):
     """[first^i_r, second^j_s] on a boson state; only phi against phi* contracts."""
     i, j, r, s_idx, t = (payload[k] for k in ("i", "j", "r", "s", "state"))
-    lhs = first(i, r, second(j, s_idx, t)) - second(j, s_idx, first(i, r, t))
-    rhs = (-1 if (contracts and r + s_idx - 1 == 0 and i == j) else 0) * t
-    return lhs == rhs, lhs, rhs
+    return (first(i, r, second(j, s_idx, t)) - second(j, s_idx, first(i, r, t)),
+            (-1 if (contracts and r + s_idx - 1 == 0 and i == j) else 0) * t)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +472,6 @@ def _gen_kq_identity(cfg):
         yield "identity", {"state": _draw_state(rng, cfg)}
 
 
-@_state_identity
 def _eval_kq_identity(cfg, payload):
     return rho(ToroidalElement.k(cfg.q, (0,) * cfg.q), LatticeConfig(cfg.M, cfg.q)), OpProduct(())
 
@@ -517,8 +498,7 @@ def _gen_central_witness(cfg):
 
 def _eval_central_witness(cfg, payload):
     x = ToroidalElement.k(payload["direction"], tuple(payload["mbar"]))
-    img = apply(rho(x, LatticeConfig(cfg.M, cfg.q)), payload["state"])
-    return (not img.is_zero()), img, "nonzero"
+    return apply(rho(x, LatticeConfig(cfg.M, cfg.q)), payload["state"]), "nonzero"
 
 
 def _gen_central_consistency(cfg):
@@ -531,7 +511,6 @@ def _gen_central_consistency(cfg):
                         "state": _draw_state(rng, cfg)}
 
 
-@_state_identity
 def _eval_central_consistency(cfg, payload):
     lat = LatticeConfig(cfg.M, cfg.q)
     mbar = tuple(payload["mbar"])
@@ -565,7 +544,6 @@ def _gen_product44(cfg):
         yield pid, {"alpha": alpha, "mu": mu, "index": idx, "state": _draw_state(rng, cfg)}
 
 
-@_state_identity
 def _eval_product44(cfg, payload):
     alpha, mu, idx = payload["alpha"], tuple(payload["mu"]), payload["index"]
     dm = LatticeConfig(cfg.M, cfg.q).delta_sum(mu)
@@ -585,7 +563,6 @@ def _gen_lemma49(cfg):
         yield pid, {"mu": mu, "mq": mq, "state": _draw_state(rng, cfg)}
 
 
-@_state_identity
 def _eval_lemma49(cfg, payload):
     mu, mq = tuple(payload["mu"]), payload["mq"]
     dm = LatticeConfig(cfg.M, cfg.q).delta_sum(mu)
@@ -609,7 +586,6 @@ def _gen_lemma28(cfg):
         yield pid, {"x1": x1, "y1": y1, "x2": x2, "y2": y2, "state": _draw_state(rng, cfg)}
 
 
-@_state_identity
 def _eval_lemma28(cfg, payload):
     x1, y1, x2, y2 = (payload[k] for k in ("x1", "y1", "x2", "y2"))
     lhs = commutator(OpProduct((x1, y1)), OpProduct((x2, y2)), cfg.M)
@@ -638,7 +614,6 @@ def _gen_cor19_roots(cfg):
                     "n": rng.randint(-2, 2), "state": state}
 
 
-@_state_identity
 def _eval_cor19_roots(cfg, payload):
     i, j, kk, m, n = (payload[k] for k in "ijkmn")
     lat = LatticeConfig(cfg.M, cfg.q)
@@ -660,7 +635,6 @@ def _gen_cor19_odd(cfg):
         yield pid, {"i": i, "j": j, "m": m, "n": n, "state": _draw_state(rng, cfg)}
 
 
-@_state_identity
 def _eval_cor19_odd(cfg, payload):
     i, j, m, n = (payload[k] for k in "ijmn")
     lat = LatticeConfig(cfg.M, cfg.q)
@@ -690,7 +664,6 @@ def _gen_cor19_current(cfg):
                     "state": state}
 
 
-@_state_identity
 def _eval_cor19_current(cfg, payload):
     alpha, beta, m, idx = (payload[k] for k in ("alpha", "beta", "m", "index"))
     lhs = commutator(Current(alpha, m), VertexMode(beta, idx), cfg.M)
@@ -710,7 +683,6 @@ def _gen_id110_roots(cfg):
         yield pid, {"i": i, "j": j, "m": m, "n": n, "state": _draw_state(rng, cfg)}
 
 
-@_state_identity
 def _eval_id110_roots(cfg, payload):
     i, j, m, n = (payload[k] for k in "ijmn")
     alpha = LatticeConfig(cfg.M, cfg.q).root(i, j)
@@ -728,7 +700,6 @@ def _gen_id110_pairs(cfg):
         yield pid, {"i": i, "j": j, "n": rng.randint(-2, 2), "form": pid, "state": state}
 
 
-@_state_identity
 def _eval_id110_pairs(cfg, payload):
     i, j, n = payload["i"], payload["j"], payload["n"]
     lat = LatticeConfig(cfg.M, cfg.q)
@@ -745,7 +716,6 @@ def _gen_id110_current(cfg):
         yield pid, {"i": i, "n": n, "state": _draw_state(rng, cfg)}
 
 
-@_state_identity
 def _eval_id110_current(cfg, payload):
     ei, n = LatticeConfig(cfg.M, cfg.q).e(payload["i"]), payload["n"]
     return NormalPairSum(ei, -ei, n), Current(ei, n)
@@ -760,7 +730,7 @@ def _rows(clauses, kind, label, evaluate):
             for c in clauses}
 
 
-# family -> clause -> (generate(cfg), evaluate(cfg, payload)), in report order
+# family -> clause -> (generate(cfg), evaluate(cfg, payload) -> (lhs, rhs)), in report order
 _CLAUSES = {
     "cocycle": {
         "cocycle-identity": (
@@ -912,12 +882,14 @@ def _generate(family, cfg, clause):
 
 
 def _evaluate(family, cfg, clause, payload):
-    """(ok, adjudicated, note, lhs, rhs) with both sides as library objects.
+    """(ok, adjudicated, note, lhs, rhs) with both sides as library objects, ok as _holds
+    judges the sides.
 
     Only the printed-table families adjudicate: a failing row with a
     known print typo at these indices is reported with its note.
     """
-    ok, lhs, rhs = _CLAUSES[family][clause][1](cfg, payload)
+    lhs, rhs = _CLAUSES[family][clause][1](cfg, payload)
+    ok = _holds(lhs, rhs, payload)
     adjudicated, note = False, None
     if not ok and family in ("rtables", "sttables"):
         adj = tables.ADJUDICATIONS.get(payload["row"])

@@ -11,6 +11,7 @@ OpProduct's zero image and at the lattice forms, so no operator below them
 is handed it.  The last test bounds the memory of that heavy sample.
 """
 
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -187,16 +188,25 @@ def test_probe_sample_against_the_fraction_path():
 def test_probe_sample_peak_memory():
     # warm caches first, so only the transient states count; the two full orderings
     # of the Fraction path peaked at about 7 MB, the folded sinks at about 4.3 MB, and
-    # about 3.6 MB once the staged kernel pops each bucket as it reads it
+    # about 3.6 MB once the staged kernel pops each bucket as it reads it.  The cyclic
+    # collector is off from the warm-up through the measurement: a full collection in
+    # that window empties CPython's free lists, and the blocks they held would then be
+    # traced, so the peak would depend on what earlier tests left to collect
     x, y, z, state = _probe()
-    super_commutator(x, y, state)
-    apply(z, state)
-    tracemalloc.start()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        lhs = super_commutator(x, y, state)
-        rhs = apply(z, state)
-        peak = tracemalloc.get_traced_memory()[1]
+        super_commutator(x, y, state)
+        apply(z, state)
+        tracemalloc.start()
+        try:
+            lhs = super_commutator(x, y, state)
+            rhs = apply(z, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     finally:
-        tracemalloc.stop()
+        if enabled:
+            gc.enable()
     assert lhs == rhs == ZERO
     assert peak < 4_000_000, peak

@@ -161,18 +161,9 @@ def test_counterexample_replay_reproduces_recorded_failure():
     assert result["ok"] and not result["reproduced"]
 
 
-def _forced_failure(evaluate):
-    def failing(cfg, payload):
-        _, lhs, rhs = evaluate(cfg, payload)
-        return False, lhs, rhs
-
-    return failing
-
-
 def _force_failures(monkeypatch):
-    for clauses in verifier._CLAUSES.values():
-        for clause, (generate, evaluate) in clauses.items():
-            monkeypatch.setitem(clauses, clause, (generate, _forced_failure(evaluate)))
+    # the one judge of every check's sides says they disagree
+    monkeypatch.setattr(verifier, "_holds", lambda lhs, rhs, payload: False)
 
 
 def test_forced_failures_pin_each_record_and_its_replay(monkeypatch):
@@ -218,17 +209,22 @@ def _is_state_identity(family, clause):
 
 
 def test_state_identities_return_operator_sides():
-    identities = 0
-    for family in _IDENTITY_FAMILIES:
-        spec = verifier.FAMILIES[family]
-        for clause in spec["clauses"]:
-            _, payload = next(iter(spec["generate"](SMALL, clause)))
-            ok, _, _, lhs, rhs = spec["evaluate"](SMALL, clause, payload)
+    # every clause's evaluator returns its two sides and nothing else, two operators
+    # exactly for a state identity, and the one judge accepts the sides of each first
+    # SMALL payload
+    identities = clauses = 0
+    for family, table in verifier._CLAUSES.items():
+        for clause, (generate, evaluate) in table.items():
+            _, payload = next(iter(generate(SMALL)))
+            sides = evaluate(SMALL, payload)
+            assert type(sides) is tuple and len(sides) == 2, (family, clause)
             identity = _is_state_identity(family, clause)
-            assert ok and isinstance(lhs, _Operator) is isinstance(rhs, _Operator) is identity, (
+            assert [isinstance(side, _Operator) for side in sides] == [identity] * 2, (
                 family, clause)
+            assert verifier._holds(*sides, payload), (family, clause)
             identities += identity
-    assert identities == 10 + 13 + 2 + 3 + 3
+            clauses += 1
+    assert identities == 10 + 13 + 2 + 3 + 3 and clauses == 65
 
 
 def test_a_side_is_built_only_for_a_record_or_a_replay(monkeypatch):
