@@ -199,13 +199,11 @@ def test_probe_sample_peak_memory():
         super_commutator(x, y, state)
         apply(z, state)
         tracemalloc.start()
-        try:
-            lhs = super_commutator(x, y, state)
-            rhs = apply(z, state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        lhs = super_commutator(x, y, state)
+        rhs = apply(z, state)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
+        tracemalloc.stop()
         if enabled:
             gc.enable()
     assert lhs == rhs == ZERO
