@@ -165,9 +165,9 @@ def group_multiply(a: LatticeVector, s: LatticeFockState) -> LatticeFockState:
     )
 
 
-# thm46's heaviest check reads 50 levels and a q = 3 heavy check 119; a whole thm46 pass
-# fills 380 without a bound, 410 at this one and 582 at 128.  The bound keeps the levels
-# of a deep mode from living as long as the process
+# thm46's heaviest check reads 50 levels and a q = 3 heavy check 120; a whole thm46 pass
+# reads 330 and misses 345 at this bound, 501 at 128 (act: 660 and 915).  The bound keeps
+# the levels of a deep mode from living as long as the process
 @lru_cache(maxsize=256)
 def _creation_level(a: LatticeVector, c: int):
     """Coefficient of z^c in exp T_-(a, z) applied to 1, in closed form.
@@ -210,7 +210,7 @@ def _creation_level(a: LatticeVector, c: int):
     return fact // g, tuple((mono, q // g) for mono, q in out)
 
 
-# thm46's heaviest check looks up 79 contracted parts, and a whole thm46 pass 1,338
+# thm46's heaviest check looks up 79 contracted parts, and a whole thm46 pass 1,338 (1,373 misses)
 @lru_cache(maxsize=512)
 def _exp_annihilation(a: LatticeVector, mono):
     """exp T_+(a, z) applied to a monomial, as {level d: ((mono', int coefficient), ...)}.

@@ -60,21 +60,23 @@ def _rows(kind: str) -> tuple:
     rows = []
 
     def add(clause, row, varspec, patterns, build):
-        rows.append(Row(C + clause, C + row, tuple(varspec), tuple(patterns), build))
+        # build(alg, M, me, ne, tot, **idx) -> (x, y, printed rhs), tot = me + ne
+        def adapted(alg, idx, me, ne):
+            tot = tuple(a + b for a, b in zip(me, ne))
+            return build(alg, alg.M, me, ne, tot, **idx)
+        rows.append(Row(C + clause, C + row, tuple(varspec), tuple(patterns), adapted))
 
     mm = lambda *names: tuple((n, "M") for n in names)
     nn = lambda *names: tuple((n, "N") for n in names)
 
     # --- 1: both arguments in the e-block
-    def b1a(alg, idx, me, ne):
-        i, j, k, l = idx["i"], idx["j"], idx["k"], idx["l"]
+    def b1a(alg, M, me, ne, tot, i, j, k, l):
         x = _t(i, j, me)
         y = _t(k, l, ne)
         ip = (i == k) + (j == l) - (i == l) - (j == k)
         if ip >= 0:
             return x, y, _zero()
         f = alg.f_roots(i, j, k, l)
-        tot = _sum_exp(me, ne)
         if j == k and l != i:
             return x, y, _t(i, l, tot, f)
         if l == i and j != k:
@@ -95,10 +97,9 @@ def _rows(kind: str) -> tuple:
         ("j=k,l=i", (("ne", "i", "j"), ("eq", "j", "k"), ("eq", "i", "l"))),
     ), b1a)
 
-    def b1b(alg, idx, me, ne):
-        i, k, l = idx["i"], idx["k"], idx["l"]
+    def b1b(alg, M, me, ne, tot, i, k, l):
         w = (1 if i == k else 0) - (1 if i == l else 0)
-        return _t(i, i, me), _t(k, l, ne), _t(k, l, _sum_exp(me, ne), w)
+        return _t(i, i, me), _t(k, l, ne), _t(k, l, tot, w)
 
     add("1", "1:diag", mm("i", "k", "l"), (
         ("apart", (("ne", "k", "l"), ("ne", "i", "k"), ("ne", "i", "l"))),
@@ -106,10 +107,8 @@ def _rows(kind: str) -> tuple:
         ("i=l", (("ne", "k", "l"), ("eq", "i", "l"))),
     ), b1b)
 
-    def b1c(alg, idx, me, ne):
-        i, k = idx["i"], idx["k"]
-        rhs = _central(C, 1 if i == k else 0, me, ne)
-        return _t(i, i, me), _t(k, k, ne), rhs
+    def b1c(alg, M, me, ne, tot, i, k):
+        return _t(i, i, me), _t(k, k, ne), _central(C, 1 if i == k else 0, me, ne)
 
     add("1", "1:cartan", mm("i", "k"), (
         ("i=k", (("eq", "i", "k"),)),
@@ -118,12 +117,9 @@ def _rows(kind: str) -> tuple:
 
     # --- 2: both arguments in the second block; the print shows
     # T_{k+M,l+M} in the middle term (suspected typo for T_{k+M,j+M})
-    def b2(alg, idx, me, ne):
-        M = alg.M
-        i, j, k, l = idx["i"], idx["j"], idx["k"], idx["l"]
+    def b2(alg, M, me, ne, tot, i, j, k, l):
         x = _t(i + M, j + M, me)
         y = _t(k + M, l + M, ne)
-        tot = _sum_exp(me, ne)
         rhs = _zero()
         if j == k:
             rhs = rhs + _t(i + M, l + M, tot)
@@ -145,20 +141,16 @@ def _rows(kind: str) -> tuple:
 
     # --- 3: e-block against T_{k+M,l}; the second printed ST line keeps
     # F(e_j,e_i) where the affine print has F(e_i,e_j) (suspected typo)
-    def b3_1(alg, idx, me, ne):
-        M = alg.M
-        i, j, k, l = idx["i"], idx["j"], idx["k"], idx["l"]
+    def b3_1(alg, M, me, ne, tot, i, j, k, l):
         w = alg.f_basis(j, i) if i == l else 0
-        return _t(i, j, me), _t(k + M, l, ne), _t(k + M, j, _sum_exp(me, ne), w)
+        return _t(i, j, me), _t(k + M, l, ne), _t(k + M, j, tot, w)
 
-    def b3_2(alg, idx, me, ne):
-        M = alg.M
-        i, j, k, l = idx["i"], idx["j"], idx["k"], idx["l"]
+    def b3_2(alg, M, me, ne, tot, i, j, k, l):
         if C == "R":
             w = alg.f_basis(i, j) if i == l else 0
         else:
             w = alg.f_basis(j, i) if i == l else 0  # as printed
-        return _t(k + M, l, ne), _t(i, j, me), _t(k + M, j, _sum_exp(me, ne), w)
+        return _t(k + M, l, ne), _t(i, j, me), _t(k + M, j, tot, w)
 
     pat3 = (
         ("i=l", (("ne", "i", "j"), ("eq", "i", "l"))),
@@ -168,17 +160,13 @@ def _rows(kind: str) -> tuple:
     add("3", "3:1", spec3, pat3, b3_1)
     add("3", "3:2", spec3, pat3, b3_2)
 
-    def b3_3(alg, idx, me, ne):
-        M = alg.M
-        i, k, l = idx["i"], idx["k"], idx["l"]
+    def b3_3(alg, M, me, ne, tot, i, k, l):
         w = -1 if i == l else 0
-        return _t(i, i, me), _t(k + M, l, ne), _t(k + M, l, _sum_exp(me, ne), w)
+        return _t(i, i, me), _t(k + M, l, ne), _t(k + M, l, tot, w)
 
-    def b3_4(alg, idx, me, ne):
-        M = alg.M
-        i, k, l = idx["i"], idx["k"], idx["l"]
+    def b3_4(alg, M, me, ne, tot, i, k, l):
         w = 1 if i == l else 0
-        return _t(k + M, l, ne), _t(i, i, me), _t(k + M, l, _sum_exp(me, ne), w)
+        return _t(k + M, l, ne), _t(i, i, me), _t(k + M, l, tot, w)
 
     pat3d = (
         ("i=l", (("eq", "i", "l"),)),
@@ -189,17 +177,13 @@ def _rows(kind: str) -> tuple:
     add("3", "3:4", spec3d, pat3d, b3_4)
 
     # --- 4: e-block against T_{k,l+M}
-    def b4_1(alg, idx, me, ne):
-        M = alg.M
-        i, j, k, l = idx["i"], idx["j"], idx["k"], idx["l"]
+    def b4_1(alg, M, me, ne, tot, i, j, k, l):
         w = alg.f_basis(i, j) if j == k else 0
-        return _t(i, j, me), _t(k, l + M, ne), _t(i, l + M, _sum_exp(me, ne), w)
+        return _t(i, j, me), _t(k, l + M, ne), _t(i, l + M, tot, w)
 
-    def b4_2(alg, idx, me, ne):
-        M = alg.M
-        i, j, k, l = idx["i"], idx["j"], idx["k"], idx["l"]
+    def b4_2(alg, M, me, ne, tot, i, j, k, l):
         w = -alg.f_basis(i, j) if j == k else 0
-        return _t(k, l + M, ne), _t(i, j, me), _t(i, l + M, _sum_exp(me, ne), w)
+        return _t(k, l + M, ne), _t(i, j, me), _t(i, l + M, tot, w)
 
     pat4 = (
         ("j=k", (("ne", "i", "j"), ("eq", "j", "k"))),
@@ -212,17 +196,13 @@ def _rows(kind: str) -> tuple:
     add("4", "4:2", spec4, pat4, b4_2)
 
     # --- 5
-    def b5_1(alg, idx, me, ne):
-        M = alg.M
-        i, j, k, l = idx["i"], idx["j"], idx["k"], idx["l"]
+    def b5_1(alg, M, me, ne, tot, i, j, k, l):
         w = 1 if j == k else 0
-        return _t(i + M, j + M, me), _t(k + M, l, ne), _t(i + M, l, _sum_exp(me, ne), w)
+        return _t(i + M, j + M, me), _t(k + M, l, ne), _t(i + M, l, tot, w)
 
-    def b5_2(alg, idx, me, ne):
-        M = alg.M
-        i, j, k, l = idx["i"], idx["j"], idx["k"], idx["l"]
+    def b5_2(alg, M, me, ne, tot, i, j, k, l):
         w = -1 if j == k else 0
-        return _t(k + M, l, ne), _t(i + M, j + M, me), _t(i + M, l, _sum_exp(me, ne), w)
+        return _t(k + M, l, ne), _t(i + M, j + M, me), _t(i + M, l, tot, w)
 
     pat_jk = (
         ("j=k", (("eq", "j", "k"),)),
@@ -233,17 +213,13 @@ def _rows(kind: str) -> tuple:
     add("5", "5:2", spec5, pat_jk, b5_2)
 
     # --- 6
-    def b6_1(alg, idx, me, ne):
-        M = alg.M
-        i, j, k, l = idx["i"], idx["j"], idx["k"], idx["l"]
+    def b6_1(alg, M, me, ne, tot, i, j, k, l):
         w = -1 if l == i else 0
-        return _t(i + M, j + M, me), _t(k, l + M, ne), _t(k, j + M, _sum_exp(me, ne), w)
+        return _t(i + M, j + M, me), _t(k, l + M, ne), _t(k, j + M, tot, w)
 
-    def b6_2(alg, idx, me, ne):
-        M = alg.M
-        i, j, k, l = idx["i"], idx["j"], idx["k"], idx["l"]
+    def b6_2(alg, M, me, ne, tot, i, j, k, l):
         w = 1 if l == i else 0
-        return _t(k, l + M, ne), _t(i + M, j + M, me), _t(k, j + M, _sum_exp(me, ne), w)
+        return _t(k, l + M, ne), _t(i + M, j + M, me), _t(k, j + M, tot, w)
 
     pat_li = (
         ("l=i", (("eq", "l", "i"),)),
@@ -254,10 +230,7 @@ def _rows(kind: str) -> tuple:
     add("6", "6:2", spec6, pat_li, b6_2)
 
     # --- 7: the odd-odd pair with central terms
-    def b7_1(alg, idx, me, ne):
-        M = alg.M
-        i, j, k, l = idx["i"], idx["j"], idx["k"], idx["l"]
-        tot = _sum_exp(me, ne)
+    def b7_1(alg, M, me, ne, tot, i, j, k, l):
         rhs = _zero()
         if j == k:
             rhs = rhs + _t(i + M, l + M, tot)
@@ -266,10 +239,7 @@ def _rows(kind: str) -> tuple:
         rhs = rhs + _central(C, -(j == k) * (l == i), me, ne)
         return _t(i + M, j, me), _t(k, l + M, ne), rhs
 
-    def b7_2(alg, idx, me, ne):
-        M = alg.M
-        i, j, k, l = idx["i"], idx["j"], idx["k"], idx["l"]
-        tot = _sum_exp(me, ne)
+    def b7_2(alg, M, me, ne, tot, i, j, k, l):
         rhs = _zero()
         if j == k:
             rhs = rhs + _t(i + M, l + M, tot)
@@ -286,13 +256,11 @@ def _rows(kind: str) -> tuple:
     add("7", "7:2", spec7, pat_jk_li, b7_2)
 
     # --- 8, 9, 10: vanishing pairs
-    def b8_1(alg, idx, me, ne):
-        M = alg.M
-        return _t(idx["i"], idx["j"], me), _t(idx["k"] + M, idx["l"] + M, ne), _zero()
+    def b8_1(alg, M, me, ne, tot, i, j, k, l):
+        return _t(i, j, me), _t(k + M, l + M, ne), _zero()
 
-    def b8_2(alg, idx, me, ne):
-        M = alg.M
-        return _t(idx["k"] + M, idx["l"] + M, ne), _t(idx["i"], idx["j"], me), _zero()
+    def b8_2(alg, M, me, ne, tot, i, j, k, l):
+        return _t(k + M, l + M, ne), _t(i, j, me), _zero()
 
     pat8 = (
         ("generic", (("ne", "i", "j"), ("ne", "k", "l"))),
@@ -302,13 +270,11 @@ def _rows(kind: str) -> tuple:
     add("8", "8:1", spec8, pat8, b8_1)
     add("8", "8:2", spec8, pat8, b8_2)
 
-    def b9_1(alg, idx, me, ne):
-        M = alg.M
-        return _t(idx["i"] + M, idx["j"], me), _t(idx["k"] + M, idx["l"], ne), _zero()
+    def b9_1(alg, M, me, ne, tot, i, j, k, l):
+        return _t(i + M, j, me), _t(k + M, l, ne), _zero()
 
-    def b9_2(alg, idx, me, ne):
-        M = alg.M
-        return _t(idx["k"] + M, idx["l"], ne), _t(idx["i"] + M, idx["j"], me), _zero()
+    def b9_2(alg, M, me, ne, tot, i, j, k, l):
+        return _t(k + M, l, ne), _t(i + M, j, me), _zero()
 
     pat_ik_jl = (  # rows 9 and 10
         ("generic", (("ne", "i", "k"), ("ne", "j", "l"))),
@@ -319,23 +285,17 @@ def _rows(kind: str) -> tuple:
     add("9", "9:1", spec9, pat_ik_jl, b9_1)
     add("9", "9:2", spec9, pat_ik_jl, b9_2)
 
-    def b10_1(alg, idx, me, ne):
-        M = alg.M
-        return _t(idx["i"], idx["j"] + M, me), _t(idx["k"], idx["l"] + M, ne), _zero()
+    def b10_1(alg, M, me, ne, tot, i, j, k, l):
+        return _t(i, j + M, me), _t(k, l + M, ne), _zero()
 
-    def b10_2(alg, idx, me, ne):
-        M = alg.M
-        return _t(idx["k"], idx["l"] + M, ne), _t(idx["i"], idx["j"] + M, me), _zero()
+    def b10_2(alg, M, me, ne, tot, i, j, k, l):
+        return _t(k, l + M, ne), _t(i, j + M, me), _zero()
 
     spec10 = (("i", "M"), ("k", "M"), ("j", "N"), ("l", "N"))
     add("10", "10:1", spec10, pat_ik_jl, b10_1)
     add("10", "10:2", spec10, pat_ik_jl, b10_2)
 
     return tuple(rows)
-
-
-def _sum_exp(me, ne):
-    return tuple(a + b for a, b in zip(me, ne))
 
 
 R_ROWS = _rows("R")
@@ -364,7 +324,10 @@ ADJUDICATIONS = {
     },
 }
 
-def solve_pattern(varspec, constraints, M, N, rng, tries=64):
+_TRIES = 64  # random draws before solve_pattern enumerates every assignment
+
+
+def solve_pattern(varspec, constraints, M, N, rng):
     """Random index assignment satisfying eq/ne constraints, else None."""
     parent = {name: name for name, _ in varspec}
 
@@ -390,7 +353,7 @@ def solve_pattern(varspec, constraints, M, N, rng, tries=64):
             nes.append((ra, rb))
 
     reps = sorted(bound)
-    for _ in range(tries):
+    for _ in range(_TRIES):
         val = {r: rng.randint(1, bound[r]) for r in reps}
         if all(val[a] != val[b] for a, b in nes):
             return {name: val[find(name)] for name, _ in varspec}
