@@ -5,7 +5,9 @@ toroidal elements are all maps from hashable basis keys to nonzero
 rationals.  Combination keeps that map in ``terms`` and implements the
 vector-space structure once; a subclass adds its constructors, the sort
 key of its canonical term order and ``_format_term``, the repr of one
-term.
+term.  Sink is the integer form the operators build their images in: int
+numerators over one denominator, grouped by (gamma, tag), each group a map
+from monomial to numerator.
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ def accumulate(out: dict, items) -> dict:
 
 
 class Sink:
-    """A sum being built: terms maps a key to its int numerator over the one
-    denominator den, and no numerator is 0.
+    """A sum being built of the terms ((gamma, monomial), tag): terms maps (gamma, tag)
+    to that group's {monomial: int numerator} over the one denominator den, no
+    numerator is 0 and no group is empty, so a term is only its monomial and numerator.
 
     The operators of the package add into a sink their caller owns and read one as
-    their integer input, so no Fraction is built between the layers; state builds
-    one per surviving key at the end.
+    their integer input, so no Fraction is built between the layers; state builds one
+    per surviving term at the end.
     """
 
     __slots__ = ("den", "terms")
@@ -53,10 +56,14 @@ class Sink:
         self.terms = {} if terms is None else terms
 
     @classmethod
-    def of(cls, s: "Combination") -> "Sink":
-        """The terms of s over the lcm of their denominators."""
-        den = lcm(*{c.denominator for c in s.terms.values()})
-        return cls(den, {k: c.numerator * (den // c.denominator) for k, c in s.terms.items()})
+    def of(cls, terms: dict) -> "Sink":
+        """The ((gamma, monomial), tag) -> Fraction terms over the lcm of their
+        denominators, grouped by (gamma, tag)."""
+        den = lcm(*{c.denominator for c in terms.values()})
+        groups = {}
+        for ((gamma, mono), tag), c in terms.items():
+            groups.setdefault((gamma, tag), {})[mono] = c.numerator * (den // c.denominator)
+        return cls(den, groups)
 
     def widen(self, den: int) -> int:
         """Make den divide self.den, rescaling every numerator in place where self.den
@@ -64,30 +71,42 @@ class Sink:
         if self.den % den:
             grown = lcm(self.den, den)
             f = grown // self.den
-            terms = self.terms
-            for k in terms:
-                terms[k] *= f
+            for group in self.terms.values():
+                for mono in group:
+                    group[mono] *= f
             self.den = grown
         return self.den // den
 
-    def add(self, items, den: int, scale=1):
-        """Add scale times the (key, int numerator over den) items."""
+    def add(self, groups, den: int, scale=1):
+        """Add scale times the groups, (group key, (monomial, int numerator over den)
+        items, int weight) triples, each numerator times its group's weight.  A group's
+        items are read in full before the next triple is drawn."""
         if not scale:
             return
         f = self.widen(den * scale.denominator) * scale.numerator
         terms = self.terms
-        get = terms.get
-        for k, n in items:
-            v = get(k, 0) + n * f
-            if v:
-                terms[k] = v
-            else:
-                terms.pop(k, None)
+        for key, items, w in groups:
+            if not w:
+                continue
+            w *= f
+            group = terms.setdefault(key, {})
+            get = group.get
+            for mono, n in items:
+                v = get(mono, 0) + n * w
+                if v:
+                    group[mono] = v
+                else:
+                    group.pop(mono, None)
+            if not group:
+                del terms[key]
 
     def state(self, cls):
-        """The sum as a cls state, its Fractions in lowest terms."""
+        """The sum as a cls state keyed ((gamma, monomial), tag), its Fractions in
+        lowest terms."""
         den = self.den
-        return cls._from_clean({k: Fraction(n, den) for k, n in self.terms.items()})
+        return cls._from_clean({((gamma, mono), tag): Fraction(n, den)
+                                for (gamma, tag), group in self.terms.items()
+                                for mono, n in group.items()})
 
 
 def exact(c) -> Fraction:

@@ -47,14 +47,14 @@ at a time, merging equal monomials after each, and then the other bases
 of a's support together, writing each product straight to the image.
 
 Inside the package the operators run in an integer form: a Sink (see
-combination) holds int numerators over one denominator, keyed by (lattice
-key, tag) with the tag a boson key, and vertex_modes, vertex_mode_apply,
-the Heisenberg modes and the mode sums add scale times their image into a
-sink the caller owns.  A mode sum feeds each window image to its outer
-factor as ints, and the representation layer keeps the boson half as the
-tag, so no Fraction is built between the kernel and the tensor state.  The
-public functions on lattice states take and give Fractions around that
-form.
+combination) holds int numerators over one denominator, grouped by (gamma,
+tag) with the tag a boson key, each group a map monomial -> numerator, and
+vertex_modes, vertex_mode_apply, the Heisenberg modes and the mode sums
+add scale times their image into a sink the caller owns, a group at a
+time.  A mode sum feeds each window image to its outer factor as ints, and
+the representation layer keeps the boson half as the tag, so no Fraction
+is built between the kernel and the tensor state.  The public functions on
+lattice states take and give Fractions around that form.
 """
 
 from __future__ import annotations
@@ -123,32 +123,35 @@ def heisenberg_apply(a: LatticeVector, m: int, s, sink=None, scale=1):
     """
     if sink is None:
         return _on_lattice(heisenberg_apply, s, a, m)
-    terms = s.terms.items()
+    groups = s.terms.items()
+    # a group's image stays in its (gamma, tag) group
     if m < 0:
         supp = basis_support(a)
-        items = ((((gamma, monomial_insert(mono, (b, -m))), tag), n * w)
-                 for ((gamma, mono), tag), n in terms for b, w in supp)
+        images = ((key, ((monomial_insert(mono, (b, -m)), n) for mono, n in group.items()), w)
+                  for key, group in groups for b, w in supp)
     elif m == 0:
-        items = ((key, n * bilinear(a, key[0][0])) for key, n in terms)
+        images = ((key, group.items(), bilinear(a, key[0])) for key, group in groups)
     else:
         # one of the mult copies of a distinct factor f = b(-m) goes, weighted mult m (a, b)
-        items = ((((gamma, monomial_remove(mono, f)), tag), n * (mono.count(f) * m * w))
-                 for ((gamma, mono), tag), n in terms for f in dict.fromkeys(mono)
-                 if f[1] == m and (w := pair_with_basis(a, f[0])))
-    sink.add(items, s.den, scale)
+        images = ((key, ((monomial_remove(mono, f), n * (mono.count(f) * m * w))
+                         for mono, n in group.items() for f in dict.fromkeys(mono)
+                         if f[1] == m and (w := pair_with_basis(a, f[0]))), 1)
+                  for key, group in groups)
+    sink.add(images, s.den, scale)
     return sink
 
 
 def _tagged(s: LatticeFockState) -> Sink:
-    """s in integer form: each key tagged None."""
-    src = Sink.of(s)
-    return Sink(src.den, {(key, None): n for key, n in src.terms.items()})
+    """s in integer form: its one group per gamma tagged None."""
+    return Sink.of({(key, None): c for key, c in s.terms.items()})
 
 
 def _untagged(sink: Sink) -> LatticeFockState:
     """The lattice state of a sink in integer form, its tags dropped."""
     den = sink.den
-    return LatticeFockState._from_clean({lk: Fraction(n, den) for (lk, _), n in sink.terms.items()})
+    return LatticeFockState._from_clean({(gamma, mono): Fraction(n, den)
+                                         for (gamma, _), group in sink.terms.items()
+                                         for mono, n in group.items()})
 
 
 def _on_lattice(fn, s: LatticeFockState, *args) -> LatticeFockState:
@@ -259,8 +262,8 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
     level depends on the index but the creation level, so one pass over
     s serves the whole window: one exp T_+ lookup per key, the shift
     (a, gamma), the sign F(a, gamma) and the target a + gamma once per
-    gamma (from _shifted, which caches them across calls), and the
-    annihilated monomials of all keys summed per (gamma, level d) once,
+    group (from _shifted, which caches them across calls), and the
+    annihilated monomials of all keys summed per (group, level d) once,
     each distinct one then multiplied by the creation level of each
     index.  The lookup takes only the key's contracted
     factors, those of basis indices in _paired(a); the carried factors
@@ -273,7 +276,7 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
     the creation degree r they still need.  A stage multiplies bucket r by
     the levels j <= r of a restricted to its group and puts the products in
     bucket r - j; the last stage reads only level r, which empties the
-    bucket.  A basis that some annihilated monomial of a (gamma, tag) uses
+    bucket.  A basis that some annihilated monomial of a group uses
     (a met basis) can form one key from two pairs, so each takes a stage of
     its own whose products are merged.  The free bases cannot: the factors
     of a key in free bases are exactly the created ones, so the key splits
@@ -285,21 +288,21 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
     with c! / prod(n^m m!) an int.  With cmax the largest creation degree
     an index needs and D the denominator its image is written over, a
     multiple of den_in * cmax!, bucket r is kept over D / r!, and every
-    stage's factor r! / ((r - j)! D_j) is an int.  Output keys are grouped
-    by gamma, so the inner loops hash only monomials.  An index whose image
+    stage's factor r! / ((r - j)! D_j) is an int.  An index whose image
     is 0 maps to the zero state.  a = 0 takes the same path: its creation
     levels above 0 are empty, so X_0(0) is the identity and its other modes 0.
 
     With a sink, the package's integer form, nothing is returned: s is a
-    Sink whose keys are (lattice key, tag) pairs, the tag (a boson key)
+    Sink, read one (gamma, tag) group at a time, the tag (a boson key)
     riding along, and scale * X_idx(a) s is added into sink[idx] as
     numerators over its den, which is widened once per index before any is
-    written.  An image key keeps its tag; with targets, {tag: {idx:
-    ((target tag, int weight), ...)}}, it is written once per target that
-    its tag lists at idx, times the weight, and not at all where the tag
-    lists no idx.  Keys are grouped by (gamma, tag), so a lattice key under
-    several tags meets its creation levels once per tag.  Without a sink,
-    s is a lattice state, and its images are built through a sink each.
+    written.  A group's image is written as bare monomials into the (a +
+    gamma, tag) group, so the inner loops hash only monomials; with
+    targets, {tag: {idx: ((target tag, int weight), ...)}}, it goes to the
+    (a + gamma, target tag) group of each target that its tag lists at idx,
+    times the weight, and nowhere where the tag lists no idx.  A lattice key
+    under several tags meets its creation levels once per tag.  Without a
+    sink, s is a lattice state, and its images are built through a sink each.
     """
     if sink is None:
         images = {idx: Sink() for idx in idxs}
@@ -313,37 +316,37 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
     depths = {idx: _mode_depth(a, idx, norm) for idx in idxs}
     h_lo = min(depths.values())
     paired = _paired(a)
-    # (gamma, tag) -> ({level d: {annihilated monomial: numerator over s.den}}, a + gamma,
-    # (a, gamma), F(a, gamma)); a level below (a, gamma) + h_lo needs a negative creation
-    # level at every index
-    groups = {}
-    for ((gamma, mono), tag), num in s.terms.items():
-        hoisted = groups.get((gamma, tag))
-        if hoisted is None:
-            hoisted = groups[gamma, tag] = ({}, *_shifted(a, gamma))
-        levels, _, shift, _ = hoisted
-        # only the contracted factors are looked up; the carried ones pass exp T_+ unchanged
-        carried = ()
-        for b, _ in mono:
-            if b not in paired:
-                carried = tuple([f for f in mono if f[0] not in paired])
-                mono = tuple([f for f in mono if f[0] in paired])
-                break
-        for d, monos in _exp_annihilation(a, mono).items():
-            if d < shift + h_lo:
-                continue
-            annihilated = levels.get(d)
-            if annihilated is None:
-                annihilated = levels[d] = {}
-            get = annihilated.get
-            for mo, n_ann in monos:
-                mo = carried + mo
-                annihilated[mo] = get(mo, 0) + num * n_ann
+    # per (gamma, tag) group: (tag, {level d: {annihilated monomial: numerator over s.den}},
+    # a + gamma, (a, gamma), F(a, gamma)); a level below (a, gamma) + h_lo needs a negative
+    # creation level at every index
+    groups = []
+    for (gamma, tag), group in s.terms.items():
+        new_gamma, shift, sign = _shifted(a, gamma)
+        floor = shift + h_lo
+        levels = {}
+        for mono, num in group.items():
+            # only the contracted factors are looked up; the carried ones pass exp T_+ unchanged
+            carried = ()
+            for b, _ in mono:
+                if b not in paired:
+                    carried = tuple([f for f in mono if f[0] not in paired])
+                    mono = tuple([f for f in mono if f[0] in paired])
+                    break
+            for d, ann in _exp_annihilation(a, mono).items():
+                if d < floor:
+                    continue
+                annihilated = levels.get(d)
+                if annihilated is None:
+                    annihilated = levels[d] = {}
+                get = annihilated.get
+                for mo, n_ann in ann:
+                    mo = carried + mo
+                    annihilated[mo] = get(mo, 0) + num * n_ann
+        groups.append((tag, levels, new_gamma, shift, sign))
     # the largest creation degree of index idx is top - h_idx; each image's sink is widened
     # to den_in * scale's denominator * that degree's factorial before any is written, since
     # indices may share a sink, and lift[idx] puts a numerator over that den over the sink's
-    top = max((max(levels) - shift for levels, _, shift, _ in groups.values() if levels),
-              default=None)
+    top = max((max(levels) - shift for _, levels, _, shift, _ in groups if levels), default=None)
     if top is None:
         return
     dens = {idx: s.den * scale.denominator * factorial(top - h)
@@ -352,7 +355,7 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
         sink[idx].widen(den)
     lift = {idx: sink[idx].den // den * scale.numerator for idx, den in dens.items()}
     support = {b for b, _ in basis_support(a)}
-    for (_, tag), (levels, new_gamma, shift, sign) in groups.items():
+    for tag, levels, new_gamma, shift, sign in groups:
         if targets is not None:
             by_idx = targets[tag]
         # the met bases of the group, over the annihilated monomials of all its levels
@@ -370,16 +373,18 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
             # the stage-0 lift: sign * cmax! with cmax = top - h, times lift[idx] and the
             # weight of a single target; several targets share one image, copied to each
             first = sign * factorial(top - h) * lift[idx]
+            out = sink[idx].terms
             spread = None
             if targets is None:
-                terms, out_tag = sink[idx].terms, tag
+                out_tag = tag
             elif len(by_idx[idx]) == 1:
                 (out_tag, w), = by_idx[idx]
-                terms = sink[idx].terms
                 first *= w
             else:
-                terms, out_tag, spread = {}, None, by_idx[idx]
-            get_out = terms.get
+                spread = by_idx[idx]
+            # the image is written as bare monomials into its (a + gamma, tag) group
+            image = {} if spread else out.setdefault((new_gamma, out_tag), {})
+            get_out = image.get
             # bucket r holds numerators over D / r!; the first stage lifts the raw
             # numerators, over den_in, by first.  A stage pops each bucket as it reads it,
             # so its input drains while its output fills; it reads them by rising r, since
@@ -397,12 +402,12 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
                                 if n:
                                     n *= q
                                     for extra, n_cre in created:
-                                        key = ((new_gamma, tuple(sorted(mo + extra))), out_tag)
+                                        key = tuple(sorted(mo + extra))
                                         v = get_out(key, 0) + n * n_cre
                                         if v:
-                                            terms[key] = v
+                                            image[key] = v
                                         else:
-                                            del terms[key]
+                                            del image[key]
                             continue
                         target = nxt.setdefault(r - j, {})
                         get = target.get
@@ -418,16 +423,16 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
                 buckets = nxt
             for mo, n in buckets.get(0, {}).items():
                 if n:
-                    key = ((new_gamma, mo), out_tag)
-                    v = get_out(key, 0) + n
+                    v = get_out(mo, 0) + n
                     if v:
-                        terms[key] = v
+                        image[mo] = v
                     else:
-                        del terms[key]
+                        del image[mo]
             if spread:
-                out = sink[idx]
-                out.add((((lk, t), n * w) for (lk, _), n in terms.items() for t, w in spread),
-                        out.den)
+                out_sink = sink[idx]
+                out_sink.add((((new_gamma, t), image.items(), w) for t, w in spread), out_sink.den)
+            elif not image:
+                del out[new_gamma, out_tag]
 
 
 # keyed by (vector, met bases): 175 in a thm46 pass and 436 in an act pass
@@ -477,15 +482,17 @@ def _paired(a: LatticeVector) -> frozenset:
 
 
 def _mode_bound(a: LatticeVector, keys, paired):
-    """max over the lattice keys of 2 (deg u - (a, gamma)) minus the norm for even a and
-    minus 1 for odd a, deg u counting only the factors of basis indices in
-    paired (all when paired is None); -inf without keys.  (a, gamma)
-    is computed once per gamma, for its largest degree."""
+    """max over the lattice keys e^gamma (x) u of 2 (deg u - (a, gamma)) minus the norm
+    for even a and minus 1 for odd a, deg u counting only the factors of basis indices
+    in paired (all when paired is None); -inf without keys.  keys holds (gamma,
+    nonempty monomials) pairs, and (a, gamma) is computed once per gamma, for its
+    largest degree."""
     p = bilinear(a, a)
     drop = p if p % 2 == 0 else 1
     degrees = {}  # gamma -> largest counted degree of its monomials
-    for g, u in keys:
-        d = monomial_degree(u) if paired is None else sum(n for b, n in u if b in paired)
+    for g, monos in keys:
+        d = max(monomial_degree(u) if paired is None else sum(n for b, n in u if b in paired)
+                for u in monos)
         if d > degrees.get(g, -1):
             degrees[g] = d
     return max((2 * (d - bilinear(a, g)) - drop for g, d in degrees.items()), default=NEG_INF)
@@ -502,7 +509,7 @@ def vanishing_bound(a: LatticeVector, s: LatticeFockState):
     Per key the bound is 2 (deg u - (a, gamma)) minus the norm for even a
     and minus 1 for odd a; the zero state yields -inf.
     """
-    return _mode_bound(a, s.terms, None)
+    return _mode_bound(a, ((g, (u,)) for g, u in s.terms), None)
 
 
 def effective_mode_bound(a: LatticeVector, s: LatticeFockState):
@@ -513,18 +520,19 @@ def effective_mode_bound(a: LatticeVector, s: LatticeFockState):
     mode family.  Used to clip the infinite mode sums of the toroidal
     operators, where states carry factors orthogonal to a.
     """
-    return _effective_bound(a, s.terms)
+    return _effective_bound(a, ((g, (u,)) for g, u in s.terms))
 
 
 def current_upper_bound(a: LatticeVector, s: LatticeFockState):
     """Largest m > 0 with a(m) s possibly nonzero (0 if none; -inf on 0)."""
-    return NEG_INF if s.is_zero() else _current_bound(a, s.terms)
+    return NEG_INF if s.is_zero() else _current_bound(a, ((g, (u,)) for g, u in s.terms))
 
 
 def _current_bound(a: LatticeVector, keys) -> int:
-    """current_upper_bound on the lattice keys keys, 0 without keys."""
+    """current_upper_bound on the lattice keys keys, read as _mode_bound reads them; 0
+    without keys."""
     paired = _paired(a)
-    return max((n for _, u in keys for b, n in u if b in paired), default=0)
+    return max((n for _, monos in keys for u in monos for b, n in u if b in paired), default=0)
 
 
 def window_sum(vec: LatticeVector, idxs, src: Sink, outer):
@@ -541,8 +549,9 @@ def window_sum(vec: LatticeVector, idxs, src: Sink, outer):
 
 
 def _lattice_keys(src: Sink) -> list:
-    """The lattice half of each key of a state in integer form."""
-    return [lk for lk, _ in src.terms]
+    """The lattice keys of a state in integer form, as the bounds read them: (gamma,
+    monomials) per group."""
+    return [(gamma, group) for (gamma, _), group in src.terms.items()]
 
 
 def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int, s, sink=None, scale=1):
@@ -573,12 +582,18 @@ def _dressed_current(a: LatticeVector, dm: LatticeVector, n: int, s: Sink, sink:
     which fixes the lowest k, and a(k) kills every state for k beyond the
     current bound of a on s.  That bound, read on s, still holds on
     X(dm) s: X(dm) creates only delta factors, which a cannot contract.
+    For the same reason (a, dm) = 0, so a(k) commutes with X(dm): each
+    contracting term, k >= 1, applies a(k) to s first and X(dm) to what is
+    left, which is smaller than s, and only k <= 0 reads a window on s.
     """
     if dm.is_zero():
         return heisenberg_apply(a, n, s, sink, scale)
     keys = _lattice_keys(s)
-    window_sum(dm, range(2 * (n - _current_bound(a, keys)), _effective_bound(dm, keys) + 1, 2),
-               s, lambda j, image: heisenberg_apply(a, n - j // 2, image, sink, scale))
+    bound = _effective_bound(dm, keys)
+    for k in range(max(1, n - bound // 2), _current_bound(a, keys) + 1):
+        vertex_mode_apply(dm, 2 * (n - k), heisenberg_apply(a, k, s, Sink()), sink, scale)
+    window_sum(dm, range(2 * n, bound + 1, 2), s,
+               lambda j, image: heisenberg_apply(a, n - j // 2, image, sink, scale))
     return sink
 
 

@@ -31,9 +31,10 @@ identity 4.4 folds X(+-e) X(delta_mu) into one vertex mode of
 +-e + delta_mu.
 
 Every operator evaluates in the integer form of fock_lattice: _into adds
-scale times its image of a Sink into a Sink, both keyed (lattice key, boson
+scale times its image of a Sink into a Sink, both grouped by (gamma, boson
 key), so a lattice operator runs once on a whole tensor state with the
-boson half riding along as the tag, an OpSum hands each term its
+boson half riding along as the tag, a boson mode rewrites a whole group's
+key at once, an OpSum hands each term its
 coefficient as the scale, an OpProduct hands each factor the previous
 factor's sink, and commutator is the OpSum of its two OpProduct orderings,
 which super_commutator applies.  apply turns the input's Fractions into
@@ -100,12 +101,12 @@ class TensorState(Combination):
 
     def lattice_shape(self):
         """(M, q) read off any key, or None for the zero state."""
-        return _shape(self)
+        return next((g.shape for (g, _), _ in self.terms), None)
 
 
-def _shape(s):
-    """(M, q) read off any key of a tensor state s, in integer form or not; None for 0."""
-    return next((g.shape for (g, _), _ in s.terms), None)
+def _shape(src: Sink):
+    """(M, q) read off the gamma of any group key of a tensor state in integer form."""
+    return next(iter(src.terms))[0].shape
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +117,7 @@ class _Operator(Record):
     """Shared by the descriptors: an operator is even unless it says otherwise.
 
     An operator adds scale * op src into a sink with _into, src and sink both
-    tensor states in integer form (Sinks keyed (lattice key, boson key)), so a
+    tensor states in integer form (Sinks grouped by (gamma, boson key)), so a
     composite hands its factors integers, and apply builds one Fraction per key
     of the image.  Only the boson modes override apply: they send distinct keys to
     distinct keys, so they keep or scale each Fraction and never need the ints.
@@ -131,7 +132,7 @@ class _Operator(Record):
         if not ts.terms:  # the zero state stops here, so no _into is handed it
             return ts
         sink = Sink()
-        self._into(sink, Sink.of(ts), 1)
+        self._into(sink, Sink.of(ts.terms), 1)
         return sink.state(TensorState)
 
     def parity(self, M=None) -> int:
@@ -166,8 +167,9 @@ class _BosonMode(_Operator):
         _check_flavor(self.flavor)
 
     def _images(self, terms):
-        """(image key, coefficient, int weight) per key of terms that the mode keeps: the
-        boson half is rewritten, the lattice half stays."""
+        """(image key, value, int weight) per item of terms, keyed (lattice half, boson
+        key), whose boson key the mode keeps: the boson key is rewritten, the lattice half
+        stays.  The lattice half is a lattice key, or the gamma of a group."""
         j, r, star = self.flavor, self.r, self._star
         for (lk, bk), c in terms.items():
             image = mode_on_key(j, r, bk, star)
@@ -181,7 +183,9 @@ class _BosonMode(_Operator):
                                         for key, c, w in self._images(ts.terms)})
 
     def _into(self, sink: Sink, src: Sink, scale):
-        sink.add(((key, n * w) for key, n, w in self._images(src.terms)), src.den, scale)
+        # one boson key per group, so one mode_on_key serves every monomial of it
+        sink.add(((key, group.items(), w) for key, group, w in self._images(src.terms)),
+                 src.den, scale)
 
 
 class PhiMode(_BosonMode):
@@ -251,20 +255,21 @@ class SOp(_Operator):
         vec = cfg.delta_sum(self.mu)
         if fam != "boson":
             vec = (cfg.e(self.i) if fam == "upper" else -cfg.e(self.j)) + vec
-        halves = {}  # boson key -> the lattice keys under it
-        for lk, bk in src.terms:
-            halves.setdefault(bk, []).append(lk)
+        halves = {}  # boson key -> its (gamma, monomials) groups
+        for (gamma, bk), group in src.terms.items():
+            halves.setdefault(bk, []).append((gamma, group))
         # one kernel call for every boson half, each half reading its own indices
         targets = {bk: self._boson_images(fam, M, vec, bk, keys) for bk, keys in halves.items()}
         if not all(targets.values()):  # a half without images reads no level
-            src = Sink(src.den, {key: n for key, n in src.terms.items() if targets[key[1]]})
+            src = Sink(src.den, {key: group for key, group in src.terms.items()
+                                 if targets[key[1]]})
         idxs = {idx for images in targets.values() for idx in images}
         vertex_modes(vec, idxs, src, dict.fromkeys(idxs, sink), scale, targets)
 
     def _boson_images(self, fam: str, M: int, vec, bk, keys) -> dict:
         """{lattice doubled index: [(boson image key, integer weight), ...]} on the boson
         key bk.  The key's creation depth bounds the boson annihilators, and the
-        effective bound of vec on the lattice keys under bk the lattice index; the
+        effective bound of vec on the groups under bk the lattice index; the
         only nonzero mode of vec = 0 (the boson family at mu = 0) is X_0."""
         a, b, n = self.i - M, self.j - M, self.n
         bd, bound = key_depth(bk), _effective_bound(vec, keys)
@@ -355,7 +360,8 @@ class OpProduct(_Operator):
         """The rightmost factor acts first; each image but the last is a new Sink, and
         a zero image ends the product."""
         if not self.factors:
-            sink.add(src.terms.items(), src.den, scale)
+            sink.add(((key, group.items(), 1) for key, group in src.terms.items()),
+                     src.den, scale)
             return
         for f in reversed(self.factors[1:]):
             image = Sink()

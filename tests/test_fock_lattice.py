@@ -718,11 +718,14 @@ def test_images_hold_when_every_memo_is_cleared_mid_window():
 
 
 def _images(kernel, a, idxs, s, scale, targets):
-    """{idx: {key: Fraction}}: what one kernel call in integer form adds, each index
-    into a Sink of its own."""
+    """{idx: {((gamma, monomial), tag): Fraction}}: what one kernel call in integer form
+    adds, each index into a Sink of its own, its (gamma, tag) groups read out term by
+    term; no group may be left empty."""
     images = {idx: Sink() for idx in idxs}
     kernel(a, idxs, s, images, scale, targets)
-    return {idx: {k: Fraction(n, img.den) for k, n in img.terms.items()}
+    assert all(group for img in images.values() for group in img.terms.values())
+    return {idx: {((gamma, mono), tag): Fraction(n, img.den)
+                  for (gamma, tag), group in img.terms.items() for mono, n in group.items()}
             for idx, img in images.items()}
 
 
@@ -736,7 +739,8 @@ def _kernel_calls(cfg, families):
     def record(a, idxs, s, sink, scale=1, targets=None):
         idxs = list(idxs)
         images = _images(kernel, a, idxs, s, scale, targets)
-        calls.append((a, idxs, Sink(s.den, dict(s.terms)), scale, targets, images))
+        groups = {key: dict(group) for key, group in s.terms.items()}
+        calls.append((a, idxs, Sink(s.den, groups), scale, targets, images))
         return kernel(a, idxs, s, sink, scale, targets)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -750,8 +754,9 @@ def _reference_images(a, idxs, s, scale, targets):
     lattice state taken through reference_vertex_mode_apply and written as the
     kernel writes it, under its own tag or under each target that its tag lists."""
     states = {}
-    for (lk, tag), n in s.terms.items():
-        states.setdefault(tag, {})[lk] = Fraction(n, s.den)
+    for (gamma, tag), group in s.terms.items():
+        for mono, n in group.items():
+            states.setdefault(tag, {})[gamma, mono] = Fraction(n, s.den)
     images = {idx: {} for idx in idxs}
     for tag, terms in states.items():
         state = LatticeFockState(terms)

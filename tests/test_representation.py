@@ -180,8 +180,11 @@ def _spread_over_boson_keys(rng, s):
 
 def test_diag_current_dressed_against_manual_window():
     # alpha = e_i at q = 2, and alpha = delta_i at q = 3 as in the image of K_i (i < q)
+    # every other delta trial gives s a factor d_i(-k), k in 1..3, that alpha = delta_i
+    # contracts, so the terms with k > 0, which apply alpha(k) before X(delta_mu), are met
     rng = random.Random(31)
     nonzero = {("e", 2): 0, ("delta", 3): 0}
+    contracting = 0
     for trial in range(24):
         kind, q = ("e", 2) if trial % 2 == 0 else ("delta", 3)
         lat = LatticeConfig(M, q)
@@ -190,7 +193,10 @@ def test_diag_current_dressed_against_manual_window():
             s = _spread_over_boson_keys(rng, s)
         mu = tuple(rng.randint(-2, 2) for _ in range(q - 1))
         mq = rng.randint(-2, 2)
-        alpha = lat.e(rng.randint(1, M)) if kind == "e" else lat.delta(rng.randint(1, q - 1))
+        i = rng.randint(1, M if kind == "e" else q - 1)
+        alpha = lat.e(i) if kind == "e" else lat.delta(i)
+        if trial % 4 == 1:
+            s = Current(lat.dgen(i), -rng.randint(1, 3)).apply(s)
         fast = DiagCurrent(alpha, mq, mu).apply(s)
         # crude window: X_{2(mq-k)}(dm) needs mq - k <= deg u - (dm, gamma), and alpha(k)
         # with k > 0 needs a factor of mode k; widened by a margin
@@ -202,7 +208,9 @@ def test_diag_current_dressed_against_manual_window():
             wide = wide + Current(alpha, k).apply(VertexMode(dm, 2 * (mq - k)).apply(s))
         assert fast == wide, (kind, q, mu, mq)
         nonzero[(kind, q)] += not fast.is_zero()
+        contracting += any(not Current(alpha, k).apply(s).is_zero() for k in range(1, deg + 1))
     assert min(nonzero.values()) >= 8, nonzero
+    assert contracting >= 6, contracting
 
 
 def test_parities():
