@@ -81,8 +81,6 @@ class Sink:
         """Add scale times the groups, (group key, (monomial, int numerator over den)
         items, int weight) triples, each numerator times its group's weight.  A group's
         items are read in full before the next triple is drawn."""
-        if not scale:
-            return
         f = self.widen(den * scale.denominator) * scale.numerator
         terms = self.terms
         for key, items, w in groups:

@@ -300,9 +300,10 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
     gamma, tag) group, so the inner loops hash only monomials; with
     targets, {tag: {idx: ((target tag, int weight), ...)}}, it goes to the
     (a + gamma, target tag) group of each target that its tag lists at idx,
-    times the weight, and nowhere where the tag lists no idx.  A lattice key
-    under several tags meets its creation levels once per tag.  Without a
-    sink, s is a lattice state, and its images are built through a sink each.
+    times the weight, and nowhere where the tag lists no idx; a group whose
+    tag lists no index is not read.  A lattice key under several tags meets
+    its creation levels once per tag.  Without a sink, s is a lattice state,
+    and its images are built through a sink each.
     """
     if sink is None:
         images = {idx: Sink() for idx in idxs}
@@ -321,6 +322,8 @@ def vertex_modes(a: LatticeVector, idxs, s, sink=None, scale=1, targets=None):
     # creation level at every index
     groups = []
     for (gamma, tag), group in s.terms.items():
+        if targets is not None and not targets[tag]:
+            continue
         new_gamma, shift, sign = _shifted(a, gamma)
         floor = shift + h_lo
         levels = {}
@@ -481,16 +484,16 @@ def _paired(a: LatticeVector) -> frozenset:
     return frozenset(b for b in range(a.rank) if pair_with_basis(a, b))
 
 
-def _mode_bound(a: LatticeVector, keys, paired):
+def _mode_bound(a: LatticeVector, groups, paired):
     """max over the lattice keys e^gamma (x) u of 2 (deg u - (a, gamma)) minus the norm
     for even a and minus 1 for odd a, deg u counting only the factors of basis indices
-    in paired (all when paired is None); -inf without keys.  keys holds (gamma,
-    nonempty monomials) pairs, and (a, gamma) is computed once per gamma, for its
+    in paired (all when paired is None); -inf without groups.  groups holds a sink's
+    ((gamma, tag), monomials) items, and (a, gamma) is computed once per gamma, for its
     largest degree."""
     p = bilinear(a, a)
     drop = p if p % 2 == 0 else 1
     degrees = {}  # gamma -> largest counted degree of its monomials
-    for g, monos in keys:
+    for (g, _), monos in groups:
         d = max(monomial_degree(u) if paired is None else sum(n for b, n in u if b in paired)
                 for u in monos)
         if d > degrees.get(g, -1):
@@ -498,9 +501,9 @@ def _mode_bound(a: LatticeVector, keys, paired):
     return max((2 * (d - bilinear(a, g)) - drop for g, d in degrees.items()), default=NEG_INF)
 
 
-def _effective_bound(a: LatticeVector, keys):
-    """effective_mode_bound on the lattice keys keys, -inf without keys."""
-    return _mode_bound(a, keys, _paired(a))
+def _effective_bound(a: LatticeVector, groups):
+    """effective_mode_bound on a sink's ((gamma, tag), monomials) items, -inf without any."""
+    return _mode_bound(a, groups, _paired(a))
 
 
 def vanishing_bound(a: LatticeVector, s: LatticeFockState):
@@ -509,7 +512,7 @@ def vanishing_bound(a: LatticeVector, s: LatticeFockState):
     Per key the bound is 2 (deg u - (a, gamma)) minus the norm for even a
     and minus 1 for odd a; the zero state yields -inf.
     """
-    return _mode_bound(a, ((g, (u,)) for g, u in s.terms), None)
+    return _mode_bound(a, _tagged(s).terms.items(), None)
 
 
 def effective_mode_bound(a: LatticeVector, s: LatticeFockState):
@@ -520,19 +523,18 @@ def effective_mode_bound(a: LatticeVector, s: LatticeFockState):
     mode family.  Used to clip the infinite mode sums of the toroidal
     operators, where states carry factors orthogonal to a.
     """
-    return _effective_bound(a, ((g, (u,)) for g, u in s.terms))
+    return _effective_bound(a, _tagged(s).terms.items())
 
 
 def current_upper_bound(a: LatticeVector, s: LatticeFockState):
     """Largest m > 0 with a(m) s possibly nonzero (0 if none; -inf on 0)."""
-    return NEG_INF if s.is_zero() else _current_bound(a, ((g, (u,)) for g, u in s.terms))
+    return NEG_INF if s.is_zero() else _current_bound(a, _tagged(s).terms.items())
 
 
-def _current_bound(a: LatticeVector, keys) -> int:
-    """current_upper_bound on the lattice keys keys, read as _mode_bound reads them; 0
-    without keys."""
+def _current_bound(a: LatticeVector, groups) -> int:
+    """current_upper_bound on a sink's ((gamma, tag), monomials) items; 0 without any."""
     paired = _paired(a)
-    return max((n for _, monos in keys for u in monos for b, n in u if b in paired), default=0)
+    return max((n for _, monos in groups for u in monos for b, n in u if b in paired), default=0)
 
 
 def window_sum(vec: LatticeVector, idxs, src: Sink, outer):
@@ -548,12 +550,6 @@ def window_sum(vec: LatticeVector, idxs, src: Sink, outer):
             outer(idx, image)
 
 
-def _lattice_keys(src: Sink) -> list:
-    """The lattice keys of a state in integer form, as the bounds read them: (gamma,
-    monomials) per group."""
-    return [(gamma, group) for (gamma, _), group in src.terms.items()]
-
-
 def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int, s, sink=None, scale=1):
     """sum_k X_{idx-k}(a) X_k(dm) s for an isotropic dm orthogonal to a; with a sink,
     that times scale is added into it in integer form, and the sink is returned.
@@ -566,9 +562,9 @@ def vertex_product_sum(a: LatticeVector, dm: LatticeVector, idx: int, s, sink=No
         raise ValueError("product sum requires (dm, dm) = (a, dm) = 0")
     if sink is None:
         return _on_lattice(vertex_product_sum, s, a, dm, idx)
-    keys = _lattice_keys(s)
-    lo = idx - _effective_bound(a, keys)
-    window_sum(dm, range(lo + lo % 2, _mode_bound(dm, keys, None) + 1, 2), s,
+    groups = s.terms.items()
+    lo = idx - _effective_bound(a, groups)
+    window_sum(dm, range(lo + lo % 2, _mode_bound(dm, groups, None) + 1, 2), s,
                lambda k, image: vertex_mode_apply(a, idx - k, image, sink, scale))
     return sink
 
@@ -588,9 +584,9 @@ def _dressed_current(a: LatticeVector, dm: LatticeVector, n: int, s: Sink, sink:
     """
     if dm.is_zero():
         return heisenberg_apply(a, n, s, sink, scale)
-    keys = _lattice_keys(s)
-    bound = _effective_bound(dm, keys)
-    for k in range(max(1, n - bound // 2), _current_bound(a, keys) + 1):
+    groups = s.terms.items()
+    bound = _effective_bound(dm, groups)
+    for k in range(max(1, n - bound // 2), _current_bound(a, groups) + 1):
         vertex_mode_apply(dm, 2 * (n - k), heisenberg_apply(a, k, s, Sink()), sink, scale)
     window_sum(dm, range(2 * n, bound + 1, 2), s,
                lambda j, image: heisenberg_apply(a, n - j // 2, image, sink, scale))
@@ -611,12 +607,12 @@ def normal_ordered_pair_sum(a: LatticeVector, b: LatticeVector, n: int, s, sink=
         raise ValueError("normal ordered pair sum is for odd vectors")
     if sink is None:
         return _on_lattice(normal_ordered_pair_sum, s, a, b, n)
-    keys = _lattice_keys(s)
+    groups = s.terms.items()
     split = (n - 1) // 2
-    kept = range(n - (_effective_bound(b, keys) + 1) // 2, split + 1)
+    kept = range(n - (_effective_bound(b, groups) + 1) // 2, split + 1)
     window_sum(b, [2 * (n - k) - 1 for k in kept], s,
                lambda j, image: vertex_mode_apply(a, 2 * n - j, image, sink, scale))
-    swapped = range(split + 1, (_effective_bound(a, keys) - 1) // 2 + 1)
+    swapped = range(split + 1, (_effective_bound(a, groups) - 1) // 2 + 1)
     window_sum(a, [2 * k + 1 for k in swapped], s,
                lambda j, image: vertex_mode_apply(b, 2 * n - j, image, sink, -scale))
     return sink

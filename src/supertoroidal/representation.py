@@ -227,7 +227,8 @@ class SOp(_Operator):
     evaluated on the key alone, each image at the doubled index of the lattice
     mode it pairs with (2r - 1, or 2(n - k) for the boson family), and one
     vertex_modes window of the family's vector serves every half, each keyed
-    to its images.  One call also widens the sink once for all halves.
+    to its images; the kernel skips a half without images.  One call also
+    widens the sink once for all halves.
     """
 
     i: int
@@ -255,24 +256,21 @@ class SOp(_Operator):
         vec = cfg.delta_sum(self.mu)
         if fam != "boson":
             vec = (cfg.e(self.i) if fam == "upper" else -cfg.e(self.j)) + vec
-        halves = {}  # boson key -> its (gamma, monomials) groups
-        for (gamma, bk), group in src.terms.items():
-            halves.setdefault(bk, []).append((gamma, group))
+        halves = {}  # boson key -> its ((gamma, boson key), monomials) items
+        for item in src.terms.items():
+            halves.setdefault(item[0][1], []).append(item)
         # one kernel call for every boson half, each half reading its own indices
-        targets = {bk: self._boson_images(fam, M, vec, bk, keys) for bk, keys in halves.items()}
-        if not all(targets.values()):  # a half without images reads no level
-            src = Sink(src.den, {key: group for key, group in src.terms.items()
-                                 if targets[key[1]]})
+        targets = {bk: self._boson_images(fam, M, vec, bk, items) for bk, items in halves.items()}
         idxs = {idx for images in targets.values() for idx in images}
         vertex_modes(vec, idxs, src, dict.fromkeys(idxs, sink), scale, targets)
 
-    def _boson_images(self, fam: str, M: int, vec, bk, keys) -> dict:
+    def _boson_images(self, fam: str, M: int, vec, bk, items) -> dict:
         """{lattice doubled index: [(boson image key, integer weight), ...]} on the boson
         key bk.  The key's creation depth bounds the boson annihilators, and the
-        effective bound of vec on the groups under bk the lattice index; the
-        only nonzero mode of vec = 0 (the boson family at mu = 0) is X_0."""
+        effective bound of vec on items, the sink's groups under bk, the lattice index;
+        the only nonzero mode of vec = 0 (the boson family at mu = 0) is X_0."""
         a, b, n = self.i - M, self.j - M, self.n
-        bd, bound = key_depth(bk), _effective_bound(vec, keys)
+        bd, bound = key_depth(bk), _effective_bound(vec, items)
         images = {}
         if fam != "boson":
             star = fam == "upper"

@@ -38,19 +38,14 @@ def _zero():
     return ToroidalElement.zero()
 
 
-def _affine_k(coeff, me, ne):
-    """coeff * delta_{m+n,0} K for q = 1 (K is t^0 K_1)."""
-    if coeff and me[0] + ne[0] == 0:
-        return ToroidalElement.k(1, (0,), coeff)
-    return _zero()
-
-
 def _central(kind, coeff, me, ne):
-    """The printed central term: affine m delta K or d(t^m)t^n."""
+    """The printed central term: coeff m delta_{m+n,0} K for q = 1 (K is t^0 K_1), or
+    coeff d(t^m)t^n."""
     if not coeff:
         return _zero()
     if kind == "R":
-        return _affine_k(coeff * me[0], me, ne)
+        c = coeff * me[0]
+        return ToroidalElement.k(1, (0,), c) if c and me[0] + ne[0] == 0 else _zero()
     return coeff * d_cocycle(me, ne)
 
 
@@ -68,6 +63,8 @@ def _rows(kind: str) -> tuple:
 
     mm = lambda *names: tuple((n, "M") for n in names)
     nn = lambda *names: tuple((n, "N") for n in names)
+    # the two patterns a = b and a != b
+    split = lambda a, b: ((f"{a}={b}", (("eq", a, b),)), (f"{a}!={b}", (("ne", a, b),)))
 
     # --- 1: both arguments in the e-block
     def b1a(alg, M, me, ne, tot, i, j, k, l):
@@ -110,10 +107,7 @@ def _rows(kind: str) -> tuple:
     def b1c(alg, M, me, ne, tot, i, k):
         return _t(i, i, me), _t(k, k, ne), _central(C, 1 if i == k else 0, me, ne)
 
-    add("1", "1:cartan", mm("i", "k"), (
-        ("i=k", (("eq", "i", "k"),)),
-        ("i!=k", (("ne", "i", "k"),)),
-    ), b1c)
+    add("1", "1:cartan", mm("i", "k"), split("i", "k"), b1c)
 
     # --- 2: both arguments in the second block; the print shows
     # T_{k+M,l+M} in the middle term (suspected typo for T_{k+M,j+M})
@@ -168,13 +162,9 @@ def _rows(kind: str) -> tuple:
         w = 1 if i == l else 0
         return _t(k + M, l, ne), _t(i, i, me), _t(k + M, l, tot, w)
 
-    pat3d = (
-        ("i=l", (("eq", "i", "l"),)),
-        ("i!=l", (("ne", "i", "l"),)),
-    )
     spec3d = (("i", "M"), ("l", "M"), ("k", "N"))
-    add("3", "3:3", spec3d, pat3d, b3_3)
-    add("3", "3:4", spec3d, pat3d, b3_4)
+    add("3", "3:3", spec3d, split("i", "l"), b3_3)
+    add("3", "3:4", spec3d, split("i", "l"), b3_4)
 
     # --- 4: e-block against T_{k,l+M}
     def b4_1(alg, M, me, ne, tot, i, j, k, l):
@@ -204,13 +194,9 @@ def _rows(kind: str) -> tuple:
         w = -1 if j == k else 0
         return _t(k + M, l, ne), _t(i + M, j + M, me), _t(i + M, l, tot, w)
 
-    pat_jk = (
-        ("j=k", (("eq", "j", "k"),)),
-        ("j!=k", (("ne", "j", "k"),)),
-    )
     spec5 = (("i", "N"), ("j", "N"), ("k", "N"), ("l", "M"))
-    add("5", "5:1", spec5, pat_jk, b5_1)
-    add("5", "5:2", spec5, pat_jk, b5_2)
+    add("5", "5:1", spec5, split("j", "k"), b5_1)
+    add("5", "5:2", spec5, split("j", "k"), b5_2)
 
     # --- 6
     def b6_1(alg, M, me, ne, tot, i, j, k, l):
@@ -221,13 +207,9 @@ def _rows(kind: str) -> tuple:
         w = 1 if l == i else 0
         return _t(k, l + M, ne), _t(i + M, j + M, me), _t(k, j + M, tot, w)
 
-    pat_li = (
-        ("l=i", (("eq", "l", "i"),)),
-        ("l!=i", (("ne", "l", "i"),)),
-    )
     spec6 = (("i", "N"), ("j", "N"), ("l", "N"), ("k", "M"))
-    add("6", "6:1", spec6, pat_li, b6_1)
-    add("6", "6:2", spec6, pat_li, b6_2)
+    add("6", "6:1", spec6, split("l", "i"), b6_1)
+    add("6", "6:2", spec6, split("l", "i"), b6_2)
 
     # --- 7: the odd-odd pair with central terms
     def b7_1(alg, M, me, ne, tot, i, j, k, l):
@@ -245,10 +227,7 @@ def _rows(kind: str) -> tuple:
             rhs = rhs + _t(i + M, l + M, tot)
         if l == i:
             rhs = rhs + _t(k, j, tot, alg.f_basis(k, j))
-        if C == "R":
-            rhs = rhs + _affine_k((j == k) * (l == i) * ne[0], me, ne)
-        elif (j == k) and (l == i):
-            rhs = rhs + d_cocycle(ne, me)
+        rhs = rhs + _central(C, (j == k) * (l == i), ne, me)
         return _t(k, l + M, ne), _t(i + M, j, me), rhs
 
     spec7 = (("i", "N"), ("l", "N"), ("j", "M"), ("k", "M"))

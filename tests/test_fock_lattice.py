@@ -538,6 +538,27 @@ def test_kernel_looks_up_exp_t_plus_once_per_contracted_part():
         assert img == reference_vertex_mode_apply(a, idx, s), idx
 
 
+def test_kernel_skips_a_tag_that_lists_no_index():
+    # tag "b" lists no index, so its monomial, which no other tag holds, is never
+    # looked up in exp T_+, and the images are those of the sink without that tag
+    a, gamma, idxs = CFG.e(1), CFG.e(2), (-3, 1, 3)
+    u, v = ((0, 1),), ((0, 2), (0, 2))
+    listed = {"a": {1: (("x", 1),), -3: (("x", 2), ("y", -1))}}
+    src = Sink(2, {(gamma, "a"): {u: 3}, (gamma, "b"): {v: 1}})
+    _exp_annihilation.cache_clear()
+    images = {idx: Sink() for idx in idxs}
+    vertex_modes(a, idxs, src, images, 1, {**listed, "b": {}})
+    info = _exp_annihilation.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    _exp_annihilation(a, v)
+    assert _exp_annihilation.cache_info().misses == 2
+    alone = {idx: Sink() for idx in idxs}
+    vertex_modes(a, idxs, Sink(2, {(gamma, "a"): {u: 3}}), alone, 1, listed)
+    assert images[-3].terms and images[1].terms
+    assert {i: (s.den, s.terms) for i, s in images.items()} == {
+        i: (s.den, s.terms) for i, s in alone.items()}
+
+
 @st.composite
 def _split_cases(draw):
     """(a, a window, a state whose monomials mix factors a contracts with factors it carries)."""

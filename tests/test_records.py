@@ -14,9 +14,9 @@ import pytest
 
 from supertoroidal import representation as rep
 from supertoroidal.fock_boson import BosonState
-from supertoroidal.fock_lattice import LatticeFockState
+from supertoroidal.fock_lattice import LatticeFockState, vertex_product_sum
 from supertoroidal.lattice import LatticeConfig, LatticeVector
-from supertoroidal.superalgebra import GLElement, ToroidalElement
+from supertoroidal.superalgebra import GLElement, Superalgebra, ToroidalElement, d_cocycle
 from supertoroidal.tables import Row
 from supertoroidal.verifier import CheckConfig
 
@@ -113,8 +113,16 @@ def test_record_defaults():
     lambda: rep.CentralImage((0, 1), 3),
     lambda: rep.CentralImage((0, 1), 0),
     lambda: rep.SOp(0, 4, (0,), 1),
+    lambda: LatticeConfig(2, 2).e(3),
+    lambda: vertex_product_sum(CFG.e(1), CFG.e(2), 0, LatticeFockState.vacuum(CFG)),
+    lambda: rep.rho(ToroidalElement.t(1, 2, (1, 0, 0)), CFG),
+    lambda: d_cocycle((1, 0), (1,)),
+    lambda: Superalgebra(1, 0),
+    lambda: Superalgebra(2, 1).bracket_toroidal(ToroidalElement.t(1, 2, (1, 0)),
+                                                ToroidalElement.t(2, 1, (1,))),
 ], ids=["phi", "phi_star", "lattice_M", "lattice_q", "diag_d", "diag_mu", "central_high",
-        "central_low", "s_op"])
+        "central_low", "s_op", "lattice_e", "product_sum", "rho_exponent", "d_cocycle",
+        "superalgebra", "bracket_exponents"])
 def test_post_init_refusals(make):
     with pytest.raises(ValueError):
         make()

@@ -106,6 +106,8 @@ def test_s_examples():
     assert img == TensorState.basis(lat1.e(1), (), (), ((1, -1),))
     with pytest.raises(ValueError):
         s_mode_apply("lower", 1, M + 1, (), 0, vac1)
+    zero = TensorState.zero()
+    assert s_mode_apply("upper", 1, M + 1, (), 0, zero) is zero
 
 
 def test_s_dressed_zero_mu_equals_plain():

@@ -704,6 +704,8 @@ def _with(value):
          "boson")
 @example([_term(phi=_PHI), _term(phi=[{"flavor": 1, "doubled_mode": "-1"}])], None, "tensor")
 @example([_term(phi=_PHI), _term(phi=[{"flavor": [1], "doubled_mode": -1}])], None, "boson")
+# a phi entry without its doubled_mode, read past the cached reader
+@example([_term(phi=[{"flavor": 1}])], None, "tensor")
 # ... or an earlier monomial, its power an int twin or omitted next to the same
 # factor written out
 @example([_term(monomial=_MONO), _term(monomial=[{**_MONO[0], "power": True}])], None, "lattice")

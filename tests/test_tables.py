@@ -100,3 +100,18 @@ def test_printed_rows_pinned():
     assert len(out) == 1152
     assert hashlib.sha256(ser.dumps(out).encode()).hexdigest() == (
         "a0f70227e64fb8e4afcdce569f5210009854c214c079f4f7c2ba32232c1e32dd")
+
+
+class _Stuck:
+    """An rng whose every draw is the low end, so two unequal indices always collide."""
+
+    def randint(self, lo, hi):
+        return lo
+
+
+def test_solve_pattern_exits():
+    spec = (("i", "M"), ("k", "M"))
+    contradiction = (("eq", "i", "k"), ("ne", "i", "k"))
+    assert tables.solve_pattern(spec, contradiction, 3, 2, random.Random(0)) is None
+    # every draw collides, so the exhaustive fallback hands out its first assignment
+    assert tables.solve_pattern(spec, (("ne", "i", "k"),), 3, 2, _Stuck()) == {"i": 1, "k": 2}

@@ -274,6 +274,19 @@ def test_replay_of_an_empty_state_passes(tmp_path, capsys, family, clause):
         assert "did NOT reproduce" in capsys.readouterr().err
 
 
+def test_replay_of_a_reproducing_record_exits_0(tmp_path, capsys):
+    # F(e_1, e_2) = 1, so a record expecting -1 fails the same way again
+    record = {"family": "cocycle", "clause": "basis-table", "pattern": "ee",
+              "config": SMALL.to_obj(), "payload": {"case": "ee", "i": 1, "j": 2, "expected": -1},
+              "lhs": 1, "rhs": -1}
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps(record))
+    assert main(["replay", "--counterexample", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["reproduced"] is True
+    assert "counterexample reproduced" in err
+
+
 def test_coverage_map_counts():
     rep = run(SMALL, families=("rtables",))
     for k in range(1, 11):
